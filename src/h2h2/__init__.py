@@ -70,13 +70,12 @@ from .surface_calculus import (
     Hypersurface,
     NormalSpaceError,
     PointGeometry,
-    codazzi_residual,
-    gauss_residual,
-    angle_derivative_residuals,
+    StructuralResiduals,
     point_geometry,
     product_angle_C,
     ricci,
     sectional,
+    structural_residuals,
     tangential_T,
     vector_V,
 )

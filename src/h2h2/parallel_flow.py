@@ -17,6 +17,7 @@ principal minors).  Focal values of l are the roots of det Q.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -381,11 +382,14 @@ def detq_derivatives_at_0(af: AdaptedFrame, rho: float) -> dict[int, float]:
     }
 
 
+@functools.lru_cache(maxsize=None)
 def _fornberg_weights(order: int, npoints: int) -> np.ndarray:
     """Exact central-stencil weights for the order-th derivative at 0.
 
     Solves sum_i w_i x_i^m / m! = delta_{m,order} over the integer offsets in
     rational arithmetic, so the only float error left is in the samples.
+    The weights are computed once per (order, npoints) and shared, so the
+    returned array is read-only.
     """
     offsets = list(range(-(npoints // 2), npoints // 2 + 1))
     n = len(offsets)
@@ -404,7 +408,9 @@ def _fornberg_weights(order: int, npoints: int) -> np.ndarray:
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
                 rhs[r] -= f * rhs[col]
-    return np.array([float(x) for x in rhs])
+    w = np.array([float(x) for x in rhs])
+    w.setflags(write=False)
+    return w
 
 
 def detq_derivatives_numeric(af: AdaptedFrame, orders: Sequence[int] = DETQ_ORDERS,

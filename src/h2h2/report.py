@@ -11,11 +11,15 @@ JSON is emitted with sorted keys, so two runs produce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import stat
+import tempfile
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -180,15 +184,15 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
         max(abs(pg.C - oracle.C) for pg in pgs),
         cfg.tol("oracle_C"), len(pts)))
 
-    def normal_dev(pg, u):
-        n_svd = sc._normal_from_constraints(sc.chart_jet(surface, u))
+    def normal_dev(pg):
+        n_svd = sc._normal_from_constraints(pg)
         if float(n_svd @ sc.ETA6 @ pg.N) < 0.0:
             n_svd = -n_svd
         return float(np.max(np.abs(n_svd - pg.N)))
 
     results.append(_judged(
         "oracle_normal",
-        max(normal_dev(pg, u) for pg, u in zip(pgs, pts)),
+        max(normal_dev(pg) for pg in pgs),
         cfg.tol("oracle_normal"), len(pts),
         notes="nullspace normal vs closed form, up to the recorded sign"))
 
@@ -214,20 +218,13 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
         notes="2(H12+H13+H23) = rho + 2 via the principal frame"))
 
     # ---- structural equations (finite-difference based) -------------------
-    r1 = r2 = 0.0
-    for u in pts[:n_fd]:
-        a, b = sc.angle_derivative_residuals(surface, u)
-        r1, r2 = max(r1, a), max(r2, b)
-    results.append(_judged("grad_C_identity", r1, cfg.tol("grad_C_identity"), n_fd))
-    results.append(_judged("V_derivative_identity", r2, cfg.tol("V_derivative_identity"), n_fd))
-    results.append(_judged(
-        "gauss_equation",
-        max(sc.gauss_residual(surface, u) for u in pts[:n_fd]),
-        cfg.tol("gauss_equation"), n_fd))
-    results.append(_judged(
-        "codazzi_equation",
-        max(sc.codazzi_residual(surface, u) for u in pts[:n_fd]),
-        cfg.tol("codazzi_equation"), n_fd))
+    structural = [sc.structural_residuals(pg) for pg in pgs[:n_fd]]
+    for name, field_name in (("grad_C_identity", "grad_C"),
+                             ("V_derivative_identity", "V_derivative"),
+                             ("gauss_equation", "gauss"),
+                             ("codazzi_equation", "codazzi")):
+        results.append(_judged(name, max(getattr(r, field_name) for r in structural),
+                               cfg.tol(name), n_fd))
 
     # ---- parallel flow ----------------------------------------------------
     lgrid = cfg.grid()
@@ -474,11 +471,44 @@ def render_csv(results: list[CheckResult]) -> str:
     return buf.getvalue()
 
 
+_UMASK_LOCK = threading.Lock()
+
+
+def _new_file_mode(path: str) -> int:
+    """Permission bits ``open(path, "w")`` would leave on ``path``."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        pass
+    # the umask can only be read by setting it; hold a restrictive one
+    # meanwhile and serialize, so concurrent writers restore the right value
+    with _UMASK_LOCK:
+        umask = os.umask(0o077)
+        os.umask(umask)
+    return 0o666 & ~umask
+
+
 def write_atomic(path: str, text: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        f.write(text)
-    os.replace(tmp, path)
+    """Replace ``path`` with ``text`` in one step.
+
+    The text goes to a uniquely named temporary file in the same directory,
+    is flushed and fsynced, and then renamed over ``path``, so concurrent
+    writers never interleave and readers see the old or the new file whole.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    mode = _new_file_mode(path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+            os.fchmod(f.fileno(), mode)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

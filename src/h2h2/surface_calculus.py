@@ -8,8 +8,10 @@ operator, and principal curvatures follow.
 
 Second derivatives of the chart are enough for Christoffel symbols; the
 third-order quantities (intrinsic curvature, covariant derivatives of the
-shape operator) use central finite differences of AD-exact data, optionally
-Richardson-refined.
+shape operator, derivatives of C and V) use central finite differences of
+AD-exact data, optionally Richardson-refined.  ``structural_residuals`` takes
+all of them from one shared stencil of 12 point bundles around a centre
+bundle and checks grad C = -2AV, nabla V = CA - TA, Gauss and Codazzi there.
 
 The second fundamental form is computed from the ambient identity
 b_ij = <d_i d_j Phi, N>: N is orthogonal to the position directions (p,0) and
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -108,7 +110,12 @@ def chart_jet(M: Hypersurface, u) -> ChartJet:
     return ChartJet(u=u, val=val, jac=jac, hess=hess)
 
 
-def _normal_from_constraints(jet: ChartJet) -> np.ndarray:
+def _normal_from_constraints(jet) -> np.ndarray:
+    """Unit spacelike normal from the nullspace of the constraint rows.
+
+    ``jet`` is anything with the chart value ``val`` and Jacobian ``jac``: a
+    ``ChartJet`` or a ``PointGeometry``.
+    """
     rows = np.zeros((5, 6))
     rows[0, :3] = ETA3 @ jet.val[:3]
     rows[1, 3:] = ETA3 @ jet.val[3:]
@@ -132,6 +139,20 @@ def _fix_normal_sign(n: np.ndarray, align_with: Optional[np.ndarray]) -> np.ndar
     return n
 
 
+def _induced_metric(jet: ChartJet) -> tuple[np.ndarray, float]:
+    """Symmetrized induced metric and the smallest tangent singular value.
+
+    Raises ``ChartRankError`` when the chart differential is rank-deficient.
+    """
+    g = jet.jac.T @ ETA6 @ jet.jac
+    g = 0.5 * (g + g.T)
+    low = float(np.linalg.eigvalsh(g)[0])
+    if low <= RANK_SIGMA_MIN ** 2:
+        raise ChartRankError(
+            f"chart differential is rank-deficient (sigma_min={math.sqrt(max(low, 0.0)):.3e})")
+    return g, math.sqrt(low)
+
+
 class PointGeometry:
     """Per-point bundle: tangent basis, metric, normal, shape operator.
 
@@ -145,21 +166,17 @@ class PointGeometry:
     C, H, rho, K : product angle, mean, scalar, and Gauss-Kronecker curvature
     """
 
-    def __init__(self, M: Hypersurface, jet: ChartJet, N: np.ndarray):
+    def __init__(self, M: Hypersurface, jet: ChartJet, N: np.ndarray,
+                 g: np.ndarray, sigma_min: float):
+        # g and sigma_min come from _induced_metric(jet), which point_geometry
+        # runs before it computes the normal
         self.surface = M
         self.u = jet.u
         self.val = jet.val
         self.jac = jet.jac
         self.hess = jet.hess
-
-        g = jet.jac.T @ ETA6 @ jet.jac
-        self.g = 0.5 * (g + g.T)
-        evals = np.linalg.eigvalsh(self.g)
-        if evals[0] <= RANK_SIGMA_MIN ** 2:
-            raise ChartRankError(
-                f"chart differential is rank-deficient (sigma_min={math.sqrt(max(evals[0], 0.0)):.3e})"
-            )
-        self.sigma_min = math.sqrt(evals[0])
+        self.g = g
+        self.sigma_min = sigma_min
 
         self.N = N
         if abs(ambient_inner(N, N) - 1.0) > NORMAL_TOL:
@@ -245,11 +262,7 @@ def point_geometry(M: Hypersurface, u, align_normal_with: Optional[np.ndarray] =
     (used by difference schemes to keep the orientation continuous).
     """
     jet = chart_jet(M, u)
-    g = jet.jac.T @ ETA6 @ jet.jac
-    low = float(np.linalg.eigvalsh(0.5 * (g + g.T))[0])
-    if low <= RANK_SIGMA_MIN ** 2:
-        raise ChartRankError(
-            f"chart differential is rank-deficient (sigma_min={math.sqrt(max(low, 0.0)):.3e})")
+    g, sigma_min = _induced_metric(jet)
     if M.normal_hint is not None:
         raw = M.normal_hint([float(x) for x in u])
         n = np.array([ad.value(x) for x in raw], dtype=float)
@@ -259,7 +272,7 @@ def point_geometry(M: Hypersurface, u, align_normal_with: Optional[np.ndarray] =
     else:
         n = _normal_from_constraints(jet)
         n = _fix_normal_sign(n, align_normal_with)
-    return PointGeometry(M, jet, n)
+    return PointGeometry(M, jet, n, g, sigma_min)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +319,11 @@ def tangential_T(pg: PointGeometry, X, tol: float = 1e-8) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def christoffels(M: Hypersurface, u, jet: Optional[ChartJet] = None) -> np.ndarray:
-    """Christoffel symbols Gamma[l, i, j] of the induced metric (AD-exact)."""
+    """Christoffel symbols Gamma[l, i, j] of the induced metric (AD-exact).
+
+    ``jet`` may be a ``ChartJet`` or a ``PointGeometry`` at u (both carry
+    ``jac`` and ``hess``); without it the chart jet at u is evaluated.
+    """
     jet = jet if jet is not None else chart_jet(M, u)
     g = jet.jac.T @ ETA6 @ jet.jac
     etaJ = ETA6 @ jet.jac
@@ -321,36 +338,71 @@ def christoffels(M: Hypersurface, u, jet: Optional[ChartJet] = None) -> np.ndarr
     return 0.5 * np.einsum("lm,mij->lij", g_inv, term)
 
 
-def _central(f, u, m, h, richardson):
-    e = np.zeros(3)
-    e[m] = 1.0
+class StructuralResiduals(NamedTuple):
+    """Max-norm residuals of the four structural equations at one point."""
 
-    def diff(hh):
-        return (f(u + hh * e) - f(u - hh * e)) / (2.0 * hh)
-
-    if richardson:
-        return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
-    return diff(h)
+    grad_C: float        # grad C = -2AV
+    V_derivative: float  # nabla_X V = C A X - T A X
+    gauss: float
+    codazzi: float
 
 
-def gauss_residual(M: Hypersurface, u, h: float = 1e-4, richardson: bool = True) -> float:
-    """Max-norm residual of the Gauss equation over coordinate triples.
+def structural_residuals(pg: PointGeometry, h: float = 1e-4,
+                         richardson: bool = True) -> StructuralResiduals:
+    """Residuals of grad C = -2AV, nabla V = CA - TA, Gauss and Codazzi at pg.u.
 
-    The intrinsic curvature R(d_i, d_j) d_k is assembled from Christoffel
-    symbols and their finite-difference derivatives and compared, as an
-    ambient vector, against the algebraic right-hand side built from the
-    tangential operator T and the shape operator.
+    All four checks share one central-difference stencil around the centre
+    bundle ``pg``: the points u +- h e_m and, with ``richardson``, u +- (h/2) e_m,
+    each a full ``point_geometry`` whose normal is aligned with ``pg.N``.
+    Derivatives are (4 D(h/2) - D(h)) / 3 with D(s) the central difference
+    of step s, or D(h) alone without Richardson refinement.
+
+    Christoffel symbols come from each bundle's own AD jet.  The intrinsic
+    curvature R(d_i, d_j) d_k and the covariant derivative of A are compared,
+    as ambient vectors, against their algebraic right-hand sides built from
+    the tangential operator T and the shape operator; grad C is the chart
+    gradient of C lifted through the inverse metric, and nabla_X V the
+    tangential projection of the ambient derivative of V.
     """
-    u = np.asarray(u, dtype=float)
-    pg = point_geometry(M, u)
-    gam = christoffels(M, u)
-    dgam = np.stack([_central(lambda x: christoffels(M, x), u, m, h, richardson)
-                     for m in range(3)])  # dgam[m] = d_m Gamma
+    M, u = pg.surface, pg.u
+    steps = (h, h / 2.0) if richardson else (h,)
+    stencil = {}
+    for hh in steps:
+        for m in range(3):
+            e = np.zeros(3)
+            e[m] = 1.0
+            stencil[hh, m] = (point_geometry(M, u + hh * e, align_normal_with=pg.N),
+                              point_geometry(M, u - hh * e, align_normal_with=pg.N))
+
+    def derivative(field):
+        # derivative(field)[m] = d_m field
+        def diff(hh, m):
+            plus, minus = stencil[hh, m]
+            return (field(plus) - field(minus)) / (2.0 * hh)
+
+        if richardson:
+            return np.stack([(4.0 * diff(h / 2.0, m) - diff(h, m)) / 3.0 for m in range(3)])
+        return np.stack([diff(h, m) for m in range(3)])
+
+    gam = christoffels(M, u, jet=pg)
+    dgam = derivative(lambda q: christoffels(M, q.u, jet=q))
+    dA = derivative(lambda q: q.A)
+    dC = derivative(lambda q: q.C)
+    dV = derivative(lambda q: q.V)
 
     Tb = np.stack([pg.T_apply(pg.jac[:, i]) for i in range(3)])   # (3,6)
     Ab = np.stack([pg.from_coords(pg.A[:, i]) for i in range(3)])  # (3,6)
 
-    res = 0.0
+    grad_C = pg.jac @ np.linalg.solve(pg.g, dC)
+    res_grad_c = float(np.max(np.abs(grad_C + 2.0 * pg.shape_apply(pg.V))))
+
+    res_v = 0.0
+    for i in range(3):
+        nabla_v = pg.project(dV[i])
+        rhs = pg.C * Ab[i] - pg.T_apply(Ab[i])
+        res_v = max(res_v, float(np.max(np.abs(nabla_v - rhs))))
+
+    res_gauss = 0.0
     for i in range(3):
         for j in range(i + 1, 3):
             for k in range(3):
@@ -361,64 +413,18 @@ def gauss_residual(M: Hypersurface, u, h: float = 1e-4, richardson: bool = True)
                                + ambient_inner(Tb[j], pg.jac[:, k]) * Tb[i]
                                - ambient_inner(Tb[i], pg.jac[:, k]) * Tb[j])
                        + pg.b[j, k] * Ab[i] - pg.b[i, k] * Ab[j])
-                res = max(res, float(np.max(np.abs(lhs - rhs))))
-    return res
+                res_gauss = max(res_gauss, float(np.max(np.abs(lhs - rhs))))
 
-
-def codazzi_residual(M: Hypersurface, u, h: float = 1e-4, richardson: bool = True) -> float:
-    """Max-norm residual of the Codazzi equation over coordinate pairs."""
-    u = np.asarray(u, dtype=float)
-    pg = point_geometry(M, u)
-    gam = christoffels(M, u)
-
-    def a_field(x):
-        return point_geometry(M, x, align_normal_with=pg.N).A
-
-    dA = np.stack([_central(a_field, u, m, h, richardson) for m in range(3)])
-
-    def cov(i):
-        return dA[i] + gam[:, i, :] @ pg.A - pg.A @ gam[:, i, :]
-
-    covs = [cov(i) for i in range(3)]
-    Tb = np.stack([pg.T_apply(pg.jac[:, i]) for i in range(3)])
-    res = 0.0
+    covs = [dA[i] + gam[:, i, :] @ pg.A - pg.A @ gam[:, i, :] for i in range(3)]
+    res_codazzi = 0.0
     for i in range(3):
         for j in range(i + 1, 3):
             lhs = pg.jac @ (covs[i][:, j] - covs[j][:, i])
             rhs = -0.5 * (ambient_inner(pg.jac[:, i], pg.V) * Tb[j]
                           - ambient_inner(pg.jac[:, j], pg.V) * Tb[i])
-            res = max(res, float(np.max(np.abs(lhs - rhs))))
-    return res
+            res_codazzi = max(res_codazzi, float(np.max(np.abs(lhs - rhs))))
 
-
-def angle_derivative_residuals(M: Hypersurface, u, h: float = 1e-4) -> tuple[float, float]:
-    """Residuals of grad C = -2AV and nabla_X V = C A X - T A X.
-
-    grad C is the chart gradient of C lifted through the inverse metric;
-    nabla_X V is the tangential projection of the ambient derivative of V,
-    taken along each coordinate direction.
-    """
-    u = np.asarray(u, dtype=float)
-    pg = point_geometry(M, u)
-
-    def c_field(x):
-        return np.array([point_geometry(M, x, align_normal_with=pg.N).C])
-
-    dC = np.array([_central(c_field, u, m, h, True)[0] for m in range(3)])
-    grad_C = pg.jac @ np.linalg.solve(pg.g, dC)
-    res1 = float(np.max(np.abs(grad_C + 2.0 * pg.shape_apply(pg.V))))
-
-    def v_field(x):
-        return point_geometry(M, x, align_normal_with=pg.N).V
-
-    res2 = 0.0
-    for i in range(3):
-        dV = _central(v_field, u, i, h, True)
-        nabla_v = pg.project(dV)
-        ax = pg.from_coords(pg.A[:, i])
-        rhs = pg.C * ax - pg.T_apply(ax)
-        res2 = max(res2, float(np.max(np.abs(nabla_v - rhs))))
-    return res1, res2
+    return StructuralResiduals(res_grad_c, res_v, res_gauss, res_codazzi)
 
 
 # ---------------------------------------------------------------------------

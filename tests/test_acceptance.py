@@ -61,8 +61,8 @@ def test_criterion_02_angle_derivative_residuals():
             continue   # |C| = 1 there
         surface, _ = build(kind, params)
         for u in sample(surface, 5):
-            r1, r2 = sc.angle_derivative_residuals(surface, u)
-            worst = max(worst, r1, r2)
+            r = sc.structural_residuals(sc.point_geometry(surface, u))
+            worst = max(worst, r.grad_C, r.V_derivative)
     ok = worst < 1e-7
     emit(2, ok, f"angle-derivative identity residuals on all |C|<1 families: "
                 f"max {worst:.2e} (tol 1e-7)")
@@ -76,18 +76,19 @@ def test_criterion_03_gauss_codazzi():
     g_worst = c_worst = 0.0
     for surface, _ in families:
         for u in sample(surface, 50):
-            g_worst = max(g_worst, sc.gauss_residual(surface, u))
-            c_worst = max(c_worst, sc.codazzi_residual(surface, u))
+            r = sc.structural_residuals(sc.point_geometry(surface, u))
+            g_worst = max(g_worst, r.gauss)
+            c_worst = max(c_worst, r.codazzi)
     # second-order convergence is measured where the truncation term is
     # visible; on the horocycle products the coordinate shape operator is
     # constant and the residual sits at machine zero for every step
     ratios = []
     conv_surfaces = [mz.make_M_kk(0.5, ad.tanh, 1.0)[0], build("M_tau", {"tau": -2.0})[0]]
     for surface in conv_surfaces:
-        u = sample(surface, 1)[0]
-        for fn in (sc.gauss_residual, sc.codazzi_residual):
-            ratios.append(fn(surface, u, h=0.05, richardson=False)
-                          / fn(surface, u, h=0.025, richardson=False))
+        pg = sc.point_geometry(surface, sample(surface, 1)[0])
+        coarse = sc.structural_residuals(pg, h=0.05, richardson=False)
+        fine = sc.structural_residuals(pg, h=0.025, richardson=False)
+        ratios += [coarse.gauss / fine.gauss, coarse.codazzi / fine.codazzi]
     conv_ok = all(2.5 < r < 5.7 for r in ratios)
     ok = g_worst < 1e-4 and c_worst < 1e-5 and conv_ok
     emit(3, ok, f"Gauss residual {g_worst:.2e} (tol 1e-4), Codazzi {c_worst:.2e} "

@@ -262,6 +262,13 @@ class TestDetQDerivatives:
         num = pf.detq_derivatives_numeric(af)
         assert num[4] == pytest.approx(4.0, abs=1e-5)
 
+    def test_fornberg_weights_exact_shared_and_read_only(self):
+        w = pf._fornberg_weights(2, 3)
+        assert w.tolist() == [1.0, -2.0, 1.0]
+        assert pf._fornberg_weights(2, 3) is w
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
     @settings(max_examples=25, deadline=None)
     @given(synthetic_frames())
     def test_closed_forms_match_stencils(self, af):

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import stat
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -201,3 +205,58 @@ class TestSobol:
         pts = rp.sobol_points(dom, 32, 0)
         for i, (lo, hi) in enumerate(dom):
             assert np.all(pts[:, i] >= lo) and np.all(pts[:, i] <= hi)
+
+
+class TestWriteAtomic:
+    def test_mode_matches_plain_open_and_no_temp_left(self, tmp_path):
+        plain = tmp_path / "plain.json"
+        with open(plain, "w") as f:
+            f.write("{}\n")
+        out = tmp_path / "r.json"
+        rp.write_atomic(str(out), "{}\n")
+        assert out.read_text() == "{}\n"
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["plain.json", "r.json"]
+
+    def test_overwrite_keeps_existing_mode(self, tmp_path):
+        out = tmp_path / "r.json"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        rp.write_atomic(str(out), "new\n")
+        assert out.read_text() == "new\n"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_failed_write_leaves_target_and_no_temp(self, tmp_path):
+        out = tmp_path / "r.json"
+        out.write_text("old\n")
+        with pytest.raises(TypeError):
+            rp.write_atomic(str(out), None)
+        assert out.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["r.json"]
+
+    def test_concurrent_writers_leave_one_complete_report(self, tmp_path):
+        out = tmp_path / "r.json"
+        texts = [f"{{\"writer\": {i}, \"pad\": \"{str(i) * 50_000}\"}}\n" for i in range(4)]
+        errors = []
+
+        def writer(text):
+            try:
+                for _ in range(20):
+                    rp.write_atomic(str(out), text)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(t,)) for t in texts]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert out.read_text() in texts
+        assert os.listdir(tmp_path) == ["r.json"]

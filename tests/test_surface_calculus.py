@@ -223,33 +223,38 @@ class TestTangentialT:
             sc.tangential_T(pg, pg.N)
 
 
+def structural(surface, u, **kw):
+    return sc.structural_residuals(sc.point_geometry(surface, u), **kw)
+
+
 class TestAngleDerivativeIdentities:
     def test_residuals_small(self, m_11_03, m_tau_m2):
         for surface, _ in (m_11_03, m_tau_m2):
             for u in domain_samples(surface, 6):
-                r1, r2 = sc.angle_derivative_residuals(surface, u)
-                assert r1 < 1e-7
-                assert r2 < 1e-7
+                r = structural(surface, u)
+                assert r.grad_C < 1e-7
+                assert r.V_derivative < 1e-7
 
     def test_degenerate_family(self, m_gamma_2):
         surface, _ = m_gamma_2
-        r1, r2 = sc.angle_derivative_residuals(surface, np.array([0.3, 0.9, 1.2]))
-        assert r1 < 1e-9   # C constant and AV = 0
-        assert r2 < 1e-7
+        r = structural(surface, np.array([0.3, 0.9, 1.2]))
+        assert r.grad_C < 1e-9   # C constant and AV = 0
+        assert r.V_derivative < 1e-7
 
 
 class TestGaussCodazzi:
     def test_residuals(self, m_1m1_half):
         surface, _ = m_1m1_half
         for u in domain_samples(surface, 6):
-            assert sc.gauss_residual(surface, u) < 1e-4
-            assert sc.codazzi_residual(surface, u) < 1e-5
+            r = structural(surface, u)
+            assert r.gauss < 1e-4
+            assert r.codazzi < 1e-5
 
     def test_geodesic_product(self, m_gamma_geodesic):
         surface, _ = m_gamma_geodesic
-        u = np.array([0.4, 0.8, 1.9])
-        assert sc.gauss_residual(surface, u) < 1e-6
-        assert sc.codazzi_residual(surface, u) < 1e-6
+        r = structural(surface, np.array([0.4, 0.8, 1.9]))
+        assert r.gauss < 1e-6
+        assert r.codazzi < 1e-6
 
     def test_second_order_convergence(self, m_kk_tanh):
         # needs a surface whose shape operator actually varies in the chart:
@@ -257,12 +262,32 @@ class TestGaussCodazzi:
         # finite-difference residual sits at machine zero for every step
         surface, _ = m_kk_tanh
         u = np.array([0.15, 0.42, -0.33])
-        g1 = sc.gauss_residual(surface, u, h=0.05, richardson=False)
-        g2 = sc.gauss_residual(surface, u, h=0.025, richardson=False)
-        assert 2.5 < g1 / g2 < 5.7
-        c1 = sc.codazzi_residual(surface, u, h=0.05, richardson=False)
-        c2 = sc.codazzi_residual(surface, u, h=0.025, richardson=False)
-        assert 2.5 < c1 / c2 < 5.7
+        r1 = structural(surface, u, h=0.05, richardson=False)
+        r2 = structural(surface, u, h=0.025, richardson=False)
+        assert 2.5 < r1.gauss / r2.gauss < 5.7
+        assert 2.5 < r1.codazzi / r2.codazzi < 5.7
+
+
+class TestSharedStencil:
+    @pytest.mark.parametrize("richardson, expected", [(True, 12), (False, 6)])
+    def test_one_stencil_serves_all_four_checks(self, m_1m1_half, monkeypatch,
+                                                richardson, expected):
+        surface, _ = m_1m1_half
+        pg = sc.point_geometry(surface, np.array([0.2, -0.3, 0.5]))
+        calls = {"point_geometry": 0, "chart_jet": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sc, "point_geometry", counted("point_geometry", sc.point_geometry))
+        monkeypatch.setattr(sc, "chart_jet", counted("chart_jet", sc.chart_jet))
+        sc.structural_residuals(pg, richardson=richardson)
+        # the centre bundle is reused and every Christoffel symbol comes from
+        # a stencil bundle's own jet, so each chart jet is one stencil point
+        assert calls == {"point_geometry": expected, "chart_jet": expected}
 
 
 class TestRicciSectional:
