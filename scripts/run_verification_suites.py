@@ -15,13 +15,7 @@ import sys
 from h2h2 import model_zoo as mz
 from h2h2 import report as rp
 
-SUITE = (
-    [("M_Gamma", {"kappa_gamma": k}) for k in (0.0, 0.5, 1.0, 2.0)]
-    + [("M_1m1", {"c": c}) for c in (0.1, 0.25, 0.5, 0.75, 0.9)]
-    + [("M_11", {"c": c}) for c in (0.1, 0.25, 0.5, 0.75, 0.9)]
-    + [("M_tau", {"tau": t}) for t in (-1.5, -2.0, -5.0)]
-    + [("M_kk", {"c": 0.5, "kappa": "tanh", "kappa_tilde": "one"})]
-)
+SUITE = mz.CATALOG + (mz.ModelSpec("M_kk", {"c": 0.5, "kappa": "tanh", "kappa_tilde": "one"}),)
 
 
 def main():
@@ -34,12 +28,11 @@ def main():
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     any_failed = False
-    for kind, params in SUITE:
-        spec = mz.ModelSpec(kind, params)
+    for spec in SUITE:
         cfg = rp.SuiteConfig(model=spec, samples=args.samples, seed=args.seed)
         results = rp.run_verify_suite(cfg)
         summary = rp.summarize(results)
-        tag = "_".join([kind] + [f"{k}={v}" for k, v in params.items()])
+        tag = "_".join([spec.kind] + [f"{k}={v}" for k, v in spec.params.items()])
         path = out_dir / f"{tag}.json"
         rp.write_atomic(str(path), rp.render_json(rp.report_payload(cfg, results)))
         status = "ok" if summary["failed"] == 0 else "FAILED"

@@ -12,10 +12,9 @@ from .lorentz import (
     CurveState,
     H2Point,
     H2Tangent,
+    PlaneCurve,
     complex_structure,
-    constant_curvature_curve,
     h2_exp,
-    horocycle_with_normal_sign,
     lorentz_cross,
     lorentz_inner,
 )

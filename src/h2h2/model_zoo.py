@@ -28,13 +28,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import autodiff as ad
-from .lorentz import (
-    FrenetIntegratedCurve,
-    HorocycleCurve,
-    PlaneCurve,
-    curve_of_constant_curvature,
-    lorentz_cross,
-)
+from .lorentz import PlaneCurve, lorentz_cross
 from .surface_calculus import Hypersurface
 
 KappaSpec = Union[float, Callable]
@@ -75,12 +69,6 @@ DEFAULT_DOMAINS = {
 }
 
 
-def _as_curve(kappa: KappaSpec) -> PlaneCurve:
-    if callable(kappa):
-        return FrenetIntegratedCurve(kappa)
-    return curve_of_constant_curvature(float(kappa))
-
-
 def _polar(rho, phi):
     return [ad.cosh(rho), ad.sinh(rho) * ad.cos(phi), ad.sinh(rho) * ad.sin(phi)]
 
@@ -91,7 +79,7 @@ def _polar(rho, phi):
 
 def make_M_Gamma(kappa_gamma: float, domain=None):
     domain = domain or DEFAULT_DOMAINS["M_Gamma"]
-    curve = curve_of_constant_curvature(kappa_gamma)
+    curve = PlaneCurve(kappa_gamma)
 
     def chart(u):
         r, rho, phi = u
@@ -209,21 +197,28 @@ def make_M_kk(c: float, kappa: KappaSpec, kappa_tilde: KappaSpec, domain=None):
         return not callable(k) and abs(float(k)) == 1.0
 
     constant = unit_const(kappa) and unit_const(kappa_tilde)
-    return _product_surface(c, _as_curve(kappa), _as_curve(kappa_tilde),
+    return _product_surface(c, PlaneCurve(kappa), PlaneCurve(kappa_tilde),
                             domain, f"M_kk(c={c})", constant)
+
+
+# curvatures (kappa, kappa~) of the horocycle cases; the second horocycle of
+# M_1m1 carries the opposite normal, so its curvature in its own frame is -1
+HOROCYCLE_PAIRS = {"M_1m1": (1.0, -1.0), "M_11": (1.0, 1.0)}
 
 
 def make_M_1m1(c: float, domain=None):
     """Horocycle curvatures (1,-1): principal curvatures {0, sqrt(1-c), sqrt(c)}."""
     domain = domain or DEFAULT_DOMAINS["M_kk"]
-    return _product_surface(c, HorocycleCurve(+1), HorocycleCurve(-1),
+    k1, k2 = HOROCYCLE_PAIRS["M_1m1"]
+    return _product_surface(c, PlaneCurve(k1), PlaneCurve(k2, normal_sign=-1),
                             domain, f"M_1m1(c={c})", True)
 
 
 def make_M_11(c: float, domain=None):
     """Horocycle curvatures (1,1): principal curvatures {0, sqrt(1-c), -sqrt(c)}."""
     domain = domain or DEFAULT_DOMAINS["M_kk"]
-    return _product_surface(c, HorocycleCurve(+1), HorocycleCurve(+1),
+    k1, k2 = HOROCYCLE_PAIRS["M_11"]
+    return _product_surface(c, PlaneCurve(k1), PlaneCurve(k2),
                             domain, f"M_11(c={c})", True)
 
 
@@ -331,8 +326,17 @@ def tanh_profile_check(c: float, kappa0: float, t_grid: Sequence[float]) -> floa
 
 
 # ---------------------------------------------------------------------------
-# registry used by the CLI
+# registry
 # ---------------------------------------------------------------------------
+
+# the canonical family sweep: acceptance tests, the curvature-catalog table
+# and the verification-suite script all run over these models, in this order
+CATALOG = (
+    tuple(ModelSpec("M_Gamma", {"kappa_gamma": k}) for k in (0.0, 0.5, 1.0, 2.0))
+    + tuple(ModelSpec("M_1m1", {"c": c}) for c in (0.1, 0.25, 0.5, 0.75, 0.9))
+    + tuple(ModelSpec("M_11", {"c": c}) for c in (0.1, 0.25, 0.5, 0.75, 0.9))
+    + tuple(ModelSpec("M_tau", {"tau": t}) for t in (-1.5, -2.0, -5.0))
+)
 
 NAMED_KAPPAS: dict[str, KappaSpec] = {
     "one": 1.0,
@@ -354,6 +358,20 @@ def parse_kappa(text: str) -> KappaSpec:
         raise ValueError(f"unknown curvature function {text!r}") from None
 
 
+def curvature_pair(spec: ModelSpec) -> Optional[tuple]:
+    """Curvatures (kappa, kappa~) of a two-curve product model, None otherwise.
+
+    Curvature names in the spec are parsed here; a curvature function comes
+    back as the callable.
+    """
+    if spec.kind in HOROCYCLE_PAIRS:
+        return HOROCYCLE_PAIRS[spec.kind]
+    if spec.kind == "M_kk":
+        return tuple(parse_kappa(k) if isinstance(k, str) else k
+                     for k in (spec.params["kappa"], spec.params["kappa_tilde"]))
+    return None
+
+
 def build_model(spec: ModelSpec):
     """Construct the (Hypersurface, Oracle) pair described by a ModelSpec."""
     kind = spec.kind
@@ -365,11 +383,7 @@ def build_model(spec: ModelSpec):
     if kind == "M_11":
         return make_M_11(float(p["c"]), domain=spec.domain)
     if kind == "M_kk":
-        kap = p["kappa"]
-        kap_t = p["kappa_tilde"]
-        kap = parse_kappa(kap) if isinstance(kap, str) else kap
-        kap_t = parse_kappa(kap_t) if isinstance(kap_t, str) else kap_t
-        return make_M_kk(float(p["c"]), kap, kap_t, domain=spec.domain)
+        return make_M_kk(float(p["c"]), *curvature_pair(spec), domain=spec.domain)
     if kind == "M_tau":
         return make_M_tau(float(p["tau"]), domain=spec.domain)
     raise ValueError(f"unknown model kind {kind!r}")

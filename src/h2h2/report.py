@@ -340,19 +340,10 @@ def _parallel_lambda_closed_dev(cfg, surface, pgs) -> float:
 
 def _constant_curvature_pair(spec: mz.ModelSpec):
     """Constant curvature pair of a product model, or None if generic."""
-    if spec.kind == "M_1m1":
-        return 1.0, -1.0
-    if spec.kind == "M_11":
-        return 1.0, 1.0
-    if spec.kind == "M_kk":
-        k1 = spec.params["kappa"]
-        k2 = spec.params["kappa_tilde"]
-        k1 = mz.parse_kappa(k1) if isinstance(k1, str) else k1
-        k2 = mz.parse_kappa(k2) if isinstance(k2, str) else k2
-        if callable(k1) or callable(k2):
-            return None
-        return float(k1), float(k2)
-    return None
+    pair = mz.curvature_pair(spec)
+    if pair is None or any(callable(k) for k in pair):
+        return None
+    return tuple(float(k) for k in pair)
 
 
 def _closed_parallel_lambdas(spec: mz.ModelSpec, u, l: float):
@@ -421,8 +412,7 @@ def _model_specific_checks(cfg: SuiteConfig, surface, oracle) -> list[CheckResul
         out.append(_skipped("m_tau_tube_identity", tol_tube, "skipped: not a level-set model"))
 
     if kind == "M_kk":
-        k1 = cfg.model.params.get("kappa")
-        k1 = mz.parse_kappa(k1) if isinstance(k1, str) else k1
+        k1 = mz.curvature_pair(cfg.model)[0]
         if isinstance(k1, (int, float)) and abs(float(k1)) < 1.0:
             c = float(cfg.model.params["c"])
             tgrid = np.linspace(-1.0, 1.0, 41)
@@ -584,16 +574,6 @@ def poincare_dump(model: mz.ModelSpec, path: str, grid_n: int = 6, line_n: int =
 # tables (cmd table)
 # ---------------------------------------------------------------------------
 
-CATALOG_SWEEP = [
-    mz.ModelSpec("M_Gamma", {"kappa_gamma": k}) for k in (0.0, 0.5, 1.0, 2.0)
-] + [
-    mz.ModelSpec("M_1m1", {"c": c}) for c in (0.1, 0.25, 0.5, 0.75, 0.9)
-] + [
-    mz.ModelSpec("M_11", {"c": c}) for c in (0.1, 0.25, 0.5, 0.75, 0.9)
-] + [
-    mz.ModelSpec("M_tau", {"tau": t}) for t in (-1.5, -2.0, -5.0)
-]
-
 TABLE_MODELS = [
     mz.ModelSpec("M_11", {"c": 0.3}),
     mz.ModelSpec("M_1m1", {"c": 0.6}),
@@ -607,7 +587,7 @@ def _center(surface) -> np.ndarray:
 
 def curvature_catalog_rows() -> list[dict]:
     rows = []
-    for spec in CATALOG_SWEEP:
+    for spec in mz.CATALOG:
         surface, oracle = mz.build_model(spec)
         pg = sc.point_geometry(surface, _center(surface))
         rows.append({

@@ -29,37 +29,29 @@ def emit(num, ok, detail):
     assert ok, detail
 
 
-ZOO = (
-    [("M_Gamma", {"kappa_gamma": k}) for k in (0.0, 0.5, 1.0, 2.0)]
-    + [("M_1m1", {"c": c}) for c in (0.1, 0.25, 0.5, 0.75, 0.9)]
-    + [("M_11", {"c": c}) for c in (0.1, 0.25, 0.5, 0.75, 0.9)]
-    + [("M_tau", {"tau": t}) for t in (-1.5, -2.0, -5.0)]
-)
-
-
 def build(kind, params):
     return mz.build_model(mz.ModelSpec(kind, params))
 
 
 def test_criterion_01_model_zoo_oracle_match():
     lam_dev = c_dev = 0.0
-    for kind, params in ZOO:
-        surface, oracle = build(kind, params)
+    for spec in mz.CATALOG:
+        surface, oracle = mz.build_model(spec)
         for u in sample(surface, 200):
             pg = sc.point_geometry(surface, u)
             lam_dev = max(lam_dev, float(np.max(np.abs(pg.lambdas - oracle.lambdas(u)))))
             c_dev = max(c_dev, abs(pg.C - oracle.C))
     ok = lam_dev < 1e-7 and c_dev < 1e-9
-    emit(1, ok, f"model-zoo oracle match over {len(ZOO)} families x 200 points: "
+    emit(1, ok, f"model-zoo oracle match over {len(mz.CATALOG)} families x 200 points: "
                 f"max lambda dev {lam_dev:.2e} (tol 1e-7), max C dev {c_dev:.2e} (tol 1e-9)")
 
 
 def test_criterion_02_angle_derivative_residuals():
     worst = 0.0
-    for kind, params in ZOO:
-        if kind == "M_Gamma":
+    for spec in mz.CATALOG:
+        if spec.kind == "M_Gamma":
             continue   # |C| = 1 there
-        surface, _ = build(kind, params)
+        surface, _ = mz.build_model(spec)
         for u in sample(surface, 5):
             r = sc.structural_residuals(sc.point_geometry(surface, u))
             worst = max(worst, r.grad_C, r.V_derivative)

@@ -127,77 +127,84 @@ def exact_constant_curvature_state(kappa, r):
     return F[:, 0], F[:, 1], F[:, 2]
 
 
+def rk4_reference(kappa, r_target, h):
+    """Plain RK4 of the Frenet system for (gamma, T) from r = 0 to r_target."""
+    g = np.array([1.0, 0, 0])
+    t = np.array([0.0, 1, 0])
+
+    def rhs(r, g, t):
+        return t, g + kappa(r) * lz.lorentz_cross(g, t)
+
+    n = int(round(r_target / h))
+    for i in range(n):
+        r = i * h
+        k1g, k1t = rhs(r, g, t)
+        k2g, k2t = rhs(r + h / 2, g + h / 2 * k1g, t + h / 2 * k1t)
+        k3g, k3t = rhs(r + h / 2, g + h / 2 * k2g, t + h / 2 * k2t)
+        k4g, k4t = rhs(r + h, g + h * k3g, t + h * k3t)
+        g = g + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
+        t = t + h / 6 * (k1t + 2 * k2t + 2 * k3t + k4t)
+    return g, t
+
+
 class TestCurves:
     def test_horocycle_at_zero(self):
-        st0 = lz.constant_curvature_curve(1.0, 0.0)
+        st0 = lz.PlaneCurve(1.0).state(0.0)
         assert np.allclose(st0.gamma, (1, 0, 0))
         assert np.allclose(st0.normal, (0, 0, 1))
         assert st0.kappa == 1.0
 
     def test_horocycle_closed_form(self):
         r = 1.3
-        st0 = lz.constant_curvature_curve(1.0, r)
+        st0 = lz.PlaneCurve(1.0).state(r)
         assert np.allclose(st0.gamma, ((2 + r * r) / 2, r, r * r / 2))
         assert np.allclose(st0.normal, (-r * r / 2, -r, (2 - r * r) / 2))
 
     def test_geodesic(self):
-        st0 = lz.constant_curvature_curve(0.0, 0.83)
+        st0 = lz.PlaneCurve(0.0).state(0.83)
         assert np.allclose(st0.gamma, (math.cosh(0.83), math.sinh(0.83), 0))
         assert np.allclose(st0.normal, (0, 0, 1))
 
-    @pytest.mark.parametrize("kappa", [2.0, 0.5, -0.7, -1.0, 3.5])
+    # 1 +- 1e-9 and -1 +- 1e-9 sit on both sides of the branch change at w² = 0
+    @pytest.mark.parametrize("kappa", [2.0, 0.5, -0.7, -1.0, 3.5,
+                                       1.0 + 1e-9, 1.0 - 1e-9, -1.0 + 1e-9, -1.0 - 1e-9])
     def test_integrated_curves_match_exact_solution(self, kappa):
-        curve = lz.curve_of_constant_curvature(kappa)
-        for r in (-2.3, -0.4, 0.7, 1.9):
-            st0 = curve.state(r)
-            g, t, n = exact_constant_curvature_state(kappa, r)
-            assert np.max(np.abs(st0.gamma - g)) < 1e-9
-            assert np.max(np.abs(st0.tangent - t)) < 1e-9
-            assert np.max(np.abs(st0.normal - n)) < 1e-9
+        # the closed form, and the Magnus stepper run on the same constant
+        # handed over as a function
+        for curve in (lz.PlaneCurve(kappa), lz.PlaneCurve(lambda _r: kappa)):
+            for r in (-2.3, -0.4, 0.7, 1.9):
+                st0 = curve.state(r)
+                g, t, n = exact_constant_curvature_state(kappa, r)
+                assert np.max(np.abs(st0.gamma - g)) < 1e-9
+                assert np.max(np.abs(st0.tangent - t)) < 1e-9
+                assert np.max(np.abs(st0.normal - n)) < 1e-9
 
     def test_kappa_2_frenet_residual(self):
         # independent oracle: plain RK4 of the Frenet system at step 1e-4,
         # cross-checked against its own half-step run before use
         kappa = 2.0
         r_target = 0.7
-
-        def rk4_reference(h):
-            g = np.array([1.0, 0, 0])
-            t = np.array([0.0, 1, 0])
-
-            def rhs(g, t):
-                return t, g + kappa * lz.lorentz_cross(g, t)
-
-            n = int(round(r_target / h))
-            for _ in range(n):
-                k1g, k1t = rhs(g, t)
-                k2g, k2t = rhs(g + h / 2 * k1g, t + h / 2 * k1t)
-                k3g, k3t = rhs(g + h / 2 * k2g, t + h / 2 * k2t)
-                k4g, k4t = rhs(g + h * k3g, t + h * k3t)
-                g = g + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
-                t = t + h / 6 * (k1t + 2 * k2t + 2 * k3t + k4t)
-            return g, t
-
-        g1, t1 = rk4_reference(1e-4)
-        g2, t2 = rk4_reference(5e-5)
+        g1, t1 = rk4_reference(lambda _r: kappa, r_target, 1e-4)
+        g2, t2 = rk4_reference(lambda _r: kappa, r_target, 5e-5)
         assert np.max(np.abs(g1 - g2)) < 1e-12   # oracle self-consistency
 
-        st0 = lz.constant_curvature_curve(kappa, r_target)
+        st0 = lz.PlaneCurve(kappa).state(r_target)
         assert np.max(np.abs(st0.gamma - g2)) < 1e-9
         assert np.max(np.abs(st0.tangent - t2)) < 1e-9
 
     @pytest.mark.parametrize("kappa", [0.0, 1.0, -1.0, 2.0, 0.4])
     def test_orthonormality_along_long_arcs(self, kappa):
-        curve = lz.curve_of_constant_curvature(kappa)
+        curve = lz.PlaneCurve(kappa)
         drift = max(curve.state(r).frame_residual() for r in np.linspace(-5, 5, 81))
         assert drift < 1e-8
 
     def test_variable_curvature_frenet_closure(self):
         # N = J(T) makes the Frenet equations hold with signed curvature
         from h2h2 import autodiff as ad
-        curve = lz.FrenetIntegratedCurve(ad.tanh)
+        curve = lz.PlaneCurve(ad.tanh)
         h = 1e-4
-        for r in (-1.2, 0.3, 0.9):
+        rs = (-1.2, 0.3, 0.9)
+        for r in rs:
             sp = curve.state(r + h)
             sm = curve.state(r - h)
             s0 = curve.state(r)
@@ -205,9 +212,20 @@ class TestCurves:
             assert np.max(np.abs(dN + s0.kappa * s0.tangent)) < 1e-6
             dT = (sp.tangent - sm.tangent) / (2 * h)
             assert np.max(np.abs(dT - s0.gamma - s0.kappa * s0.normal)) < 1e-6
+        # the sixth-order Magnus steps against plain RK4 at a fine step
+        g_ref, t_ref = rk4_reference(math.tanh, 1.5, 1e-3)
+        st = curve.state(1.5)
+        assert np.max(np.abs(st.gamma - g_ref)) < 1e-11
+        assert np.max(np.abs(st.tangent - t_ref)) < 1e-11
+        # knots grow in a fixed order, so frames do not depend on the query order
+        fresh = lz.PlaneCurve(ad.tanh)
+        for r in reversed(rs):
+            a, b = fresh.state(r), curve.state(r)
+            for name in ("gamma", "tangent", "normal"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_curve_jet_matches_finite_differences(self):
-        curve = lz.HorocycleCurve(+1)
+        curve = lz.PlaneCurve(1.0)
         from h2h2 import autodiff as ad
         r0 = 0.6
         x = ad.HyperDual(r0, np.array([1.0, 0, 0]), np.zeros((3, 3)))
@@ -224,24 +242,27 @@ class TestCurves:
 
 class TestHorocycleSigns:
     def test_positive_sign(self):
-        st0 = lz.horocycle_with_normal_sign(0.0, +1)
+        st0 = lz.PlaneCurve(1.0, normal_sign=1).state(0.0)
         assert np.allclose(st0.normal, (0, 0, 1))
         assert st0.kappa == 1.0
 
     def test_negative_sign(self):
-        st0 = lz.horocycle_with_normal_sign(0.0, -1)
+        st0 = lz.PlaneCurve(-1.0, normal_sign=-1).state(0.0)
         assert np.allclose(st0.normal, (0, 0, -1))
         assert st0.kappa == -1.0
+        for bad in (0, 2, -2):
+            with pytest.raises(ValueError):
+                lz.PlaneCurve(1.0, normal_sign=bad)
 
     def test_on_hyperboloid(self):
         r = 3.2
-        st0 = lz.horocycle_with_normal_sign(r, +1)
+        st0 = lz.PlaneCurve(1.0, normal_sign=1).state(r)
         assert abs(lz.lorentz_inner(st0.gamma, st0.gamma) + 1.0) < 1e-12 * max(
             1.0, abs(lz.lorentz_inner(st0.gamma, st0.gamma)))
 
     def test_negative_sign_matches_display(self):
         s = 0.9
-        st0 = lz.horocycle_with_normal_sign(s, -1)
+        st0 = lz.PlaneCurve(-1.0, normal_sign=-1).state(s)
         assert np.allclose(st0.normal, (s * s / 2, s, (-2 + s * s) / 2))
 
 

@@ -197,6 +197,10 @@ class TestRegistry:
         assert mz.parse_kappa("tanh") is ad.tanh
         with pytest.raises(ValueError):
             mz.parse_kappa("nope")
+        spec = mz.ModelSpec("M_kk", {"c": 0.4, "kappa": "tanh", "kappa_tilde": "const:0.3"})
+        assert mz.curvature_pair(spec) == (ad.tanh, 0.3)
+        assert mz.curvature_pair(mz.ModelSpec("M_1m1", {"c": 0.4})) == (1.0, -1.0)
+        assert mz.curvature_pair(mz.ModelSpec("M_tau", {"tau": -2.0})) is None
 
     def test_build_m_kk_with_names(self):
         spec = mz.ModelSpec("M_kk", {"c": 0.4, "kappa": "tanh", "kappa_tilde": "zero"})

@@ -183,9 +183,9 @@ class TestParallelPoints:
         l = 0.37
         pg = sc.point_geometry(surface, np.array([t, r, s]))
         flowed = pf.parallel_point(pg, l).ambient
-        from h2h2.lorentz import HorocycleCurve
-        g1 = HorocycleCurve(+1).state(r)
-        g2 = HorocycleCurve(-1).state(s)
+        from h2h2.lorentz import PlaneCurve
+        g1 = PlaneCurve(1.0).state(r)
+        g2 = PlaneCurve(-1.0, normal_sign=-1).state(s)
         a1 = math.sqrt(c) * t + math.sqrt(1 - c) * l
         a2 = math.sqrt(1 - c) * t - math.sqrt(c) * l
         want = np.concatenate([
