@@ -292,6 +292,7 @@ def parallel_curve_curvature(kappa, l):
 
     Flowing gamma -> cosh(l) gamma + sinh(l) N turns curvature kappa into
     (kappa cosh l - sinh l) / (cosh l - kappa sinh l); poles are focal values.
+    kappa and l broadcast against each other.
     """
-    ch, sh = math.cosh(l), math.sinh(l)
+    ch, sh = np.cosh(l), np.sinh(l)
     return (kappa * ch - sh) / (ch - kappa * sh)

@@ -8,19 +8,24 @@ For a hypersurface point with |C| < 1, the adapted orthonormal frame is
 
 and flowing distance l along the normal sends the pushed-forward frame
 through the matrix Q(l) whose rows mix E_i into the parallel frame.  The
-mean curvature of the parallel hypersurface is H(l) = -tr(Q^{-1} Q') =
--(det Q)'/det Q, its shape operator in the parallel frame is -Q^{-1} Q', and
-det Q has a closed-form expansion in the frame components A_ij whose
-derivatives at l = 0 reduce to scalar invariants (H, rho, C, and two
-principal minors).  Focal values of l are the roots of det Q.
+shape operator of the parallel hypersurface in the parallel frame is
+S(l) = -Q^{-1} Q' (``parallel_shape_operator``); its trace is the mean
+curvature H(l) and its spectrum the parallel principal curvatures.  det Q has
+a closed-form expansion in the frame components A_ij, so H(l) also equals
+-(det Q)'/det Q; ``report`` compares the two routes.  The derivatives of
+det Q at l = 0 reduce to scalar invariants (H, rho, C, and two principal
+minors) and are checked against the Taylor coefficients of the expansion.
+Focal values of l are the roots of det Q.
+
+Every function of l takes a float or an array of distances and broadcasts
+over it (matrices gain two trailing axes), so ``isoparametric_scan``
+evaluates each base point once over the whole l-grid.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -214,97 +219,109 @@ def parallel_surface(M: Hypersurface, l: float) -> Hypersurface:
 # the matrix Q and its consequences
 # ---------------------------------------------------------------------------
 
-def q_matrix(af: AdaptedFrame, l: float) -> np.ndarray:
+def _hyperbolic(af: AdaptedFrame, l):
+    """(cosh(c l), sinh(c l)/c, c sinh(c l)) for c = C+ and for c = C-."""
+    out = []
+    for c in (af.cplus, af.cminus):
+        ch, sh = np.cosh(c * l), np.sinh(c * l)
+        out.append((ch, sh / c, c * sh))
+    return out
+
+
+def _matrix(rows, l) -> np.ndarray:
+    """Nested 3x3 entries, each broadcast against l, as an array (*l.shape, 3, 3)."""
+    entries = np.broadcast_arrays(*(x for row in rows for x in row), l)[:-1]
+    return np.stack(entries, axis=-1).reshape(np.shape(l) + (3, 3))
+
+
+def q_matrix(af: AdaptedFrame, l) -> np.ndarray:
     """Pushforward matrix of the parallel map in the adapted frame."""
     a = af.A
-    cp, cm = af.cplus, af.cminus
-    sp = math.sinh(cp * l) / cp
-    sm = math.sinh(cm * l) / cm
-    chp = math.cosh(cp * l)
-    chm = math.cosh(cm * l)
-    return np.array([
+    l = np.asarray(l, dtype=float)
+    (chp, sp, _), (chm, sm, _) = _hyperbolic(af, l)
+    return _matrix([
         [1.0 - l * a[0, 0], -a[0, 1] * sp, -a[0, 2] * sm],
         [-l * a[0, 1], chp - a[1, 1] * sp, -a[1, 2] * sm],
         [-l * a[0, 2], -a[1, 2] * sp, chm - a[2, 2] * sm],
-    ])
+    ], l)
 
 
-def q_prime(af: AdaptedFrame, l: float) -> np.ndarray:
+def q_prime(af: AdaptedFrame, l) -> np.ndarray:
     """d/dl of the pushforward matrix; -Q' gives the parallel shape operator."""
     a = af.A
-    cp, cm = af.cplus, af.cminus
-    chp = math.cosh(cp * l)
-    chm = math.cosh(cm * l)
-    shp = math.sinh(cp * l)
-    shm = math.sinh(cm * l)
-    return np.array([
+    l = np.asarray(l, dtype=float)
+    (chp, _, dchp), (chm, _, dchm) = _hyperbolic(af, l)
+    return _matrix([
         [-a[0, 0], -a[0, 1] * chp, -a[0, 2] * chm],
-        [-a[0, 1], cp * shp - a[1, 1] * chp, -a[1, 2] * chm],
-        [-a[0, 2], -a[1, 2] * chp, cm * shm - a[2, 2] * chm],
-    ])
+        [-a[0, 1], dchp - a[1, 1] * chp, -a[1, 2] * chm],
+        [-a[0, 2], -a[1, 2] * chp, dchm - a[2, 2] * chm],
+    ], l)
 
 
-def detq_expansion(af: AdaptedFrame, l: float) -> float:
+# index of the l-derivative of each factor of _hyperbolic: cosh -> c sinh, sinh/c -> cosh
+_DERIVATIVE_FACTOR = (2, 0)
+
+
+def _detq_terms(af: AdaptedFrame):
+    """det Q as a sum of (alpha + beta l) P_i(C+ l) M_j(C- l), as (alpha, beta, i, j).
+
+    Factor 0 is cosh(c l) and factor 1 is sinh(c l)/c, as in ``_hyperbolic``.
+    """
+    a = af.A
+    h12, h13, h23 = af.principal_minors()
+    k = float(np.linalg.det(a))
+    return ((1.0, -a[0, 0], 0, 0),
+            (-a[1, 1], h12, 1, 0),
+            (-a[2, 2], h13, 0, 1),
+            (h23, -k, 1, 1))
+
+
+def detq_expansion(af: AdaptedFrame, l):
     """Closed-form det Q in terms of the principal 2x2 minors and det A."""
-    a = af.A
-    cp, cm = af.cplus, af.cminus
-    h12, h13, h23 = af.principal_minors()
-    k = float(np.linalg.det(a))
-    sp = math.sinh(cp * l)
-    sm = math.sinh(cm * l)
-    chp = math.cosh(cp * l)
-    chm = math.cosh(cm * l)
-    return ((1.0 - l * a[0, 0]) * chm * chp
-            + (-a[1, 1] + l * h12) * sp * chm / cp
-            + (-a[2, 2] + l * h13) * sm * chp / cm
-            + (h23 - l * k) * sp * sm / (cm * cp))
+    l = np.asarray(l, dtype=float)
+    fp, fm = _hyperbolic(af, l)
+    return sum((alpha + beta * l) * fp[i] * fm[j] for alpha, beta, i, j in _detq_terms(af))
 
 
-def detq_expansion_prime(af: AdaptedFrame, l: float) -> float:
+def detq_expansion_prime(af: AdaptedFrame, l):
     """Analytic d/dl of the det Q expansion (independent of the trace route)."""
-    a = af.A
-    cp, cm = af.cplus, af.cminus
-    h12, h13, h23 = af.principal_minors()
-    k = float(np.linalg.det(a))
-    sp = math.sinh(cp * l)
-    sm = math.sinh(cm * l)
-    chp = math.cosh(cp * l)
-    chm = math.cosh(cm * l)
-    t1 = -a[0, 0] * chm * chp + (1.0 - l * a[0, 0]) * (cm * sm * chp + cp * chm * sp)
-    t2 = (h12 * sp * chm + (-a[1, 1] + l * h12) * (cp * chp * chm + cm * sp * sm)) / cp
-    t3 = (h13 * sm * chp + (-a[2, 2] + l * h13) * (cm * chm * chp + cp * sm * sp)) / cm
-    t4 = (-k * sp * sm + (h23 - l * k) * (cp * chp * sm + cm * sp * chm)) / (cm * cp)
-    return t1 + t2 + t3 + t4
+    l = np.asarray(l, dtype=float)
+    fp, fm = _hyperbolic(af, l)
+    d = _DERIVATIVE_FACTOR
+    return sum(beta * fp[i] * fm[j] + (alpha + beta * l) * (fp[d[i]] * fm[j] + fp[i] * fm[d[j]])
+               for alpha, beta, i, j in _detq_terms(af))
 
 
-def mean_curvature_of_parallel(af: AdaptedFrame, l: float) -> float:
-    """H(l) = -tr(Q^{-1} Q'); checked against -(det Q)'/det Q."""
-    q = q_matrix(af, l)
-    det = float(np.linalg.det(q))
-    if abs(det) <= FOCAL_DET_TOL:
-        raise FocalPointError(f"det Q = {det:.3e} at l = {l}")
-    h_tr = -float(np.trace(np.linalg.solve(q, q_prime(af, l))))
-    h_det = -detq_expansion_prime(af, l) / detq_expansion(af, l)
-    if abs(h_tr - h_det) > 1e-6 * max(1.0, abs(h_tr)):
-        raise ArithmeticError("trace and determinant expressions for H(l) disagree")
-    return h_tr
+def _shape_operator(q: np.ndarray, qp: np.ndarray, l) -> np.ndarray:
+    """-Q^{-1} Q', refused with FocalPointError wherever det Q vanishes."""
+    det = np.linalg.det(q)
+    focal = np.abs(det) <= FOCAL_DET_TOL
+    if np.any(focal):
+        i = int(np.argmax(focal))
+        raise FocalPointError(f"det Q = {np.ravel(det)[i]:.3e} at l = {np.ravel(l)[i]}")
+    return -np.linalg.solve(q, qp)
 
 
-def parallel_shape_operator(af: AdaptedFrame, l: float) -> np.ndarray:
-    """Shape operator of the parallel hypersurface in the parallel frame."""
-    q = q_matrix(af, l)
-    if abs(float(np.linalg.det(q))) <= FOCAL_DET_TOL:
-        raise FocalPointError(f"focal point at l = {l}")
-    return -np.linalg.solve(q, q_prime(af, l))
-
-
-def parallel_lambdas(af: AdaptedFrame, l: float) -> np.ndarray:
-    """Principal curvatures of the parallel hypersurface, ascending."""
-    s = parallel_shape_operator(af, l)
+def _real_spectrum(s: np.ndarray) -> np.ndarray:
     ev = np.linalg.eigvals(s)
-    if np.max(np.abs(ev.imag)) > 1e-8:
+    if np.any(np.abs(ev.imag) > 1e-8):
         raise ArithmeticError("parallel shape operator has non-real spectrum")
-    return np.sort(ev.real)
+    return np.sort(ev.real, axis=-1)
+
+
+def parallel_shape_operator(af: AdaptedFrame, l) -> np.ndarray:
+    """Shape operator -Q^{-1} Q' of the parallel hypersurface in the parallel frame."""
+    return _shape_operator(q_matrix(af, l), q_prime(af, l), l)
+
+
+def mean_curvature_of_parallel(af: AdaptedFrame, l):
+    """H(l) = -tr(Q^{-1} Q'), the trace of the parallel shape operator."""
+    return np.trace(parallel_shape_operator(af, l), axis1=-2, axis2=-1)
+
+
+def parallel_lambdas(af: AdaptedFrame, l) -> np.ndarray:
+    """Principal curvatures of the parallel hypersurface, ascending."""
+    return _real_spectrum(parallel_shape_operator(af, l))
 
 
 @dataclass(frozen=True)
@@ -320,15 +337,10 @@ class ParallelState:
 
 
 def parallel_state(af: AdaptedFrame, l: float) -> ParallelState:
-    q = q_matrix(af, l)
-    return ParallelState(
-        l=l,
-        Q=q,
-        Qprime=q_prime(af, l),
-        detQ=float(np.linalg.det(q)),
-        H_of_l=mean_curvature_of_parallel(af, l),
-        parallel_lambdas=parallel_lambdas(af, l),
-    )
+    q, qp = q_matrix(af, l), q_prime(af, l)
+    s = _shape_operator(q, qp, l)
+    return ParallelState(l=l, Q=q, Qprime=qp, detQ=float(np.linalg.det(q)),
+                         H_of_l=float(np.trace(s)), parallel_lambdas=_real_spectrum(s))
 
 
 def focal_pushforward_norm(M: Hypersurface, u, l: float) -> float:
@@ -382,53 +394,30 @@ def detq_derivatives_at_0(af: AdaptedFrame, rho: float) -> dict[int, float]:
     }
 
 
-@functools.lru_cache(maxsize=None)
-def _fornberg_weights(order: int, npoints: int) -> np.ndarray:
-    """Exact central-stencil weights for the order-th derivative at 0.
+def _factor_series(c: float, i: int, deg: int) -> np.ndarray:
+    """Taylor coefficients to l^deg of cosh(c l) (i = 0) or sinh(c l)/c (i = 1)."""
+    return np.array([c ** (m - i) / math.factorial(m) if m % 2 == i else 0.0
+                     for m in range(deg + 1)])
 
-    Solves sum_i w_i x_i^m / m! = delta_{m,order} over the integer offsets in
-    rational arithmetic, so the only float error left is in the samples.
-    The weights are computed once per (order, npoints) and shared, so the
-    returned array is read-only.
+
+def detq_derivatives_numeric(af: AdaptedFrame,
+                             orders: Sequence[int] = DETQ_ORDERS) -> dict[int, float]:
+    """d^k(det Q)/dl^k at l = 0 from the Taylor series of the det Q expansion.
+
+    Each term (alpha + beta l) P(C+ l) M(C- l) of ``_detq_terms`` is
+    multiplied out as a power series truncated at the highest order asked
+    for, which is exact up to that order; the k-th derivative is k! times the
+    l^k coefficient.  Nothing is differenced, and nothing is shared with the
+    closed forms of ``detq_derivatives_at_0`` but the expansion itself.
     """
-    offsets = list(range(-(npoints // 2), npoints // 2 + 1))
-    n = len(offsets)
-    rows = [[Fraction(o ** m, math.factorial(m)) for o in offsets] for m in range(n)]
-    rhs = [Fraction(int(m == order)) for m in range(n)]
-    # Gaussian elimination over Q
-    for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        rhs[col] *= inv
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-                rhs[r] -= f * rhs[col]
-    w = np.array([float(x) for x in rhs])
-    w.setflags(write=False)
-    return w
-
-
-def detq_derivatives_numeric(af: AdaptedFrame, orders: Sequence[int] = DETQ_ORDERS,
-                             step: float = 0.1, npoints: int = 15) -> dict[int, float]:
-    """High-order central-stencil derivatives of the det Q expansion at 0.
-
-    The step is deliberately coarse: an 8th derivative divides by step**8, so
-    steps near 1e-2 put the denominator at the machine-epsilon scale and the
-    stencil output becomes pure roundoff.  With 15 points at step 0.1 the
-    worst case (k = 8) lands near 1e-5 absolute error.
-    """
-    half = npoints // 2
-    samples = np.array([detq_expansion(af, i * step) for i in range(-half, half + 1)])
-    out = {}
-    for k in orders:
-        w = _fornberg_weights(k, npoints)
-        out[k] = float(w @ samples / step ** k)
-    return out
+    deg = max(orders)
+    series = np.zeros(deg + 1)
+    for alpha, beta, i, j in _detq_terms(af):
+        pm = np.convolve(_factor_series(af.cplus, i, deg),
+                         _factor_series(af.cminus, j, deg))[:deg + 1]
+        series += alpha * pm
+        series[1:] += beta * pm[:-1]
+    return {k: math.factorial(k) * float(series[k]) for k in orders}
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +456,18 @@ class ScanReport:
 
 
 def _focal_flags(values: np.ndarray) -> np.ndarray:
-    """Rows bracketing a root of any sample column (the nearer endpoint)."""
+    """Grid nodes next to a root of det Q, given per base point (rows) over l.
+
+    A node is flagged where some |det Q| < 1e-8, and at every sign change
+    between neighbouring nodes the nearer endpoint (smaller |det Q|, the
+    left one on a tie) is flagged.
+    """
     flags = np.min(np.abs(values), axis=0) < 1e-8
-    for col in values:
-        for j in range(len(col) - 1):
-            if col[j] * col[j + 1] < 0:
-                flags[j if abs(col[j]) <= abs(col[j + 1]) else j + 1] = True
+    left, right = values[:, :-1], values[:, 1:]
+    change = left * right < 0
+    left_nearer = np.abs(left) <= np.abs(right)
+    flags[:-1] |= np.any(change & left_nearer, axis=0)
+    flags[1:] |= np.any(change & ~left_nearer, axis=0)
     return flags
 
 
@@ -486,59 +481,44 @@ def isoparametric_scan(M: Hypersurface, sample_points, l_grid,
     hypersurface is the parallel curve x H², so H(l) is the parallel-curve
     curvature of kappa = H(u).  Focal values of l, detected by sign changes
     of det Q between grid nodes (bisected to full precision for the report),
-    are excluded from the spreads and flagged.
+    are excluded from the spreads and flagged.  Each base point is evaluated
+    once over the whole grid.
     """
     l_grid = np.asarray(l_grid, dtype=float)
     pgs = [point_geometry(M, u) for u in sample_points]
-    degenerate = all(abs(pg.C) > DEGENERATE_C for pg in pgs)
-    rows = []
 
-    if degenerate:
+    if all(abs(pg.C) > DEGENERATE_C for pg in pgs):
+        mode = "curve_factor"
         kappas = np.array([pg.H for pg in pgs])
-        dets = np.stack([np.cosh(l_grid) - k * np.sinh(l_grid) for k in kappas])
+        dets = np.cosh(l_grid) - kappas[:, None] * np.sinh(l_grid)
         flags = _focal_flags(dets)
         roots = sorted({round(math.atanh(1.0 / k), 12) for k in kappas
                         if abs(k) > 1.0 and l_grid[0] < math.atanh(1.0 / k) < l_grid[-1]})
-        for j, l in enumerate(l_grid):
-            min_det = float(np.min(np.abs(dets[:, j])))
-            if flags[j]:
-                rows.append(ScanRow(float(l), math.nan, math.nan, math.nan,
-                                    min_det, True))
-                continue
-            pk = np.array([parallel_curve_curvature(k, l) for k in kappas])
-            spread = float(np.max(pk) - np.min(pk))
-            rows.append(ScanRow(float(l), float(np.mean(pk)), spread, spread,
-                                min_det, False))
-        excluded = [r.l for r in rows if r.focal]
-        return ScanReport(rows=rows, excluded=excluded, focal_roots=roots,
-                          tol=tol, mode="curve_factor")
+        hs = parallel_curve_curvature(kappas, l_grid[~flags, None])   # (l, base point)
+        lams = hs[..., None]
+    else:
+        mode = "adapted"
+        frames = [adapted_frame(pg) for pg in pgs]
+        dets = np.stack([detq_expansion(af, l_grid) for af in frames])
+        flags = _focal_flags(dets)
+        d0 = dets[0]
+        roots = [find_focal_radius(frames[0], float(l_grid[j]), float(l_grid[j + 1]))
+                 for j in np.flatnonzero(d0[:-1] * d0[1:] < 0)]
+        hs, lams = [], []
+        for af in frames:
+            s = parallel_shape_operator(af, l_grid[~flags])
+            hs.append(np.trace(s, axis1=-2, axis2=-1))
+            lams.append(_real_spectrum(s))
+        hs, lams = np.stack(hs, axis=1), np.stack(lams, axis=1)   # (l, base point, ...)
 
-    frames = [adapted_frame(pg) for pg in pgs]
-    dets = np.stack([[detq_expansion(af, l) for l in l_grid] for af in frames])
-    flags = _focal_flags(dets)
-    roots = []
-    for i, af in enumerate(frames[:1]):
-        for j in range(len(l_grid) - 1):
-            if dets[i, j] * dets[i, j + 1] < 0:
-                roots.append(find_focal_radius(af, float(l_grid[j]), float(l_grid[j + 1])))
-    for j, l in enumerate(l_grid):
-        min_det = float(np.min(np.abs(dets[:, j])))
-        if flags[j]:
-            rows.append(ScanRow(float(l), math.nan, math.nan, math.nan, min_det, True))
-            continue
-        hs = np.array([mean_curvature_of_parallel(af, l) for af in frames])
-        lams = np.stack([parallel_lambdas(af, l) for af in frames])
-        rows.append(ScanRow(
-            l=float(l),
-            h_mean=float(np.mean(hs)),
-            h_spread=float(np.max(hs) - np.min(hs)),
-            lambda_spread=float(np.max(lams.max(axis=0) - lams.min(axis=0))),
-            min_abs_detq=min_det,
-            focal=False,
-        ))
-    excluded = [r.l for r in rows if r.focal]
-    return ScanReport(rows=rows, excluded=excluded, focal_roots=roots,
-                      tol=tol, mode="adapted")
+    h_mean, h_spread, lambda_spread = (np.full(len(l_grid), math.nan) for _ in range(3))
+    h_mean[~flags] = np.mean(hs, axis=1)
+    h_spread[~flags] = np.max(hs, axis=1) - np.min(hs, axis=1)
+    lambda_spread[~flags] = np.max(np.max(lams, axis=1) - np.min(lams, axis=1), axis=-1)
+    columns = (l_grid, h_mean, h_spread, lambda_spread, np.min(np.abs(dets), axis=0), flags)
+    rows = [ScanRow(*row) for row in zip(*(c.tolist() for c in columns))]
+    return ScanReport(rows=rows, excluded=l_grid[flags].tolist(), focal_roots=roots,
+                      tol=tol, mode=mode)
 
 
 # ---------------------------------------------------------------------------

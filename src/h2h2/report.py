@@ -42,8 +42,8 @@ DEFAULT_TOLERANCES = {
     "chart_constraints": 1e-10,
     "chart_rank": 1.0,
     "codazzi_equation": 1e-5,
-    "detq_derivatives_high": 1e-3,
-    "detq_derivatives_low": 1e-6,
+    "detq_derivatives_high": 1e-9,
+    "detq_derivatives_low": 1e-10,
     "frame_identities": 1e-6,
     "gauss_equation": 1e-4,
     "grad_C_identity": 1e-7,
@@ -227,23 +227,21 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
                                cfg.tol(name), n_fd))
 
     # ---- parallel flow ----------------------------------------------------
-    lgrid = cfg.grid()
+    frames = [] if degenerate else [pf.adapted_frame(pg) for pg in pgs[:n_par]]
     if degenerate:
         for name in ("mean_curvature_two_forms", "detq_derivatives_low", "detq_derivatives_high",
                      "parallel_shape_consistency"):
             results.append(_skipped(name, cfg.tol(name),
                                     "skipped: degenerate product angle (C^2 = 1)"))
     else:
-        frames = [pf.adapted_frame(pg) for pg in pgs[:n_par]]
         dev_h = 0.0
+        ls = np.array([-0.6, 0.37, 0.8])
         for af in frames:
-            for l in (-0.6, 0.37, 0.8):
-                if abs(pf.detq_expansion(af, l)) < 1e-6:
-                    continue
-                q = pf.q_matrix(af, l)
-                h_tr = -float(np.trace(np.linalg.solve(q, pf.q_prime(af, l))))
-                h_det = -pf.detq_expansion_prime(af, l) / pf.detq_expansion(af, l)
-                dev_h = max(dev_h, abs(h_tr - h_det))
+            det = pf.detq_expansion(af, ls)
+            ok = np.abs(det) >= 1e-6
+            h_det = -pf.detq_expansion_prime(af, ls[ok]) / det[ok]
+            dev_h = float(np.max(np.abs(pf.mean_curvature_of_parallel(af, ls[ok]) - h_det),
+                                initial=dev_h))
         results.append(_judged("mean_curvature_two_forms", dev_h, cfg.tol("mean_curvature_two_forms"), n_par))
 
         lo = hi = 0.0
@@ -274,12 +272,12 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
         results.append(_skipped("parallel_lambda_closed_form", cfg.tol("parallel_lambda_closed_form"),
                                 "skipped: closed form needs constant curvatures"))
     else:
-        dev = _parallel_lambda_closed_dev(cfg, surface, pgs[:n_par])
+        dev = _parallel_lambda_closed_dev(cfg.model, pgs[:n_par], frames)
         results.append(_judged("parallel_lambda_closed_form", dev,
                                cfg.tol("parallel_lambda_closed_form"), n_par))
 
     # ---- isoparametric scan ------------------------------------------------
-    scan = pf.isoparametric_scan(surface, pts[:min(8, cfg.samples)], lgrid,
+    scan = pf.isoparametric_scan(surface, pts[:min(8, cfg.samples)], cfg.grid(),
                                  tol=cfg.tol("isoparametric_spread"))
     spread = max(scan.max_h_spread, scan.max_lambda_spread)
     notes = f"mode={scan.mode}"
@@ -323,18 +321,13 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
     return results
 
 
-def _parallel_lambda_closed_dev(cfg, surface, pgs) -> float:
+def _parallel_lambda_closed_dev(spec: mz.ModelSpec, pgs, frames) -> float:
     """Closed-form parallel principal curvatures vs the Q-matrix spectrum."""
-    spec = cfg.model
     dev = 0.0
-    for pg in pgs:
-        af = pf.adapted_frame(pg)
+    for pg, af in zip(pgs, frames):
         for l in (0.3, -0.45):
-            lam = pf.parallel_lambdas(af, l)
             closed = _closed_parallel_lambdas(spec, pg.u, l)
-            if closed is None:
-                continue
-            dev = max(dev, float(np.max(np.abs(lam - closed))))
+            dev = max(dev, float(np.max(np.abs(pf.parallel_lambdas(af, l) - closed))))
     return dev
 
 
@@ -348,10 +341,7 @@ def _constant_curvature_pair(spec: mz.ModelSpec):
 
 def _closed_parallel_lambdas(spec: mz.ModelSpec, u, l: float):
     """Shifted-argument closed form of the parallel principal curvatures."""
-    pair = _constant_curvature_pair(spec)
-    if pair is None:
-        return None
-    k1, k2 = pair
+    k1, k2 = _constant_curvature_pair(spec)
     c = float(spec.params["c"])
     t = float(u[0])
     a1 = math.sqrt(c) * t + math.sqrt(1.0 - c) * l

@@ -166,9 +166,9 @@ def test_criterion_06_detq_derivative_identities():
             assert closed[2] == pytest.approx(pg.rho + 3.0, abs=1e-12)
             lo = max(lo, abs(closed[1] - numeric[1]), abs(closed[2] - numeric[2]))
             hi = max(hi, *(abs(closed[k] - numeric[k]) for k in (4, 6, 8)))
-    ok = lo < 1e-6 and hi < 1e-3
-    emit(6, ok, f"det Q derivatives at 0: k=1,2 dev {lo:.2e} (tol 1e-6), "
-                f"k=4,6,8 dev {hi:.2e} (tol 1e-3)")
+    ok = lo < 1e-10 and hi < 1e-9
+    emit(6, ok, f"det Q derivatives at 0: k=1,2 dev {lo:.2e} (tol 1e-10), "
+                f"k=4,6,8 dev {hi:.2e} (tol 1e-9)")
 
 
 def test_criterion_07_isoparametric_discrimination():

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from h2h2 import autodiff as ad
 from h2h2 import model_zoo as mz
@@ -107,6 +108,39 @@ class TestQMatrix:
         h = 1e-6
         fd = (pf.detq_expansion(af, l + h) - pf.detq_expansion(af, l - h)) / (2 * h)
         assert pf.detq_expansion_prime(af, l) == pytest.approx(fd, abs=1e-7)
+
+
+class TestArrayCalls:
+    """One call over an array of l gives the scalar calls' values bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(synthetic_frames(),
+           st.lists(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+                    min_size=1, max_size=12))
+    def test_q_and_detq(self, af, ls):
+        ls = np.array(ls)
+        for f in (pf.q_matrix, pf.q_prime, pf.detq_expansion):
+            got = f(af, ls)
+            want = np.array([f(af, l) for l in ls])
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_parallel_curvatures(self, m_kk_tanh, m_tau_m2):
+        ls = np.linspace(-0.9, 0.9, 37)   # M_tau(-2) is focal only at 0.931
+        for surface, _ in (m_kk_tanh, m_tau_m2):
+            for u in domain_samples(surface, 3):
+                af = pf.adapted_frame(sc.point_geometry(surface, u))
+                for f in (pf.parallel_lambdas, pf.mean_curvature_of_parallel):
+                    assert np.array_equal(f(af, ls), np.array([f(af, l) for l in ls]))
+
+    def test_focal_value_in_array_raises(self, m_tau_m2):
+        surface, _ = m_tau_m2
+        af = pf.adapted_frame(sc.point_geometry(surface, np.array([0.7, 1.1, 2.0])))
+        ls = np.array([0.0, 0.3, mz.mtau_focal_radius(-2.0), 0.5])
+        for f in (pf.parallel_shape_operator, pf.mean_curvature_of_parallel,
+                  pf.parallel_lambdas):
+            with pytest.raises(pf.FocalPointError):
+                f(af, ls)
 
 
 class TestMeanCurvature:
@@ -250,7 +284,7 @@ class TestDetQDerivatives:
         der = pf.detq_derivatives_at_0(af, pg.rho)
         assert der[2] == pytest.approx(pg.rho + 3.0, abs=1e-12)
         num = pf.detq_derivatives_numeric(af)
-        assert num[2] == pytest.approx(pg.rho + 3.0, abs=1e-6)
+        assert num[2] == pytest.approx(pg.rho + 3.0, abs=1e-12)
 
     def test_m_tau_order_four_value(self, m_tau_m2):
         # C = 0, H12 = H13 = 0, rho = -1 gives 6 - 0 + 0 + 0 - 2 = 4
@@ -260,14 +294,7 @@ class TestDetQDerivatives:
         der = pf.detq_derivatives_at_0(af, pg.rho)
         assert der[4] == pytest.approx(4.0, abs=1e-9)
         num = pf.detq_derivatives_numeric(af)
-        assert num[4] == pytest.approx(4.0, abs=1e-5)
-
-    def test_fornberg_weights_exact_shared_and_read_only(self):
-        w = pf._fornberg_weights(2, 3)
-        assert w.tolist() == [1.0, -2.0, 1.0]
-        assert pf._fornberg_weights(2, 3) is w
-        with pytest.raises(ValueError):
-            w[0] = 0.0
+        assert num[4] == pytest.approx(4.0, abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(synthetic_frames())
@@ -276,11 +303,11 @@ class TestDetQDerivatives:
         closed = pf.detq_derivatives_at_0(af, rho)
         numeric = pf.detq_derivatives_numeric(af)
         scale = max(1.0, float(np.max(np.abs(af.A))) ** 3)
-        assert abs(closed[1] - numeric[1]) < 1e-8 * scale
-        assert abs(closed[2] - numeric[2]) < 1e-8 * scale
-        assert abs(closed[4] - numeric[4]) < 1e-6 * scale
-        assert abs(closed[6] - numeric[6]) < 1e-4 * scale
-        assert abs(closed[8] - numeric[8]) < 1e-3 * scale
+        assert abs(closed[1] - numeric[1]) < 1e-12 * scale
+        assert abs(closed[2] - numeric[2]) < 1e-12 * scale
+        assert abs(closed[4] - numeric[4]) < 1e-11 * scale
+        assert abs(closed[6] - numeric[6]) < 1e-11 * scale
+        assert abs(closed[8] - numeric[8]) < 1e-11 * scale
 
     @settings(max_examples=40, deadline=None)
     @given(synthetic_frames())
@@ -335,6 +362,28 @@ class TestParallelState:
         l_star = mz.mtau_focal_radius(-2.0)
         for l in np.linspace(-0.5, l_star - 0.05, 15):
             assert pf.parallel_state(af, l).detQ > 0
+
+
+def focal_flags_reference(values):
+    flags = np.min(np.abs(values), axis=0) < 1e-8
+    for col in values:
+        for j in range(len(col) - 1):
+            if col[j] * col[j + 1] < 0:
+                flags[j if abs(col[j]) <= abs(col[j + 1]) else j + 1] = True
+    return flags
+
+
+det_samples = st.one_of(st.sampled_from([0.0, -0.0, 5e-9, -5e-9, 0.5, -0.5, 1.0, -1.0]),
+                        st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 12)),
+              elements=det_samples))
+@example(np.array([[1.0, -1.0, 0.5, -0.5, 0.0, 2.0, -2.0],
+                   [0.3, 0.3, -0.3, 5e-9, -1.0, 1.0, 1.0]]))
+def test_focal_flags_match_double_loop(values):
+    assert np.array_equal(pf._focal_flags(values), focal_flags_reference(values))
 
 
 class TestIsoparametricScan:

@@ -117,6 +117,28 @@ class TestParallelCommand:
         assert max(hs) - min(hs) < 1e-9
         assert all(r["H_spread"] < 1e-9 for r in rows)
 
+    def test_csv_cells_are_plain_numbers(self, capsys):
+        assert run_cli(["parallel", "--model", "M_tau", "--tau", "-2",
+                        "--l-grid=-0.5:1.2:0.01", "--format", "csv"]) == 0
+        text = capsys.readouterr().out
+        assert "np.float64(" not in text
+        header, *rows = list(csv.reader(text.splitlines()))
+        assert header == ["l", "H_mean", "H_spread", "lambda_spread", "min_abs_detQ", "focal"]
+        assert any(row[5] == "true" for row in rows)
+        for *cells, focal in rows:
+            assert focal in ("true", "false")
+            # a focal row leaves H_mean and the two spreads empty
+            for cell in cells if focal == "false" else (cells[0], cells[4]):
+                float(cell)
+
+    def test_json_rows_hold_plain_floats(self):
+        cfg = rp.SuiteConfig(model=mz.ModelSpec("M_tau", {"tau": -2.0}),
+                             l_grid=(-0.5, 1.2, 0.01))
+        for row in rp.parallel_rows(cfg):
+            assert type(row["focal"]) is bool
+            for key in ("l", "H_mean", "H_spread", "lambda_spread", "min_abs_detQ"):
+                assert row[key] is None or type(row[key]) is float
+
     def test_bad_step_exit_two(self):
         assert run_cli(["parallel", "--model", "M_1m1", "--c", "0.3",
                         "--l-grid", "0:1:0"]) == 2
