@@ -1,7 +1,7 @@
 """Numerical hypersurface geometry of H² × H².
 
 Minkowski/hyperboloid primitives, the product-space structures (P, J1, J2,
-curvature tensor, block isometries), hyper-dual chart calculus (normals,
+curvature tensor, block isometries), third-order jet chart calculus (normals,
 shape operators, principal curvatures, structural-equation residuals), the
 canonical hypersurface families with closed-form oracles, the parallel-flow
 machinery, and a verification CLI.
@@ -68,8 +68,10 @@ from .surface_calculus import (
     DegenerateProductAngleError,
     Hypersurface,
     NormalSpaceError,
+    PointDerivatives,
     PointGeometry,
     StructuralResiduals,
+    point_derivatives,
     point_geometry,
     product_angle_C,
     ricci,

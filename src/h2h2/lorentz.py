@@ -222,13 +222,6 @@ class PlaneCurve:
             return float(ad.value(self.kappa(r)))
         return float(self.kappa)
 
-    def kappa_prime(self, r: float) -> float:
-        if callable(self.kappa):
-            out = self.kappa(ad.Dual(r, np.array([1.0])))
-            if isinstance(out, ad.Dual):
-                return float(out.d[0])
-        return 0.0
-
     def _magnus_step(self, F, r, h):
         # Blanes-Casas-Ros for Y' = A Y with every bracket reversed, since
         # the frame multiplies from the right; terms are so(1,2) coordinates
@@ -270,21 +263,32 @@ class PlaneCurve:
         return CurveState(gamma=g, tangent=t, normal=n, kappa=self._kappa_at(r))
 
     def jet(self, r):
-        """Curve point and normal at a scalar/dual/hyper-dual parameter.
+        """Curve point and normal at a scalar or jet parameter.
 
         Derivatives come from the Frenet relations, so no differentiation of
-        the underlying integrator is needed: gamma'' = gamma + kappa N and
-        N'' = -kappa' gamma' - kappa gamma''.
+        the underlying integrator is needed:
+
+            gamma'' = gamma + kappa N,     gamma''' = (1 - kappa²) T + kappa' N,
+            N'' = -kappa' T - kappa gamma'',
+            N''' = (kappa³ - kappa - kappa'') T - 2 kappa' gamma - 3 kappa kappa' N,
+
+        with kappa' and kappa'' from one jet evaluation of a curvature function.
         """
         r0 = ad.value(r)
         st = self.state(r0)
-        gdd = st.gamma + st.kappa * st.normal
-        kp = self.kappa_prime(r0)
-        ndd = -kp * st.tangent - st.kappa * gdd
-        nd = -st.kappa * st.tangent
-        g = [ad.compose_jet(st.gamma[i], st.tangent[i], gdd[i], r) for i in range(3)]
-        n = [ad.compose_jet(st.normal[i], nd[i], ndd[i], r) for i in range(3)]
-        return g, n
+        k, kp, kpp = st.kappa, 0.0, 0.0
+        if callable(self.kappa):
+            kj = self.kappa(ad.jet_variables([r0])[0])
+            if isinstance(kj, ad.Jet):
+                kp, kpp = float(kj.d[0]), float(kj.dd[0, 0])
+        g, t, n = st.gamma, st.tangent, st.normal
+        gdd = g + k * n
+        gddd = (1.0 - k * k) * t + kp * n
+        nd = -k * t
+        ndd = -kp * t - k * gdd
+        nddd = (k ** 3 - k - kpp) * t - 2.0 * kp * g - 3.0 * k * kp * n
+        return ([ad.compose_jet(g[i], t[i], gdd[i], gddd[i], r) for i in range(3)],
+                [ad.compose_jet(n[i], nd[i], ndd[i], nddd[i], r) for i in range(3)])
 
 
 def parallel_curve_curvature(kappa, l):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,8 +36,9 @@ from .product_space import ETA6, P6, ProductPoint, ProductTangent, ambient_inner
 from .surface_calculus import (
     DegenerateProductAngleError,
     Hypersurface,
+    PointDerivatives,
     PointGeometry,
-    covariant_derivative,
+    point_derivatives,
     point_geometry,
 )
 
@@ -170,7 +171,7 @@ def parallel_surface(M: Hypersurface, l: float) -> Hypersurface:
     """The parallel hypersurface at distance l as a chart of its own.
 
     Requires a closed-form normal hint on M (all model-zoo surfaces carry
-    one) so that the flowed chart stays evaluable at hyper-dual arguments.
+    one) so that the flowed chart stays evaluable at jet arguments.
     """
     if M.normal_hint is None:
         raise ValueError("parallel_surface needs a surface with a normal hint")
@@ -471,6 +472,15 @@ def _focal_flags(values: np.ndarray) -> np.ndarray:
     return flags
 
 
+def _merged(roots, tol: float = 1e-9) -> list:
+    """Sorted roots, keeping the smallest of each run that agrees within tol."""
+    out = []
+    for r in sorted(roots):
+        if not out or r - out[-1] > tol:
+            out.append(r)
+    return out
+
+
 def isoparametric_scan(M: Hypersurface, sample_points, l_grid,
                        tol: float = 1e-8) -> ScanReport:
     """Spread of H(l) and of the parallel principal curvatures over base points.
@@ -480,9 +490,10 @@ def isoparametric_scan(M: Hypersurface, sample_points, l_grid,
     the curve x H² family) the scan runs on the curve factor: the parallel
     hypersurface is the parallel curve x H², so H(l) is the parallel-curve
     curvature of kappa = H(u).  Focal values of l, detected by sign changes
-    of det Q between grid nodes (bisected to full precision for the report),
-    are excluded from the spreads and flagged.  Each base point is evaluated
-    once over the whole grid.
+    of det Q between grid nodes, are excluded from the spreads and flagged;
+    every base point's sign changes are bisected to full precision, and
+    roots that agree within 1e-9 are reported once.  Each base point is
+    evaluated once over the whole grid.
     """
     l_grid = np.asarray(l_grid, dtype=float)
     pgs = [point_geometry(M, u) for u in sample_points]
@@ -501,9 +512,9 @@ def isoparametric_scan(M: Hypersurface, sample_points, l_grid,
         frames = [adapted_frame(pg) for pg in pgs]
         dets = np.stack([detq_expansion(af, l_grid) for af in frames])
         flags = _focal_flags(dets)
-        d0 = dets[0]
-        roots = [find_focal_radius(frames[0], float(l_grid[j]), float(l_grid[j + 1]))
-                 for j in np.flatnonzero(d0[:-1] * d0[1:] < 0)]
+        roots = _merged([find_focal_radius(af, float(l_grid[j]), float(l_grid[j + 1]))
+                         for af, det in zip(frames, dets)
+                         for j in np.flatnonzero(det[:-1] * det[1:] < 0)])
         hs, lams = [], []
         for af in frames:
             s = parallel_shape_operator(af, l_grid[~flags])
@@ -536,6 +547,7 @@ class CheckItem:
 @dataclass(frozen=True)
 class FrameCheckReport:
     items: list
+    min_gap: Optional[float] = None   # smallest eigenvalue gap an eigenvector derivative divided by
 
     def item(self, name: str) -> CheckItem:
         for it in self.items:
@@ -551,58 +563,73 @@ class FrameCheckReport:
         return all(it.skipped or it.residual <= tol for it in self.items)
 
 
-def _normal_field(M: Hypersurface, n0: np.ndarray) -> Callable:
-    if M.normal_hint is not None:
-        def f(u):
-            raw = M.normal_hint([float(x) for x in u])
-            n = np.array([ad.value(x) for x in raw], dtype=float)
-            return n / math.sqrt(ambient_inner(n, n))
-        return f
+def _adapted_frame_jacobians(pg: PointGeometry, d: PointDerivatives) -> np.ndarray:
+    """Ambient 6x3 Jacobians of the adapted frame fields E1 = V-hat, E2, E3 at pg.
 
-    def f(u):
-        return point_geometry(M, u, align_normal_with=n0).N
-    return f
+    E1 = V / sqrt(1 - C²) follows from dV and dC.  E2 and E3 are
+    (J1 N ± J2 N) / sqrt(2 (1 ± C)) with J1 N + J2 N = 2 (p ⊠ n1, 0) and
+    J1 N - J2 N = 2 (0, q ⊠ n2), differentiated by the product rule.
+    """
+    E, C = frame_vectors(pg), pg.C
 
+    def d_cross(f):
+        # Jacobian of x ⊠ n on the factor slice f
+        return (np.array(lorentz_cross(pg.jac[f], pg.N[f]))
+                + np.array(lorentz_cross(pg.val[f], d.dN[f])))
 
-def _v_hat_field(M: Hypersurface, nf: Callable) -> Callable:
-    def f(u):
-        n = nf(u)
-        pn = P6 @ n
-        c = ambient_inner(pn, n)
-        v = pn - c * n
-        return v / math.sqrt(ambient_inner(v, v))
-    return f
-
-
-def _adapted_pair_field(M: Hypersurface, nf: Callable) -> Callable:
-    """u -> (E2, E3) of the adapted frame, built from the normal field."""
-    def f(u):
-        x = M.point(u)
-        n = nf(u)
-        j1n = np.concatenate([lorentz_cross(x[:3], n[:3]), lorentz_cross(x[3:], n[3:])])
-        j2n = np.concatenate([lorentz_cross(x[:3], n[:3]), -lorentz_cross(x[3:], n[3:])])
-        c = ambient_inner(P6 @ n, n)
-        e2 = (j1n + j2n) / math.sqrt(2.0 * (1.0 + c))
-        e3 = (j1n - j2n) / math.sqrt(2.0 * (1.0 - c))
-        return e2, e3
-    return f
+    z = np.zeros((3, 3))
+    dw2 = np.vstack([2.0 * d_cross(slice(0, 3)), z])
+    dw3 = np.vstack([z, 2.0 * d_cross(slice(3, 6))])
+    return np.stack([
+        d.dV / math.sqrt(1.0 - C ** 2) + np.outer(E[0], C * d.dC / (1.0 - C ** 2)),
+        dw2 / math.sqrt(2.0 * (1.0 + C)) - np.outer(E[1], d.dC / (2.0 * (1.0 + C))),
+        dw3 / math.sqrt(2.0 * (1.0 - C)) + np.outer(E[2], d.dC / (2.0 * (1.0 - C))),
+    ])
 
 
-def _principal_field(M: Hypersurface, pg0: PointGeometry) -> Callable:
-    """u -> (6,3) principal directions, ordered and signed like the center."""
-    ref = pg0.principal_ambient
+def _shape_apply_jacobian(pg: PointGeometry, d: PointDerivatives, X, dX) -> np.ndarray:
+    """6x3 Jacobian of the field A X, for a tangent field X with Jacobian dX.
 
-    def f(u):
-        pg = point_geometry(M, u, align_normal_with=pg0.N)
-        cols = pg.principal_ambient.copy()
-        for i in range(3):
-            if ambient_inner(cols[:, i], ref[:, i]) < 0.0:
-                cols[:, i] = -cols[:, i]
-        return cols
-    return f
+    A X = Phi_* A xi with chart components xi = g^{-1} Phi_*^T eta X, so by the
+    product rule d(A X) = d(Phi_*) A xi + Phi_* (dA xi + A dxi).
+    """
+    xi = pg.coords(X)
+    dxi = np.linalg.solve(pg.g, np.einsum("aki,a->ik", pg.hess, ETA6 @ X)
+                          + pg.jac.T @ ETA6 @ dX - (d.dg @ xi).T)
+    return (np.einsum("aki,i->ak", pg.hess, pg.A @ xi)
+            + pg.jac @ (np.einsum("kij,j->ik", d.dA, xi) + pg.A @ dxi))
 
 
-def frame_identity_checks(M: Hypersurface, u, h: float = 5e-4) -> FrameCheckReport:
+def _principal_jacobians(pg: PointGeometry, d: PointDerivatives):
+    """Exact derivatives of the principal curvatures and directions at pg.
+
+    For b x = lambda g x with g-orthonormal eigenvectors x_i, a simple
+    eigenpair has (Magnus & Neudecker, Matrix Differential Calculus, ch. 8)
+
+        d lambda_i = x_i^T (db - lambda_i dg) x_i,
+        d x_i = sum_{j != i} x_j^T (db - lambda_i dg) x_i / (lambda_i - lambda_j) x_j
+                - 1/2 (x_i^T dg x_i) x_i.
+
+    Returns dlam[i, k] = d_k lambda_i and the ambient Jacobians dP[i] (6x3)
+    of the principal direction fields Phi_* x_i.
+    """
+    X, lam = pg.principal_coords, pg.lambdas
+    Gx = X.T @ d.dg @ X                        # [k, j, i] = x_j^T d_k g x_i
+    Mx = X.T @ d.db @ X - Gx * lam             # column i uses lambda_i
+    gap = lam[None, :] - lam[:, None]          # [j, i] = lambda_i - lambda_j
+    off = ~np.eye(3, dtype=bool)
+    coef = np.where(off, Mx / np.where(off, gap, 1.0), -0.5 * Gx)
+    dX = np.einsum("cj,kji->cik", X, coef)     # [coordinate, eigenvector, direction]
+    dP = np.einsum("akc,ci->iak", pg.hess, X) + np.einsum("ac,cik->iak", pg.jac, dX)
+    return np.diagonal(Mx, axis1=1, axis2=2).T, dP
+
+
+FRAME_ITEMS = ("v_direction_identity", "eigenframe_connections", "product_frame_connections",
+               "connection_antisymmetry", "codazzi_frame_relation", "diagonal_connection_formula",
+               "connection_pairing")
+
+
+def frame_identity_checks(M: Hypersurface, u) -> FrameCheckReport:
     """Residuals of the constant-curvature frame identities at one point.
 
     Checks the V-direction derivative identity on {V}-orthogonal pairs, the
@@ -610,8 +637,9 @@ def frame_identity_checks(M: Hypersurface, u, h: float = 5e-4) -> FrameCheckRepo
     product-frame connection table (needs J1 N + J2 N principal), and the
     antisymmetry/Codazzi relations of the three-curvature eigenframe.  Any
     item whose hypothesis fails numerically is reported as skipped with the
-    reason, not as a failure.  The step keeps the Richardson-refined
-    truncation small even where eigen fields steepen near chart poles.
+    reason, not as a failure.  Covariant derivatives are the tangential
+    projections of exact field Jacobians, nabla_X F = proj(dF xi(X)), built
+    from ``point_derivatives``, so only the point itself is evaluated.
     """
     u = np.asarray(u, dtype=float)
     pg = point_geometry(M, u)
@@ -619,32 +647,29 @@ def frame_identity_checks(M: Hypersurface, u, h: float = 5e-4) -> FrameCheckRepo
 
     if abs(pg.C) > DEGENERATE_C:
         reason = "degenerate product angle (C^2 = 1)"
-        names = ("v_direction_identity", "eigenframe_connections", "product_frame_connections", "connection_antisymmetry",
-                 "codazzi_frame_relation", "diagonal_connection_formula", "connection_pairing")
-        return FrameCheckReport([CheckItem(n, None, True, reason) for n in names])
+        return FrameCheckReport([CheckItem(n, None, True, reason) for n in FRAME_ITEMS])
 
-    nf = _normal_field(M, pg.N)
-    vhat_f = _v_hat_field(M, nf)
-    pair_f = _adapted_pair_field(M, nf)
+    d = point_derivatives(pg)
+    E = frame_vectors(pg)
+    dE = _adapted_frame_jacobians(pg, d)
+    vhat, e2, e3 = E
     av_norm = float(np.linalg.norm(pg.shape_apply(pg.V)))
     s = math.sqrt(1.0 - pg.C ** 2)
-    v_coords = pg.coords(pg.V)
+
+    def nabla(dF, X):
+        # covariant derivative along the tangent X of the field with Jacobian dF
+        return pg.project(dF @ pg.coords(X))
 
     # ---- V-direction derivative identity on {V}-orthogonal pairs --------
     if av_norm > 1e-6:
         items.append(CheckItem("v_direction_identity", None, True,
                                f"hypothesis AV=0 violated (|AV|={av_norm:.2e})"))
     else:
-        e2, e3 = pair_f(u)
-        fields = [lambda x, i=i: pair_f(x)[i] for i in range(2)]
         res = 0.0
-        for xi, xf in zip((e2, e3), fields):
-            def ax_field(x, xf=xf):
-                pgx = point_geometry(M, x, align_normal_with=pg.N)
-                return pgx.shape_apply(xf(x))
-
-            nab_v_ax = covariant_derivative(pg, v_coords, ax_field, h=h)
-            nab_v_x = covariant_derivative(pg, v_coords, xf, h=h)
+        for i in (1, 2):
+            xi = E[i]
+            nab_v_ax = nabla(_shape_apply_jacobian(pg, d, xi, dE[i]), pg.V)
+            nab_v_x = nabla(dE[i], pg.V)
             a2x = pg.shape_apply(pg.shape_apply(xi))
             atax = pg.shape_apply(pg.T_apply(pg.shape_apply(xi)))
             tx = pg.T_apply(xi)
@@ -657,36 +682,33 @@ def frame_identity_checks(M: Hypersurface, u, h: float = 5e-4) -> FrameCheckRepo
         items.append(CheckItem("v_direction_identity", res, False))
 
     # ---- eigenframe bookkeeping ----------------------------------------
-    vhat = pg.V / math.sqrt(ambient_inner(pg.V, pg.V))
     overlaps = [abs(ambient_inner(pg.principal_ambient[:, i], vhat)) for i in range(3)]
     i_v = int(np.argmax(overlaps))
     others = [i for i in range(3) if i != i_v]
     lam_v = pg.lambdas[i_v]
     lam1, lam2 = pg.lambdas[others[0]], pg.lambdas[others[1]]
-    princ_f = _principal_field(M, pg)
+    gaps = [abs(pg.lambdas[0] - pg.lambdas[1]), abs(pg.lambdas[1] - pg.lambdas[2]),
+            abs(pg.lambdas[0] - pg.lambdas[2])]
+    eigen_table = av_norm <= 1e-6 and abs(lam_v) <= 1e-6 and abs(lam1 - lam2) > 1e-6
+    three_distinct = min(gaps) > 1e-6
+    min_gap = None
+    if eigen_table or three_distinct:
+        # every eigenvector derivative divides by the gaps to both other eigenvalues
+        min_gap = float(min(gaps))
+        dlam, dP = _principal_jacobians(pg, d)
 
     # ---- connection table for the eigenframe ----------------------------
     if av_norm > 1e-6 or abs(lam_v) > 1e-6:
         items.append(CheckItem("eigenframe_connections", None, True,
                                "hypothesis AV=0 violated"))
-    elif abs(lam1 - lam2) <= 1e-6:
+    elif not eigen_table:
         items.append(CheckItem("eigenframe_connections", None, True,
                                f"hypothesis lambda_1 != lambda_2 violated "
                                f"({lam1:.6f} vs {lam2:.6f})"))
     else:
-        def ev_field(x, col):
-            return princ_f(x)[:, col]
-
-        frame0 = [pg.principal_ambient[:, others[0]],
-                  pg.principal_ambient[:, others[1]], vhat]
-        ffields = [lambda x, c=others[0]: ev_field(x, c),
-                   lambda x, c=others[1]: ev_field(x, c),
-                   vhat_f]
-        nab = {}
-        for i in range(3):
-            ci = pg.coords(frame0[i])
-            for j in range(3):
-                nab[(i, j)] = covariant_derivative(pg, ci, ffields[j], h=h)
+        frame0 = [pg.principal_ambient[:, others[0]], pg.principal_ambient[:, others[1]], vhat]
+        jacobians = [dP[others[0]], dP[others[1]], dE[0]]
+        nab = {(i, j): nabla(jacobians[j], frame0[i]) for i in range(3) for j in range(3)}
         p11 = ambient_inner(P6 @ frame0[0], frame0[0])
         p22 = ambient_inner(P6 @ frame0[1], frame0[1])
         p12 = ambient_inner(P6 @ frame0[0], frame0[1])
@@ -707,7 +729,6 @@ def frame_identity_checks(M: Hypersurface, u, h: float = 5e-4) -> FrameCheckRepo
         items.append(CheckItem("eigenframe_connections", res, False))
 
     # ---- connection table in the product-frame ordering -----------------
-    e2, e3 = pair_f(u)
     a_e2 = pg.shape_apply(e2)
     principal_defect = float(np.linalg.norm(a_e2 - ambient_inner(a_e2, e2) * e2))
     if av_norm > 1e-6:
@@ -718,17 +739,10 @@ def frame_identity_checks(M: Hypersurface, u, h: float = 5e-4) -> FrameCheckRepo
                                f"(defect {principal_defect:.2e})"))
     else:
         lam_a = ambient_inner(a_e2, e2)
-        a_e3 = pg.shape_apply(e3)
-        lam_b = ambient_inner(a_e3, e3)
-        g1f = lambda x: pair_f(x)[0]
-        g2f = lambda x: pair_f(x)[1]
-        gfields = [g1f, g2f, vhat_f]
+        lam_b = ambient_inner(pg.shape_apply(e3), e3)
         gframe = [e2, e3, vhat]
-        nab = {}
-        for i in range(3):
-            ci = pg.coords(gframe[i])
-            for j in range(3):
-                nab[(i, j)] = covariant_derivative(pg, ci, gfields[j], h=h)
+        jacobians = [dE[1], dE[2], dE[0]]
+        nab = {(i, j): nabla(jacobians[j], gframe[i]) for i in range(3) for j in range(3)}
         rm = math.sqrt((1.0 - pg.C) / (1.0 + pg.C))
         rp = math.sqrt((1.0 + pg.C) / (1.0 - pg.C))
         expected = {
@@ -746,79 +760,54 @@ def frame_identity_checks(M: Hypersurface, u, h: float = 5e-4) -> FrameCheckRepo
         items.append(CheckItem("product_frame_connections", res, False))
 
     # ---- three-curvature eigenframe relations ---------------------------
-    gaps = [abs(pg.lambdas[0] - pg.lambdas[1]), abs(pg.lambdas[1] - pg.lambdas[2]),
-            abs(pg.lambdas[0] - pg.lambdas[2])]
-    lam_grad = 0.0
-    if min(gaps) > 1e-6:
-        for m in range(3):
-            e = np.zeros(3)
-            e[m] = h
-            lp = point_geometry(M, u + e, align_normal_with=pg.N).lambdas
-            lm = point_geometry(M, u - e, align_normal_with=pg.N).lambdas
-            lam_grad = max(lam_grad, float(np.max(np.abs(lp - lm))) / (2.0 * h))
-    if min(gaps) <= 1e-6:
+    if not three_distinct:
         reason = "hypothesis of three distinct principal curvatures violated"
-        for n in ("connection_antisymmetry", "codazzi_frame_relation",
-                  "diagonal_connection_formula", "connection_pairing"):
+        for n in FRAME_ITEMS[3:]:
             items.append(CheckItem(n, None, True, reason))
-    elif lam_grad > 1e-6:
+        return FrameCheckReport(items, min_gap)
+
+    x0 = [pg.principal_ambient[:, c] for c in range(3)]
+    lam = pg.lambdas
+    gam = np.array([[[ambient_inner(nabla(dP[j], x0[i]), x0[k]) for k in range(3)]
+                     for j in range(3)] for i in range(3)])
+    items.append(CheckItem("connection_antisymmetry",
+                           float(np.max(np.abs(gam + gam.transpose(0, 2, 1)))), False))
+    lam_grad = float(np.max(np.abs(dlam)))
+    if lam_grad > 1e-6:
         # items (3)-(5) consume derivatives of the eigenvalues; only the
         # antisymmetry item survives without constancy
         reason = (f"hypothesis of constant principal curvatures violated "
                   f"(|grad lambda| ~ {lam_grad:.2e})")
-        xf = [lambda x, c=c: princ_f(x)[:, c] for c in range(3)]
-        x0 = [pg.principal_ambient[:, c] for c in range(3)]
-        gam = np.zeros((3, 3, 3))
-        for i in range(3):
-            ci = pg.coords(x0[i])
-            for j in range(3):
-                d = covariant_derivative(pg, ci, xf[j], h=h)
-                for k in range(3):
-                    gam[i, j, k] = ambient_inner(d, x0[k])
-        r1 = float(np.max(np.abs(gam + gam.transpose(0, 2, 1))))
-        items.append(CheckItem("connection_antisymmetry", r1, False))
-        for n in ("codazzi_frame_relation", "diagonal_connection_formula", "connection_pairing"):
+        for n in FRAME_ITEMS[4:]:
             items.append(CheckItem(n, None, True, reason))
-    else:
-        xf = [lambda x, c=c: princ_f(x)[:, c] for c in range(3)]
-        x0 = [pg.principal_ambient[:, c] for c in range(3)]
-        lam = pg.lambdas
-        gam = np.zeros((3, 3, 3))
-        for i in range(3):
-            ci = pg.coords(x0[i])
-            for j in range(3):
-                d = covariant_derivative(pg, ci, xf[j], h=h)
-                for k in range(3):
-                    gam[i, j, k] = ambient_inner(d, x0[k])
-        b = np.array([ambient_inner(P6 @ x0[i], pg.N) for i in range(3)])
-        pmat = np.array([[ambient_inner(P6 @ x0[i], x0[j]) for j in range(3)]
-                         for i in range(3)])
-        r1 = float(np.max(np.abs(gam + gam.transpose(0, 2, 1))))
-        r3 = 0.0
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    lhs = (lam[k] - lam[j]) * gam[i, j, k] - (lam[k] - lam[i]) * gam[j, i, k]
-                    rhs = -0.5 * (b[j] * pmat[i, k] - b[i] * pmat[j, k])
-                    r3 = max(r3, abs(lhs - rhs))
-        r4 = 0.0
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                rhs = (b[i] * pmat[i, j] - b[j] * pmat[i, i]) / (-2.0 * (lam[i] - lam[j]))
-                r4 = max(r4, abs(gam[i, i, j] - rhs))
-        r5 = 0.0
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    if len({i, j, k}) != 3:
-                        continue
-                    r5 = max(r5, abs((lam[i] - lam[j]) * gam[i, i, j]
-                                     + (lam[k] - lam[j]) * gam[k, k, j]))
-        items.append(CheckItem("connection_antisymmetry", r1, False))
-        items.append(CheckItem("codazzi_frame_relation", r3, False))
-        items.append(CheckItem("diagonal_connection_formula", r4, False))
-        items.append(CheckItem("connection_pairing", r5, False))
+        return FrameCheckReport(items, min_gap)
 
-    return FrameCheckReport(items)
+    b = np.array([ambient_inner(P6 @ x0[i], pg.N) for i in range(3)])
+    pmat = np.array([[ambient_inner(P6 @ x0[i], x0[j]) for j in range(3)]
+                     for i in range(3)])
+    r3 = 0.0
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                lhs = (lam[k] - lam[j]) * gam[i, j, k] - (lam[k] - lam[i]) * gam[j, i, k]
+                rhs = -0.5 * (b[j] * pmat[i, k] - b[i] * pmat[j, k])
+                r3 = max(r3, abs(lhs - rhs))
+    r4 = 0.0
+    for i in range(3):
+        for j in range(3):
+            if i == j:
+                continue
+            rhs = (b[i] * pmat[i, j] - b[j] * pmat[i, i]) / (-2.0 * (lam[i] - lam[j]))
+            r4 = max(r4, abs(gam[i, i, j] - rhs))
+    r5 = 0.0
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                if len({i, j, k}) != 3:
+                    continue
+                r5 = max(r5, abs((lam[i] - lam[j]) * gam[i, i, j]
+                                 + (lam[k] - lam[j]) * gam[k, k, j]))
+    items.append(CheckItem("codazzi_frame_relation", r3, False))
+    items.append(CheckItem("diagonal_connection_formula", r4, False))
+    items.append(CheckItem("connection_pairing", r5, False))
+    return FrameCheckReport(items, min_gap)

@@ -1,17 +1,18 @@
 """Generic calculus for immersed hypersurfaces of H² × H².
 
 A hypersurface is a chart map (u¹,u²,u³) -> (p, q) into the product of
-hyperboloids, evaluable at scalar, dual, and hyper-dual arguments.  One
-hyper-dual pass gives the exact 6x3 Jacobian and 6x3x3 Hessian of the chart,
-from which the induced metric, unit normal, second fundamental form, shape
-operator, and principal curvatures follow.
+hyperboloids, evaluable at scalar and jet arguments.  One third-order jet pass
+gives the exact 6x3 Jacobian, 6x3x3 Hessian and 6x3x3x3 third derivatives of
+the chart, from which the induced metric, unit normal, second fundamental
+form, shape operator, and principal curvatures follow.
 
 Second derivatives of the chart are enough for Christoffel symbols; the
 third-order quantities (intrinsic curvature, covariant derivatives of the
-shape operator, derivatives of C and V) use central finite differences of
-AD-exact data, optionally Richardson-refined.  ``structural_residuals`` takes
-all of them from one shared stencil of 12 point bundles around a centre
-bundle and checks grad C = -2AV, nabla V = CA - TA, Gauss and Codazzi there.
+shape operator, derivatives of C and V) are exact too.  ``point_derivatives``
+gives the chart derivatives of N, g, b, A, C and V at a point, with dN taken
+from a jet evaluation of the surface's closed-form normal, and
+``structural_residuals`` checks grad C = -2AV, nabla V = CA - TA, Gauss and
+Codazzi from them.
 
 The second fundamental form is computed from the ambient identity
 b_ij = <d_i d_j Phi, N>: N is orthogonal to the position directions (p,0) and
@@ -52,7 +53,7 @@ class DegenerateProductAngleError(ValueError):
 class Hypersurface:
     """Chart map of an immersed hypersurface with optional closed-form normal.
 
-    ``chart`` takes a 3-sequence of scalars (float / Dual / HyperDual) and
+    ``chart`` takes a 3-sequence of scalars (float or ``Jet``) and
     returns the two hyperboloid factors as 3-sequences of the same scalar
     type.  ``normal_hint``, when present, returns the 6 ambient components of
     a (not necessarily normalized) normal field in the same generic way; it
@@ -85,29 +86,31 @@ class Hypersurface:
 
 @dataclass(frozen=True)
 class ChartJet:
-    """Value, Jacobian, and Hessian of a chart at one parameter point."""
+    """Value and first three derivatives of a chart at one parameter point."""
 
     u: np.ndarray
     val: np.ndarray   # (6,)
     jac: np.ndarray   # (6,3)
     hess: np.ndarray  # (6,3,3)
+    d3: np.ndarray    # (6,3,3,3)
+
+
+def _jet_arrays(comps):
+    """Value, gradient, Hessian and third derivatives of a list of scalars or jets."""
+    n = len(comps)
+    val, d, dd, ddd = np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3, 3)), np.zeros((n, 3, 3, 3))
+    for i, c in enumerate(comps):
+        if isinstance(c, ad.Jet):
+            val[i], d[i], dd[i], ddd[i] = c.val, c.d, c.dd, c.ddd
+        else:
+            val[i] = float(c)
+    return val, d, dd, ddd
 
 
 def chart_jet(M: Hypersurface, u) -> ChartJet:
     u = np.asarray(u, dtype=float)
-    xs = ad.hyperdual_variables(u)
-    p, q = M.chart(xs)
-    val = np.zeros(6)
-    jac = np.zeros((6, 3))
-    hess = np.zeros((6, 3, 3))
-    for i, c in enumerate((*p, *q)):
-        if isinstance(c, ad.HyperDual):
-            val[i] = c.val
-            jac[i] = c.d
-            hess[i] = c.dd
-        else:
-            val[i] = float(c)
-    return ChartJet(u=u, val=val, jac=jac, hess=hess)
+    p, q = M.chart(ad.jet_variables(u))
+    return ChartJet(u, *_jet_arrays((*p, *q)))
 
 
 def _normal_from_constraints(jet) -> np.ndarray:
@@ -130,9 +133,7 @@ def _normal_from_constraints(jet) -> np.ndarray:
     return v / math.sqrt(n2)
 
 
-def _fix_normal_sign(n: np.ndarray, align_with: Optional[np.ndarray]) -> np.ndarray:
-    if align_with is not None:
-        return n if float(n @ ETA6 @ align_with) >= 0.0 else -n
+def _fix_normal_sign(n: np.ndarray) -> np.ndarray:
     for c in n:
         if abs(c) > 1e-9:
             return n if c > 0.0 else -n
@@ -175,6 +176,7 @@ class PointGeometry:
         self.val = jet.val
         self.jac = jet.jac
         self.hess = jet.hess
+        self.d3 = jet.d3
         self.g = g
         self.sigma_min = sigma_min
 
@@ -253,13 +255,12 @@ class PointGeometry:
         return ambient_inner(w1, w2)
 
 
-def point_geometry(M: Hypersurface, u, align_normal_with: Optional[np.ndarray] = None) -> PointGeometry:
+def point_geometry(M: Hypersurface, u) -> PointGeometry:
     """Full per-point geometry bundle of a hypersurface chart.
 
     The normal orientation comes from ``M.normal_hint`` when present;
     otherwise the nullspace normal is signed to make its first nonzero
-    ambient coordinate positive, or aligned with ``align_normal_with``
-    (used by difference schemes to keep the orientation continuous).
+    ambient coordinate positive.
     """
     jet = chart_jet(M, u)
     g, sigma_min = _induced_metric(jet)
@@ -267,12 +268,49 @@ def point_geometry(M: Hypersurface, u, align_normal_with: Optional[np.ndarray] =
         raw = M.normal_hint([float(x) for x in u])
         n = np.array([ad.value(x) for x in raw], dtype=float)
         n = n / math.sqrt(ambient_inner(n, n))
-        if align_normal_with is not None:
-            n = _fix_normal_sign(n, align_normal_with)
     else:
-        n = _normal_from_constraints(jet)
-        n = _fix_normal_sign(n, align_normal_with)
+        n = _fix_normal_sign(_normal_from_constraints(jet))
     return PointGeometry(M, jet, n, g, sigma_min)
+
+
+class PointDerivatives(NamedTuple):
+    """Exact first chart derivatives of a point bundle.
+
+    Ambient vectors have their 6x3 Jacobian (chart direction last); the
+    matrices and C carry the chart direction first, so ``dA[k]`` is d_k A.
+    """
+
+    dN: np.ndarray   # (6,3)
+    dg: np.ndarray   # (3,3,3)
+    db: np.ndarray   # (3,3,3)
+    dA: np.ndarray   # (3,3,3)
+    dC: np.ndarray   # (3,)
+    dV: np.ndarray   # (6,3)
+
+
+def point_derivatives(pg: PointGeometry) -> PointDerivatives:
+    """dN, dg, db, dA, dC and dV at pg.u, exact to roundoff.
+
+    dN differentiates the normalized ``normal_hint`` evaluated on jet
+    variables, independently of A, so grad C = -2AV and the Codazzi
+    equation do not hold by construction.  Raises ``ValueError`` for a
+    surface without a normal hint.
+    """
+    M = pg.surface
+    if M.normal_hint is None:
+        raise ValueError(f"exact derivatives need a normal_hint ({M.name or 'unnamed surface'})")
+    n, dn, _, _ = _jet_arrays(M.normal_hint(ad.jet_variables(pg.u)))
+    length = math.sqrt(ambient_inner(n, n))
+    N = n / length
+    dN = (dn - np.outer(N, N @ ETA6 @ dn)) / length
+    half = np.einsum("aki,aj->kij", pg.hess, ETA6 @ pg.jac)
+    dg = half + half.transpose(0, 2, 1)
+    db = (np.einsum("akij,a->kij", pg.d3, ETA6 @ pg.N)
+          + np.einsum("aij,ak->kij", pg.hess, ETA6 @ dN))
+    dA = np.linalg.solve(pg.g, db - dg @ pg.A)
+    dC = 2.0 * (P6 @ pg.N) @ ETA6 @ dN
+    dV = P6 @ dN - np.outer(pg.N, dC) - pg.C * dN
+    return PointDerivatives(dN, dg, db, dA, dC, dV)
 
 
 # ---------------------------------------------------------------------------
@@ -321,21 +359,15 @@ def tangential_T(pg: PointGeometry, X, tol: float = 1e-8) -> np.ndarray:
 def christoffels(M: Hypersurface, u, jet: Optional[ChartJet] = None) -> np.ndarray:
     """Christoffel symbols Gamma[l, i, j] of the induced metric (AD-exact).
 
-    ``jet`` may be a ``ChartJet`` or a ``PointGeometry`` at u (both carry
-    ``jac`` and ``hess``); without it the chart jet at u is evaluated.
+    Gamma^l_ij = g^{lm} <d_m Phi, d_i d_j Phi>, the ambient form of
+    1/2 g^{lm} (d_i g_{jm} + d_j g_{im} - d_m g_{ij}).  ``jet`` may be a
+    ``ChartJet`` or a ``PointGeometry`` at u (both carry ``jac`` and
+    ``hess``); without it the chart jet at u is evaluated.
     """
     jet = jet if jet is not None else chart_jet(M, u)
     g = jet.jac.T @ ETA6 @ jet.jac
-    etaJ = ETA6 @ jet.jac
-    dg = np.einsum("aki,aj->kij", jet.hess, etaJ) + np.einsum("ai,akj->kij", etaJ, jet.hess)
-    g_inv = np.linalg.inv(0.5 * (g + g.T))
-    # Gamma^l_ij = 1/2 g^{lm} (d_i g_{jm} + d_j g_{im} - d_m g_{ij})
-    term = np.empty((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for m in range(3):
-                term[m, i, j] = dg[i, j, m] + dg[j, i, m] - dg[m, i, j]
-    return 0.5 * np.einsum("lm,mij->lij", g_inv, term)
+    first_kind = np.einsum("am,aij->mij", ETA6 @ jet.jac, jet.hess)
+    return np.linalg.solve(0.5 * (g + g.T), first_kind.reshape(3, 9)).reshape(3, 3, 3)
 
 
 class StructuralResiduals(NamedTuple):
@@ -347,48 +379,27 @@ class StructuralResiduals(NamedTuple):
     codazzi: float
 
 
-def structural_residuals(pg: PointGeometry, h: float = 1e-4,
-                         richardson: bool = True) -> StructuralResiduals:
+def structural_residuals(pg: PointGeometry) -> StructuralResiduals:
     """Residuals of grad C = -2AV, nabla V = CA - TA, Gauss and Codazzi at pg.u.
 
-    All four checks share one central-difference stencil around the centre
-    bundle ``pg``: the points u +- h e_m and, with ``richardson``, u +- (h/2) e_m,
-    each a full ``point_geometry`` whose normal is aligned with ``pg.N``.
-    Derivatives are (4 D(h/2) - D(h)) / 3 with D(s) the central difference
-    of step s, or D(h) alone without Richardson refinement.
-
-    Christoffel symbols come from each bundle's own AD jet.  The intrinsic
-    curvature R(d_i, d_j) d_k and the covariant derivative of A are compared,
-    as ambient vectors, against their algebraic right-hand sides built from
-    the tangential operator T and the shape operator; grad C is the chart
+    Every derivative is exact: dA, dC and dV come from ``point_derivatives``
+    and the Christoffel derivatives d_k Gamma^l_ij from the chart's third
+    derivatives, so no other point is evaluated.  The intrinsic curvature
+    R(d_i, d_j) d_k and the covariant derivative of A are compared, as
+    ambient vectors, against their algebraic right-hand sides built from the
+    tangential operator T and the shape operator; grad C is the chart
     gradient of C lifted through the inverse metric, and nabla_X V the
     tangential projection of the ambient derivative of V.
     """
-    M, u = pg.surface, pg.u
-    steps = (h, h / 2.0) if richardson else (h,)
-    stencil = {}
-    for hh in steps:
-        for m in range(3):
-            e = np.zeros(3)
-            e[m] = 1.0
-            stencil[hh, m] = (point_geometry(M, u + hh * e, align_normal_with=pg.N),
-                              point_geometry(M, u - hh * e, align_normal_with=pg.N))
-
-    def derivative(field):
-        # derivative(field)[m] = d_m field
-        def diff(hh, m):
-            plus, minus = stencil[hh, m]
-            return (field(plus) - field(minus)) / (2.0 * hh)
-
-        if richardson:
-            return np.stack([(4.0 * diff(h / 2.0, m) - diff(h, m)) / 3.0 for m in range(3)])
-        return np.stack([diff(h, m) for m in range(3)])
-
-    gam = christoffels(M, u, jet=pg)
-    dgam = derivative(lambda q: christoffels(M, q.u, jet=q))
-    dA = derivative(lambda q: q.A)
-    dC = derivative(lambda q: q.C)
-    dV = derivative(lambda q: q.V)
+    d = point_derivatives(pg)
+    dA, dC, dV = d.dA, d.dC, d.dV
+    gam = christoffels(pg.surface, pg.u, jet=pg)
+    # d_k Gamma^l_ij = g^{lm} (d_k <d_m Phi, d_i d_j Phi> - d_k g_mp Gamma^p_ij)
+    etaH = np.einsum("ab,bij->aij", ETA6, pg.hess)
+    d_first = (np.einsum("akm,aij->kmij", pg.hess, etaH)
+               + np.einsum("am,akij->kmij", ETA6 @ pg.jac, pg.d3))
+    dgam = np.linalg.solve(pg.g, (d_first - np.einsum("kmp,pij->kmij", d.dg, gam))
+                           .reshape(3, 3, 9)).reshape(3, 3, 3, 3)
 
     Tb = np.stack([pg.T_apply(pg.jac[:, i]) for i in range(3)])   # (3,6)
     Ab = np.stack([pg.from_coords(pg.A[:, i]) for i in range(3)])  # (3,6)
@@ -398,7 +409,7 @@ def structural_residuals(pg: PointGeometry, h: float = 1e-4,
 
     res_v = 0.0
     for i in range(3):
-        nabla_v = pg.project(dV[i])
+        nabla_v = pg.project(dV[:, i])
         rhs = pg.C * Ab[i] - pg.T_apply(Ab[i])
         res_v = max(res_v, float(np.max(np.abs(nabla_v - rhs))))
 
@@ -460,26 +471,3 @@ def sectional(pg: PointGeometry, X, Y) -> float:
     if abs(den) < 1e-12:
         raise ValueError("sectional: degenerate plane")
     return float(num / den)
-
-
-# ---------------------------------------------------------------------------
-# covariant differentiation of tangent fields (shared by the frame checks)
-# ---------------------------------------------------------------------------
-
-def covariant_derivative(pg: PointGeometry, direction_coords, fld: Callable,
-                         h: float = 1e-3, richardson: bool = True) -> np.ndarray:
-    """nabla of an ambient tangent field along a chart direction.
-
-    ``fld`` maps chart coordinates to ambient 6-vectors tangent to the
-    hypersurface; the flat central difference along the straight chart line
-    is projected back onto the tangent space, which recovers the intrinsic
-    Levi-Civita derivative.
-    """
-    u = pg.u
-    xi = np.asarray(direction_coords, float)
-
-    def diff(hh):
-        return (fld(u + hh * xi) - fld(u - hh * xi)) / (2.0 * hh)
-
-    d = (4.0 * diff(h / 2.0) - diff(h)) / 3.0 if richardson else diff(h)
-    return pg.project(d)

@@ -3,6 +3,7 @@ import pytest
 
 from h2h2 import autodiff as ad
 from h2h2 import model_zoo as mz
+from h2h2 import surface_calculus as sc
 from h2h2.report import sobol_points
 
 
@@ -53,3 +54,31 @@ def m_kk_tanh():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20250810)
+
+
+@pytest.fixture(scope="session")
+def level_set():
+    """The level set cosh(r_p) cosh(r_q) = 3, r_p and r_q the distances of p and q from (1,0,0).
+
+    Unlike the model zoo, its product angle C varies from point to point and
+    its normal hint is not unit, so dC, dV and the normalization of the hint
+    enter every exact derivative.  The hint is the gradient of
+    <p,e><q,e> (e = (1,0,0)) projected onto T(H² x H²).
+    """
+    k = 3.0
+
+    def chart(u):
+        r, phi, psi = u
+        ch = k / ad.cosh(r)
+        sh = ad.sqrt(ch * ch - 1.0)
+        p = [ad.cosh(r), ad.sinh(r) * ad.cos(phi), ad.sinh(r) * ad.sin(phi)]
+        return p, [ch, sh * ad.cos(psi), sh * ad.sin(psi)]
+
+    def hint(u):
+        p, q = chart(u)
+        e = (1.0, 0.0, 0.0)
+        return ([-q[0] * (e[i] - p[0] * p[i]) for i in range(3)]
+                + [-p[0] * (e[i] - q[0] * q[i]) for i in range(3)])
+
+    return sc.Hypersurface(chart=chart, domain=((0.3, 1.0), (0.2, 1.8), (0.2, 1.8)),
+                           normal_hint=hint, name="level_set")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,9 +15,9 @@ def f_test(x, y, z):
     return ad.sinh(x) * ad.cos(y) + ad.exp(x * z) / ad.cosh(z) - ad.sqrt(y + 4.0)
 
 
-def test_hyperdual_matches_finite_differences():
+def test_jet_matches_finite_differences():
     u = np.array([0.4, -0.7, 0.9])
-    xs = ad.hyperdual_variables(u)
+    xs = ad.jet_variables(u)
     out = f_test(*xs)
 
     def fval(v):
@@ -42,19 +43,22 @@ def test_float_passthrough():
         - math.sqrt(3.3))
 
 
-def test_dual_first_order():
-    x, y, z = ad.dual_variables([0.4, -0.7, 0.9])
-    out = f_test(x, y, z)
-    ref = f_test(*ad.hyperdual_variables([0.4, -0.7, 0.9]))
-    assert np.allclose(out.d, ref.d)
-    assert out.val == ref.val
+def test_first_order_exact():
+    x, y, z = 0.4, -0.7, 0.9
+    out = f_test(*ad.jet_variables([x, y, z]))
+    # gradient of sinh(x) cos(y) + exp(xz)/cosh(z) - sqrt(y + 4) by hand
+    e = math.exp(x * z) / math.cosh(z)
+    want = [math.cosh(x) * math.cos(y) + z * e,
+            -math.sinh(x) * math.sin(y) - 0.5 / math.sqrt(y + 4.0),
+            x * e - e * math.tanh(z)]
+    assert np.allclose(out.d, want, rtol=0, atol=1e-14)
+    assert out.val == f_test(x, y, z)
 
 
 @settings(max_examples=60, deadline=None)
 @given(finite, finite)
 def test_product_rule(a, b):
-    x = ad.HyperDual(a, np.array([1.0, 0, 0]), np.zeros((3, 3)))
-    y = ad.HyperDual(b, np.array([0, 1.0, 0]), np.zeros((3, 3)))
+    x, y, _ = ad.jet_variables([a, b, 0.0])
     p = x * y
     assert p.val == a * b
     assert np.allclose(p.d, [b, a, 0])
@@ -62,46 +66,108 @@ def test_product_rule(a, b):
     want = np.zeros((3, 3))
     want[0, 1] = want[1, 0] = 1.0
     assert np.allclose(p.dd, want)
+    # d^3(x^2 y)/dx^2 dy = 2 in each of its three index orders
+    q = x * p
+    want3 = np.zeros((3, 3, 3))
+    for idx in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
+        want3[idx] = 2.0
+    assert np.array_equal(q.ddd, want3)
 
 
 @settings(max_examples=60, deadline=None)
 @given(finite)
 def test_division_and_powers(a):
-    x = ad.HyperDual(a + 4.0, np.array([1.0, 0, 0]), np.zeros((3, 3)))
+    x = ad.jet_variables([a + 4.0, 0.0, 0.0])[0]
     lhs = 1.0 / x
     rhs = x ** -1
     assert lhs.val == pytest.approx(rhs.val)
     assert np.allclose(lhs.d, rhs.d, atol=1e-14)
     assert np.allclose(lhs.dd, rhs.dd, atol=1e-14)
-    sq = x * x
-    pw = x ** 2
-    assert sq.val == pytest.approx(pw.val)
-    assert np.allclose(sq.dd, pw.dd, atol=1e-12)
+    assert np.allclose(lhs.ddd, rhs.ddd, atol=1e-14)
+    cube = x * x * x
+    pw = x ** 3
+    assert cube.val == pytest.approx(pw.val)
+    assert np.allclose(cube.dd, pw.dd, atol=1e-12)
+    assert np.allclose(cube.ddd, pw.ddd, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(finite)
 def test_tanh_consistency(a):
-    x = ad.HyperDual(a, np.array([1.0, 0, 0]), np.zeros((3, 3)))
+    x = ad.jet_variables([a, 0.0, 0.0])[0]
     direct = ad.tanh(x)
     ratio = ad.sinh(x) / ad.cosh(x)
     assert direct.val == pytest.approx(ratio.val, abs=1e-14)
     assert np.allclose(direct.d, ratio.d, atol=1e-12)
     assert np.allclose(direct.dd, ratio.dd, atol=1e-10)
+    assert np.allclose(direct.ddd, ratio.ddd, atol=1e-10)
 
 
 def test_compose_jet_chain_rule():
-    # pushes a known univariate jet through a hyper-dual argument
+    # pushes a known univariate jet through a jet argument
     u = np.array([0.3, 1.1, -0.2])
-    xs = ad.hyperdual_variables(u)
+    xs = ad.jet_variables(u)
     arg = xs[0] * xs[1] + xs[2]          # r(u)
     r0 = ad.value(arg)
-    out = ad.compose_jet(math.sin(r0), math.cos(r0), -math.sin(r0), arg)
+    out = ad.compose_jet(math.sin(r0), math.cos(r0), -math.sin(r0), -math.cos(r0), arg)
     ref = ad.sin(arg)
     assert out.val == pytest.approx(ref.val)
     assert np.allclose(out.d, ref.d, atol=1e-14)
     assert np.allclose(out.dd, ref.dd, atol=1e-14)
+    assert np.allclose(out.ddd, ref.ddd, atol=1e-14)
 
 
 def test_compose_jet_scalar_passthrough():
-    assert ad.compose_jet(2.0, 3.0, 4.0, 0.5) == 2.0
+    assert ad.compose_jet(2.0, 3.0, 4.0, 5.0, 0.5) == 2.0
+
+
+def test_third_derivatives_of_polynomial():
+    # f = x^3 y + 2xyz - y^2 z^2 + z^3 and its third derivatives by hand
+    x, y, z = 0.7, -1.3, 0.4
+    X, Y, Z = ad.jet_variables([x, y, z])
+    f = X ** 3 * Y + 2.0 * X * Y * Z - Y * Y * Z * Z + Z ** 3
+    assert f.val == pytest.approx(x ** 3 * y + 2 * x * y * z - y * y * z * z + z ** 3, abs=1e-14)
+    assert np.allclose(f.d, [3 * x * x * y + 2 * y * z, x ** 3 + 2 * x * z - 2 * y * z * z,
+                             2 * x * y - 2 * y * y * z + 3 * z * z], rtol=0, atol=1e-14)
+    hess = [[6 * x * y, 3 * x * x + 2 * z, 2 * y],
+            [3 * x * x + 2 * z, -2 * z * z, 2 * x - 4 * y * z],
+            [2 * y, 2 * x - 4 * y * z, -2 * y * y + 6 * z]]
+    assert np.allclose(f.dd, hess, rtol=0, atol=1e-14)
+    third = {(0, 0, 0): 6 * y, (0, 0, 1): 6 * x, (0, 1, 2): 2.0,
+             (1, 1, 2): -4 * z, (1, 2, 2): -4 * y, (2, 2, 2): 6.0}
+    want = np.zeros((3, 3, 3))
+    for idx, v in third.items():
+        for perm in itertools.permutations(idx):
+            want[perm] = v
+    assert np.allclose(f.ddd, want, rtol=0, atol=1e-14)
+
+
+X0 = 0.83
+ELEMENTARY = {
+    # name: (function, value and first three derivatives at X0)
+    "sqrt": (ad.sqrt, [X0 ** 0.5, 0.5 * X0 ** -0.5, -0.25 * X0 ** -1.5, 0.375 * X0 ** -2.5]),
+    "exp": (ad.exp, [math.exp(X0)] * 4),
+    "log": (ad.log, [math.log(X0), 1 / X0, -1 / X0 ** 2, 2 / X0 ** 3]),
+    "sin": (ad.sin, [math.sin(X0), math.cos(X0), -math.sin(X0), -math.cos(X0)]),
+    "cos": (ad.cos, [math.cos(X0), -math.sin(X0), -math.cos(X0), math.sin(X0)]),
+    "sinh": (ad.sinh, [math.sinh(X0), math.cosh(X0), math.sinh(X0), math.cosh(X0)]),
+    "cosh": (ad.cosh, [math.cosh(X0), math.sinh(X0), math.cosh(X0), math.sinh(X0)]),
+    "tanh": (ad.tanh, [math.tanh(X0), math.cosh(X0) ** -2,
+                       -2 * math.sinh(X0) * math.cosh(X0) ** -3,
+                       (4 * math.sinh(X0) ** 2 - 2) * math.cosh(X0) ** -4]),
+    "reciprocal": (lambda x: 1.0 / x, [1 / X0, -1 / X0 ** 2, 2 / X0 ** 3, -6 / X0 ** 4]),
+    "power": (lambda x: x ** 2.5, [X0 ** 2.5, 2.5 * X0 ** 1.5, 3.75 * X0 ** 0.5,
+                                   1.875 * X0 ** -0.5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTARY))
+def test_elementary_third_derivatives(name):
+    fn, want = ELEMENTARY[name]
+    x = ad.jet_variables([X0, 0.0, 0.0])[0]
+    out = fn(x)
+    got = [out.val, out.d[0], out.dd[0, 0], out.ddd[0, 0, 0]]
+    assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+    assert fn(X0) == pytest.approx(want[0], rel=1e-15)
+    # only the seeded direction carries derivatives
+    assert np.count_nonzero(out.ddd) <= 1

@@ -228,7 +228,7 @@ class TestCurves:
         curve = lz.PlaneCurve(1.0)
         from h2h2 import autodiff as ad
         r0 = 0.6
-        x = ad.HyperDual(r0, np.array([1.0, 0, 0]), np.zeros((3, 3)))
+        x = ad.jet_variables([r0, 0.0, 0.0])[0]
         g, n = curve.jet(x)
         h = 1e-5
         gp = curve.state(r0 + h)
@@ -238,6 +238,38 @@ class TestCurves:
             assert n[i].d[0] == pytest.approx((gp.normal[i] - gm.normal[i]) / (2 * h), abs=1e-8)
             d2 = (gp.gamma[i] - 2 * curve.state(r0).gamma[i] + gm.gamma[i]) / h ** 2
             assert g[i].dd[0, 0] == pytest.approx(d2, abs=1e-4)
+
+    @pytest.mark.parametrize("kappa", [0.0, 1.0, 2.0])
+    def test_curve_jet_derivatives_match_closed_form(self, kappa):
+        # F(r) = e^{rC} gives every derivative in closed form: F^(m) = F C^m
+        from h2h2 import autodiff as ad
+        C = np.array([[0.0, 1, 0], [1, 0, -kappa], [0, kappa, 0]])
+        for r0 in (-1.3, 0.4, 2.1):
+            g, n = lz.PlaneCurve(kappa).jet(ad.jet_variables([r0, 0.0, 0.0])[0])
+            F = expm(r0 * C)
+            for m, order in enumerate(("val", "d", "dd", "ddd")):
+                want = F @ np.linalg.matrix_power(C, m)
+                got_g = np.array([np.ravel(getattr(c, order))[0] for c in g])
+                got_n = np.array([np.ravel(getattr(c, order))[0] for c in n])
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(got_g - want[:, 0])) < 1e-12 * scale
+                assert np.max(np.abs(got_n - want[:, 2])) < 1e-12 * scale
+
+    def test_curve_jet_third_derivatives_variable_curvature(self):
+        # third derivatives against a central difference of the exact second ones
+        from h2h2 import autodiff as ad
+        curve = lz.PlaneCurve(ad.tanh)
+        h = 1e-4
+
+        def second(r):
+            g, n = curve.jet(ad.jet_variables([r, 0.0, 0.0])[0])
+            return np.array([c.dd[0, 0] for c in (*g, *n)])
+
+        for r0 in (-1.2, 0.3, 0.9):   # each r0 +- h stays inside one knot interval
+            g, n = curve.jet(ad.jet_variables([r0, 0.0, 0.0])[0])
+            third = np.array([c.ddd[0, 0, 0] for c in (*g, *n)])
+            fd = (second(r0 + h) - second(r0 - h)) / (2 * h)
+            assert np.max(np.abs(third - fd)) < 1e-7
 
 
 class TestHorocycleSigns:

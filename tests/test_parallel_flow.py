@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from h2h2 import autodiff as ad
 from h2h2 import model_zoo as mz
 from h2h2 import parallel_flow as pf
+from h2h2 import report as rp
 from h2h2 import surface_calculus as sc
 
 from conftest import domain_samples
@@ -429,7 +430,7 @@ class TestFrameIdentities:
         surface, _ = m_11_03
         rep = pf.frame_identity_checks(surface, np.array([0.25, 0.5, -0.4]))
         assert not any(it.skipped for it in rep.items)
-        assert rep.max_residual() < 1e-6
+        assert rep.max_residual() < 1e-7
 
     def test_m_tau_skips_product_frame_identity(self, m_tau_m2):
         surface, _ = m_tau_m2
@@ -438,7 +439,7 @@ class TestFrameIdentities:
         assert "principal" in rep.item("product_frame_connections").reason
         others = [it for it in rep.items if it.name != "product_frame_connections"]
         assert not any(it.skipped for it in others)
-        assert rep.max_residual() < 1e-6
+        assert rep.max_residual() < 1e-7
 
     def test_equal_curvature_pair_skips(self, m_1m1_half):
         surface, _ = m_1m1_half
@@ -454,9 +455,82 @@ class TestFrameIdentities:
         assert not rep.item("product_frame_connections").skipped
         assert rep.item("codazzi_frame_relation").skipped
         assert "constant" in rep.item("codazzi_frame_relation").reason
-        assert rep.max_residual() < 1e-6
+        assert rep.max_residual() < 1e-7
 
     def test_degenerate_angle_skips_everything(self, m_gamma_2):
         surface, _ = m_gamma_2
         rep = pf.frame_identity_checks(surface, np.array([0.3, 0.8, 1.0]))
         assert all(it.skipped for it in rep.items)
+
+
+class TestFocalRoots:
+    def test_every_base_point_is_bisected(self):
+        # each base point of M_kk(c=0.5, kappa=2, kappa~=1) has its own focal
+        # value, so every excluded node comes with its own root
+        spec = mz.ModelSpec("M_kk", {"c": 0.5, "kappa": 2.0, "kappa_tilde": "one"})
+        surface, _ = mz.build_model(spec)
+        step = 0.01
+        grid = rp.SuiteConfig(model=spec, l_grid=(-2.0, 2.0, step)).grid()
+        rep = pf.isoparametric_scan(surface, rp.sobol_points(surface.domain, 8, 0), grid)
+        assert len(rep.excluded) == 8
+        assert len(rep.focal_roots) == len(rep.excluded)
+        for node, root in zip(rep.excluded, rep.focal_roots):
+            assert abs(node - root) < step
+
+    def test_shared_focal_value_is_reported_once(self, m_tau_m2):
+        surface, _ = m_tau_m2
+        rep = pf.isoparametric_scan(surface, domain_samples(surface, 8),
+                                    np.linspace(-2.0, 2.0, 401))
+        assert rep.focal_roots == [pytest.approx(mz.mtau_focal_radius(-2.0), abs=1e-9)]
+
+
+def richardson(fn, u, m, h=1e-3):
+    """Richardson-refined central difference of fn along the chart axis m."""
+    e = np.zeros(3)
+    e[m] = 1.0
+
+    def diff(hh):
+        return (fn(u + hh * e) - fn(u - hh * e)) / (2.0 * hh)
+
+    return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
+
+
+class TestFrameFieldJacobians:
+    """Exact field Jacobians against differences of per-point recomputations."""
+
+    def check(self, exact, fn, u):
+        for m in range(3):
+            ref = richardson(fn, u, m)
+            assert np.max(np.abs(exact[..., m] - ref)) < 1e-7 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("model", ["m_kk_tanh", "m_tau_m2", "level_set"])
+    def test_adapted_frame_fields(self, model, request):
+        surface = request.getfixturevalue(model)
+        surface = surface[0] if isinstance(surface, tuple) else surface
+        for u in domain_samples(surface, 3):
+            pg = sc.point_geometry(surface, u)
+            d = sc.point_derivatives(pg)
+            dE = pf._adapted_frame_jacobians(pg, d)
+            self.check(np.moveaxis(dE, 0, 1),
+                       lambda x: pf.frame_vectors(sc.point_geometry(surface, x)).T, u)
+            for i in (1, 2):
+                self.check(pf._shape_apply_jacobian(pg, d, pf.frame_vectors(pg)[i], dE[i]),
+                           lambda x, i=i: (lambda q: q.shape_apply(pf.frame_vectors(q)[i]))(
+                               sc.point_geometry(surface, x)), u)
+
+    @pytest.mark.parametrize("model", ["m_kk_tanh", "m_tau_m2"])
+    def test_principal_fields(self, model, request):
+        # both models have three distinct principal curvatures
+        surface, _ = request.getfixturevalue(model)
+        for u in domain_samples(surface, 3):
+            pg = sc.point_geometry(surface, u)
+            dlam, dP = pf._principal_jacobians(pg, sc.point_derivatives(pg))
+            self.check(dlam, lambda x: sc.point_geometry(surface, x).lambdas, u)
+
+            def principal(x):
+                # eigenvector signs follow the centre point's
+                cols = sc.point_geometry(surface, x).principal_ambient
+                signs = np.sign(np.einsum("ai,ab,bi->i", cols, sc.ETA6, pg.principal_ambient))
+                return cols * signs
+
+            self.check(np.moveaxis(dP, 0, 1), principal, u)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -43,16 +44,69 @@ class TestChartJet:
             assert np.max(np.abs(jet.hess[:, m, m] - fdd)) < 1e-4
 
     def test_chart_evaluates_at_all_orders(self, m_11_03):
-        # scalar, dual, and hyper-dual arguments agree order by order
+        # scalar and jet arguments give the same chart point
         surface, _ = m_11_03
         u = np.array([0.3, -0.5, 0.8])
         val = surface.point(u)
-        jet = sc.chart_jet(surface, u)
-        p, q = surface.chart(ad.dual_variables(u))
+        p, q = surface.chart(ad.jet_variables(u))
         for i, comp in enumerate((*p, *q)):
+            assert isinstance(comp, ad.Jet)
             assert ad.value(comp) == pytest.approx(val[i], abs=1e-14)
-            d = comp.d if isinstance(comp, ad.Dual) else np.zeros(3)
-            assert np.max(np.abs(d - jet.jac[i])) < 1e-13
+
+    def test_third_derivatives_of_polynomial_chart(self):
+        # components x^2 y z, y^3, x z^2 + z, and three constants
+        def chart(u):
+            x, y, z = u
+            return [x * x * y * z, y ** 3, x * z * z + z], [1.0, 0.0, 0.0]
+
+        surface = sc.Hypersurface(chart=chart, domain=((0, 1),) * 3, name="polynomial")
+        x, y, z = 0.6, -1.1, 1.7
+        jet = sc.chart_jet(surface, [x, y, z])
+        want = np.zeros((6, 3, 3, 3))
+        third = [{(0, 0, 1): 2 * z, (0, 0, 2): 2 * y, (0, 1, 2): 2 * x},
+                 {(1, 1, 1): 6.0},
+                 {(0, 2, 2): 2.0}]
+        for comp, entries in enumerate(third):
+            for idx, v in entries.items():
+                for perm in itertools.permutations(idx):
+                    want[(comp, *perm)] = v
+        assert np.array_equal(jet.d3, want)
+
+    def test_m_tau_chart_derivatives_match_closed_form(self, m_tau_m2):
+        # each M_tau component is a sum of separable terms c f1(u1) f2(u2) f3(u3),
+        # so every partial derivative is a product of univariate derivatives
+        surface, _ = m_tau_m2
+        radius = mz.mtau_focal_radius(-2.0)
+        a = math.cosh(radius / math.sqrt(2.0))
+        b = math.sinh(radius / math.sqrt(2.0))   # sqrt(2) sinh(.) times the 1/sqrt(2) of v
+        derivs = {"1": lambda t, m: 1.0 if m == 0 else 0.0,
+                  "cosh": lambda t, m: math.cosh(t) if m % 2 == 0 else math.sinh(t),
+                  "sinh": lambda t, m: math.sinh(t) if m % 2 == 0 else math.cosh(t),
+                  "cos": lambda t, m: (math.cos(t), -math.sin(t), -math.cos(t), math.sin(t))[m % 4],
+                  "sin": lambda t, m: (math.sin(t), math.cos(t), -math.sin(t), -math.cos(t))[m % 4]}
+        p = [[(1.0, "cosh", "1", "1")],
+             [(1.0, "sinh", "cos", "1")],
+             [(1.0, "sinh", "sin", "1")]]
+        v = [[(1.0, "sinh", "1", "cos")],
+             [(1.0, "cosh", "cos", "cos"), (-1.0, "1", "sin", "sin")],
+             [(1.0, "cosh", "sin", "cos"), (1.0, "1", "cos", "sin")]]
+        # x = a p + b v and y = a p - b v
+        comps = [[(a * c, *f) for c, *f in p[i]] + [(sign * b * c, *f) for c, *f in v[i]]
+                 for sign in (1.0, -1.0) for i in range(3)]
+
+        def partial(u, idx):
+            counts = [idx.count(m) for m in range(3)]
+            return np.array([sum(c * derivs[f1](u[0], counts[0]) * derivs[f2](u[1], counts[1])
+                                 * derivs[f3](u[2], counts[2]) for c, f1, f2, f3 in terms)
+                             for terms in comps])
+
+        for u in domain_samples(surface, 4):
+            jet = sc.chart_jet(surface, u)
+            for order, got in ((1, jet.jac), (2, jet.hess), (3, jet.d3)):
+                for idx in itertools.product(range(3), repeat=order):
+                    want = partial(u, idx)
+                    assert np.max(np.abs(got[(slice(None), *idx)] - want)) < 1e-12 * max(
+                        1.0, float(np.max(np.abs(want))))
 
     def test_constraints_and_rank(self, m_tau_m2):
         surface, _ = m_tau_m2
@@ -138,12 +192,6 @@ class TestNormalWithoutHint:
         nz = n1[np.abs(n1) > 1e-9]
         assert nz[0] > 0
 
-    def test_alignment_override(self, hintless_surface):
-        u = np.array([0.9, 1.0, 0.7])
-        n = sc.point_geometry(hintless_surface, u).N
-        flipped = sc.point_geometry(hintless_surface, u, align_normal_with=-n).N
-        assert np.allclose(flipped, -n)
-
 
 class TestAngleOperators:
     def test_product_angle_examples(self, rng):
@@ -223,8 +271,8 @@ class TestTangentialT:
             sc.tangential_T(pg, pg.N)
 
 
-def structural(surface, u, **kw):
-    return sc.structural_residuals(sc.point_geometry(surface, u), **kw)
+def structural(surface, u):
+    return sc.structural_residuals(sc.point_geometry(surface, u))
 
 
 class TestAngleDerivativeIdentities:
@@ -232,14 +280,14 @@ class TestAngleDerivativeIdentities:
         for surface, _ in (m_11_03, m_tau_m2):
             for u in domain_samples(surface, 6):
                 r = structural(surface, u)
-                assert r.grad_C < 1e-7
-                assert r.V_derivative < 1e-7
+                assert r.grad_C < 1e-10
+                assert r.V_derivative < 1e-10
 
     def test_degenerate_family(self, m_gamma_2):
         surface, _ = m_gamma_2
         r = structural(surface, np.array([0.3, 0.9, 1.2]))
-        assert r.grad_C < 1e-9   # C constant and AV = 0
-        assert r.V_derivative < 1e-7
+        assert r.grad_C < 1e-10   # C constant and AV = 0
+        assert r.V_derivative < 1e-10
 
 
 class TestGaussCodazzi:
@@ -247,31 +295,58 @@ class TestGaussCodazzi:
         surface, _ = m_1m1_half
         for u in domain_samples(surface, 6):
             r = structural(surface, u)
-            assert r.gauss < 1e-4
-            assert r.codazzi < 1e-5
+            assert r.gauss < 1e-8
+            assert r.codazzi < 1e-10
 
     def test_geodesic_product(self, m_gamma_geodesic):
         surface, _ = m_gamma_geodesic
         r = structural(surface, np.array([0.4, 0.8, 1.9]))
-        assert r.gauss < 1e-6
-        assert r.codazzi < 1e-6
-
-    def test_second_order_convergence(self, m_kk_tanh):
-        # needs a surface whose shape operator actually varies in the chart:
-        # on the horocycle products the coordinate A is constant and the
-        # finite-difference residual sits at machine zero for every step
-        surface, _ = m_kk_tanh
-        u = np.array([0.15, 0.42, -0.33])
-        r1 = structural(surface, u, h=0.05, richardson=False)
-        r2 = structural(surface, u, h=0.025, richardson=False)
-        assert 2.5 < r1.gauss / r2.gauss < 5.7
-        assert 2.5 < r1.codazzi / r2.codazzi < 5.7
+        assert r.gauss < 1e-8
+        assert r.codazzi < 1e-10
 
 
-class TestSharedStencil:
-    @pytest.mark.parametrize("richardson, expected", [(True, 12), (False, 6)])
-    def test_one_stencil_serves_all_four_checks(self, m_1m1_half, monkeypatch,
-                                                richardson, expected):
+
+def richardson(fn, u, m, h=1e-3):
+    """Richardson-refined central difference of fn along the chart axis m."""
+    e = np.zeros(3)
+    e[m] = 1.0
+
+    def diff(hh):
+        return (fn(u + hh * e) - fn(u - hh * e)) / (2.0 * hh)
+
+    return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
+
+
+class TestExactDerivatives:
+    def test_point_derivatives_match_differences(self, m_kk_tanh, m_tau_m2, level_set):
+        for surface in (m_kk_tanh[0], m_tau_m2[0], level_set):
+            for u in domain_samples(surface, 3):
+                pg = sc.point_geometry(surface, u)
+                d = sc.point_derivatives(pg)
+                fields = {"dN": lambda x: sc.point_geometry(surface, x).N,
+                          "dV": lambda x: sc.point_geometry(surface, x).V,
+                          "dC": lambda x: sc.point_geometry(surface, x).C,
+                          "dg": lambda x: sc.point_geometry(surface, x).g,
+                          "dA": lambda x: sc.point_geometry(surface, x).A}
+                for name, fn in fields.items():
+                    exact = getattr(d, name)
+                    for m in range(3):
+                        got = exact[..., m] if name in ("dN", "dV") else exact[m]
+                        ref = richardson(fn, u, m)
+                        scale = max(1.0, np.max(np.abs(ref)))
+                        assert np.max(np.abs(got - ref)) < 1e-7 * scale, name
+
+    def test_structural_equations_on_a_varying_angle(self, level_set):
+        # C varies here, so grad C = -2AV and nabla V = CA - TA compare
+        # nonzero sides, unlike on the constant-angle model zoo
+        for u in domain_samples(level_set, 6):
+            pg = sc.point_geometry(level_set, u)
+            assert np.max(np.abs(sc.point_derivatives(pg).dC)) > 0.5
+            r = sc.structural_residuals(pg)
+            assert max(r.grad_C, r.V_derivative, r.codazzi) < 1e-10
+            assert r.gauss < 1e-8
+
+    def test_no_other_point_is_evaluated(self, m_1m1_half, monkeypatch):
         surface, _ = m_1m1_half
         pg = sc.point_geometry(surface, np.array([0.2, -0.3, 0.5]))
         calls = {"point_geometry": 0, "chart_jet": 0}
@@ -284,10 +359,15 @@ class TestSharedStencil:
 
         monkeypatch.setattr(sc, "point_geometry", counted("point_geometry", sc.point_geometry))
         monkeypatch.setattr(sc, "chart_jet", counted("chart_jet", sc.chart_jet))
-        sc.structural_residuals(pg, richardson=richardson)
-        # the centre bundle is reused and every Christoffel symbol comes from
-        # a stencil bundle's own jet, so each chart jet is one stencil point
-        assert calls == {"point_geometry": expected, "chart_jet": expected}
+        sc.structural_residuals(pg)
+        assert calls == {"point_geometry": 0, "chart_jet": 0}
+
+    def test_hintless_surface_raises(self, hintless_surface):
+        pg = sc.point_geometry(hintless_surface, np.array([0.9, 1.0, 0.7]))
+        with pytest.raises(ValueError, match="normal_hint"):
+            sc.structural_residuals(pg)
+        with pytest.raises(ValueError, match="normal_hint"):
+            sc.point_derivatives(pg)
 
 
 class TestRicciSectional:
