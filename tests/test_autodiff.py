@@ -15,7 +15,8 @@ def f_test(x, y, z):
     return ad.sinh(x) * ad.cos(y) + ad.exp(x * z) / ad.cosh(z) - ad.sqrt(y + 4.0)
 
 
-def test_jet_matches_finite_differences():
+def test_hyperdual_matches_finite_differences():
+    # val, d and dd of a Jet are the old hyper-dual part of the jet
     u = np.array([0.4, -0.7, 0.9])
     xs = ad.jet_variables(u)
     out = f_test(*xs)
@@ -43,7 +44,8 @@ def test_float_passthrough():
         - math.sqrt(3.3))
 
 
-def test_first_order_exact():
+def test_dual_first_order():
+    # d of a Jet is the dual-number (first-order) part of the jet
     x, y, z = 0.4, -0.7, 0.9
     out = f_test(*ad.jet_variables([x, y, z]))
     # gradient of sinh(x) cos(y) + exp(xz)/cosh(z) - sqrt(y + 4) by hand
