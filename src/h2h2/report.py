@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
+from numpy.random import default_rng
 
 from . import model_zoo as mz
 from . import parallel_flow as pf
@@ -81,6 +81,8 @@ class SuiteConfig:
     def validate(self):
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if len(self.l_grid) != 3 or self.l_grid[2] <= 0:
             raise ConfigError("l-grid step must be > 0")
         for name, tol in self.tolerances.items():
@@ -133,14 +135,54 @@ class CheckResult:
         }
 
 
+_SOBOL_BITS = 30
+
+
+def _sobol_direction_numbers() -> np.ndarray:
+    """Joe-Kuo direction numbers v[d, j] = m_j << (29 - j) of the first three
+    dimensions: m_j = 1, then the primitive polynomials x + 1 and x^2 + x + 1."""
+    m = [[1] * _SOBOL_BITS, [1], [1, 3]]
+    for j in range(1, _SOBOL_BITS):
+        m[1].append(m[1][j - 1] ^ (m[1][j - 1] << 1))
+    for j in range(2, _SOBOL_BITS):
+        m[2].append(m[2][j - 2] ^ (m[2][j - 2] << 2) ^ (m[2][j - 1] << 1))
+    return np.array([[mj << (_SOBOL_BITS - 1 - j) for j, mj in enumerate(row)] for row in m],
+                    dtype=np.uint64)
+
+
+# _BIT_WEIGHT[c] = 2^(29 - c): column c of a scrambling matrix reads bit 29 - c
+_BIT_WEIGHT = np.uint64(1) << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint64)
+_SOBOL_V_BITS = ((_sobol_direction_numbers()[:, :, None] & _BIT_WEIGHT) != 0).astype(np.int64)
+
+
 def sobol_points(domain, n: int, seed: int) -> np.ndarray:
-    """Seeded low-discrepancy samples of the chart box (reproducible)."""
+    """Seeded low-discrepancy samples of the chart box (reproducible).
+
+    The first ``n`` of the 2^ceil(log2 n) points of a scrambled Sobol'
+    sequence, scaled to the box: Matousek's linear matrix scrambling plus a
+    digital shift, both drawn from ``numpy.random.default_rng(seed)``.  The draw
+    order and bit conventions are those of the reference engine that
+    ``tests/test_report_cli.py::TestSobol`` compares the points with bitwise.
+    """
     lo = np.array([d[0] for d in domain], dtype=float)
     hi = np.array([d[1] for d in domain], dtype=float)
-    m = max(int(math.ceil(math.log2(max(n, 1)))), 0)
-    eng = qmc.Sobol(d=3, scramble=True, seed=seed)
-    pts = eng.random_base2(m=m)[:n] if n > 1 else eng.random(1)
-    return qmc.scale(pts, lo, hi)
+    if not np.all(lo < hi):
+        raise ValueError("sobol_points: every domain interval needs lo < hi")
+    rng = default_rng(seed)
+    shift_bits = rng.integers(2, size=(3, _SOBOL_BITS), dtype=np.uint32)
+    ltm = np.tril(rng.integers(2, size=(3, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, np.arange(_SOBOL_BITS), np.arange(_SOBOL_BITS)] = 1
+    shift = shift_bits.astype(np.uint64) @ _BIT_WEIGHT[::-1]        # column c weighs 2^c
+    # bit 29 - p of scrambled v_j = parity of sum_c ltm[d, p, c] * (bit 29 - c of v_j)
+    scrambled = (_SOBOL_V_BITS @ ltm.astype(np.int64).transpose(0, 2, 1)) & 1
+    v = scrambled.astype(np.uint64) @ _BIT_WEIGHT                   # (3, _SOBOL_BITS)
+    # point k XORs the v_j of the set bits of its Gray code; the reflected
+    # code doubles: gray(2^b + k) = 2^b ^ gray(2^b - 1 - k)
+    x = np.zeros((1, 3), dtype=np.uint64)
+    for b in range(math.ceil(math.log2(max(n, 1)))):
+        x = np.concatenate([x, x[::-1] ^ v[:, b]])
+    pts = (x[:n] ^ shift) * 2.0 ** -_SOBOL_BITS
+    return pts * (hi - lo) + lo
 
 
 def _judged(name, residual, tol, n, notes="") -> CheckResult:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import stat
+import subprocess
 import sys
 import threading
 
@@ -45,6 +46,10 @@ class TestVerifyCommand:
     def test_unknown_tolerance_exit_two(self):
         assert run_cli(["verify", "--model", "M_1m1", "--c", "0.5",
                         "--tol", "bogus=1"]) == 2
+
+    def test_negative_seed_exit_two(self, capsys):
+        assert run_cli(["verify", "--model", "M_1m1", "--c", "0.5", "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_config_invariants(self):
         cfg = rp.SuiteConfig(model=mz.ModelSpec("M_1m1", {"c": 0.5}), samples=0)
@@ -227,6 +232,54 @@ class TestSobol:
         pts = rp.sobol_points(dom, 32, 0)
         for i, (lo, hi) in enumerate(dom):
             assert np.all(pts[:, i] >= lo) and np.all(pts[:, i] <= hi)
+
+    def test_bitwise_equal_to_scipy(self):
+        from scipy.stats import qmc
+
+        dom = ((-1.3, 2.7), (0.1, 0.9), (-5.0, 3.0))
+        lo, hi = [d[0] for d in dom], [d[1] for d in dom]
+        for seed in range(20):
+            for n in (1, 2, 3, 8, 32, 50, 100, 200, 1000):
+                eng = qmc.Sobol(d=3, scramble=True, seed=seed)
+                ref = eng.random(1) if n == 1 else \
+                    eng.random_base2(math.ceil(math.log2(n)))[:n]
+                assert np.array_equal(rp.sobol_points(dom, n, seed),
+                                      qmc.scale(ref, lo, hi)), (seed, n)
+
+    @pytest.mark.parametrize("dom", [((0, 1), (2, 2), (0, 1)), ((0, 1), (0, 1), (1, 0))])
+    def test_empty_interval_raises(self, dom):
+        with pytest.raises(ValueError):
+            rp.sobol_points(dom, 8, 0)
+
+
+NO_SCIPY_RUN = """
+import json
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from h2h2 import cli
+out = sys.argv[1]
+codes = [
+    cli.main(["verify", "--model", "M_1m1", "--c", "0.5", "--samples", "8",
+              "--out", out + "/verify.json"]),
+    cli.main(["parallel", "--model", "M_tau", "--tau", "-2", "--samples", "8",
+              "--out", out + "/parallel.json"]),
+    cli.main(["table", "lemma-residuals", "--out", out + "/lemma.csv"]),
+]
+print(json.dumps({"codes": codes,
+                  "scipy_modules": [m for m in sys.modules if m.split(".")[0] == "scipy"],
+                  "placeholder_kept": sys.modules["scipy"] is None}))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "codes": [0, 0, 0], "scipy_modules": ["scipy"], "placeholder_kept": True}
+    assert sorted(os.listdir(tmp_path)) == ["lemma.csv", "parallel.json", "verify.json"]
 
 
 class TestWriteAtomic:
