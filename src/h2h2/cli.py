@@ -5,8 +5,8 @@ Subcommands: ``verify`` (full identity suite for one model), ``parallel``
 derivative / frame-residual tables), ``poincare-dump`` (CSV projection of a
 chart to the two Poincaré disks).
 
-Exit codes: 0 all required checks pass, 1 check failure, 2 usage or
-configuration error.
+Exit codes: 0 all required checks pass, 1 check failure or a geometric
+failure at a chart point, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -19,6 +19,12 @@ import sys
 
 from . import model_zoo as mz
 from . import report as rp
+from . import surface_calculus as sc
+
+# a valid call that fails on the geometry of a chart point; these are
+# ValueErrors too, so they are caught before the usage-error clause
+GEOMETRIC_ERRORS = (sc.ChartRankError, sc.NormalSpaceError,
+                    sc.DegenerateProductAngleError, mz.DomainError)
 
 
 def _model_from_args(args) -> mz.ModelSpec:
@@ -223,6 +229,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except GEOMETRIC_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (rp.ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,9 @@
 """Canonical hypersurfaces of H² × H² with closed-form oracles.
 
-Each constructor returns a (Hypersurface, Oracle) pair: the chart feeds the
-generic calculus, while the oracle carries the exact normal, product angle,
-and principal curvatures so the numerics can be validated against known
-values.
+Each constructor returns a (Hypersurface, Oracle) pair: the chart, which
+returns its closed-form normal with the point, feeds the generic calculus,
+while the oracle carries the exact product angle and principal curvatures so
+the numerics can be validated against known values.
 
 Families
 --------
@@ -83,13 +83,8 @@ def make_M_Gamma(kappa_gamma: float, domain=None):
 
     def chart(u):
         r, rho, phi = u
-        g, _ = curve.jet(r)
-        return g, _polar(rho, phi)
-
-    def hint(u):
-        r = u[0]
-        _, n = curve.jet(r)
-        return [n[0], n[1], n[2], 0.0, 0.0, 0.0]
+        g, n = curve.jet(r)
+        return g, _polar(rho, phi), [*n, 0.0, 0.0, 0.0]
 
     lam = np.sort(np.array([kappa_gamma, 0.0, 0.0]))
 
@@ -109,8 +104,7 @@ def make_M_Gamma(kappa_gamma: float, domain=None):
             (np.concatenate([z, e_phi]), 0.0),
         ]
 
-    surface = Hypersurface(chart=chart, domain=domain, normal_hint=hint,
-                           name=f"M_Gamma(kappa={kappa_gamma})")
+    surface = Hypersurface(chart=chart, domain=domain, name=f"M_Gamma(kappa={kappa_gamma})")
     oracle = Oracle(name=surface.name, C=1.0, lambdas=lambdas,
                     frame_eigen=frame_eigen, constant_curvatures=True)
     return surface, oracle
@@ -135,17 +129,9 @@ def _product_surface(c: float, curve1: PlaneCurve, curve2: PlaneCurve,
         ch2, sh2 = ad.cosh(s1c * t), ad.sinh(s1c * t)
         p = [ch1 * g1[i] + sh1 * n1[i] for i in range(3)]
         q = [ch2 * g2[i] + sh2 * n2[i] for i in range(3)]
-        return p, q
-
-    def hint(u):
-        t, r, s = u
-        g1, n1 = curve1.jet(r)
-        g2, n2 = curve2.jet(s)
-        ch1, sh1 = ad.cosh(sc * t), ad.sinh(sc * t)
-        ch2, sh2 = ad.cosh(s1c * t), ad.sinh(s1c * t)
-        n_first = [s1c * (sh1 * g1[i] + ch1 * n1[i]) for i in range(3)]
-        n_second = [-sc * (sh2 * g2[i] + ch2 * n2[i]) for i in range(3)]
-        return [*n_first, *n_second]
+        n = ([s1c * (sh1 * g1[i] + ch1 * n1[i]) for i in range(3)]
+             + [-sc * (sh2 * g2[i] + ch2 * n2[i]) for i in range(3)])
+        return p, q, n
 
     def _factors(t, r, s):
         k1 = curve1.state(r).kappa
@@ -183,7 +169,7 @@ def _product_surface(c: float, curve1: PlaneCurve, curve2: PlaneCurve,
             (np.concatenate([z, st2.tangent]), lam3),
         ]
 
-    surface = Hypersurface(chart=chart, domain=domain, normal_hint=hint, name=name)
+    surface = Hypersurface(chart=chart, domain=domain, name=name)
     oracle = Oracle(name=name, C=1.0 - 2.0 * c, lambdas=lambdas,
                     frame_eigen=frame_eigen, constant_curvatures=constant)
     return surface, oracle
@@ -248,7 +234,7 @@ def make_M_tau(tau: float, domain=None):
     b = math.sqrt(2.0) * math.sinh(radius / math.sqrt(2.0))
     scale = 1.0 / math.sqrt(2.0 * (tau * tau - 1.0))
 
-    def _tube(u):
+    def chart(u):
         u1, u2, u3 = u
         p = _polar(u1, u2)
         e1 = [ad.sinh(u1), ad.cosh(u1) * ad.cos(u2), ad.cosh(u1) * ad.sin(u2)]
@@ -258,16 +244,9 @@ def make_M_tau(tau: float, domain=None):
         v = [(cu * e1[i] + su * e2[i]) * inv for i in range(3)]
         x = [a * p[i] + b * v[i] for i in range(3)]
         y = [a * p[i] - b * v[i] for i in range(3)]
-        return x, y
-
-    def chart(u):
-        return _tube(u)
-
-    def hint(u):
-        x, y = _tube(u)
-        n1 = [(y[i] + tau * x[i]) * scale for i in range(3)]
-        n2 = [(x[i] + tau * y[i]) * scale for i in range(3)]
-        return [*n1, *n2]
+        n = ([(y[i] + tau * x[i]) * scale for i in range(3)]
+             + [(x[i] + tau * y[i]) * scale for i in range(3)])
+        return x, y, n
 
     lam = np.sort(np.array([0.0, mtau_lambda_small(tau), mtau_lambda_big(tau)]))
 
@@ -275,9 +254,8 @@ def make_M_tau(tau: float, domain=None):
         return lam
 
     def frame_eigen(u):
-        xq, yq = _tube([float(x) for x in u])
-        p = np.array([ad.value(t) for t in xq])
-        q = np.array([ad.value(t) for t in yq])
+        x = surface.point(u)
+        p, q = x[:3], x[3:]
         v_first = (q + tau * p) * scale
         v_second = -(p + tau * q) * scale
         pq = lorentz_cross(p, q)
@@ -290,8 +268,7 @@ def make_M_tau(tau: float, domain=None):
             (j2n, mtau_lambda_small(tau)),
         ]
 
-    surface = Hypersurface(chart=chart, domain=domain, normal_hint=hint,
-                           name=f"M_tau(tau={tau})")
+    surface = Hypersurface(chart=chart, domain=domain, name=f"M_tau(tau={tau})")
     oracle = Oracle(name=surface.name, C=0.0, lambdas=lambdas,
                     frame_eigen=frame_eigen, constant_curvatures=True)
     return surface, oracle

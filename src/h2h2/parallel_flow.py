@@ -170,15 +170,13 @@ def parallel_normal(pg: PointGeometry, l: float) -> ProductTangent:
 def parallel_surface(M: Hypersurface, l: float) -> Hypersurface:
     """The parallel hypersurface at distance l as a chart of its own.
 
-    Requires a closed-form normal hint on M (all model-zoo surfaces carry
-    one) so that the flowed chart stays evaluable at jet arguments.
+    Each evaluation calls ``M.chart`` once and flows its point along its
+    closed-form normal, so the flowed chart and its normal stay evaluable at
+    jet arguments.
     """
-    if M.normal_hint is None:
-        raise ValueError("parallel_surface needs a surface with a normal hint")
 
-    def _flow(u):
-        p, q = M.chart(u)
-        raw = M.normal_hint(u)
+    def chart(u):
+        p, q, raw = M.chart(u)
         n1 = list(raw[:3])
         n2 = list(raw[3:])
         nn = (-(n1[0] * n1[0]) + n1[1] * n1[1] + n1[2] * n1[2]
@@ -190,30 +188,16 @@ def parallel_surface(M: Hypersurface, l: float) -> Hypersurface:
              - (-(n2[0] * n2[0]) + n2[1] * n2[1] + n2[2] * n2[2]))
         cp = ad.sqrt((1.0 + c) / 2.0)
         cm = ad.sqrt((1.0 - c) / 2.0)
-        return p, q, n1, n2, cp, cm
+        chp, shp = ad.cosh(cp * l), ad.sinh(cp * l)
+        chm, shm = ad.cosh(cm * l), ad.sinh(cm * l)
+        shp_c, shm_c = shp / cp, shm / cm
+        pl = [chp * p[i] + shp_c * n1[i] for i in range(3)]
+        ql = [chm * q[i] + shm_c * n2[i] for i in range(3)]
+        nl = ([chp * n1[i] + cp * shp * p[i] for i in range(3)]
+              + [chm * n2[i] + cm * shm * q[i] for i in range(3)])
+        return pl, ql, nl
 
-    def chart(u):
-        p, q, n1, n2, cp, cm = _flow(u)
-        shp = ad.sinh(cp * l) / cp
-        shm = ad.sinh(cm * l) / cm
-        chp = ad.cosh(cp * l)
-        chm = ad.cosh(cm * l)
-        pl = [chp * p[i] + shp * n1[i] for i in range(3)]
-        ql = [chm * q[i] + shm * n2[i] for i in range(3)]
-        return pl, ql
-
-    def hint(u):
-        p, q, n1, n2, cp, cm = _flow(u)
-        chp = ad.cosh(cp * l)
-        chm = ad.cosh(cm * l)
-        shp = ad.sinh(cp * l)
-        shm = ad.sinh(cm * l)
-        n1l = [chp * n1[i] + cp * shp * p[i] for i in range(3)]
-        n2l = [chm * n2[i] + cm * shm * q[i] for i in range(3)]
-        return [*n1l, *n2l]
-
-    return Hypersurface(chart=chart, domain=M.domain, normal_hint=hint,
-                        name=f"{M.name}|parallel(l={l})")
+    return Hypersurface(chart=chart, domain=M.domain, name=f"{M.name}|parallel(l={l})")
 
 
 # ---------------------------------------------------------------------------

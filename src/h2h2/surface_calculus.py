@@ -1,18 +1,20 @@
 """Generic calculus for immersed hypersurfaces of H² × H².
 
-A hypersurface is a chart map (u¹,u²,u³) -> (p, q) into the product of
-hyperboloids, evaluable at scalar and jet arguments.  One third-order jet pass
-gives the exact 6x3 Jacobian, 6x3x3 Hessian and 6x3x3x3 third derivatives of
-the chart, from which the induced metric, unit normal, second fundamental
-form, shape operator, and principal curvatures follow.
+A hypersurface is a chart map (u¹,u²,u³) -> (p, q, n): a point of the
+product of hyperboloids together with the surface's closed-form normal n,
+evaluable at scalar and jet arguments.  One third-order jet pass gives the
+exact 6x3 Jacobian, 6x3x3 Hessian and 6x3x3x3 third derivatives of the chart
+and the value and 6x3 Jacobian of n, from which the induced metric, unit
+normal, second fundamental form, shape operator, and principal curvatures
+follow.
 
 Second derivatives of the chart are enough for Christoffel symbols; the
 third-order quantities (intrinsic curvature, covariant derivatives of the
 shape operator, derivatives of C and V) are exact too.  ``point_derivatives``
 gives the chart derivatives of N, g, b, A, C and V at a point, with dN taken
-from a jet evaluation of the surface's closed-form normal, and
-``structural_residuals`` checks grad C = -2AV, nabla V = CA - TA, Gauss and
-Codazzi from them.
+from the Jacobian of the closed-form normal that the same jet pass carries,
+and ``structural_residuals`` checks grad C = -2AV, nabla V = CA - TA, Gauss
+and Codazzi from them.
 
 The second fundamental form is computed from the ambient identity
 b_ij = <d_i d_j Phi, N>: N is orthogonal to the position directions (p,0) and
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,22 +53,21 @@ class DegenerateProductAngleError(ValueError):
 
 @dataclass(frozen=True)
 class Hypersurface:
-    """Chart map of an immersed hypersurface with optional closed-form normal.
+    """Chart map of an immersed hypersurface with its closed-form normal.
 
-    ``chart`` takes a 3-sequence of scalars (float or ``Jet``) and
-    returns the two hyperboloid factors as 3-sequences of the same scalar
-    type.  ``normal_hint``, when present, returns the 6 ambient components of
-    a (not necessarily normalized) normal field in the same generic way; it
-    fixes the orientation used everywhere downstream.
+    ``chart`` takes a 3-sequence of scalars (float or ``Jet``) and returns
+    ``(p, q, n)``: the two hyperboloid factors as 3-sequences and the 6
+    ambient components of a normal field, all of the same scalar type.  n
+    need not be unit length; it fixes the orientation used everywhere
+    downstream.
     """
 
     chart: Callable
     domain: tuple
-    normal_hint: Optional[Callable] = None
     name: str = ""
 
     def point(self, u) -> np.ndarray:
-        p, q = self.chart([float(x) for x in u])
+        p, q, _ = self.chart([float(x) for x in u])
         return np.array([ad.value(x) for x in (*p, *q)], dtype=float)
 
     def product_point(self, u) -> ProductPoint:
@@ -86,31 +87,29 @@ class Hypersurface:
 
 @dataclass(frozen=True)
 class ChartJet:
-    """Value and first three derivatives of a chart at one parameter point."""
+    """Value and first three derivatives of a chart at one parameter point,
+    with the value and Jacobian of its closed-form normal."""
 
     u: np.ndarray
     val: np.ndarray   # (6,)
     jac: np.ndarray   # (6,3)
     hess: np.ndarray  # (6,3,3)
     d3: np.ndarray    # (6,3,3,3)
+    n: np.ndarray     # (6,) raw normal, not normalized
+    dn: np.ndarray    # (6,3)
 
 
-def _jet_arrays(comps):
-    """Value, gradient, Hessian and third derivatives of a list of scalars or jets."""
-    n = len(comps)
-    val, d, dd, ddd = np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3, 3)), np.zeros((n, 3, 3, 3))
-    for i, c in enumerate(comps):
+def chart_jet(M: Hypersurface, u) -> ChartJet:
+    """One jet pass over the 12 components of the chart and its normal."""
+    u = np.asarray(u, dtype=float)
+    p, q, n = M.chart(ad.jet_variables(u))
+    val, d, dd, ddd = np.zeros(12), np.zeros((12, 3)), np.zeros((12, 3, 3)), np.zeros((12, 3, 3, 3))
+    for i, c in enumerate((*p, *q, *n)):
         if isinstance(c, ad.Jet):
             val[i], d[i], dd[i], ddd[i] = c.val, c.d, c.dd, c.ddd
         else:
             val[i] = float(c)
-    return val, d, dd, ddd
-
-
-def chart_jet(M: Hypersurface, u) -> ChartJet:
-    u = np.asarray(u, dtype=float)
-    p, q = M.chart(ad.jet_variables(u))
-    return ChartJet(u, *_jet_arrays((*p, *q)))
+    return ChartJet(u, val[:6], d[:6], dd[:6], ddd[:6], val[6:], d[6:])
 
 
 def _normal_from_constraints(jet) -> np.ndarray:
@@ -131,13 +130,6 @@ def _normal_from_constraints(jet) -> np.ndarray:
     if n2 <= 0.0:
         raise NormalSpaceError("normal direction is not spacelike")
     return v / math.sqrt(n2)
-
-
-def _fix_normal_sign(n: np.ndarray) -> np.ndarray:
-    for c in n:
-        if abs(c) > 1e-9:
-            return n if c > 0.0 else -n
-    return n
 
 
 def _induced_metric(jet: ChartJet) -> tuple[np.ndarray, float]:
@@ -163,23 +155,26 @@ class PointGeometry:
     val, jac : ambient position (6,) and chart Jacobian (6,3)
     g : induced metric (3,3); A : shape operator in the coordinate basis
     lambdas : principal curvatures, ascending
+    n, dn : the chart's raw closed-form normal (6,) and its Jacobian (6,3)
     N, V : ambient unit normal and tangential part of PN (6,)
     C, H, rho, K : product angle, mean, scalar, and Gauss-Kronecker curvature
     """
 
-    def __init__(self, M: Hypersurface, jet: ChartJet, N: np.ndarray,
-                 g: np.ndarray, sigma_min: float):
+    def __init__(self, jet: ChartJet, g: np.ndarray, sigma_min: float):
         # g and sigma_min come from _induced_metric(jet), which point_geometry
-        # runs before it computes the normal
-        self.surface = M
+        # runs first, so a rank-deficient chart raises ChartRankError before
+        # the normal is normalized
         self.u = jet.u
         self.val = jet.val
         self.jac = jet.jac
         self.hess = jet.hess
         self.d3 = jet.d3
+        self.n = jet.n
+        self.dn = jet.dn
         self.g = g
         self.sigma_min = sigma_min
 
+        N = jet.n / math.sqrt(ambient_inner(jet.n, jet.n))
         self.N = N
         if abs(ambient_inner(N, N) - 1.0) > NORMAL_TOL:
             raise NormalSpaceError("normal is not unit")
@@ -258,19 +253,12 @@ class PointGeometry:
 def point_geometry(M: Hypersurface, u) -> PointGeometry:
     """Full per-point geometry bundle of a hypersurface chart.
 
-    The normal orientation comes from ``M.normal_hint`` when present;
-    otherwise the nullspace normal is signed to make its first nonzero
-    ambient coordinate positive.
+    One chart jet gives everything; the unit normal is the chart's normal
+    normalized, so the chart fixes the orientation.
     """
     jet = chart_jet(M, u)
     g, sigma_min = _induced_metric(jet)
-    if M.normal_hint is not None:
-        raw = M.normal_hint([float(x) for x in u])
-        n = np.array([ad.value(x) for x in raw], dtype=float)
-        n = n / math.sqrt(ambient_inner(n, n))
-    else:
-        n = _fix_normal_sign(_normal_from_constraints(jet))
-    return PointGeometry(M, jet, n, g, sigma_min)
+    return PointGeometry(jet, g, sigma_min)
 
 
 class PointDerivatives(NamedTuple):
@@ -291,18 +279,13 @@ class PointDerivatives(NamedTuple):
 def point_derivatives(pg: PointGeometry) -> PointDerivatives:
     """dN, dg, db, dA, dC and dV at pg.u, exact to roundoff.
 
-    dN differentiates the normalized ``normal_hint`` evaluated on jet
-    variables, independently of A, so grad C = -2AV and the Codazzi
-    equation do not hold by construction.  Raises ``ValueError`` for a
-    surface without a normal hint.
+    dN normalizes the Jacobian of the chart's closed-form normal, which the
+    chart jet already carries, so no chart is evaluated here.  It does not
+    come from A, so grad C = -2AV and the Codazzi equation do not hold by
+    construction.
     """
-    M = pg.surface
-    if M.normal_hint is None:
-        raise ValueError(f"exact derivatives need a normal_hint ({M.name or 'unnamed surface'})")
-    n, dn, _, _ = _jet_arrays(M.normal_hint(ad.jet_variables(pg.u)))
-    length = math.sqrt(ambient_inner(n, n))
-    N = n / length
-    dN = (dn - np.outer(N, N @ ETA6 @ dn)) / length
+    length = math.sqrt(ambient_inner(pg.n, pg.n))
+    dN = (pg.dn - np.outer(pg.N, pg.N @ ETA6 @ pg.dn)) / length
     half = np.einsum("aki,aj->kij", pg.hess, ETA6 @ pg.jac)
     dg = half + half.transpose(0, 2, 1)
     db = (np.einsum("akij,a->kij", pg.d3, ETA6 @ pg.N)
@@ -356,18 +339,14 @@ def tangential_T(pg: PointGeometry, X, tol: float = 1e-8) -> np.ndarray:
 # intrinsic quantities from the metric
 # ---------------------------------------------------------------------------
 
-def christoffels(M: Hypersurface, u, jet: Optional[ChartJet] = None) -> np.ndarray:
+def christoffels(pg: PointGeometry) -> np.ndarray:
     """Christoffel symbols Gamma[l, i, j] of the induced metric (AD-exact).
 
     Gamma^l_ij = g^{lm} <d_m Phi, d_i d_j Phi>, the ambient form of
-    1/2 g^{lm} (d_i g_{jm} + d_j g_{im} - d_m g_{ij}).  ``jet`` may be a
-    ``ChartJet`` or a ``PointGeometry`` at u (both carry ``jac`` and
-    ``hess``); without it the chart jet at u is evaluated.
+    1/2 g^{lm} (d_i g_{jm} + d_j g_{im} - d_m g_{ij}).
     """
-    jet = jet if jet is not None else chart_jet(M, u)
-    g = jet.jac.T @ ETA6 @ jet.jac
-    first_kind = np.einsum("am,aij->mij", ETA6 @ jet.jac, jet.hess)
-    return np.linalg.solve(0.5 * (g + g.T), first_kind.reshape(3, 9)).reshape(3, 3, 3)
+    first_kind = np.einsum("am,aij->mij", ETA6 @ pg.jac, pg.hess)
+    return np.linalg.solve(pg.g, first_kind.reshape(3, 9)).reshape(3, 3, 3)
 
 
 class StructuralResiduals(NamedTuple):
@@ -393,7 +372,7 @@ def structural_residuals(pg: PointGeometry) -> StructuralResiduals:
     """
     d = point_derivatives(pg)
     dA, dC, dV = d.dA, d.dC, d.dV
-    gam = christoffels(pg.surface, pg.u, jet=pg)
+    gam = christoffels(pg)
     # d_k Gamma^l_ij = g^{lm} (d_k <d_m Phi, d_i d_j Phi> - d_k g_mp Gamma^p_ij)
     etaH = np.einsum("ab,bij->aij", ETA6, pg.hess)
     d_first = (np.einsum("akm,aij->kmij", pg.hess, etaH)

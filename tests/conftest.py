@@ -11,6 +11,17 @@ def domain_samples(surface, n, seed=0):
     return sobol_points(surface.domain, n, seed)
 
 
+def counted_chart(surface):
+    """The surface with a chart that counts its evaluations in ``calls``."""
+    calls = []
+
+    def chart(u):
+        calls.append(u)
+        return surface.chart(u)
+
+    return sc.Hypersurface(chart=chart, domain=surface.domain, name=surface.name), calls
+
+
 @pytest.fixture(scope="session")
 def m_gamma_geodesic():
     return mz.make_M_Gamma(0.0)
@@ -61,8 +72,8 @@ def level_set():
     """The level set cosh(r_p) cosh(r_q) = 3, r_p and r_q the distances of p and q from (1,0,0).
 
     Unlike the model zoo, its product angle C varies from point to point and
-    its normal hint is not unit, so dC, dV and the normalization of the hint
-    enter every exact derivative.  The hint is the gradient of
+    its chart's normal is not unit, so dC, dV and the normalization of the
+    normal enter every exact derivative.  The normal is the gradient of
     <p,e><q,e> (e = (1,0,0)) projected onto T(H² x H²).
     """
     k = 3.0
@@ -72,13 +83,11 @@ def level_set():
         ch = k / ad.cosh(r)
         sh = ad.sqrt(ch * ch - 1.0)
         p = [ad.cosh(r), ad.sinh(r) * ad.cos(phi), ad.sinh(r) * ad.sin(phi)]
-        return p, [ch, sh * ad.cos(psi), sh * ad.sin(psi)]
-
-    def hint(u):
-        p, q = chart(u)
+        q = [ch, sh * ad.cos(psi), sh * ad.sin(psi)]
         e = (1.0, 0.0, 0.0)
-        return ([-q[0] * (e[i] - p[0] * p[i]) for i in range(3)]
-                + [-p[0] * (e[i] - q[0] * q[i]) for i in range(3)])
+        n = ([-q[0] * (e[i] - p[0] * p[i]) for i in range(3)]
+             + [-p[0] * (e[i] - q[0] * q[i]) for i in range(3)])
+        return p, q, n
 
     return sc.Hypersurface(chart=chart, domain=((0.3, 1.0), (0.2, 1.8), (0.2, 1.8)),
-                           normal_hint=hint, name="level_set")
+                           name="level_set")

@@ -12,7 +12,7 @@ from h2h2 import parallel_flow as pf
 from h2h2 import report as rp
 from h2h2 import surface_calculus as sc
 
-from conftest import domain_samples
+from conftest import counted_chart, domain_samples
 
 sym_entries = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -250,6 +250,15 @@ class TestParallelPoints:
         pgl = sc.point_geometry(pf.parallel_surface(surface, l), u)
         assert np.max(np.abs(pgl.N - nl)) < 1e-10
         assert np.max(np.abs(pgl.jac.T @ sc.ETA6 @ nl)) < 1e-9
+
+    def test_parallel_chart_calls_the_base_chart_once(self, m_kk_tanh):
+        base, calls = counted_chart(m_kk_tanh[0])
+        u = np.array([0.1, 0.4, -0.2])
+        parallel = pf.parallel_surface(base, 0.45)
+        parallel.chart(ad.jet_variables(u))
+        assert len(calls) == 1
+        sc.point_geometry(parallel, u)
+        assert len(calls) == 2
 
 
 class TestEq35:

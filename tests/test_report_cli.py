@@ -36,6 +36,13 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "c out of range (0,1)" in err
 
+    def test_geometric_failure_exit_one(self, capsys):
+        # a valid call whose tube is nearly focal: the chart loses rank at a
+        # sample point, which is a failed run, not a usage error
+        assert run_cli(["verify", "--model", "M_tau", "--tau=-1.0000000000001",
+                        "--samples", "20"]) == 1
+        assert "error: chart differential is rank-deficient" in capsys.readouterr().err
+
     def test_bad_l_grid_exit_two(self):
         assert run_cli(["verify", "--model", "M_tau", "--tau", "-2",
                         "--l-grid", "0:1:-0.5"]) == 2

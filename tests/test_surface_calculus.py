@@ -10,20 +10,27 @@ from h2h2 import model_zoo as mz
 from h2h2 import product_space as ps
 from h2h2 import surface_calculus as sc
 
-from conftest import domain_samples
+from conftest import counted_chart, domain_samples
 
 
 def polar(rho, phi):
     return [ad.cosh(rho), ad.sinh(rho) * ad.cos(phi), ad.sinh(rho) * ad.sin(phi)]
 
 
+def e_rho(rho, phi):
+    """Unit radial direction d/drho of polar(rho, phi)."""
+    return [ad.sinh(rho), ad.cosh(rho) * ad.cos(phi), ad.cosh(rho) * ad.sin(phi)]
+
+
 @pytest.fixture(scope="module")
-def hintless_surface():
-    # graph-like surface with no closed-form normal: exercises the
-    # nullspace route and the deterministic sign rule
+def graph_surface():
+    # q lies at distance r_q(u1) = 0.8 + 0.3 sin u1 from the origin, so the
+    # normal pairs -r_q'(u1) e_rho in the first factor with e_rho in the second
     def chart(u):
         u1, u2, u3 = u
-        return polar(u1, u2), polar(0.8 + 0.3 * ad.sin(u1), u3)
+        r_q = 0.8 + 0.3 * ad.sin(u1)
+        n = [-0.3 * ad.cos(u1) * x for x in e_rho(u1, u2)] + e_rho(r_q, u3)
+        return polar(u1, u2), polar(r_q, u3), n
 
     return sc.Hypersurface(chart=chart, domain=((0.4, 1.4), (0.2, 1.8), (0.2, 1.8)),
                            name="graph")
@@ -44,20 +51,22 @@ class TestChartJet:
             assert np.max(np.abs(jet.hess[:, m, m] - fdd)) < 1e-4
 
     def test_chart_evaluates_at_all_orders(self, m_11_03):
-        # scalar and jet arguments give the same chart point
+        # scalar and jet arguments give the same chart point and normal
         surface, _ = m_11_03
         u = np.array([0.3, -0.5, 0.8])
-        val = surface.point(u)
-        p, q = surface.chart(ad.jet_variables(u))
-        for i, comp in enumerate((*p, *q)):
+        p0, q0, n0 = surface.chart([float(x) for x in u])
+        p, q, n = surface.chart(ad.jet_variables(u))
+        for comp, want in zip((*p, *q, *n), (*p0, *q0, *n0)):
             assert isinstance(comp, ad.Jet)
-            assert ad.value(comp) == pytest.approx(val[i], abs=1e-14)
+            assert ad.value(comp) == pytest.approx(want, abs=1e-14)
 
     def test_third_derivatives_of_polynomial_chart(self):
-        # components x^2 y z, y^3, x z^2 + z, and three constants
+        # components x^2 y z, y^3, x z^2 + z, and three constants; the
+        # normal x y, z^2 and four constants rides in the same jet pass
         def chart(u):
             x, y, z = u
-            return [x * x * y * z, y ** 3, x * z * z + z], [1.0, 0.0, 0.0]
+            return ([x * x * y * z, y ** 3, x * z * z + z], [1.0, 0.0, 0.0],
+                    [x * y, z * z, 1.0, 0.0, 0.0, 0.0])
 
         surface = sc.Hypersurface(chart=chart, domain=((0, 1),) * 3, name="polynomial")
         x, y, z = 0.6, -1.1, 1.7
@@ -71,6 +80,11 @@ class TestChartJet:
                 for perm in itertools.permutations(idx):
                     want[(comp, *perm)] = v
         assert np.array_equal(jet.d3, want)
+        assert np.array_equal(jet.n, [x * y, z * z, 1.0, 0.0, 0.0, 0.0])
+        want_dn = np.zeros((6, 3))
+        want_dn[0] = [y, x, 0.0]
+        want_dn[1] = [0.0, 0.0, 2 * z]
+        assert np.array_equal(jet.dn, want_dn)
 
     def test_m_tau_chart_derivatives_match_closed_form(self, m_tau_m2):
         # each M_tau component is a sum of separable terms c f1(u1) f2(u2) f3(u3),
@@ -118,7 +132,7 @@ class TestChartJet:
     def test_rank_deficient_chart_raises(self):
         def chart(u):
             u1, u2, u3 = u
-            return polar(u1, u2), polar(1.0, 0.5 + 0.0 * u3)
+            return polar(u1, u2), polar(1.0, 0.5 + 0.0 * u3), [0.0] * 3 + e_rho(1.0, 0.5)
 
         bad = sc.Hypersurface(chart=chart, domain=((0.5, 1), (0.5, 1), (0.5, 1)))
         with pytest.raises(sc.ChartRankError):
@@ -178,19 +192,16 @@ class TestPointGeometry:
 
 
 class TestNormalWithoutHint:
-    def test_nullspace_normal(self, hintless_surface):
-        for u in domain_samples(hintless_surface, 12, seed=3):
-            pg = sc.point_geometry(hintless_surface, u)
+    """The nullspace normal, found from the chart's Jacobian without its normal."""
+
+    def test_nullspace_normal(self, graph_surface):
+        for u in domain_samples(graph_surface, 12, seed=3):
+            pg = sc.point_geometry(graph_surface, u)
             assert abs(ps.ambient_inner(pg.N, pg.N) - 1.0) < 1e-10
             assert np.max(np.abs(pg.jac.T @ ps.ETA6 @ pg.N)) < 1e-10
-
-    def test_sign_rule_deterministic(self, hintless_surface):
-        u = np.array([0.9, 1.0, 0.7])
-        n1 = sc.point_geometry(hintless_surface, u).N
-        n2 = sc.point_geometry(hintless_surface, u).N
-        assert np.array_equal(n1, n2)
-        nz = n1[np.abs(n1) > 1e-9]
-        assert nz[0] > 0
+            # it agrees with the chart's own normal up to sign
+            n_null = sc._normal_from_constraints(pg)
+            assert min(np.max(np.abs(n_null - pg.N)), np.max(np.abs(n_null + pg.N))) < 1e-10
 
 
 class TestAngleOperators:
@@ -362,12 +373,22 @@ class TestExactDerivatives:
         sc.structural_residuals(pg)
         assert calls == {"point_geometry": 0, "chart_jet": 0}
 
-    def test_hintless_surface_raises(self, hintless_surface):
-        pg = sc.point_geometry(hintless_surface, np.array([0.9, 1.0, 0.7]))
-        with pytest.raises(ValueError, match="normal_hint"):
-            sc.structural_residuals(pg)
-        with pytest.raises(ValueError, match="normal_hint"):
+
+class TestOneChartPass:
+    @pytest.mark.parametrize("spec", [mz.ModelSpec("M_Gamma", {"kappa_gamma": 0.5}),
+                                      mz.ModelSpec("M_1m1", {"c": 0.4}),
+                                      mz.ModelSpec("M_kk", {"c": 0.5, "kappa": "tanh",
+                                                            "kappa_tilde": "one"}),
+                                      mz.ModelSpec("M_tau", {"tau": -2.0})])
+    def test_one_chart_evaluation_per_point(self, spec):
+        surface, calls = counted_chart(mz.build_model(spec)[0])
+        for k, u in enumerate(domain_samples(surface, 4), start=1):
+            pg = sc.point_geometry(surface, u)
+            assert len(calls) == k
+            assert all(isinstance(x, ad.Jet) for x in calls[-1])
             sc.point_derivatives(pg)
+            sc.structural_residuals(pg)
+            assert len(calls) == k
 
 
 class TestRicciSectional:
@@ -430,7 +451,6 @@ class TestChartIndependence:
         reparam = sc.Hypersurface(
             chart=lambda u: surface.chart(warp(u)),
             domain=surface.domain,
-            normal_hint=lambda u: surface.normal_hint(warp(u)),
             name="reparametrized")
 
         for u in domain_samples(surface, 8, seed=5):
