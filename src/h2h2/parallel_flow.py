@@ -254,7 +254,10 @@ def _detq_terms(af: AdaptedFrame):
     """
     a = af.A
     h12, h13, h23 = af.principal_minors()
-    k = float(np.linalg.det(a))
+    # det A by cofactors: an LU factorization divides by pivots, which
+    # overflows on nearly singular A with subnormal entries
+    k = float(a[0, 0] * h23 - a[0, 1] * (a[0, 1] * a[2, 2] - a[0, 2] * a[1, 2])
+              + a[0, 2] * (a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]))
     return ((1.0, -a[0, 0], 0, 0),
             (-a[1, 1], h12, 1, 0),
             (-a[2, 2], h13, 0, 1),
