@@ -6,6 +6,17 @@ propagates all four orders exactly (Griewank & Walther, *Evaluating
 Derivatives*, ch. 13), so evaluating a chart on ``jet_variables(u)`` gives its
 first, second and third derivatives in one pass, with no truncation error.
 
+A jet has a leading batch shape B: ``val`` is (*B,), ``d`` (*B,k), ``dd``
+(*B,k,k) and ``ddd`` (*B,k,k,k), and the arithmetic broadcasts over B, so one
+pass over ``jet_variables(U)`` with U of shape (n, 3) evaluates a chart at n
+points (the chunked dual numbers of ForwardDiff.jl, Revels, Lubin &
+Papamarkou, arXiv:1607.07892).  B = () is the one-point jet, whose ``val`` is
+a plain float.  Every row of a batch is bit for bit the one-point jet of its
+point: the arithmetic is elementwise, and the elementary functions and powers
+take their values from ``math.*`` and Python's ``**`` element by element,
+because numpy's vectorized ``cosh``, ``power`` and the like differ from them
+in the last bit on part of their arguments.
+
 Plain floats pass through every function here unchanged, so chart code can be
 written once and evaluated at scalar or jet arguments.
 """
@@ -13,7 +24,7 @@ written once and evaluated at scalar or jet arguments.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -23,18 +34,32 @@ _NUMBER = (int, float, np.integer, np.floating)
 
 
 def _sym3(t: np.ndarray) -> np.ndarray:
-    """t[i,j,k] + t[i,k,j] + t[j,k,i]: for t = a_ij b_k, the sum over the three
-    ways of splitting {i,j,k} into a pair and a single index."""
-    return t + t.transpose(0, 2, 1) + t.transpose(2, 0, 1)
+    """t[i,j,k] + t[i,k,j] + t[j,k,i] over the last three axes: for t = a_ij b_k,
+    the sum over the three ways of splitting {i,j,k} into a pair and a single index."""
+    return t + t.swapaxes(-1, -2) + t.swapaxes(-3, -1).swapaxes(-2, -1)
+
+
+def _rows(c, k: int):
+    """A float, or a (*B,) array lined up against k trailing derivative axes."""
+    return c.reshape(c.shape + (1,) * k) if isinstance(c, np.ndarray) else c
+
+
+def elementwise(fn, v):
+    """fn(v) for a float, or fn of every element of an array by scalar calls."""
+    if isinstance(v, np.ndarray) and v.ndim:
+        return np.fromiter(map(fn, v.ravel().tolist()), float, v.size).reshape(v.shape)
+    return fn(v)
 
 
 class Jet:
-    """Third-order forward-mode scalar: value, gradient, Hessian, third derivatives."""
+    """Third-order forward-mode scalar, or batch of them: value, gradient,
+    Hessian, third derivatives."""
 
     __slots__ = ("val", "d", "dd", "ddd")
 
-    def __init__(self, val: float, d, dd, ddd):
-        self.val = float(val)
+    def __init__(self, val, d, dd, ddd):
+        batched = isinstance(val, np.ndarray) and val.ndim
+        self.val = np.asarray(val, dtype=float) if batched else float(val)
         self.d = np.asarray(d, dtype=float)
         self.dd = np.asarray(dd, dtype=float)
         self.ddd = np.asarray(ddd, dtype=float)
@@ -71,13 +96,14 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b = self, other
-            cross = np.multiply.outer(a.d, b.d)
-            mixed = np.multiply.outer(a.dd, b.d) + np.multiply.outer(b.dd, a.d)
+            cross = a.d[..., :, None] * b.d[..., None, :]
+            mixed = (a.dd[..., None] * b.d[..., None, None, :]
+                     + b.dd[..., None] * a.d[..., None, None, :])
             return Jet(
                 a.val * b.val,
-                a.val * b.d + b.val * a.d,
-                a.val * b.dd + b.val * a.dd + cross + cross.T,
-                a.val * b.ddd + b.val * a.ddd + _sym3(mixed),
+                _rows(a.val, 1) * b.d + _rows(b.val, 1) * a.d,
+                _rows(a.val, 2) * b.dd + _rows(b.val, 2) * a.dd + cross + cross.swapaxes(-1, -2),
+                _rows(a.val, 3) * b.ddd + _rows(b.val, 3) * a.ddd + _sym3(mixed),
             )
         if isinstance(other, _NUMBER):
             return Jet(self.val * other, self.d * other, self.dd * other, self.ddd * other)
@@ -105,32 +131,38 @@ class Jet:
         if not isinstance(n, _NUMBER):
             return NotImplemented
         v = self.val
-        return _lift(self, v ** n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2),
-                     n * (n - 1) * (n - 2) * v ** (n - 3))
+
+        def power(m):
+            return elementwise(lambda x: x ** m, v)
+
+        return _lift(self, power(n), n * power(n - 1), n * (n - 1) * power(n - 2),
+                     n * (n - 1) * (n - 2) * power(n - 3))
 
 
-def _lift(x: Jet, f0: float, f1: float, f2: float, f3: float) -> Jet:
+def _lift(x: Jet, f0, f1, f2, f3) -> Jet:
     """f(x) for f known by its derivatives f0..f3 at x.val (Faà di Bruno)."""
-    dd = np.multiply.outer(x.d, x.d)
-    return Jet(f0, f1 * x.d, f2 * dd + f1 * x.dd,
-               f3 * np.multiply.outer(dd, x.d) + f2 * _sym3(np.multiply.outer(x.dd, x.d))
-               + f1 * x.ddd)
+    dd = x.d[..., :, None] * x.d[..., None, :]
+    return Jet(f0, _rows(f1, 1) * x.d, _rows(f2, 2) * dd + _rows(f1, 2) * x.dd,
+               _rows(f3, 3) * (dd[..., None] * x.d[..., None, None, :])
+               + _rows(f2, 3) * _sym3(x.dd[..., None] * x.d[..., None, None, :])
+               + _rows(f1, 3) * x.ddd)
 
 
-def value(x: Scalar) -> float:
-    """Plain float value of a scalar or jet."""
+def value(x: Scalar):
+    """Value of a scalar or jet: a float, or a (*B,) array for a batch of jets."""
     if isinstance(x, Jet):
         return x.val
     return float(x)
 
 
-def compose_jet(f0: float, f1: float, f2: float, f3: float, x: Scalar) -> Scalar:
+def compose_jet(f0, f1, f2, f3, x: Scalar) -> Scalar:
     """Chain rule through a scalar argument for a function known by its jet.
 
     Given f(x0)=f0, f'(x0)=f1, f''(x0)=f2, f'''(x0)=f3 at x0=value(x), returns
-    f(x) as a jet when x is one, else f0.  Used to push chart coordinates
-    through quantities (such as integrated curves) whose derivatives are
-    known from structure rather than from elementary arithmetic.
+    f(x) as a jet when x is one, else f0.  For a batch the f's are (*B,)
+    arrays.  Used to push chart coordinates through quantities (such as
+    integrated curves) whose derivatives are known from structure rather than
+    from elementary arithmetic.
     """
     if isinstance(x, Jet):
         return _lift(x, f0, f1, f2, f3)
@@ -139,54 +171,61 @@ def compose_jet(f0: float, f1: float, f2: float, f3: float, x: Scalar) -> Scalar
 
 def sqrt(x: Scalar) -> Scalar:
     v = value(x)
-    s = math.sqrt(v)
+    s = elementwise(math.sqrt, v)
     return compose_jet(s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v), x)
 
 
 def exp(x: Scalar) -> Scalar:
-    e = math.exp(value(x))
+    e = elementwise(math.exp, value(x))
     return compose_jet(e, e, e, e, x)
 
 
 def log(x: Scalar) -> Scalar:
     v = value(x)
-    return compose_jet(math.log(v), 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v), x)
+    return compose_jet(elementwise(math.log, v), 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v), x)
 
 
 def sin(x: Scalar) -> Scalar:
     v = value(x)
-    s, c = math.sin(v), math.cos(v)
+    s, c = elementwise(math.sin, v), elementwise(math.cos, v)
     return compose_jet(s, c, -s, -c, x)
 
 
 def cos(x: Scalar) -> Scalar:
     v = value(x)
-    s, c = math.sin(v), math.cos(v)
+    s, c = elementwise(math.sin, v), elementwise(math.cos, v)
     return compose_jet(c, -s, -c, s, x)
 
 
 def sinh(x: Scalar) -> Scalar:
     v = value(x)
-    s, c = math.sinh(v), math.cosh(v)
+    s, c = elementwise(math.sinh, v), elementwise(math.cosh, v)
     return compose_jet(s, c, s, c, x)
 
 
 def cosh(x: Scalar) -> Scalar:
     v = value(x)
-    s, c = math.sinh(v), math.cosh(v)
+    s, c = elementwise(math.sinh, v), elementwise(math.cosh, v)
     return compose_jet(c, s, c, s, x)
 
 
 def tanh(x: Scalar) -> Scalar:
-    t = math.tanh(value(x))
+    t = elementwise(math.tanh, value(x))
     sech2 = 1.0 - t * t
     return compose_jet(t, sech2, -2.0 * t * sech2, 2.0 * sech2 * (3.0 * t * t - 1.0), x)
 
 
-def jet_variables(u: Sequence[float]) -> list[Jet]:
-    """Seed one Jet per coordinate: gradients the standard basis, higher orders zero."""
-    n = len(u)
-    eye = np.eye(n)
-    dd = np.zeros((n, n))
-    ddd = np.zeros((n, n, n))
-    return [Jet(u[i], eye[i], dd, ddd) for i in range(n)]
+def jet_variables(u) -> list[Jet]:
+    """Seed one Jet per coordinate: gradients the standard basis, higher orders zero.
+
+    u of shape (k,) gives one-point jets; u of shape (*B, k) gives jets of
+    batch shape B, one row per point.
+    """
+    u = np.asarray(u, dtype=float)
+    batch, k = u.shape[:-1], u.shape[-1]
+    eye = np.eye(k)
+    dd = np.zeros(batch + (k, k))
+    ddd = np.zeros(batch + (k, k, k))
+    if not batch:
+        return [Jet(float(u[i]), eye[i], dd, ddd) for i in range(k)]
+    return [Jet(u[..., i], np.broadcast_to(eye[i], batch + (k,)), dd, ddd) for i in range(k)]

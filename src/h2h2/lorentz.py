@@ -246,8 +246,16 @@ class PlaneCurve:
                 self._kmin -= 1
             return self._knots[k]
 
-    def _frame(self, r: float) -> np.ndarray:
-        """The 3x3 frame [gamma | T | N] at arc length r."""
+    def _frame(self, r) -> np.ndarray:
+        """The 3x3 frame [gamma | T | N] at arc length r; (*B,3,3) for an array of r."""
+        if isinstance(r, np.ndarray) and r.ndim:
+            if callable(self.kappa):
+                frames = [self._frame(x) for x in r.ravel().tolist()]
+                return np.stack(frames).reshape(r.shape + (3, 3))
+            coeffs = [_exp_coefficients(x) for x in (r * r * self._w2).ravel().tolist()]
+            s, c = np.array(coeffs).T.reshape((2,) + r.shape)
+            F0, F1, F2 = self._terms
+            return F0 + (s * r)[..., None, None] * F1 + (c * r * r)[..., None, None] * F2
         if not callable(self.kappa):
             s, c = _exp_coefficients(r * r * self._w2)
             F0, F1, F2 = self._terms
@@ -273,20 +281,34 @@ class PlaneCurve:
             N''' = (kappa³ - kappa - kappa'') T - 2 kappa' gamma - 3 kappa kappa' N,
 
         with kappa' and kappa'' from one jet evaluation of a curvature function.
+        A batched r gets closed-form frames over the array for constant kappa,
+        and one Magnus frame per point, stacked, for a curvature function.
         """
         r0 = ad.value(r)
-        st = self.state(r0)
-        k, kp, kpp = st.kappa, 0.0, 0.0
+        F = self._frame(r0)
+        # the columns gamma, T, N, component first: (3, *B) each
+        g, t, n = F.T if F.ndim <= 3 else np.moveaxis(F, (-1, -2), (0, 1))
+        # the test of CurveState, at every point of a batch
+        residual = np.abs(np.array([lorentz_inner(g, g) + 1.0, lorentz_inner(t, t) - 1.0,
+                                    lorentz_inner(n, n) - 1.0, lorentz_inner(g, t),
+                                    lorentz_inner(g, n), lorentz_inner(t, n)])).max(0)
+        scale = np.maximum(1.0, g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
+        if (residual > FRAME_TOL * scale).any():
+            raise ValueError("curve frame is not Lorentz-orthonormal")
+        if not isinstance(r, ad.Jet):
+            return list(g), list(n)
         if callable(self.kappa):
-            kj = self.kappa(ad.jet_variables([r0])[0])
+            kj = self.kappa(ad.jet_variables(np.asarray(r0)[..., None])[0])
+            k, kp, kpp = ad.value(kj), 0.0, 0.0
             if isinstance(kj, ad.Jet):
-                kp, kpp = float(kj.d[0]), float(kj.dd[0, 0])
-        g, t, n = st.gamma, st.tangent, st.normal
+                kp, kpp = kj.d[..., 0], kj.dd[..., 0, 0]
+        else:
+            k, kp, kpp = float(self.kappa), 0.0, 0.0
         gdd = g + k * n
         gddd = (1.0 - k * k) * t + kp * n
         nd = -k * t
         ndd = -kp * t - k * gdd
-        nddd = (k ** 3 - k - kpp) * t - 2.0 * kp * g - 3.0 * k * kp * n
+        nddd = (ad.elementwise(lambda x: x ** 3, k) - k - kpp) * t - 2.0 * kp * g - 3.0 * k * kp * n
         return ([ad.compose_jet(g[i], t[i], gdd[i], gddd[i], r) for i in range(3)],
                 [ad.compose_jet(n[i], nd[i], ndd[i], nddd[i], r) for i in range(3)])
 

@@ -479,11 +479,12 @@ def isoparametric_scan(M: Hypersurface, sample_points, l_grid,
     curvature of kappa = H(u).  Focal values of l, detected by sign changes
     of det Q between grid nodes, are excluded from the spreads and flagged;
     every base point's sign changes are bisected to full precision, and
-    roots that agree within 1e-9 are reported once.  Each base point is
-    evaluated once over the whole grid.
+    roots that agree within 1e-9 are reported once.  The base points take
+    one batched ``point_geometry`` call, and each is evaluated once over the
+    whole grid.
     """
     l_grid = np.asarray(l_grid, dtype=float)
-    pgs = [point_geometry(M, u) for u in sample_points]
+    pgs = point_geometry(M, np.asarray(sample_points, dtype=float).reshape(-1, 3))
 
     if all(abs(pg.C) > DEGENERATE_C for pg in pgs):
         mode = "curve_factor"
@@ -616,8 +617,8 @@ FRAME_ITEMS = ("v_direction_identity", "eigenframe_connections", "product_frame_
                "connection_pairing")
 
 
-def frame_identity_checks(M: Hypersurface, u) -> FrameCheckReport:
-    """Residuals of the constant-curvature frame identities at one point.
+def frame_identity_checks(pg: PointGeometry) -> FrameCheckReport:
+    """Residuals of the constant-curvature frame identities at one point bundle.
 
     Checks the V-direction derivative identity on {V}-orthogonal pairs, the
     eigenframe connection table (distinct nonzero pair of curvatures), the
@@ -626,10 +627,8 @@ def frame_identity_checks(M: Hypersurface, u) -> FrameCheckReport:
     item whose hypothesis fails numerically is reported as skipped with the
     reason, not as a failure.  Covariant derivatives are the tangential
     projections of exact field Jacobians, nabla_X F = proj(dF xi(X)), built
-    from ``point_derivatives``, so only the point itself is evaluated.
+    from ``point_derivatives``, so no chart is evaluated.
     """
-    u = np.asarray(u, dtype=float)
-    pg = point_geometry(M, u)
     items: list[CheckItem] = []
 
     if abs(pg.C) > DEGENERATE_C:

@@ -206,12 +206,17 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
     results: list[CheckResult] = []
     degenerate = abs(oracle.C) >= 1.0 - 1e-9
 
-    pgs = [sc.point_geometry(surface, u) for u in pts]
+    pgs = sc.point_geometry(surface, pts)
 
     # ---- chart validity --------------------------------------------------
+    def constraint_dev(pg):
+        # deviation of both factors from their hyperboloid constraints
+        x = pg.val
+        return max(abs(x[:3] @ ETA3 @ x[:3] + 1.0), abs(x[3:] @ ETA3 @ x[3:] + 1.0))
+
     results.append(_judged(
         "chart_constraints",
-        max(surface.constraint_residual(u) for u in pts),
+        max(constraint_dev(pg) for pg in pgs),
         cfg.tol("chart_constraints"), len(pts)))
     sig = min(pg.sigma_min for pg in pgs)
     results.append(_judged(
@@ -300,9 +305,9 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
                                cfg.tol("detq_derivatives_high"), n_par, notes="orders 4,6,8"))
 
         dev = 0.0
-        for u, pg, af in zip(pts[:n_frame], pgs[:n_frame], frames[:n_frame]):
-            for l in (0.25, -0.4):
-                pgl = sc.point_geometry(pf.parallel_surface(surface, l), u)
+        for l in (0.25, -0.4):
+            pgls = sc.point_geometry(pf.parallel_surface(surface, l), pts[:n_frame])
+            for pgl, af in zip(pgls, frames[:n_frame]):
                 dev = max(dev, float(np.max(np.abs(pgl.lambdas - pf.parallel_lambdas(af, l)))),
                           abs(pgl.H - pf.mean_curvature_of_parallel(af, l)))
         results.append(_judged(
@@ -346,7 +351,7 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
         results.append(_skipped("frame_identities", cfg.tol("frame_identities"),
                                 "skipped: degenerate product angle (C^2 = 1)"))
     else:
-        reps = [pf.frame_identity_checks(surface, u) for u in pts[:n_frame]]
+        reps = [pf.frame_identity_checks(pg) for pg in pgs[:n_frame]]
         skipped_items = sorted({it.name for rep in reps for it in rep.items if it.skipped})
         gaps = [rep.min_gap for rep in reps if rep.min_gap is not None]
         notes = [f"hypothesis-guarded skips: {', '.join(skipped_items)}"] if skipped_items else []
@@ -648,7 +653,7 @@ def lemma_residual_rows() -> list[dict]:
     specs = TABLE_MODELS + [mz.ModelSpec("M_1m1", {"c": 0.5})]
     for spec in specs:
         surface, _ = mz.build_model(spec)
-        rep = pf.frame_identity_checks(surface, _center(surface))
+        rep = pf.frame_identity_checks(sc.point_geometry(surface, _center(surface)))
         for it in rep.items:
             rows.append({"model": surface.name, "identity": it.name,
                          "residual": it.residual,

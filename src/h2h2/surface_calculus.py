@@ -8,6 +8,12 @@ and the value and 6x3 Jacobian of n, from which the induced metric, unit
 normal, second fundamental form, shape operator, and principal curvatures
 follow.
 
+The pass runs on batches: ``chart_jet`` and ``point_geometry`` take one
+point (3,) or n points (n, 3), and for n points evaluate the chart once on
+jets of batch shape (n,) and do the linear algebra on stacked (n,3,3)
+arrays.  Each point's ``PointGeometry`` is one row of the batch, equal bit
+for bit to the single-point call.
+
 Second derivatives of the chart are enough for Christoffel symbols; the
 third-order quantities (intrinsic curvature, covariant derivatives of the
 shape operator, derivatives of C and V) are exact too.  ``point_derivatives``
@@ -76,21 +82,14 @@ class Hypersurface:
     def jet(self, u) -> "ChartJet":
         return chart_jet(self, u)
 
-    def constraint_residual(self, u) -> float:
-        """Deviation of both factors from their hyperboloid constraints."""
-        x = self.point(u)
-        return max(
-            abs(x[:3] @ ETA3 @ x[:3] + 1.0),
-            abs(x[3:] @ ETA3 @ x[3:] + 1.0),
-        )
-
 
 @dataclass(frozen=True)
 class ChartJet:
-    """Value and first three derivatives of a chart at one parameter point,
-    with the value and Jacobian of its closed-form normal."""
+    """Value and first three derivatives of a chart, with the value and
+    Jacobian of its closed-form normal, at one parameter point (the shapes
+    below) or at a batch of n points (one more leading axis on each)."""
 
-    u: np.ndarray
+    u: np.ndarray     # (3,)
     val: np.ndarray   # (6,)
     jac: np.ndarray   # (6,3)
     hess: np.ndarray  # (6,3,3)
@@ -100,23 +99,33 @@ class ChartJet:
 
 
 def chart_jet(M: Hypersurface, u) -> ChartJet:
-    """One jet pass over the 12 components of the chart and its normal."""
+    """One jet pass over the 12 components of the chart and its normal.
+
+    u of shape (3,) is one point; u of shape (n, 3) is n points, evaluated by
+    one chart call on jets of batch shape (n,).  A division by zero, an
+    invalid operation or an overflow in the arithmetic raises
+    FloatingPointError rather than leaving inf or NaN in a row.
+    """
     u = np.asarray(u, dtype=float)
-    p, q, n = M.chart(ad.jet_variables(u))
-    val, d, dd, ddd = np.zeros(12), np.zeros((12, 3)), np.zeros((12, 3, 3)), np.zeros((12, 3, 3, 3))
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        p, q, n = M.chart(ad.jet_variables(u))
+    batch = u.shape[:-1]
+    val, d, dd, ddd = (np.zeros(batch + (12,) + (3,) * order) for order in range(4))
     for i, c in enumerate((*p, *q, *n)):
         if isinstance(c, ad.Jet):
-            val[i], d[i], dd[i], ddd[i] = c.val, c.d, c.dd, c.ddd
+            val[..., i], d[..., i, :], dd[..., i, :, :], ddd[..., i, :, :, :] = (
+                c.val, c.d, c.dd, c.ddd)
         else:
-            val[i] = float(c)
-    return ChartJet(u, val[:6], d[:6], dd[:6], ddd[:6], val[6:], d[6:])
+            val[..., i] = c
+    return ChartJet(u, val[..., :6], d[..., :6, :], dd[..., :6, :, :], ddd[..., :6, :, :, :],
+                    val[..., 6:], d[..., 6:, :])
 
 
 def _normal_from_constraints(jet) -> np.ndarray:
     """Unit spacelike normal from the nullspace of the constraint rows.
 
-    ``jet`` is anything with the chart value ``val`` and Jacobian ``jac``: a
-    ``ChartJet`` or a ``PointGeometry``.
+    ``jet`` is anything with the chart value ``val`` and Jacobian ``jac`` of
+    one point: a ``ChartJet`` or a ``PointGeometry``.
     """
     rows = np.zeros((5, 6))
     rows[0, :3] = ETA3 @ jet.val[:3]
@@ -132,81 +141,49 @@ def _normal_from_constraints(jet) -> np.ndarray:
     return v / math.sqrt(n2)
 
 
-def _induced_metric(jet: ChartJet) -> tuple[np.ndarray, float]:
-    """Symmetrized induced metric and the smallest tangent singular value.
-
-    Raises ``ChartRankError`` when the chart differential is rank-deficient.
-    """
-    g = jet.jac.T @ ETA6 @ jet.jac
-    g = 0.5 * (g + g.T)
-    low = float(np.linalg.eigvalsh(g)[0])
-    if low <= RANK_SIGMA_MIN ** 2:
-        raise ChartRankError(
-            f"chart differential is rank-deficient (sigma_min={math.sqrt(max(low, 0.0)):.3e})")
-    return g, math.sqrt(low)
-
-
+@dataclass(eq=False)
 class PointGeometry:
     """Per-point bundle: tangent basis, metric, normal, shape operator.
 
     Attributes
     ----------
     u : chart coordinates (3,)
-    val, jac : ambient position (6,) and chart Jacobian (6,3)
-    g : induced metric (3,3); A : shape operator in the coordinate basis
-    lambdas : principal curvatures, ascending
+    val, jac, hess, d3 : ambient position (6,) and the chart's first three
+        derivatives (6,3), (6,3,3), (6,3,3,3)
     n, dn : the chart's raw closed-form normal (6,) and its Jacobian (6,3)
+    g : induced metric (3,3); sigma_min : square root of its smallest eigenvalue
     N, V : ambient unit normal and tangential part of PN (6,)
-    C, H, rho, K : product angle, mean, scalar, and Gauss-Kronecker curvature
+    b : second fundamental form; A : shape operator in the coordinate basis
+    frame_asymmetry : asymmetry of the Cholesky-reduced shape operator
+    lambdas : principal curvatures, ascending, with their g-orthonormal chart
+        directions ``principal_coords`` (columns) and ambient ones
+        ``principal_ambient``
+    C, H, rho, K : product angle, mean, scalar, and Gauss-Kronecker curvature;
+        norm_A_sq : |A|²
     """
 
-    def __init__(self, jet: ChartJet, g: np.ndarray, sigma_min: float):
-        # g and sigma_min come from _induced_metric(jet), which point_geometry
-        # runs first, so a rank-deficient chart raises ChartRankError before
-        # the normal is normalized
-        self.u = jet.u
-        self.val = jet.val
-        self.jac = jet.jac
-        self.hess = jet.hess
-        self.d3 = jet.d3
-        self.n = jet.n
-        self.dn = jet.dn
-        self.g = g
-        self.sigma_min = sigma_min
-
-        N = jet.n / math.sqrt(ambient_inner(jet.n, jet.n))
-        self.N = N
-        if abs(ambient_inner(N, N) - 1.0) > NORMAL_TOL:
-            raise NormalSpaceError("normal is not unit")
-        if np.max(np.abs(jet.jac.T @ ETA6 @ N)) > NORMAL_TOL:
-            raise NormalSpaceError("normal is not orthogonal to the tangent basis")
-
-        etaN = ETA6 @ N
-        b = np.einsum("aij,a->ij", jet.hess, etaN)
-        self.b = 0.5 * (b + b.T)
-        self.A = np.linalg.solve(self.g, self.b)
-
-        # principal curvatures: Cholesky-reduce b x = lambda g x and symmetrize
-        L = np.linalg.cholesky(self.g)
-        Y = np.linalg.solve(L, self.b)
-        Z = np.linalg.solve(L, Y.T).T
-        self.frame_asymmetry = float(np.max(np.abs(Z - Z.T)))
-        Zs = 0.5 * (Z + Z.T)
-        lambdas, W = np.linalg.eigh(Zs)
-        self.lambdas = lambdas
-        self.principal_coords = np.linalg.solve(L.T, W)   # columns, g-orthonormal
-        self.principal_ambient = jet.jac @ self.principal_coords
-
-        PN = P6 @ N
-        self.C = float(PN @ ETA6 @ N)
-        self.V = PN - self.C * N
-        self.H = float(np.trace(Zs))
-        self.K = float(np.linalg.det(Zs))
-        self.norm_A_sq = float(np.trace(Zs @ Zs))
-        self.rho = -2.0 + self.H ** 2 - self.norm_A_sq
-
-        if abs(ambient_inner(self.V, self.V) - (1.0 - self.C ** 2)) > 1e-9:
-            raise NormalSpaceError("|V|^2 != 1 - C^2 beyond tolerance")
+    u: np.ndarray
+    val: np.ndarray
+    jac: np.ndarray
+    hess: np.ndarray
+    d3: np.ndarray
+    n: np.ndarray
+    dn: np.ndarray
+    g: np.ndarray
+    sigma_min: float
+    N: np.ndarray
+    b: np.ndarray
+    A: np.ndarray
+    frame_asymmetry: float
+    lambdas: np.ndarray
+    principal_coords: np.ndarray
+    principal_ambient: np.ndarray
+    C: float
+    V: np.ndarray
+    H: float
+    K: float
+    norm_A_sq: float
+    rho: float
 
     # -- typed views ------------------------------------------------------
     @property
@@ -250,15 +227,93 @@ class PointGeometry:
         return ambient_inner(w1, w2)
 
 
-def point_geometry(M: Hypersurface, u) -> PointGeometry:
+def _pairing(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """<v, w> row by row for ambient 6-vectors with leading batch axes."""
+    return ((v @ ETA6)[..., None, :] @ w[..., :, None])[..., 0, 0]
+
+
+def _geometry(jet: ChartJet):
+    """``PointGeometry`` of every point of a chart jet: one for a single
+    point, a list for a batch.
+
+    The linear algebra runs on the stacked (n,3,3) arrays in one call each;
+    every row equals the single-point call on its matrix bit for bit.  A
+    check that fails at some row raises; ``point_geometry`` then redoes the
+    batch point by point, so the error is that of the first failing point.
+    """
+    jac = jet.jac
+    g = jac.swapaxes(-1, -2) @ ETA6 @ jac
+    g = 0.5 * (g + g.swapaxes(-1, -2))
+    low = np.linalg.eigvalsh(g)[..., 0]
+    if (low <= RANK_SIGMA_MIN ** 2).any():
+        raise ChartRankError("chart differential is rank-deficient "
+                             f"(sigma_min={math.sqrt(max(float(np.min(low)), 0.0)):.3e})")
+
+    N = jet.n / np.asarray(ad.elementwise(math.sqrt, _pairing(jet.n, jet.n)))[..., None]
+    if (np.abs(_pairing(N, N) - 1.0) > NORMAL_TOL).any():
+        raise NormalSpaceError("normal is not unit")
+    if np.max(np.abs(jac.swapaxes(-1, -2) @ ETA6 @ N[..., None])) > NORMAL_TOL:
+        raise NormalSpaceError("normal is not orthogonal to the tangent basis")
+
+    b = np.einsum("...aij,...a->...ij", jet.hess, N @ ETA6)
+    b = 0.5 * (b + b.swapaxes(-1, -2))
+    A = np.linalg.solve(g, b)
+
+    # principal curvatures: Cholesky-reduce b x = lambda g x and symmetrize
+    L = np.linalg.cholesky(g)
+    Y = np.linalg.solve(L, b)
+    Z = np.linalg.solve(L, Y.swapaxes(-1, -2)).swapaxes(-1, -2)
+    asymmetry = np.max(np.abs(Z - Z.swapaxes(-1, -2)), axis=(-2, -1))
+    Zs = 0.5 * (Z + Z.swapaxes(-1, -2))
+    lambdas, W = np.linalg.eigh(Zs)
+    principal = np.linalg.solve(L.swapaxes(-1, -2), W)   # columns, g-orthonormal
+
+    PN = N @ P6
+    C = _pairing(PN, N)
+    V = PN - C[..., None] * N
+    H = np.trace(Zs, axis1=-2, axis2=-1)
+    K = np.linalg.det(Zs)
+    norm_A_sq = np.trace(Zs @ Zs, axis1=-2, axis2=-1)
+    if (np.abs(_pairing(V, V) - (1.0 - C * C)) > 1e-9).any():
+        raise NormalSpaceError("|V|^2 != 1 - C^2 beyond tolerance")
+
+    arrays = dict(u=jet.u, val=jet.val, jac=jac, hess=jet.hess, d3=jet.d3, n=jet.n, dn=jet.dn,
+                  g=g, N=N, b=b, A=A, lambdas=lambdas, principal_coords=principal,
+                  principal_ambient=jac @ principal, V=V)
+    floats = dict(sigma_min=ad.elementwise(math.sqrt, low), frame_asymmetry=asymmetry, C=C, H=H,
+                  K=K, norm_A_sq=norm_A_sq)
+    floats = {name: np.ravel(x).tolist() for name, x in floats.items()}
+
+    def at(i, row):
+        scalars = {name: x[i] for name, x in floats.items()}
+        # Python's float **: numpy's power differs from it in the last bit
+        rho = -2.0 + scalars["H"] ** 2 - scalars["norm_A_sq"]
+        return PointGeometry(**row, **scalars, rho=rho)
+
+    if jet.u.ndim == 1:
+        return at(0, arrays)
+    return [at(i, dict(zip(arrays, row))) for i, row in enumerate(zip(*arrays.values()))]
+
+
+def point_geometry(M: Hypersurface, u):
     """Full per-point geometry bundle of a hypersurface chart.
 
     One chart jet gives everything; the unit normal is the chart's normal
-    normalized, so the chart fixes the orientation.
+    normalized, so the chart fixes the orientation.  u of shape (3,) gives
+    one ``PointGeometry``; u of shape (n, 3) gives the list of the n points'
+    bundles from one batched chart pass and stacked linear algebra, each
+    equal bit for bit to its single-point call.  If any point fails, the
+    batch raises what the single-point calls raise for the first failing
+    point in sample order.
     """
-    jet = chart_jet(M, u)
-    g, sigma_min = _induced_metric(jet)
-    return PointGeometry(jet, g, sigma_min)
+    u = np.asarray(u, dtype=float)
+    try:
+        return _geometry(chart_jet(M, u))
+    except (ArithmeticError, ValueError):
+        if u.ndim == 1:
+            raise
+        # some point fails: the single-point calls, in order, raise its error
+        return [point_geometry(M, x) for x in u]
 
 
 class PointDerivatives(NamedTuple):

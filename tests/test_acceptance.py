@@ -234,14 +234,14 @@ def test_criterion_10_frame_identity_suite():
     worst = 0.0
     surface, _ = build("M_11", {"c": 0.3})
     for u in sample(surface, 3):
-        rep = pf.frame_identity_checks(surface, u)
+        rep = pf.frame_identity_checks(sc.point_geometry(surface, u))
         assert not any(it.skipped for it in rep.items)
         worst = max(worst, rep.max_residual())
 
     surface, _ = build("M_tau", {"tau": -2.0})
     tau_skips = set()
     for u in sample(surface, 3):
-        rep = pf.frame_identity_checks(surface, u)
+        rep = pf.frame_identity_checks(sc.point_geometry(surface, u))
         tau_skips |= {it.name for it in rep.items if it.skipped}
         worst = max(worst, rep.max_residual())
     # the product-frame table requires J1N+J2N principal, which fails on the
@@ -249,7 +249,7 @@ def test_criterion_10_frame_identity_suite():
     guard_ok = tau_skips == {"product_frame_connections"}
 
     surface, _ = build("M_1m1", {"c": 0.5})
-    rep = pf.frame_identity_checks(surface, sample(surface, 1)[0])
+    rep = pf.frame_identity_checks(sc.point_geometry(surface, sample(surface, 1)[0]))
     skip = rep.item("eigenframe_connections")
     guard_ok = guard_ok and skip.skipped and "lambda_1 != lambda_2" in skip.reason
 

@@ -173,3 +173,48 @@ def test_elementary_third_derivatives(name):
     assert fn(X0) == pytest.approx(want[0], rel=1e-15)
     # only the seeded direction carries derivatives
     assert np.count_nonzero(out.ddd) <= 1
+
+
+BATCHED = {
+    # name: function of a jet whose value stays in its domain
+    "sqrt": lambda x: ad.sqrt(x * x + 0.5),
+    "exp": ad.exp,
+    "log": lambda x: ad.log(x * x + 0.5),
+    "sin": ad.sin,
+    "cos": ad.cos,
+    "sinh": ad.sinh,
+    "cosh": ad.cosh,
+    "tanh": ad.tanh,
+    "reciprocal": lambda x: 1.0 / (x * x + 0.5),
+    "power": lambda x: (x * x + 0.5) ** 2.5,
+    "cube": lambda x: x ** 3,
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(finite, finite, finite), min_size=1, max_size=6))
+def test_batch_rows_equal_scalar_jets(rows):
+    # every elementary function, power and reciprocal of an (n,) batch is
+    # bit for bit the n one-point jets, at all four orders
+    U = np.array(rows)
+    bx, by, bz = ad.jet_variables(U)
+    for name, fn in BATCHED.items():
+        batch = fn(bx * by - bz)
+        assert batch.val.shape == (len(U),)
+        for i, u in enumerate(U):
+            x, y, z = ad.jet_variables(u)
+            single = fn(x * y - z)
+            assert type(single.val) is float
+            for order in ("val", "d", "dd", "ddd"):
+                assert np.array_equal(getattr(batch, order)[i], getattr(single, order)), name
+
+
+def test_batch_division_by_zero_raises():
+    # a one-point jet raises ZeroDivisionError; a batch raises under the
+    # error state the chart pass runs in instead of leaving inf in a row
+    x = ad.jet_variables(np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]))[0]
+    with pytest.raises(ZeroDivisionError):
+        1.0 / ad.jet_variables([0.0, 0.0, 0.0])[0]
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        with pytest.raises(FloatingPointError):
+            1.0 / x

@@ -437,13 +437,13 @@ class TestIsoparametricScan:
 class TestFrameIdentities:
     def test_all_pass_on_m11(self, m_11_03):
         surface, _ = m_11_03
-        rep = pf.frame_identity_checks(surface, np.array([0.25, 0.5, -0.4]))
+        rep = pf.frame_identity_checks(sc.point_geometry(surface, np.array([0.25, 0.5, -0.4])))
         assert not any(it.skipped for it in rep.items)
         assert rep.max_residual() < 1e-7
 
     def test_m_tau_skips_product_frame_identity(self, m_tau_m2):
         surface, _ = m_tau_m2
-        rep = pf.frame_identity_checks(surface, np.array([0.7, 1.1, 2.0]))
+        rep = pf.frame_identity_checks(sc.point_geometry(surface, np.array([0.7, 1.1, 2.0])))
         assert rep.item("product_frame_connections").skipped
         assert "principal" in rep.item("product_frame_connections").reason
         others = [it for it in rep.items if it.name != "product_frame_connections"]
@@ -452,14 +452,14 @@ class TestFrameIdentities:
 
     def test_equal_curvature_pair_skips(self, m_1m1_half):
         surface, _ = m_1m1_half
-        rep = pf.frame_identity_checks(surface, np.array([0.2, 0.3, -0.1]))
+        rep = pf.frame_identity_checks(sc.point_geometry(surface, np.array([0.2, 0.3, -0.1])))
         it = rep.item("eigenframe_connections")
         assert it.skipped
         assert "lambda_1 != lambda_2" in it.reason
 
     def test_nonconstant_curvature_guards(self, m_kk_tanh):
         surface, _ = m_kk_tanh
-        rep = pf.frame_identity_checks(surface, np.array([0.2, 0.4, -0.3]))
+        rep = pf.frame_identity_checks(sc.point_geometry(surface, np.array([0.2, 0.4, -0.3])))
         assert not rep.item("v_direction_identity").skipped
         assert not rep.item("product_frame_connections").skipped
         assert rep.item("codazzi_frame_relation").skipped
@@ -468,7 +468,7 @@ class TestFrameIdentities:
 
     def test_degenerate_angle_skips_everything(self, m_gamma_2):
         surface, _ = m_gamma_2
-        rep = pf.frame_identity_checks(surface, np.array([0.3, 0.8, 1.0]))
+        rep = pf.frame_identity_checks(sc.point_geometry(surface, np.array([0.3, 0.8, 1.0])))
         assert all(it.skipped for it in rep.items)
 
 

@@ -10,9 +10,12 @@ import threading
 import numpy as np
 import pytest
 
+from h2h2 import autodiff as ad
 from h2h2 import cli
 from h2h2 import model_zoo as mz
 from h2h2 import report as rp
+
+from conftest import counted_chart
 
 
 def run_cli(argv):
@@ -350,3 +353,25 @@ def test_near_degenerate_tube_passes():
     cfg = rp.SuiteConfig(model=mz.ModelSpec("M_tau", {"tau": -1.0001}), samples=200, seed=0)
     results = rp.run_verify_suite(cfg)
     assert [r.name for r in results if r.passed is False] == []
+
+
+def test_verify_evaluates_the_samples_in_one_chart_call(monkeypatch):
+    # one batched chart pass for all samples; the parallel-shape check makes
+    # one per distance over its 3 points and the scan one over its 8 points.
+    # Float evaluations are orbit_match's 125 grid points only:
+    # chart_constraints reads the sample points from the batch.
+    build = mz.build_model
+    calls = []
+
+    def counted(spec):
+        surface, oracle = build(spec)
+        counted_surface, log = counted_chart(surface)
+        calls.append(log)
+        return counted_surface, oracle
+
+    monkeypatch.setattr(mz, "build_model", counted)
+    rp.run_verify_suite(rp.SuiteConfig(model=mz.ModelSpec("M_1m1", {"c": 0.4}), samples=20))
+    (log,) = calls
+    batches = [len(u[0].val) for u in log if isinstance(u[0], ad.Jet)]
+    assert batches == [20, 3, 3, 8]
+    assert sum(not isinstance(u[0], ad.Jet) for u in log) == 125

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from h2h2 import autodiff as ad
 from h2h2 import lorentz as lz
 from h2h2 import model_zoo as mz
+from h2h2 import parallel_flow as pf
 from h2h2 import product_space as ps
 from h2h2 import surface_calculus as sc
 
@@ -125,8 +127,10 @@ class TestChartJet:
     def test_constraints_and_rank(self, m_tau_m2):
         surface, _ = m_tau_m2
         for u in domain_samples(surface, 16):
-            assert surface.constraint_residual(u) < 1e-10
             pg = sc.point_geometry(surface, u)
+            x = pg.val
+            assert abs(x[:3] @ lz.ETA3 @ x[:3] + 1.0) < 1e-10
+            assert abs(x[3:] @ lz.ETA3 @ x[3:] + 1.0) < 1e-10
             assert pg.sigma_min > 1e-6
 
     def test_rank_deficient_chart_raises(self):
@@ -460,3 +464,92 @@ class TestChartIndependence:
             assert np.max(np.abs(pg1.val - pg2.val)) < 1e-12
             assert abs(pg1.C - pg2.C) < 1e-8
             assert np.max(np.abs(pg1.lambdas - pg2.lambdas)) < 1e-8
+
+
+BATCH_SURFACES = ([spec.kind + str(sorted(spec.params.items())) for spec in mz.CATALOG]
+                  + ["M_kk tanh/one", "level_set", "graph", "parallel M_tau(-2) l=0.25"])
+
+
+@pytest.fixture(scope="module")
+def batch_surface(request, level_set, graph_surface):
+    name = request.param
+    for spec in mz.CATALOG:
+        if name == spec.kind + str(sorted(spec.params.items())):
+            return mz.build_model(spec)[0]
+    return {"M_kk tanh/one": lambda: mz.make_M_kk(0.5, ad.tanh, 1.0)[0],
+            "level_set": lambda: level_set,
+            "graph": lambda: graph_surface,
+            "parallel M_tau(-2) l=0.25":
+                lambda: pf.parallel_surface(mz.make_M_tau(-2.0)[0], 0.25)}[name]()
+
+
+def _shifted_normal(base, shift):
+    """base with the normal n + shift(u) (0, e_rho(rho, phi)) of an M_Gamma chart
+    (r, rho, phi): orthogonal to the tangent d/drho only where shift(u) = 0."""
+    def chart(u):
+        p, q, n = base.chart(u)
+        w = shift(u)
+        return p, q, list(n[:3]) + [n[3 + i] + w * e for i, e in enumerate(e_rho(u[1], u[2]))]
+
+    return sc.Hypersurface(chart=chart, domain=base.domain, name="shifted normal")
+
+
+class TestBatchedJets:
+    @pytest.mark.parametrize("batch_surface", BATCH_SURFACES, indirect=True)
+    def test_batch_rows_equal_single_points_bitwise(self, batch_surface):
+        U = domain_samples(batch_surface, 12, seed=2)
+        jet = sc.chart_jet(batch_surface, U)
+        pgs = sc.point_geometry(batch_surface, U)
+        assert len(pgs) == len(U)
+        for i, u in enumerate(U):
+            single = sc.chart_jet(batch_surface, u)
+            for name in ("u", "val", "jac", "hess", "d3", "n", "dn"):
+                assert np.array_equal(getattr(jet, name)[i], getattr(single, name)), name
+            pg = sc.point_geometry(batch_surface, u)
+            for f in dataclasses.fields(sc.PointGeometry):
+                got, want = getattr(pgs[i], f.name), getattr(pg, f.name)
+                assert type(got) is type(want), f.name
+                assert np.array_equal(got, want), f.name
+
+    def test_one_chart_call_for_the_batch(self, m_1m1_half):
+        surface, calls = counted_chart(m_1m1_half[0])
+        U = domain_samples(surface, 16)
+        pgs = sc.point_geometry(surface, U)
+        assert len(calls) == 1 and len(pgs) == 16
+        assert calls[0][0].val.shape == (16,)
+
+    def test_first_failing_point_raises_its_own_error(self, m_gamma_geodesic):
+        # the point at index 2 is rank-deficient (rho ~ 1e-7 collapses
+        # d/dphi); the point at index 3 has a normal that is not orthogonal
+        surface = _shifted_normal(m_gamma_geodesic[0], lambda u: u[0] - 1.0)
+        U = np.array([[1.0, 0.8, 0.5], [1.0, 1.2, 1.0], [1.0, 1e-7, 0.7], [1.5, 0.9, 0.2]])
+        sc.point_geometry(surface, U[:2])
+        with pytest.raises(sc.ChartRankError) as rank:
+            sc.point_geometry(surface, U[2])
+        with pytest.raises(sc.NormalSpaceError, match="orthogonal"):
+            sc.point_geometry(surface, U[3])
+        assert "sigma_min=1.000e-07" in str(rank.value)
+        with pytest.raises(sc.ChartRankError) as batch:
+            sc.point_geometry(surface, U)
+        assert str(batch.value) == str(rank.value)
+        with pytest.raises(sc.NormalSpaceError, match="orthogonal"):
+            sc.point_geometry(surface, U[[0, 3, 2]])
+
+    def test_a_bad_point_in_a_batch_raises(self, m_gamma_geodesic):
+        # the normal is scaled by 1/(rho - 0.9), which divides by zero at rho = 0.9
+        base = m_gamma_geodesic[0]
+
+        def chart(u):
+            p, q, n = base.chart(u)
+            s = 1.0 / (u[1] - 0.9)
+            return p, q, [x * s for x in n]
+
+        surface = sc.Hypersurface(chart=chart, domain=base.domain, name="pole")
+        U = np.array([[0.1, 0.5, 0.3], [0.2, 0.9, 0.4], [0.3, 1.1, 0.5]])
+        sc.point_geometry(surface, U[[0, 2]])
+        with pytest.raises(FloatingPointError):
+            sc.chart_jet(surface, U)
+        with pytest.raises(ZeroDivisionError):
+            sc.point_geometry(surface, U[1])
+        with pytest.raises(ZeroDivisionError):
+            sc.point_geometry(surface, U)
