@@ -185,7 +185,9 @@ def cmd_table(args) -> int:
 def cmd_poincare_dump(args) -> int:
     if args.out is None:
         raise rp.ConfigError("poincare-dump requires --out")
-    rp.poincare_dump(_model_from_args(args), args.out)
+    spec = _model_from_args(args)
+    rp.validate_model(spec)
+    rp.poincare_dump(spec, args.out)
     return 0
 
 

@@ -11,8 +11,14 @@ follow.
 The pass runs on batches: ``chart_jet`` and ``point_geometry`` take one
 point (3,) or n points (n, 3), and for n points evaluate the chart once on
 jets of batch shape (n,) and do the linear algebra on stacked (n,3,3)
-arrays.  Each point's ``PointGeometry`` is one row of the batch, equal bit
-for bit to the single-point call.
+arrays.  The batch runs on through the checks: a ``PointGeometry`` carries
+the batch axis on every field, and ``point_derivatives``, ``christoffels``,
+``structural_residuals``, the nullspace normal and the bundle's vector
+methods broadcast over it, so one point is the batch shape () of the same
+code.  Each row equals the single-point call bit for bit, because every
+per-vector operation keeps its one-point shape: matrix-vector products as
+(..., m, k) @ (..., k, 1), pairings through ``_pairing`` and ``solve`` with
+(..., 3, 1) right-hand sides.
 
 Second derivatives of the chart are enough for Christoffel symbols; the
 third-order quantities (intrinsic curvature, covariant derivatives of the
@@ -31,6 +37,7 @@ the Hessian is needed.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -125,25 +132,57 @@ def _normal_from_constraints(jet) -> np.ndarray:
     """Unit spacelike normal from the nullspace of the constraint rows.
 
     ``jet`` is anything with the chart value ``val`` and Jacobian ``jac`` of
-    one point: a ``ChartJet`` or a ``PointGeometry``.
+    one point or of a batch: a ``ChartJet`` or a ``PointGeometry``.  A batch
+    takes one stacked SVD; a failing row raises the error of the first
+    failing row in batch order.
     """
-    rows = np.zeros((5, 6))
-    rows[0, :3] = ETA3 @ jet.val[:3]
-    rows[1, 3:] = ETA3 @ jet.val[3:]
-    rows[2:] = (ETA6 @ jet.jac).T
+    val, jac = jet.val, jet.jac
+    rows = np.zeros(val.shape[:-1] + (5, 6))
+    rows[..., 0, :3] = val[..., :3] @ ETA3
+    rows[..., 1, 3:] = val[..., 3:] @ ETA3
+    rows[..., 2:, :] = (ETA6 @ jac).swapaxes(-1, -2)
     _, s, vt = np.linalg.svd(rows)
-    if s[4] < 1e-6 * s[0]:
+    v = vt[..., 5, :]
+    n2 = _pairing(v, v)
+    rank_bad = np.ravel(s[..., 4] < 1e-6 * s[..., 0])
+    bad = np.flatnonzero(rank_bad | np.ravel(n2 <= 0.0))
+    if bad.size and rank_bad[bad[0]]:
         raise NormalSpaceError("normal nullspace is not one-dimensional")
-    v = vt[5]
-    n2 = ambient_inner(v, v)
-    if n2 <= 0.0:
+    if bad.size:
         raise NormalSpaceError("normal direction is not spacelike")
-    return v / math.sqrt(n2)
+    return v / np.sqrt(n2)[..., None]
+
+
+_SCALAR_FIELDS = ("sigma_min", "frame_asymmetry", "C", "H", "K", "norm_A_sq", "rho")
+
+
+def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m x row by row: (..., m, k) times (..., k), as (..., m, k) @ (..., k, 1),
+    so every row is the one-point product bit for bit."""
+    return (m @ x[..., None])[..., 0]
+
+
+def _pairing(v: np.ndarray, w: np.ndarray, eta: np.ndarray = ETA6) -> np.ndarray:
+    """<v, w> under the diagonal form ``eta``, row by row for vectors with
+    leading batch axes; one row is a dot product of the two vectors."""
+    return ((v @ eta)[..., None, :] @ w[..., :, None])[..., 0, 0]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean length row by row: the square root of the row's dot product,
+    which is what ``np.linalg.norm`` takes for one vector."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 @dataclass(eq=False)
 class PointGeometry:
     """Per-point bundle: tangent basis, metric, normal, shape operator.
+
+    The shapes below are those of one point.  A batch of n points puts one
+    leading axis of length n on every field; its scalar fields are then
+    arrays of shape (n,), while one point's are Python floats.  ``pgs[i]``
+    is row i as a one-point bundle, ``pgs[a:b]`` a batch, and iterating a
+    batch yields its rows.  The methods broadcast over the batch.
 
     Attributes
     ----------
@@ -185,6 +224,27 @@ class PointGeometry:
     norm_A_sq: float
     rho: float
 
+    # -- the batch axis ---------------------------------------------------
+    @property
+    def batch_shape(self) -> tuple:
+        return self.u.shape[:-1]
+
+    def __len__(self) -> int:
+        if not self.batch_shape:
+            raise TypeError("a one-point PointGeometry has no length")
+        return self.batch_shape[0]
+
+    def __getitem__(self, index) -> "PointGeometry":
+        if not self.batch_shape:
+            raise TypeError("a one-point PointGeometry cannot be indexed")
+        fields = {f.name: getattr(self, f.name)[index] for f in dataclasses.fields(self)}
+        if fields["u"].ndim == 1:
+            fields.update((name, float(fields[name])) for name in _SCALAR_FIELDS)
+        return PointGeometry(**fields)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
     # -- typed views ------------------------------------------------------
     @property
     def point(self) -> ProductPoint:
@@ -202,13 +262,15 @@ class PointGeometry:
     def v_tangent(self) -> ProductTangent:
         return ProductTangent.from_ambient(self.point, self.V)
 
-    # -- linear algebra on ambient vectors --------------------------------
+    # -- linear algebra on ambient vectors (..., 6) -----------------------
     def coords(self, w) -> np.ndarray:
         """Chart components of an ambient tangent vector."""
-        return np.linalg.solve(self.g, self.jac.T @ (ETA6 @ np.asarray(w, float)))
+        w = np.asarray(w, float)
+        rhs = self.jac.swapaxes(-1, -2) @ (ETA6 @ w[..., None])
+        return np.linalg.solve(self.g, rhs)[..., 0]
 
     def from_coords(self, xi) -> np.ndarray:
-        return self.jac @ np.asarray(xi, float)
+        return _matvec(self.jac, np.asarray(xi, float))
 
     def project(self, w) -> np.ndarray:
         """Orthogonal projection of an ambient vector onto the tangent space."""
@@ -216,25 +278,19 @@ class PointGeometry:
 
     def shape_apply(self, w) -> np.ndarray:
         """A w for an ambient tangent vector w."""
-        return self.from_coords(self.A @ self.coords(w))
+        return self.from_coords(_matvec(self.A, self.coords(w)))
 
     def T_apply(self, w) -> np.ndarray:
         """Tangential part of P: T w = P w - <w, V> N."""
         w = np.asarray(w, float)
-        return P6 @ w - ambient_inner(w, self.V) * self.N
+        return _matvec(P6, w) - _pairing(w, self.V)[..., None] * self.N
 
     def metric(self, w1, w2) -> float:
         return ambient_inner(w1, w2)
 
 
-def _pairing(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """<v, w> row by row for ambient 6-vectors with leading batch axes."""
-    return ((v @ ETA6)[..., None, :] @ w[..., :, None])[..., 0, 0]
-
-
-def _geometry(jet: ChartJet):
-    """``PointGeometry`` of every point of a chart jet: one for a single
-    point, a list for a batch.
+def _geometry(jet: ChartJet) -> PointGeometry:
+    """``PointGeometry`` of a chart jet, with the jet's batch shape.
 
     The linear algebra runs on the stacked (n,3,3) arrays in one call each;
     every row equals the single-point call on its matrix bit for bit.  A
@@ -277,34 +333,29 @@ def _geometry(jet: ChartJet):
     if (np.abs(_pairing(V, V) - (1.0 - C * C)) > 1e-9).any():
         raise NormalSpaceError("|V|^2 != 1 - C^2 beyond tolerance")
 
-    arrays = dict(u=jet.u, val=jet.val, jac=jac, hess=jet.hess, d3=jet.d3, n=jet.n, dn=jet.dn,
-                  g=g, N=N, b=b, A=A, lambdas=lambdas, principal_coords=principal,
-                  principal_ambient=jac @ principal, V=V)
-    floats = dict(sigma_min=ad.elementwise(math.sqrt, low), frame_asymmetry=asymmetry, C=C, H=H,
-                  K=K, norm_A_sq=norm_A_sq)
-    floats = {name: np.ravel(x).tolist() for name, x in floats.items()}
-
-    def at(i, row):
-        scalars = {name: x[i] for name, x in floats.items()}
-        # Python's float **: numpy's power differs from it in the last bit
-        rho = -2.0 + scalars["H"] ** 2 - scalars["norm_A_sq"]
-        return PointGeometry(**row, **scalars, rho=rho)
-
+    scalars = dict(sigma_min=ad.elementwise(math.sqrt, low), frame_asymmetry=asymmetry, C=C, H=H,
+                   K=K, norm_A_sq=norm_A_sq)
     if jet.u.ndim == 1:
-        return at(0, arrays)
-    return [at(i, dict(zip(arrays, row))) for i, row in enumerate(zip(*arrays.values()))]
+        scalars = {name: float(x) for name, x in scalars.items()}
+    # Python's float **: numpy's power differs from it in the last bit
+    scalars["rho"] = (-2.0 + ad.elementwise(lambda h: h ** 2, scalars["H"])
+                      - scalars["norm_A_sq"])
+    return PointGeometry(u=jet.u, val=jet.val, jac=jac, hess=jet.hess, d3=jet.d3, n=jet.n,
+                         dn=jet.dn, g=g, N=N, b=b, A=A, lambdas=lambdas,
+                         principal_coords=principal, principal_ambient=jac @ principal, V=V,
+                         **scalars)
 
 
-def point_geometry(M: Hypersurface, u):
+def point_geometry(M: Hypersurface, u) -> PointGeometry:
     """Full per-point geometry bundle of a hypersurface chart.
 
     One chart jet gives everything; the unit normal is the chart's normal
     normalized, so the chart fixes the orientation.  u of shape (3,) gives
-    one ``PointGeometry``; u of shape (n, 3) gives the list of the n points'
-    bundles from one batched chart pass and stacked linear algebra, each
-    equal bit for bit to its single-point call.  If any point fails, the
-    batch raises what the single-point calls raise for the first failing
-    point in sample order.
+    one point's ``PointGeometry``; u of shape (n, 3) gives the bundle of the
+    n points with a leading batch axis, from one batched chart pass and
+    stacked linear algebra, each row equal bit for bit to its single-point
+    call.  If any point fails, the batch raises what the single-point calls
+    raise for the first failing point in sample order.
     """
     u = np.asarray(u, dtype=float)
     try:
@@ -313,7 +364,9 @@ def point_geometry(M: Hypersurface, u):
         if u.ndim == 1:
             raise
         # some point fails: the single-point calls, in order, raise its error
-        return [point_geometry(M, x) for x in u]
+        for x in u:
+            point_geometry(M, x)
+        raise
 
 
 class PointDerivatives(NamedTuple):
@@ -337,17 +390,18 @@ def point_derivatives(pg: PointGeometry) -> PointDerivatives:
     dN normalizes the Jacobian of the chart's closed-form normal, which the
     chart jet already carries, so no chart is evaluated here.  It does not
     come from A, so grad C = -2AV and the Codazzi equation do not hold by
-    construction.
+    construction.  A batch ``pg`` gives every field a leading batch axis.
     """
-    length = math.sqrt(ambient_inner(pg.n, pg.n))
-    dN = (pg.dn - np.outer(pg.N, pg.N @ ETA6 @ pg.dn)) / length
-    half = np.einsum("aki,aj->kij", pg.hess, ETA6 @ pg.jac)
-    dg = half + half.transpose(0, 2, 1)
-    db = (np.einsum("akij,a->kij", pg.d3, ETA6 @ pg.N)
-          + np.einsum("aij,ak->kij", pg.hess, ETA6 @ dN))
-    dA = np.linalg.solve(pg.g, db - dg @ pg.A)
-    dC = 2.0 * (P6 @ pg.N) @ ETA6 @ dN
-    dV = P6 @ dN - np.outer(pg.N, dC) - pg.C * dN
+    length = np.sqrt(_pairing(pg.n, pg.n))[..., None, None]
+    dN = (pg.dn - pg.N[..., :, None] * (pg.N[..., None, :] @ ETA6 @ pg.dn)) / length
+    half = np.einsum("...aki,...aj->...kij", pg.hess, ETA6 @ pg.jac)
+    dg = half + half.swapaxes(-1, -2)
+    db = (np.einsum("...akij,...a->...kij", pg.d3, pg.N @ ETA6)
+          + np.einsum("...aij,...ak->...kij", pg.hess, ETA6 @ dN))
+    dA = np.linalg.solve(pg.g[..., None, :, :], db - dg @ pg.A[..., None, :, :])
+    dC = ((2.0 * (pg.N @ P6) @ ETA6)[..., None, :] @ dN)[..., 0, :]
+    dV = (P6 @ dN - pg.N[..., :, None] * dC[..., None, :]
+          - np.asarray(pg.C)[..., None, None] * dN)
     return PointDerivatives(dN, dg, db, dA, dC, dV)
 
 
@@ -400,12 +454,14 @@ def christoffels(pg: PointGeometry) -> np.ndarray:
     Gamma^l_ij = g^{lm} <d_m Phi, d_i d_j Phi>, the ambient form of
     1/2 g^{lm} (d_i g_{jm} + d_j g_{im} - d_m g_{ij}).
     """
-    first_kind = np.einsum("am,aij->mij", ETA6 @ pg.jac, pg.hess)
-    return np.linalg.solve(pg.g, first_kind.reshape(3, 9)).reshape(3, 3, 3)
+    first_kind = np.einsum("...am,...aij->...mij", ETA6 @ pg.jac, pg.hess)
+    batch = first_kind.shape[:-3]
+    return np.linalg.solve(pg.g, first_kind.reshape(batch + (3, 9))).reshape(batch + (3, 3, 3))
 
 
 class StructuralResiduals(NamedTuple):
-    """Max-norm residuals of the four structural equations at one point."""
+    """Max-norm residuals of the four structural equations at one point
+    (floats), or at each row of a batch (arrays)."""
 
     grad_C: float        # grad C = -2AV
     V_derivative: float  # nabla_X V = C A X - T A X
@@ -423,53 +479,66 @@ def structural_residuals(pg: PointGeometry) -> StructuralResiduals:
     ambient vectors, against their algebraic right-hand sides built from the
     tangential operator T and the shape operator; grad C is the chart
     gradient of C lifted through the inverse metric, and nabla_X V the
-    tangential projection of the ambient derivative of V.
+    tangential projection of the ambient derivative of V.  A batch ``pg``
+    is judged in one pass, each row equal bit for bit to its single-point
+    call.
     """
     d = point_derivatives(pg)
-    dA, dC, dV = d.dA, d.dC, d.dV
     gam = christoffels(pg)
+    jac, g, b, A = pg.jac, pg.g, pg.b, pg.A
+    C = np.asarray(pg.C)[..., None]
     # d_k Gamma^l_ij = g^{lm} (d_k <d_m Phi, d_i d_j Phi> - d_k g_mp Gamma^p_ij)
-    etaH = np.einsum("ab,bij->aij", ETA6, pg.hess)
-    d_first = (np.einsum("akm,aij->kmij", pg.hess, etaH)
-               + np.einsum("am,akij->kmij", ETA6 @ pg.jac, pg.d3))
-    dgam = np.linalg.solve(pg.g, (d_first - np.einsum("kmp,pij->kmij", d.dg, gam))
-                           .reshape(3, 3, 9)).reshape(3, 3, 3, 3)
+    etaH = np.einsum("ab,...bij->...aij", ETA6, pg.hess)
+    d_first = (np.einsum("...akm,...aij->...kmij", pg.hess, etaH)
+               + np.einsum("...am,...akij->...kmij", ETA6 @ jac, pg.d3))
+    batch = d_first.shape[:-4]
+    dgam = np.linalg.solve(g[..., None, :, :],
+                           (d_first - np.einsum("...kmp,...pij->...kmij", d.dg, gam))
+                           .reshape(batch + (3, 3, 9))).reshape(batch + (3, 3, 3, 3))
 
-    Tb = np.stack([pg.T_apply(pg.jac[:, i]) for i in range(3)])   # (3,6)
-    Ab = np.stack([pg.from_coords(pg.A[:, i]) for i in range(3)])  # (3,6)
+    Tb = np.stack([pg.T_apply(jac[..., :, i]) for i in range(3)], axis=-2)   # (...,3,6)
+    Ab = np.stack([pg.from_coords(A[..., :, i]) for i in range(3)], axis=-2)  # (...,3,6)
 
-    grad_C = pg.jac @ np.linalg.solve(pg.g, dC)
-    res_grad_c = float(np.max(np.abs(grad_C + 2.0 * pg.shape_apply(pg.V))))
+    def max_abs(x):
+        return np.max(np.abs(x), axis=-1)
 
-    res_v = 0.0
+    grad_C = (jac @ np.linalg.solve(g, d.dC[..., None]))[..., 0]
+    res_grad_c = max_abs(grad_C + 2.0 * pg.shape_apply(pg.V))
+
+    res_v = []
     for i in range(3):
-        nabla_v = pg.project(dV[:, i])
-        rhs = pg.C * Ab[i] - pg.T_apply(Ab[i])
-        res_v = max(res_v, float(np.max(np.abs(nabla_v - rhs))))
+        nabla_v = pg.project(d.dV[..., :, i])
+        rhs = C * Ab[..., i, :] - pg.T_apply(Ab[..., i, :])
+        res_v.append(max_abs(nabla_v - rhs))
 
-    res_gauss = 0.0
+    res_gauss = []
     for i in range(3):
         for j in range(i + 1, 3):
             for k in range(3):
-                r_coeff = (dgam[i][:, j, k] - dgam[j][:, i, k]
-                           + gam[:, i, :] @ gam[:, j, k] - gam[:, j, :] @ gam[:, i, k])
-                lhs = pg.jac @ r_coeff
-                rhs = (-0.5 * (pg.g[j, k] * pg.jac[:, i] - pg.g[i, k] * pg.jac[:, j]
-                               + ambient_inner(Tb[j], pg.jac[:, k]) * Tb[i]
-                               - ambient_inner(Tb[i], pg.jac[:, k]) * Tb[j])
-                       + pg.b[j, k] * Ab[i] - pg.b[i, k] * Ab[j])
-                res_gauss = max(res_gauss, float(np.max(np.abs(lhs - rhs))))
+                r_coeff = (dgam[..., i, :, j, k] - dgam[..., j, :, i, k]
+                           + _matvec(gam[..., :, i, :], gam[..., :, j, k])
+                           - _matvec(gam[..., :, j, :], gam[..., :, i, k]))
+                lhs = _matvec(jac, r_coeff)
+                rhs = (-0.5 * (g[..., j, k, None] * jac[..., :, i]
+                               - g[..., i, k, None] * jac[..., :, j]
+                               + _pairing(Tb[..., j, :], jac[..., :, k])[..., None] * Tb[..., i, :]
+                               - _pairing(Tb[..., i, :], jac[..., :, k])[..., None] * Tb[..., j, :])
+                       + b[..., j, k, None] * Ab[..., i, :] - b[..., i, k, None] * Ab[..., j, :])
+                res_gauss.append(max_abs(lhs - rhs))
 
-    covs = [dA[i] + gam[:, i, :] @ pg.A - pg.A @ gam[:, i, :] for i in range(3)]
-    res_codazzi = 0.0
+    covs = [d.dA[..., i, :, :] + gam[..., :, i, :] @ A - A @ gam[..., :, i, :] for i in range(3)]
+    res_codazzi = []
     for i in range(3):
         for j in range(i + 1, 3):
-            lhs = pg.jac @ (covs[i][:, j] - covs[j][:, i])
-            rhs = -0.5 * (ambient_inner(pg.jac[:, i], pg.V) * Tb[j]
-                          - ambient_inner(pg.jac[:, j], pg.V) * Tb[i])
-            res_codazzi = max(res_codazzi, float(np.max(np.abs(lhs - rhs))))
+            lhs = _matvec(jac, covs[i][..., :, j] - covs[j][..., :, i])
+            rhs = -0.5 * (_pairing(jac[..., :, i], pg.V)[..., None] * Tb[..., j, :]
+                          - _pairing(jac[..., :, j], pg.V)[..., None] * Tb[..., i, :])
+            res_codazzi.append(max_abs(lhs - rhs))
 
-    return StructuralResiduals(res_grad_c, res_v, res_gauss, res_codazzi)
+    out = (res_grad_c, *(np.max(r, axis=0) for r in (res_v, res_gauss, res_codazzi)))
+    if not pg.batch_shape:
+        out = tuple(float(x) for x in out)
+    return StructuralResiduals(*out)
 
 
 # ---------------------------------------------------------------------------

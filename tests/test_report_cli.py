@@ -14,6 +14,7 @@ from h2h2 import autodiff as ad
 from h2h2 import cli
 from h2h2 import model_zoo as mz
 from h2h2 import report as rp
+from h2h2 import surface_calculus as sc
 
 from conftest import counted_chart
 
@@ -49,6 +50,40 @@ class TestVerifyCommand:
     def test_bad_l_grid_exit_two(self):
         assert run_cli(["verify", "--model", "M_tau", "--tau", "-2",
                         "--l-grid", "0:1:-0.5"]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "parallel"])
+    @pytest.mark.parametrize("grid", ["1:0:0.1", "0:inf:0.1", "0:1:inf", "nan:1:0.1",
+                                      "0:1e300:1e-300"])
+    def test_empty_or_non_finite_l_grid_exit_two(self, command, grid, capsys):
+        # an empty grid would judge no distance and pass; the others died in
+        # numpy or in SuiteConfig.grid
+        assert run_cli([command, "--model", "M_tau", "--tau", "-2", "--samples", "8",
+                        f"--l-grid={grid}"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error: --l-grid" in out.err and "Traceback" not in out.err
+
+    @pytest.mark.parametrize("command", ["verify", "parallel", "poincare-dump"])
+    @pytest.mark.parametrize("flag, argv", [
+        ("--c", ["--model", "M_1m1", "--c", "nan"]),
+        ("--c", ["--model", "M_kk", "--c", "inf"]),
+        ("--tau", ["--model", "M_tau", "--tau=-inf"]),
+        ("--kappa-gamma", ["--model", "M_Gamma", "--kappa-gamma", "nan"]),
+        ("--kappa-gamma", ["--model", "M_Gamma", "--kappa-gamma", "inf"]),
+        ("--kappa", ["--model", "M_kk", "--c", "0.5", "--kappa", "nan"]),
+        ("--kappa", ["--model", "M_kk", "--c", "0.5", "--kappa", "inf"]),
+        ("--kappa-tilde", ["--model", "M_kk", "--c", "0.5", "--kappa-tilde", "const:nan"]),
+    ])
+    def test_non_finite_model_parameter_exit_two(self, command, flag, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run_cli([command, *argv, "--out", str(out)]) == 2
+        assert f"error: {flag} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_point_l_grid_runs(self):
+        cfg = rp.SuiteConfig(model=mz.ModelSpec("M_tau", {"tau": -2.0}), l_grid=(0.5, 0.5, 0.1))
+        cfg.validate()
+        assert cfg.grid().tolist() == [0.5]
 
     def test_missing_model_param_exit_two(self):
         assert run_cli(["verify", "--model", "M_tau"]) == 2
@@ -353,6 +388,43 @@ def test_near_degenerate_tube_passes():
     cfg = rp.SuiteConfig(model=mz.ModelSpec("M_tau", {"tau": -1.0001}), samples=200, seed=0)
     results = rp.run_verify_suite(cfg)
     assert [r.name for r in results if r.passed is False] == []
+
+
+def test_verify_judges_the_structural_rows_in_one_call(monkeypatch):
+    # the four structural equations on the first n_fd = 50 samples and the
+    # nullspace normal on all of them are each one batched call
+    calls = {"structural_residuals": [], "_normal_from_constraints": []}
+    for name, log in calls.items():
+        original = getattr(sc, name)
+
+        def counted(pg, original=original, log=log):
+            log.append(pg.val.shape[:-1])
+            return original(pg)
+
+        monkeypatch.setattr(sc, name, counted)
+    rp.run_verify_suite(rp.SuiteConfig(model=mz.ModelSpec("M_tau", {"tau": -2.0}), samples=64))
+    assert calls == {"structural_residuals": [(50,)], "_normal_from_constraints": [(64,)]}
+
+
+def test_m_tau_constraint_reads_the_batch(monkeypatch):
+    # m_tau_constraint judges <p, q> = tau on the first 100 verify samples,
+    # whose chart points the batch already holds: no float chart evaluation
+    build = mz.build_model
+    logs = []
+
+    def counted(spec):
+        surface, oracle = build(spec)
+        counted_surface, log = counted_chart(surface)
+        logs.append(log)
+        return counted_surface, oracle
+
+    monkeypatch.setattr(mz, "build_model", counted)
+    results = rp.run_verify_suite(rp.SuiteConfig(model=mz.ModelSpec("M_tau", {"tau": -2.0}),
+                                                 samples=120))
+    (log,) = logs
+    assert all(isinstance(u[0], ad.Jet) for u in log)
+    (check,) = [r for r in results if r.name == "m_tau_constraint"]
+    assert check.passed and check.n_samples == 100
 
 
 def test_verify_evaluates_the_samples_in_one_chart_call(monkeypatch):

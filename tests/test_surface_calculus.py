@@ -466,8 +466,10 @@ class TestChartIndependence:
             assert np.max(np.abs(pg1.lambdas - pg2.lambdas)) < 1e-8
 
 
-BATCH_SURFACES = ([spec.kind + str(sorted(spec.params.items())) for spec in mz.CATALOG]
-                  + ["M_kk tanh/one", "level_set", "graph", "parallel M_tau(-2) l=0.25"])
+CATALOG_NAMES = [spec.kind + str(sorted(spec.params.items())) for spec in mz.CATALOG]
+BATCH_SURFACES = CATALOG_NAMES + ["M_kk tanh/one", "level_set", "graph",
+                                  "parallel M_tau(-2) l=0.25"]
+STRUCTURAL_SURFACES = CATALOG_NAMES + ["M_kk tanh/one", "M_tau(-1.0001)", "level_set", "graph"]
 
 
 @pytest.fixture(scope="module")
@@ -479,6 +481,7 @@ def batch_surface(request, level_set, graph_surface):
     return {"M_kk tanh/one": lambda: mz.make_M_kk(0.5, ad.tanh, 1.0)[0],
             "level_set": lambda: level_set,
             "graph": lambda: graph_surface,
+            "M_tau(-1.0001)": lambda: mz.make_M_tau(-1.0001)[0],
             "parallel M_tau(-2) l=0.25":
                 lambda: pf.parallel_surface(mz.make_M_tau(-2.0)[0], 0.25)}[name]()
 
@@ -510,6 +513,45 @@ class TestBatchedJets:
                 got, want = getattr(pgs[i], f.name), getattr(pg, f.name)
                 assert type(got) is type(want), f.name
                 assert np.array_equal(got, want), f.name
+
+    @pytest.mark.parametrize("batch_surface", STRUCTURAL_SURFACES, indirect=True)
+    def test_batched_checks_equal_single_points_bitwise(self, batch_surface):
+        # the structural equations, the exact derivatives, the nullspace
+        # normal and AV judged on a batch give each row's one-point values
+        U = domain_samples(batch_surface, 64, seed=4)
+        pgs = sc.point_geometry(batch_surface, U)
+        res = sc.structural_residuals(pgs)
+        deriv = sc.point_derivatives(pgs)
+        gam = sc.christoffels(pgs)
+        normal = sc._normal_from_constraints(pgs)
+        av = pgs.shape_apply(pgs.V)
+        for i, pg in enumerate(pgs):
+            one = sc.structural_residuals(pg)
+            for name in one._fields:
+                assert type(getattr(one, name)) is float, name
+                assert getattr(res, name)[i] == getattr(one, name), (i, name)
+            for name, x in sc.point_derivatives(pg)._asdict().items():
+                assert np.array_equal(getattr(deriv, name)[i], x), (i, name)
+            assert np.array_equal(gam[i], sc.christoffels(pg)), i
+            assert np.array_equal(normal[i], sc._normal_from_constraints(pg)), i
+            assert np.array_equal(av[i], pg.shape_apply(pg.V)), i
+
+    def test_batch_indexing(self, m_tau_m2):
+        surface, _ = m_tau_m2
+        U = domain_samples(surface, 5)
+        pgs = sc.point_geometry(surface, U)
+        assert pgs.batch_shape == (5,) and len(pgs) == 5
+        assert pgs.C.shape == (5,) and pgs.jac.shape == (5, 6, 3)
+        row = pgs[3]
+        assert row.batch_shape == () and type(row.C) is float and type(row.rho) is float
+        assert np.array_equal(row.u, U[3])
+        part = pgs[1:4]
+        assert len(part) == 3 and np.array_equal(part.lambdas, pgs.lambdas[1:4])
+        assert [pg.H for pg in pgs] == pgs.H.tolist()
+        with pytest.raises(TypeError):
+            len(row)
+        with pytest.raises(TypeError):
+            row[0]
 
     def test_one_chart_call_for_the_batch(self, m_1m1_half):
         surface, calls = counted_chart(m_1m1_half[0])
