@@ -1,23 +1,16 @@
 """Numerical hypersurface geometry of H² × H².
 
-Minkowski/hyperboloid primitives, the product-space structures (P, J1, J2,
-curvature tensor, block isometries), third-order jet chart calculus (normals,
-shape operators, principal curvatures, structural-equation residuals), the
-canonical hypersurface families with closed-form oracles, the parallel-flow
-machinery, and a verification CLI.
+Minkowski/hyperboloid primitives, the product-space structures (the ambient
+form ETA6, P6, J1 and J2 on (..., 6) arrays, the horocycle-subgroup blocks),
+third-order jet chart calculus (normals, shape operators, principal
+curvatures, structural-equation residuals), the canonical hypersurface
+families with closed-form oracles, the parallel-flow machinery, and a
+verification CLI.  Points and tangent vectors of H² × H² are ambient
+6-vectors throughout.
 """
 
 from . import autodiff, lorentz, model_zoo, parallel_flow, product_space, surface_calculus
-from .lorentz import (
-    CurveState,
-    H2Point,
-    H2Tangent,
-    PlaneCurve,
-    complex_structure,
-    h2_exp,
-    lorentz_cross,
-    lorentz_inner,
-)
+from .lorentz import PlaneCurve, lorentz_cross, lorentz_inner
 from .model_zoo import (
     ModelSpec,
     Oracle,
@@ -32,7 +25,6 @@ from .model_zoo import (
 from .parallel_flow import (
     AdaptedFrame,
     FocalPointError,
-    ParallelState,
     adapted_frame,
     detq_derivatives_at_0,
     detq_derivatives_numeric,
@@ -42,27 +34,11 @@ from .parallel_flow import (
     isoparametric_scan,
     mean_curvature_of_parallel,
     parallel_lambdas,
-    parallel_normal,
-    parallel_point,
-    parallel_state,
     parallel_surface,
     q_matrix,
     q_prime,
 )
-from .product_space import (
-    BlockIsometry,
-    ProductPoint,
-    ProductTangent,
-    apply_J1,
-    apply_J2,
-    apply_P,
-    apply_isometry,
-    curvature_tensor,
-    group_element_B,
-    group_element_G,
-    product_metric,
-    pushforward,
-)
+from .product_space import group_element_B, group_element_G
 from .surface_calculus import (
     ChartRankError,
     DegenerateProductAngleError,
@@ -73,12 +49,7 @@ from .surface_calculus import (
     StructuralResiduals,
     point_derivatives,
     point_geometry,
-    product_angle_C,
-    ricci,
-    sectional,
     structural_residuals,
-    tangential_T,
-    vector_V,
 )
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +28,6 @@ from . import autodiff as ad
 
 ETA3 = np.diag([-1.0, 1.0, 1.0])
 
-POINT_TOL = 1e-12
-TANGENT_TOL = 1e-12
 FRAME_TOL = 1e-10
 
 
@@ -49,100 +46,23 @@ def lorentz_cross(a, b):
     return [x, y, z]
 
 
-@dataclass(frozen=True)
-class H2Point:
-    """Point of H² in the hyperboloid model.
-
-    The constraint residual is judged relative to the squared point size:
-    far from the origin, evaluating -x1² + x2² + x3² + 1 in doubles cancels
-    terms of order |x|², so an absolute bar would reject exact points.
-    """
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        object.__setattr__(self, "v", v)
-        scale = max(1.0, float(v @ v))
-        if abs(lorentz_inner(v, v) + 1.0) > POINT_TOL * scale:
-            raise ValueError(f"not on the hyperboloid: <v,v>={lorentz_inner(v, v)!r}")
-        if v[0] <= 0.0:
-            raise ValueError("lower sheet: x1 must be positive")
-
-    @staticmethod
-    def from_timelike(v) -> "H2Point":
-        """Normalize a timelike vector with positive first component onto H²."""
-        v = np.asarray(v, dtype=float)
-        n2 = -lorentz_inner(v, v)
-        if n2 <= 0.0:
-            raise ValueError("vector is not timelike")
-        return H2Point(v / math.sqrt(n2))
+def frame_residual(g, t, n):
+    """Deviation of the columns gamma, T, N of a frame from Lorentz
+    orthonormality; each argument holds its 3 components first, (3, *B)."""
+    return np.abs(np.array([lorentz_inner(g, g) + 1.0, lorentz_inner(t, t) - 1.0,
+                            lorentz_inner(n, n) - 1.0, lorentz_inner(g, t),
+                            lorentz_inner(g, n), lorentz_inner(t, n)])).max(0)
 
 
-@dataclass(frozen=True)
-class H2Tangent:
-    """Tangent vector of H² at a base point."""
-
-    base: H2Point
-    u: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        object.__setattr__(self, "u", u)
-        scale = max(1.0, float(np.linalg.norm(self.base.v) * np.linalg.norm(u)))
-        if abs(lorentz_inner(self.base.v, u)) > TANGENT_TOL * scale:
-            raise ValueError("vector is not tangent at the base point")
-
-
-def complex_structure(x: H2Point, u, tol: float = 1e-9):
-    """Rotation J_x u = x ⊠ u of the tangent plane at x; J² = -Id."""
-    if abs(lorentz_inner(x.v, u)) > tol:
-        raise ValueError("complex_structure: input is not tangent at x")
-    return lorentz_cross(x.v, u)
-
-
-def h2_exp(p: H2Point, w, l: float = 1.0, tol: float = 1e-9) -> H2Point:
-    """Geodesic exponential: flow from p for parameter l with velocity w."""
-    w = np.asarray(w, dtype=float)
-    if abs(lorentz_inner(p.v, w)) > tol:
-        raise ValueError("h2_exp: velocity is not tangent at p")
-    n2 = lorentz_inner(w, w)
-    nrm = math.sqrt(max(n2, 0.0))
-    if nrm * abs(l) == 0.0:
-        return p
-    return H2Point(math.cosh(nrm * l) * p.v + math.sinh(nrm * l) * w / nrm)
-
-
-@dataclass(frozen=True)
-class CurveState:
-    """Frenet data of a unit-speed plane curve at one parameter value."""
-
-    gamma: np.ndarray
-    tangent: np.ndarray
-    normal: np.ndarray
-    kappa: float
-
-    def __post_init__(self):
-        for name in ("gamma", "tangent", "normal"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        scale = max(1.0, float(self.gamma @ self.gamma))
-        if self.frame_residual() > FRAME_TOL * scale:
-            raise ValueError("curve frame is not Lorentz-orthonormal")
-
-    def frame_residual(self) -> float:
-        g, t, n = self.gamma, self.tangent, self.normal
-        return max(
-            abs(lorentz_inner(g, g) + 1.0),
-            abs(lorentz_inner(t, t) - 1.0),
-            abs(lorentz_inner(n, n) - 1.0),
-            abs(lorentz_inner(g, t)),
-            abs(lorentz_inner(g, n)),
-            abs(lorentz_inner(t, n)),
-        )
-
-    @property
-    def point(self) -> H2Point:
-        return H2Point(self.gamma)
+def _frame_columns(F: np.ndarray):
+    """The columns gamma, T, N of a frame (3,3) or of stacked frames (*B,3,3),
+    component first: (3, *B) each.  A frame that is not Lorentz-orthonormal,
+    judged relative to the squared size of gamma, raises ValueError."""
+    g, t, n = F.T if F.ndim <= 3 else np.moveaxis(F, (-1, -2), (0, 1))
+    scale = np.maximum(1.0, g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
+    if (frame_residual(g, t, n) > FRAME_TOL * scale).any():
+        raise ValueError("curve frame is not Lorentz-orthonormal")
+    return g, t, n
 
 
 def so12_exp(X: np.ndarray) -> np.ndarray:
@@ -217,7 +137,8 @@ class PlaneCurve:
             self._w2 = (1.0 - k) * (1.0 + k)     # w² of C, accurate near |kappa| = 1
             self._terms = (F0, F0 @ C, F0 @ C @ C)
 
-    def _kappa_at(self, r: float) -> float:
+    def kappa_at(self, r: float) -> float:
+        """The curvature at arc length r, as a float."""
         if callable(self.kappa):
             return float(ad.value(self.kappa(r)))
         return float(self.kappa)
@@ -225,7 +146,7 @@ class PlaneCurve:
     def _magnus_step(self, F, r, h):
         # Blanes-Casas-Ros for Y' = A Y with every bracket reversed, since
         # the frame multiplies from the right; terms are so(1,2) coordinates
-        A1, A2, A3 = (np.array([1.0, 0.0, self._kappa_at(r + c * h)]) for c in _GL_NODES)
+        A1, A2, A3 = (np.array([1.0, 0.0, self.kappa_at(r + c * h)]) for c in _GL_NODES)
         a1 = h * A2
         a2 = (math.sqrt(15.0) * h / 3.0) * (A3 - A1)
         a3 = (10.0 * h / 3.0) * (A3 - 2.0 * A2 + A1)
@@ -266,9 +187,10 @@ class PlaneCurve:
             F = self._magnus_step(F, k * self.STRIDE, r - k * self.STRIDE)
         return F
 
-    def state(self, r: float) -> CurveState:
-        g, t, n = self._frame(r).T.copy()
-        return CurveState(gamma=g, tangent=t, normal=n, kappa=self._kappa_at(r))
+    def state(self, r: float) -> tuple:
+        """Frenet data (gamma, T, N, kappa) at a float arc length r."""
+        g, t, n = _frame_columns(self._frame(r).copy())
+        return g, t, n, self.kappa_at(r)
 
     def jet(self, r):
         """Curve point and normal at a scalar or jet parameter.
@@ -285,16 +207,7 @@ class PlaneCurve:
         and one Magnus frame per point, stacked, for a curvature function.
         """
         r0 = ad.value(r)
-        F = self._frame(r0)
-        # the columns gamma, T, N, component first: (3, *B) each
-        g, t, n = F.T if F.ndim <= 3 else np.moveaxis(F, (-1, -2), (0, 1))
-        # the test of CurveState, at every point of a batch
-        residual = np.abs(np.array([lorentz_inner(g, g) + 1.0, lorentz_inner(t, t) - 1.0,
-                                    lorentz_inner(n, n) - 1.0, lorentz_inner(g, t),
-                                    lorentz_inner(g, n), lorentz_inner(t, n)])).max(0)
-        scale = np.maximum(1.0, g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
-        if (residual > FRAME_TOL * scale).any():
-            raise ValueError("curve frame is not Lorentz-orthonormal")
+        g, t, n = _frame_columns(self._frame(r0))
         if not isinstance(r, ad.Jet):
             return list(g), list(n)
         if callable(self.kappa):

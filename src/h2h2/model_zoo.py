@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import autodiff as ad
-from .lorentz import PlaneCurve, lorentz_cross
+from .lorentz import PlaneCurve
 from .surface_calculus import Hypersurface
 
 KappaSpec = Union[float, Callable]
@@ -58,7 +58,6 @@ class Oracle:
     name: str
     C: float
     lambdas: Callable                 # u -> (3,) ascending principal curvatures
-    frame_eigen: Callable             # u -> [(ambient eigenvector, eigenvalue)]
     constant_curvatures: bool
 
 
@@ -91,22 +90,8 @@ def make_M_Gamma(kappa_gamma: float, domain=None):
     def lambdas(_u):
         return lam
 
-    def frame_eigen(u):
-        r, rho, phi = (float(x) for x in u)
-        st = curve.state(r)
-        e_rho = np.array([math.sinh(rho), math.cosh(rho) * math.cos(phi),
-                          math.cosh(rho) * math.sin(phi)])
-        e_phi = np.array([0.0, -math.sin(phi), math.cos(phi)])
-        z = np.zeros(3)
-        return [
-            (np.concatenate([st.tangent, z]), kappa_gamma),
-            (np.concatenate([z, e_rho]), 0.0),
-            (np.concatenate([z, e_phi]), 0.0),
-        ]
-
     surface = Hypersurface(chart=chart, domain=domain, name=f"M_Gamma(kappa={kappa_gamma})")
-    oracle = Oracle(name=surface.name, C=1.0, lambdas=lambdas,
-                    frame_eigen=frame_eigen, constant_curvatures=True)
+    oracle = Oracle(name=surface.name, C=1.0, lambdas=lambdas, constant_curvatures=True)
     return surface, oracle
 
 
@@ -134,8 +119,8 @@ def _product_surface(c: float, curve1: PlaneCurve, curve2: PlaneCurve,
         return p, q, n
 
     def _factors(t, r, s):
-        k1 = curve1.state(r).kappa
-        k2 = curve2.state(s).kappa
+        k1 = curve1.kappa_at(r)
+        k2 = curve2.kappa_at(s)
         d1 = math.cosh(sc * t) - math.sinh(sc * t) * k1
         d2 = math.cosh(s1c * t) - math.sinh(s1c * t) * k2
         if abs(d1) <= 1e-6:
@@ -153,25 +138,8 @@ def _product_surface(c: float, curve1: PlaneCurve, curve2: PlaneCurve,
         lam2, lam3 = _factors(t, r, s)
         return np.sort(np.array([0.0, lam2, lam3]))
 
-    def frame_eigen(u):
-        t, r, s = (float(x) for x in u)
-        st1 = curve1.state(r)
-        st2 = curve2.state(s)
-        lam2, lam3 = _factors(t, r, s)
-        z = np.zeros(3)
-        e1 = np.concatenate([
-            sc * (math.sinh(sc * t) * st1.gamma + math.cosh(sc * t) * st1.normal),
-            s1c * (math.sinh(s1c * t) * st2.gamma + math.cosh(s1c * t) * st2.normal),
-        ])
-        return [
-            (e1, 0.0),
-            (np.concatenate([st1.tangent, z]), lam2),
-            (np.concatenate([z, st2.tangent]), lam3),
-        ]
-
     surface = Hypersurface(chart=chart, domain=domain, name=name)
-    oracle = Oracle(name=name, C=1.0 - 2.0 * c, lambdas=lambdas,
-                    frame_eigen=frame_eigen, constant_curvatures=constant)
+    oracle = Oracle(name=name, C=1.0 - 2.0 * c, lambdas=lambdas, constant_curvatures=constant)
     return surface, oracle
 
 
@@ -253,24 +221,8 @@ def make_M_tau(tau: float, domain=None):
     def lambdas(_u):
         return lam
 
-    def frame_eigen(u):
-        x = surface.point(u)
-        p, q = x[:3], x[3:]
-        v_first = (q + tau * p) * scale
-        v_second = -(p + tau * q) * scale
-        pq = lorentz_cross(p, q)
-        qp = lorentz_cross(q, p)
-        j1n = np.concatenate([pq, qp]) * scale
-        j2n = np.concatenate([pq, -qp]) * scale
-        return [
-            (np.concatenate([v_first, v_second]), 0.0),
-            (j1n, mtau_lambda_big(tau)),
-            (j2n, mtau_lambda_small(tau)),
-        ]
-
     surface = Hypersurface(chart=chart, domain=domain, name=f"M_tau(tau={tau})")
-    oracle = Oracle(name=surface.name, C=0.0, lambdas=lambdas,
-                    frame_eigen=frame_eigen, constant_curvatures=True)
+    oracle = Oracle(name=surface.name, C=0.0, lambdas=lambdas, constant_curvatures=True)
     return surface, oracle
 
 

@@ -31,8 +31,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .lorentz import lorentz_cross, parallel_curve_curvature
-from .product_space import ETA6, P6, ProductPoint, ProductTangent, ambient_inner
+from .lorentz import parallel_curve_curvature
+from .product_space import ETA6, P6, ambient_inner, complex_structures
 from .surface_calculus import (
     DegenerateProductAngleError,
     Hypersurface,
@@ -58,14 +58,14 @@ class FocalPointError(ArithmeticError):
 class AdaptedFrame:
     """Shape-operator components in the adapted frame (E1 along V).
 
-    ``A`` is symmetric; ``frame`` holds the ambient frame vectors as rows
-    (None for synthetic frames used in algebraic tests).
+    ``A`` is symmetric.  ``adapted_frame`` also records the ambient frame
+    vectors as the rows of ``frame``; a frame given by C and A alone, as
+    ``AdaptedFrame(C, A)``, has none, and the functions of l need none.
     """
 
     C: float
     A: np.ndarray
     frame: Optional[np.ndarray] = None   # (3,6) rows E1,E2,E3
-    base: Optional[np.ndarray] = None    # (6,)
 
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
@@ -98,20 +98,12 @@ class AdaptedFrame:
         """Scalar curvature via 2 (H12 + H13 + H23) = rho + 2."""
         return 2.0 * sum(self.principal_minors()) - 2.0
 
-    @staticmethod
-    def synthetic(A, C: float) -> "AdaptedFrame":
-        A = np.asarray(A, dtype=float)
-        return AdaptedFrame(C=float(C), A=0.5 * (A + A.T))
-
 
 def frame_vectors(pg: PointGeometry) -> np.ndarray:
     """Ambient adapted-frame vectors (rows E1, E2, E3) at a point with |C|<1."""
     if abs(pg.C) > DEGENERATE_C:
         raise DegenerateProductAngleError(f"|C|={abs(pg.C):.12f} too close to 1")
-    n1, n2 = pg.N[:3], pg.N[3:]
-    p, q = pg.val[:3], pg.val[3:]
-    j1n = np.concatenate([lorentz_cross(p, n1), lorentz_cross(q, n2)])
-    j2n = np.concatenate([lorentz_cross(p, n1), -lorentz_cross(q, n2)])
+    j1n, j2n = complex_structures(pg.val, pg.N)
     e1 = pg.V / math.sqrt(1.0 - pg.C ** 2)
     e2 = (j1n + j2n) / math.sqrt(2.0 * (1.0 + pg.C))
     e3 = (j1n - j2n) / math.sqrt(2.0 * (1.0 - pg.C))
@@ -127,7 +119,7 @@ def adapted_frame(pg: PointGeometry) -> AdaptedFrame:
         for j in range(3):
             a[i, j] = ambient_inner(shaped[i], E[j])
     a = 0.5 * (a + a.T)
-    return AdaptedFrame(C=pg.C, A=a, frame=E, base=pg.val)
+    return AdaptedFrame(C=pg.C, A=a, frame=E)
 
 
 def frame_orthonormality_residual(af: AdaptedFrame) -> float:
@@ -137,35 +129,8 @@ def frame_orthonormality_residual(af: AdaptedFrame) -> float:
 
 
 # ---------------------------------------------------------------------------
-# parallel points and normals
+# the parallel hypersurface
 # ---------------------------------------------------------------------------
-
-def parallel_point(pg: PointGeometry, l: float) -> ProductPoint:
-    """Point reached by flowing distance l along the unit normal geodesic."""
-    if abs(pg.C) > DEGENERATE_C:
-        raise DegenerateProductAngleError("parallel flow needs |C| < 1")
-    cp = math.sqrt((1.0 + pg.C) / 2.0)
-    cm = math.sqrt((1.0 - pg.C) / 2.0)
-    p, q = pg.val[:3], pg.val[3:]
-    n1, n2 = pg.N[:3], pg.N[3:]
-    pl = math.cosh(cp * l) * p + math.sinh(cp * l) / cp * n1
-    ql = math.cosh(cm * l) * q + math.sinh(cm * l) / cm * n2
-    return ProductPoint.from_ambient(np.concatenate([pl, ql]))
-
-
-def parallel_normal(pg: PointGeometry, l: float) -> ProductTangent:
-    """Unit normal of the parallel hypersurface at the flowed point."""
-    if abs(pg.C) > DEGENERATE_C:
-        raise DegenerateProductAngleError("parallel flow needs |C| < 1")
-    cp = math.sqrt((1.0 + pg.C) / 2.0)
-    cm = math.sqrt((1.0 - pg.C) / 2.0)
-    p, q = pg.val[:3], pg.val[3:]
-    n1, n2 = pg.N[:3], pg.N[3:]
-    n1l = math.cosh(cp * l) * n1 + cp * math.sinh(cp * l) * p
-    n2l = math.cosh(cm * l) * n2 + cm * math.sinh(cm * l) * q
-    return ProductTangent.from_ambient(parallel_point(pg, l),
-                                       np.concatenate([n1l, n2l]))
-
 
 def parallel_surface(M: Hypersurface, l: float) -> Hypersurface:
     """The parallel hypersurface at distance l as a chart of its own.
@@ -310,25 +275,6 @@ def mean_curvature_of_parallel(af: AdaptedFrame, l):
 def parallel_lambdas(af: AdaptedFrame, l) -> np.ndarray:
     """Principal curvatures of the parallel hypersurface, ascending."""
     return _real_spectrum(parallel_shape_operator(af, l))
-
-
-@dataclass(frozen=True)
-class ParallelState:
-    """Parallel-flow data of one adapted frame at one distance l."""
-
-    l: float
-    Q: np.ndarray
-    Qprime: np.ndarray
-    detQ: float
-    H_of_l: float
-    parallel_lambdas: np.ndarray
-
-
-def parallel_state(af: AdaptedFrame, l: float) -> ParallelState:
-    q, qp = q_matrix(af, l), q_prime(af, l)
-    s = _shape_operator(q, qp, l)
-    return ParallelState(l=l, Q=q, Qprime=qp, detQ=float(np.linalg.det(q)),
-                         H_of_l=float(np.trace(s)), parallel_lambdas=_real_spectrum(s))
 
 
 def focal_pushforward_norm(M: Hypersurface, u, l: float) -> float:
@@ -555,19 +501,13 @@ def _adapted_frame_jacobians(pg: PointGeometry, d: PointDerivatives) -> np.ndarr
     """Ambient 6x3 Jacobians of the adapted frame fields E1 = V-hat, E2, E3 at pg.
 
     E1 = V / sqrt(1 - C²) follows from dV and dC.  E2 and E3 are
-    (J1 N ± J2 N) / sqrt(2 (1 ± C)) with J1 N + J2 N = 2 (p ⊠ n1, 0) and
-    J1 N - J2 N = 2 (0, q ⊠ n2), differentiated by the product rule.
+    (J1 N ± J2 N) / sqrt(2 (1 ± C)), and J_i N, bilinear in the point and
+    N, is differentiated by the product rule.
     """
     E, C = frame_vectors(pg), pg.C
-
-    def d_cross(f):
-        # Jacobian of x ⊠ n on the factor slice f
-        return (np.array(lorentz_cross(pg.jac[f], pg.N[f]))
-                + np.array(lorentz_cross(pg.val[f], d.dN[f])))
-
-    z = np.zeros((3, 3))
-    dw2 = np.vstack([2.0 * d_cross(slice(0, 3)), z])
-    dw3 = np.vstack([z, 2.0 * d_cross(slice(3, 6))])
+    dj1, dj2 = (a + b for a, b in zip(complex_structures(pg.jac, pg.N),
+                                      complex_structures(pg.val, d.dN)))
+    dw2, dw3 = dj1 + dj2, dj1 - dj2
     return np.stack([
         d.dV / math.sqrt(1.0 - C ** 2) + np.outer(E[0], C * d.dC / (1.0 - C ** 2)),
         dw2 / math.sqrt(2.0 * (1.0 + C)) - np.outer(E[1], d.dC / (2.0 * (1.0 + C))),

@@ -1,73 +1,24 @@
-"""Points, tangents, and structures of H² × H² inside R³₁ × R³₁.
+"""The ambient structures of H² × H² inside R³₁ × R³₁, on (..., 6) arrays.
 
-The ambient bilinear form is the block sum of two copies of the Lorentz form
-(signature -,+,+,-,+,+); restricted to tangent planes of H² × H² it is the
-Riemannian product metric.  The product structure P fixes first-factor
-tangents and negates second-factor ones; J1 = (J, J) and J2 = (J, -J) are the
-two compatible complex structures and satisfy P = -J1 J2 = -J2 J1.
+A point (p, q) of H² × H² and a tangent vector (w1, w2) at it are both
+ambient 6-vectors.  The ambient bilinear form ETA6 is the block sum of two
+copies of the Lorentz form (signature -,+,+,-,+,+); restricted to tangent
+planes of H² × H² it is the Riemannian product metric.  The product
+structure P6 fixes first-factor tangents and negates second-factor ones;
+J1 = (J, J) and J2 = (J, -J) are the two compatible complex structures and
+satisfy P = -J1 J2 = -J2 J1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .lorentz import ETA3, H2Point, lorentz_cross, lorentz_inner
+from .lorentz import ETA3, lorentz_cross
 
 ETA6 = np.diag([-1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
 P6 = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
-
-TANGENT_TOL = 1e-10
-ISOMETRY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ProductPoint:
-    """Point (p, q) of H² × H²."""
-
-    p: H2Point
-    q: H2Point
-
-    @property
-    def ambient(self) -> np.ndarray:
-        return np.concatenate([self.p.v, self.q.v])
-
-    @staticmethod
-    def from_ambient(x) -> "ProductPoint":
-        x = np.asarray(x, dtype=float)
-        return ProductPoint(H2Point(x[:3]), H2Point(x[3:]))
-
-
-@dataclass(frozen=True)
-class ProductTangent:
-    """Tangent pair (v1, v2) of H² × H² at a base point."""
-
-    base: ProductPoint
-    v1: np.ndarray
-    v2: np.ndarray
-
-    def __post_init__(self):
-        v1 = np.asarray(self.v1, dtype=float)
-        v2 = np.asarray(self.v2, dtype=float)
-        object.__setattr__(self, "v1", v1)
-        object.__setattr__(self, "v2", v2)
-        s1 = max(1.0, float(np.linalg.norm(self.base.p.v) * np.linalg.norm(v1)))
-        s2 = max(1.0, float(np.linalg.norm(self.base.q.v) * np.linalg.norm(v2)))
-        if abs(lorentz_inner(self.base.p.v, v1)) > TANGENT_TOL * s1:
-            raise ValueError("v1 is not tangent at p")
-        if abs(lorentz_inner(self.base.q.v, v2)) > TANGENT_TOL * s2:
-            raise ValueError("v2 is not tangent at q")
-
-    @property
-    def ambient(self) -> np.ndarray:
-        return np.concatenate([self.v1, self.v2])
-
-    @staticmethod
-    def from_ambient(base: ProductPoint, w) -> "ProductTangent":
-        w = np.asarray(w, dtype=float)
-        return ProductTangent(base, w[:3], w[3:])
 
 
 def ambient_inner(w1, w2) -> float:
@@ -75,100 +26,16 @@ def ambient_inner(w1, w2) -> float:
     return float(np.asarray(w1) @ ETA6 @ np.asarray(w2))
 
 
-def _same_base(x: ProductTangent, y: ProductTangent, tol: float = 1e-12):
-    if (np.max(np.abs(x.base.ambient - y.base.ambient))) > tol:
-        raise ValueError("tangent vectors have different base points")
+def complex_structures(x, w):
+    """(J1 w, J2 w) = ((p ⊠ w1, q ⊠ w2), (p ⊠ w1, -q ⊠ w2)) at x = (p, q).
 
-
-def product_metric(x: ProductTangent, y: ProductTangent) -> float:
-    """Riemannian product metric <x1,y1> + <x2,y2>."""
-    _same_base(x, y)
-    return float(lorentz_inner(x.v1, y.v1) + lorentz_inner(x.v2, y.v2))
-
-
-def apply_P(x: ProductTangent) -> ProductTangent:
-    """Product structure P(v1, v2) = (v1, -v2)."""
-    return ProductTangent(x.base, x.v1, -x.v2)
-
-
-def apply_J1(x: ProductTangent) -> ProductTangent:
-    """Complex structure J1 = (J, J)."""
-    return ProductTangent(
-        x.base,
-        lorentz_cross(x.base.p.v, x.v1),
-        lorentz_cross(x.base.q.v, x.v2),
-    )
-
-
-def apply_J2(x: ProductTangent) -> ProductTangent:
-    """Complex structure J2 = (J, -J)."""
-    return ProductTangent(
-        x.base,
-        lorentz_cross(x.base.p.v, x.v1),
-        -lorentz_cross(x.base.q.v, x.v2),
-    )
-
-
-def curvature_tensor(x: ProductTangent, y: ProductTangent,
-                     z: ProductTangent, w: ProductTangent) -> float:
-    """Ambient curvature R̄(X,Y,Z,W) of the product metric.
-
-    R̄(X,Y,Z,W) = -1/2 { <Y,Z><X,W> - <X,Z><Y,W>
-                        + <PY,Z><PX,W> - <PX,Z><PY,W> }.
+    J rotates each factor's tangent plane by the Lorentz cross product with
+    the point.  x and w are ambient 6-vectors, or either of them a 6 x k
+    array whose columns are taken one by one, as for a chart Jacobian.
     """
-    _same_base(x, y)
-    _same_base(x, z)
-    _same_base(x, w)
-    px, py = apply_P(x), apply_P(y)
-    return -0.5 * (
-        product_metric(y, z) * product_metric(x, w)
-        - product_metric(x, z) * product_metric(y, w)
-        + product_metric(py, z) * product_metric(px, w)
-        - product_metric(px, z) * product_metric(py, w)
-    )
-
-
-@dataclass(frozen=True)
-class BlockIsometry:
-    """Diagonal-block isometry (A1, A2) with both blocks in O⁺(1,2)."""
-
-    A1: np.ndarray
-    A2: np.ndarray
-
-    def __post_init__(self):
-        a1 = np.asarray(self.A1, dtype=float)
-        a2 = np.asarray(self.A2, dtype=float)
-        object.__setattr__(self, "A1", a1)
-        object.__setattr__(self, "A2", a2)
-        for blk in (a1, a2):
-            if np.max(np.abs(blk.T @ ETA3 @ blk - ETA3)) > ISOMETRY_TOL:
-                raise ValueError("block does not preserve the Lorentz form")
-            if blk[0, 0] <= 0.0:
-                raise ValueError("block is not orthochronous")
-
-    def lorentz_defect(self) -> float:
-        return max(
-            float(np.max(np.abs(self.A1.T @ ETA3 @ self.A1 - ETA3))),
-            float(np.max(np.abs(self.A2.T @ ETA3 @ self.A2 - ETA3))),
-        )
-
-    def compose(self, other: "BlockIsometry") -> "BlockIsometry":
-        return BlockIsometry(self.A1 @ other.A1, self.A2 @ other.A2)
-
-    @staticmethod
-    def identity() -> "BlockIsometry":
-        return BlockIsometry(np.eye(3), np.eye(3))
-
-
-def apply_isometry(g: BlockIsometry, x: ProductPoint) -> ProductPoint:
-    """Image of a point under a diagonal-block isometry."""
-    return ProductPoint(H2Point(g.A1 @ x.p.v), H2Point(g.A2 @ x.q.v))
-
-
-def pushforward(g: BlockIsometry, x: ProductTangent) -> ProductTangent:
-    """Differential of a block isometry; exact since the map is linear."""
-    base = apply_isometry(g, x.base)
-    return ProductTangent(base, g.A1 @ x.v1, g.A2 @ x.v2)
+    first = np.array(lorentz_cross(x[:3], w[:3]))
+    second = np.array(lorentz_cross(x[3:], w[3:]))
+    return np.concatenate([first, second]), np.concatenate([first, -second])
 
 
 def _horocycle_block(t_exp: float, r: float) -> np.ndarray:
@@ -182,22 +49,27 @@ def _horocycle_block(t_exp: float, r: float) -> np.ndarray:
     ])
 
 
-def group_element_G(c: float, t: float, r: float, s: float) -> BlockIsometry:
-    """Element of the subgroup whose orbits through the diagonal point are
-    the curvature-(1,-1) product hypersurfaces; blocks use exp(-sqrt(c) t)
-    and exp(+sqrt(1-c) t)."""
+def lorentz_defect(blocks) -> float:
+    """max |Bᵀ η B - η| over 3x3 blocks B: how far they are from O(1,2)."""
+    return max(float(np.max(np.abs(b.T @ ETA3 @ b - ETA3))) for b in blocks)
+
+
+def group_element_G(c: float, t: float, r: float, s: float) -> tuple:
+    """Blocks (A1, A2) of the diagonal-block isometry of the subgroup whose
+    orbits through the diagonal point are the curvature-(1,-1) product
+    hypersurfaces; blocks use exp(-sqrt(c) t) and exp(+sqrt(1-c) t)."""
     if not 0.0 < c < 1.0:
         raise ValueError("c out of range (0,1)")
     g1 = _horocycle_block(math.exp(-math.sqrt(c) * t), r)
     g2 = _horocycle_block(math.exp(math.sqrt(1.0 - c) * t), s)
-    return BlockIsometry(g1, g2)
+    return g1, g2
 
 
-def group_element_B(c: float, t: float, r: float, s: float) -> BlockIsometry:
-    """Element of the subgroup for the curvature-(1,1) hypersurfaces; blocks
-    use exp(-sqrt(c) t) and exp(-sqrt(1-c) t)."""
+def group_element_B(c: float, t: float, r: float, s: float) -> tuple:
+    """Blocks (A1, A2) of the subgroup element for the curvature-(1,1)
+    hypersurfaces; blocks use exp(-sqrt(c) t) and exp(-sqrt(1-c) t)."""
     if not 0.0 < c < 1.0:
         raise ValueError("c out of range (0,1)")
     b1 = _horocycle_block(math.exp(-math.sqrt(c) * t), r)
     b2 = _horocycle_block(math.exp(-math.sqrt(1.0 - c) * t), s)
-    return BlockIsometry(b1, b2)
+    return b1, b2

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .lorentz import ETA3
-from .product_space import ETA6, P6, ProductPoint, ProductTangent, ambient_inner
+from .product_space import ETA6, P6
 
 RANK_SIGMA_MIN = 1e-6
 NORMAL_TOL = 1e-10
@@ -82,9 +82,6 @@ class Hypersurface:
     def point(self, u) -> np.ndarray:
         p, q, _ = self.chart([float(x) for x in u])
         return np.array([ad.value(x) for x in (*p, *q)], dtype=float)
-
-    def product_point(self, u) -> ProductPoint:
-        return ProductPoint.from_ambient(self.point(u))
 
     def jet(self, u) -> "ChartJet":
         return chart_jet(self, u)
@@ -245,23 +242,6 @@ class PointGeometry:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
-    # -- typed views ------------------------------------------------------
-    @property
-    def point(self) -> ProductPoint:
-        return ProductPoint.from_ambient(self.val)
-
-    @property
-    def basis(self) -> list[ProductTangent]:
-        return [ProductTangent.from_ambient(self.point, self.jac[:, i]) for i in range(3)]
-
-    @property
-    def normal(self) -> ProductTangent:
-        return ProductTangent.from_ambient(self.point, self.N)
-
-    @property
-    def v_tangent(self) -> ProductTangent:
-        return ProductTangent.from_ambient(self.point, self.V)
-
     # -- linear algebra on ambient vectors (..., 6) -----------------------
     def coords(self, w) -> np.ndarray:
         """Chart components of an ambient tangent vector."""
@@ -284,9 +264,6 @@ class PointGeometry:
         """Tangential part of P: T w = P w - <w, V> N."""
         w = np.asarray(w, float)
         return _matvec(P6, w) - _pairing(w, self.V)[..., None] * self.N
-
-    def metric(self, w1, w2) -> float:
-        return ambient_inner(w1, w2)
 
 
 def _geometry(jet: ChartJet) -> PointGeometry:
@@ -406,45 +383,6 @@ def point_derivatives(pg: PointGeometry) -> PointDerivatives:
 
 
 # ---------------------------------------------------------------------------
-# product angle, V, and the tangential operator T
-# ---------------------------------------------------------------------------
-
-def product_angle_C(N: ProductTangent) -> float:
-    """Product angle C = <PN, N> of a unit normal; agrees with <J1 N, J2 N>."""
-    from .product_space import apply_J1, apply_J2, apply_P, product_metric
-
-    if abs(product_metric(N, N) - 1.0) > 1e-9:
-        raise ValueError("product_angle_C requires a unit vector")
-    c_p = product_metric(apply_P(N), N)
-    c_j = product_metric(apply_J1(N), apply_J2(N))
-    if abs(c_p - c_j) > 1e-12:
-        raise ArithmeticError(f"<PN,N> and <J1N,J2N> disagree: {c_p} vs {c_j}")
-    return c_p
-
-
-def vector_V(N: ProductTangent) -> ProductTangent:
-    """Tangential part V = PN - CN of the normal."""
-    from .product_space import apply_P, product_metric
-
-    PN = apply_P(N)
-    c = product_metric(PN, N)
-    return ProductTangent(N.base, PN.v1 - c * N.v1, PN.v2 - c * N.v2)
-
-
-def tangential_T(pg: PointGeometry, X, tol: float = 1e-8) -> np.ndarray:
-    """T X = P X - <PX, N> N = P X - <X, V> N for X tangent to the surface."""
-    x = np.asarray(X, float)
-    if np.max(np.abs(x - pg.project(x))) > tol or abs(ambient_inner(x, pg.N)) > tol:
-        raise ValueError("tangential_T: input is not tangent to the hypersurface")
-    px = P6 @ x
-    first = px - ambient_inner(px, pg.N) * pg.N
-    second = px - ambient_inner(x, pg.V) * pg.N
-    if np.max(np.abs(first - second)) > 1e-10:
-        raise ArithmeticError("the two expressions for T disagree")
-    return first
-
-
-# ---------------------------------------------------------------------------
 # intrinsic quantities from the metric
 # ---------------------------------------------------------------------------
 
@@ -539,38 +477,3 @@ def structural_residuals(pg: PointGeometry) -> StructuralResiduals:
     if not pg.batch_shape:
         out = tuple(float(x) for x in out)
     return StructuralResiduals(*out)
-
-
-# ---------------------------------------------------------------------------
-# algebraic curvature operators from the point bundle
-# ---------------------------------------------------------------------------
-
-def gauss_curvature_operator(pg: PointGeometry, X, Y, Z) -> np.ndarray:
-    """R(X,Y)Z by the Gauss equation (algebraic in T, A, and the metric)."""
-    X, Y, Z = (np.asarray(w, float) for w in (X, Y, Z))
-    TX, TY = pg.T_apply(X), pg.T_apply(Y)
-    AX, AY = pg.shape_apply(X), pg.shape_apply(Y)
-    return (-0.5 * (ambient_inner(Y, Z) * X - ambient_inner(X, Z) * Y
-                    + ambient_inner(TY, Z) * TX - ambient_inner(TX, Z) * TY)
-            + ambient_inner(AY, Z) * AX - ambient_inner(AX, Z) * AY)
-
-
-def ricci(pg: PointGeometry, X, Y) -> float:
-    """Ricci curvature of the hypersurface along a pair of tangents."""
-    X, Y = np.asarray(X, float), np.asarray(Y, float)
-    TX = pg.T_apply(X)
-    AX = pg.shape_apply(X)
-    A2X = pg.shape_apply(AX)
-    return float(-0.5 * (ambient_inner(X, Y) - pg.C * ambient_inner(TX, Y)
-                         + ambient_inner(X, pg.V) * ambient_inner(Y, pg.V))
-                 + pg.H * ambient_inner(AX, Y) - ambient_inner(A2X, Y))
-
-
-def sectional(pg: PointGeometry, X, Y) -> float:
-    """Sectional curvature of the tangent plane spanned by X and Y."""
-    X, Y = np.asarray(X, float), np.asarray(Y, float)
-    num = ambient_inner(gauss_curvature_operator(pg, X, Y, Y), X)
-    den = (ambient_inner(X, X) * ambient_inner(Y, Y) - ambient_inner(X, Y) ** 2)
-    if abs(den) < 1e-12:
-        raise ValueError("sectional: degenerate plane")
-    return float(num / den)

@@ -4,6 +4,7 @@ import pytest
 from h2h2 import autodiff as ad
 from h2h2 import model_zoo as mz
 from h2h2 import surface_calculus as sc
+from h2h2.product_space import ambient_inner as inner
 from h2h2.report import sobol_points
 
 
@@ -20,6 +21,21 @@ def counted_chart(surface):
         return surface.chart(u)
 
     return sc.Hypersurface(chart=chart, domain=surface.domain, name=surface.name), calls
+
+
+def gauss_operator(pg, X, Y, Z):
+    """R(X,Y)Z of the hypersurface by the Gauss equation: algebraic in the
+    tangential operator T, the shape operator A and the metric."""
+    TX, TY = pg.T_apply(X), pg.T_apply(Y)
+    AX, AY = pg.shape_apply(X), pg.shape_apply(Y)
+    return (-0.5 * (inner(Y, Z) * X - inner(X, Z) * Y + inner(TY, Z) * TX - inner(TX, Z) * TY)
+            + inner(AY, Z) * AX - inner(AX, Z) * AY)
+
+
+def sectional(pg, X, Y):
+    """Sectional curvature of the tangent plane spanned by X and Y."""
+    den = inner(X, X) * inner(Y, Y) - inner(X, Y) ** 2
+    return inner(gauss_operator(pg, X, Y, Y), X) / den
 
 
 @pytest.fixture(scope="session")

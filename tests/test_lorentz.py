@@ -41,83 +41,83 @@ class TestInnerAndCross:
 
 
 class TestComplexStructure:
+    """J u = x ⊠ u, the rotation of the tangent plane at x."""
+
     def test_rotation_at_origin(self):
-        x = lz.H2Point(np.array([1.0, 0, 0]))
-        assert np.allclose(lz.complex_structure(x, np.array([0.0, 1, 0])), (0, 0, 1))
-        ju = lz.complex_structure(x, np.array([0.0, 0, 1]))
+        x = np.array([1.0, 0, 0])
+        assert np.allclose(lz.lorentz_cross(x, np.array([0.0, 1, 0])), (0, 0, 1))
+        ju = lz.lorentz_cross(x, np.array([0.0, 0, 1]))
         assert np.allclose(ju, (0, -1, 0))
         # J^2 = -Id
-        assert np.allclose(lz.complex_structure(x, np.array([0.0, 0, 1])),
-                           (0, -1, 0))
-        jju = lz.complex_structure(x, ju)
+        jju = lz.lorentz_cross(x, ju)
         assert np.allclose(jju, (0, 0, -1))
 
     def test_rotation_at_moved_point(self):
         # the image is pinned by orthogonality, unit norm, and orientation
-        x = lz.H2Point(np.array([math.cosh(1), math.sinh(1), 0.0]))
+        x = np.array([math.cosh(1), math.sinh(1), 0.0])
         u = np.array([math.sinh(1), math.cosh(1), 0.0])
-        ju = lz.complex_structure(x, u)
+        ju = lz.lorentz_cross(x, u)
         assert abs(lz.lorentz_inner(ju, ju) - 1.0) < 1e-12
         assert abs(lz.lorentz_inner(ju, u)) < 1e-12
-        assert abs(lz.lorentz_inner(ju, x.v)) < 1e-12
+        assert abs(lz.lorentz_inner(ju, x)) < 1e-12
         # solve for the orthogonal unit tangent directly and compare up to sign
         eta = np.diag([-1.0, 1, 1])
-        rows = np.stack([eta @ x.v, eta @ u])
+        rows = np.stack([eta @ x, eta @ u])
         _, _, vt = np.linalg.svd(rows)
         w = vt[-1]
         w = w / math.sqrt(lz.lorentz_inner(w, w))
         assert min(np.max(np.abs(ju - w)), np.max(np.abs(ju + w))) < 1e-12
         # orientation: det [x, u, Ju] keeps the sign of the standard frame
-        assert np.linalg.det(np.stack([x.v, u, ju])) > 0
+        assert np.linalg.det(np.stack([x, u, ju])) > 0
 
     def test_isometry_of_tangent_plane(self, rng):
         for _ in range(20):
             w = rng.normal(size=2)
-            x = lz.h2_exp(lz.H2Point(np.array([1.0, 0, 0])),
-                          np.array([0.0, w[0], w[1]]))
+            r = math.hypot(*w)
+            # the point at distance |w| from (1,0,0) in the direction (0, w)
+            x = np.array([math.cosh(r), math.sinh(r) * w[0] / r, math.sinh(r) * w[1] / r])
             # build two tangents at x
             t1 = np.array([0.0, 1.0, 0.3]) + rng.normal(size=3) * 0.1
-            t1 = t1 + lz.lorentz_inner(t1, x.v) * x.v
-            t2 = lz.complex_structure(x, t1)
+            t1 = t1 + lz.lorentz_inner(t1, x) * x
+            t2 = lz.lorentz_cross(x, t1)
             assert abs(lz.lorentz_inner(t2, t2) - lz.lorentz_inner(t1, t1)) < 1e-12 * max(
                 1.0, abs(lz.lorentz_inner(t1, t1)))
 
-    def test_rejects_non_tangent(self):
-        x = lz.H2Point(np.array([1.0, 0, 0]))
-        with pytest.raises(ValueError):
-            lz.complex_structure(x, np.array([1.0, 0, 0]))
-
 
 class TestExponentialMap:
+    """The geodesic PlaneCurve(0.0) is r -> exp(r (0,1,0)) from (1,0,0)."""
+
+    def frame(self, r):
+        return np.stack(lz.PlaneCurve(0.0).state(r)[:3], axis=1)
+
     def test_identity_case(self):
-        p = lz.H2Point(np.array([math.cosh(0.3), math.sinh(0.3), 0.0]))
-        assert np.allclose(lz.h2_exp(p, np.zeros(3), 1.0).v, p.v)
-        w = np.array([math.sinh(0.3), math.cosh(0.3), 0.0])
-        assert np.allclose(lz.h2_exp(p, w, 0.0).v, p.v)
+        assert np.array_equal(self.frame(0.0), np.eye(3))
 
     def test_standard_geodesic(self):
-        p = lz.H2Point(np.array([1.0, 0, 0]))
-        out = lz.h2_exp(p, np.array([0.0, 1, 0]), 1.0)
-        assert np.allclose(out.v, (math.cosh(1), math.sinh(1), 0))
+        g = lz.PlaneCurve(0.0).state(1.0)[0]
+        assert np.allclose(g, (math.cosh(1), math.sinh(1), 0))
 
     def test_distance_additivity(self):
-        p = lz.H2Point(np.array([1.0, 0, 0]))
-        w = 0.7 * np.array([0.0, 0.6, 0.8])
+        # the frame at a + b is the frame at a applied to the frame at b
         a, b = 0.9, 1.4
-        mid = lz.h2_exp(p, w, a)
-        nrm = math.sqrt(lz.lorentz_inner(w, w))
-        what = w / nrm
-        transported = nrm * (math.sinh(nrm * a) * p.v + math.cosh(nrm * a) * what)
-        out = lz.h2_exp(mid, transported, b)
-        ref = lz.h2_exp(p, w, a + b)
-        assert np.max(np.abs(out.v - ref.v)) < 1e-10
+        assert np.max(np.abs(self.frame(a + b) - self.frame(a) @ self.frame(b))) < 1e-10
 
     def test_stays_on_hyperboloid_far_out(self):
-        p = lz.H2Point(np.array([1.0, 0, 0]))
-        w = np.array([0.0, 2.0, 0.0])
-        out = lz.h2_exp(p, w, 5.0)   # |w| l = 10
+        g = lz.PlaneCurve(0.0).state(10.0)[0]
         # judged relative to |x|^2: the constraint cancels terms of that size
-        assert abs(lz.lorentz_inner(out.v, out.v) + 1.0) < 1e-12 * float(out.v @ out.v)
+        assert abs(lz.lorentz_inner(g, g) + 1.0) < 1e-12 * float(g @ g)
+
+
+def test_frame_check_rejects_a_non_orthonormal_frame():
+    # the one frame check of PlaneCurve.state and PlaneCurve.jet, on one
+    # frame and on a batch with one bad frame
+    bad = np.diag([1.0, 1.0 + 1e-8, 1.0])
+    with pytest.raises(ValueError, match="not Lorentz-orthonormal"):
+        lz._frame_columns(bad)
+    with pytest.raises(ValueError, match="not Lorentz-orthonormal"):
+        lz._frame_columns(np.stack([np.eye(3), bad, np.eye(3)]))
+    g, t, n = lz._frame_columns(np.stack([np.eye(3)] * 2))
+    assert g.shape == (3, 2) and np.array_equal(t, [[0, 0], [1, 1], [0, 0]])
 
 
 def exact_constant_curvature_state(kappa, r):
@@ -149,21 +149,21 @@ def rk4_reference(kappa, r_target, h):
 
 class TestCurves:
     def test_horocycle_at_zero(self):
-        st0 = lz.PlaneCurve(1.0).state(0.0)
-        assert np.allclose(st0.gamma, (1, 0, 0))
-        assert np.allclose(st0.normal, (0, 0, 1))
-        assert st0.kappa == 1.0
+        g, _, n, kappa = lz.PlaneCurve(1.0).state(0.0)
+        assert np.allclose(g, (1, 0, 0))
+        assert np.allclose(n, (0, 0, 1))
+        assert kappa == 1.0
 
     def test_horocycle_closed_form(self):
         r = 1.3
-        st0 = lz.PlaneCurve(1.0).state(r)
-        assert np.allclose(st0.gamma, ((2 + r * r) / 2, r, r * r / 2))
-        assert np.allclose(st0.normal, (-r * r / 2, -r, (2 - r * r) / 2))
+        g, _, n, _ = lz.PlaneCurve(1.0).state(r)
+        assert np.allclose(g, ((2 + r * r) / 2, r, r * r / 2))
+        assert np.allclose(n, (-r * r / 2, -r, (2 - r * r) / 2))
 
     def test_geodesic(self):
-        st0 = lz.PlaneCurve(0.0).state(0.83)
-        assert np.allclose(st0.gamma, (math.cosh(0.83), math.sinh(0.83), 0))
-        assert np.allclose(st0.normal, (0, 0, 1))
+        g, _, n, _ = lz.PlaneCurve(0.0).state(0.83)
+        assert np.allclose(g, (math.cosh(0.83), math.sinh(0.83), 0))
+        assert np.allclose(n, (0, 0, 1))
 
     # 1 +- 1e-9 and -1 +- 1e-9 sit on both sides of the branch change at w² = 0
     @pytest.mark.parametrize("kappa", [2.0, 0.5, -0.7, -1.0, 3.5,
@@ -173,11 +173,9 @@ class TestCurves:
         # handed over as a function
         for curve in (lz.PlaneCurve(kappa), lz.PlaneCurve(lambda _r: kappa)):
             for r in (-2.3, -0.4, 0.7, 1.9):
-                st0 = curve.state(r)
-                g, t, n = exact_constant_curvature_state(kappa, r)
-                assert np.max(np.abs(st0.gamma - g)) < 1e-9
-                assert np.max(np.abs(st0.tangent - t)) < 1e-9
-                assert np.max(np.abs(st0.normal - n)) < 1e-9
+                got = curve.state(r)[:3]
+                for x, want in zip(got, exact_constant_curvature_state(kappa, r)):
+                    assert np.max(np.abs(x - want)) < 1e-9
 
     def test_kappa_2_frenet_residual(self):
         # independent oracle: plain RK4 of the Frenet system at step 1e-4,
@@ -188,14 +186,14 @@ class TestCurves:
         g2, t2 = rk4_reference(lambda _r: kappa, r_target, 5e-5)
         assert np.max(np.abs(g1 - g2)) < 1e-12   # oracle self-consistency
 
-        st0 = lz.PlaneCurve(kappa).state(r_target)
-        assert np.max(np.abs(st0.gamma - g2)) < 1e-9
-        assert np.max(np.abs(st0.tangent - t2)) < 1e-9
+        g, t, _, _ = lz.PlaneCurve(kappa).state(r_target)
+        assert np.max(np.abs(g - g2)) < 1e-9
+        assert np.max(np.abs(t - t2)) < 1e-9
 
     @pytest.mark.parametrize("kappa", [0.0, 1.0, -1.0, 2.0, 0.4])
     def test_orthonormality_along_long_arcs(self, kappa):
         curve = lz.PlaneCurve(kappa)
-        drift = max(curve.state(r).frame_residual() for r in np.linspace(-5, 5, 81))
+        drift = max(lz.frame_residual(*curve.state(r)[:3]) for r in np.linspace(-5, 5, 81))
         assert drift < 1e-8
 
     def test_variable_curvature_frenet_closure(self):
@@ -205,24 +203,23 @@ class TestCurves:
         h = 1e-4
         rs = (-1.2, 0.3, 0.9)
         for r in rs:
-            sp = curve.state(r + h)
-            sm = curve.state(r - h)
-            s0 = curve.state(r)
-            dN = (sp.normal - sm.normal) / (2 * h)
-            assert np.max(np.abs(dN + s0.kappa * s0.tangent)) < 1e-6
-            dT = (sp.tangent - sm.tangent) / (2 * h)
-            assert np.max(np.abs(dT - s0.gamma - s0.kappa * s0.normal)) < 1e-6
+            _, tp, n_plus, _ = curve.state(r + h)
+            _, tm, n_minus, _ = curve.state(r - h)
+            g0, t0, n0, k0 = curve.state(r)
+            dN = (n_plus - n_minus) / (2 * h)
+            assert np.max(np.abs(dN + k0 * t0)) < 1e-6
+            dT = (tp - tm) / (2 * h)
+            assert np.max(np.abs(dT - g0 - k0 * n0)) < 1e-6
         # the sixth-order Magnus steps against plain RK4 at a fine step
         g_ref, t_ref = rk4_reference(math.tanh, 1.5, 1e-3)
-        st = curve.state(1.5)
-        assert np.max(np.abs(st.gamma - g_ref)) < 1e-11
-        assert np.max(np.abs(st.tangent - t_ref)) < 1e-11
+        g, t, _, _ = curve.state(1.5)
+        assert np.max(np.abs(g - g_ref)) < 1e-11
+        assert np.max(np.abs(t - t_ref)) < 1e-11
         # knots grow in a fixed order, so frames do not depend on the query order
         fresh = lz.PlaneCurve(ad.tanh)
         for r in reversed(rs):
-            a, b = fresh.state(r), curve.state(r)
-            for name in ("gamma", "tangent", "normal"):
-                assert np.array_equal(getattr(a, name), getattr(b, name))
+            for x, y in zip(fresh.state(r), curve.state(r)):
+                assert np.array_equal(x, y)
 
     def test_curve_jet_matches_finite_differences(self):
         curve = lz.PlaneCurve(1.0)
@@ -231,12 +228,13 @@ class TestCurves:
         x = ad.jet_variables([r0, 0.0, 0.0])[0]
         g, n = curve.jet(x)
         h = 1e-5
-        gp = curve.state(r0 + h)
-        gm = curve.state(r0 - h)
+        gp, _, n_plus, _ = curve.state(r0 + h)
+        gm, _, n_minus, _ = curve.state(r0 - h)
+        g0 = curve.state(r0)[0]
         for i in range(3):
-            assert g[i].d[0] == pytest.approx((gp.gamma[i] - gm.gamma[i]) / (2 * h), abs=1e-8)
-            assert n[i].d[0] == pytest.approx((gp.normal[i] - gm.normal[i]) / (2 * h), abs=1e-8)
-            d2 = (gp.gamma[i] - 2 * curve.state(r0).gamma[i] + gm.gamma[i]) / h ** 2
+            assert g[i].d[0] == pytest.approx((gp[i] - gm[i]) / (2 * h), abs=1e-8)
+            assert n[i].d[0] == pytest.approx((n_plus[i] - n_minus[i]) / (2 * h), abs=1e-8)
+            d2 = (gp[i] - 2 * g0[i] + gm[i]) / h ** 2
             assert g[i].dd[0, 0] == pytest.approx(d2, abs=1e-4)
 
     @pytest.mark.parametrize("kappa", [0.0, 1.0, 2.0])
@@ -274,28 +272,28 @@ class TestCurves:
 
 class TestHorocycleSigns:
     def test_positive_sign(self):
-        st0 = lz.PlaneCurve(1.0, normal_sign=1).state(0.0)
-        assert np.allclose(st0.normal, (0, 0, 1))
-        assert st0.kappa == 1.0
+        _, _, n, kappa = lz.PlaneCurve(1.0, normal_sign=1).state(0.0)
+        assert np.allclose(n, (0, 0, 1))
+        assert kappa == 1.0
 
     def test_negative_sign(self):
-        st0 = lz.PlaneCurve(-1.0, normal_sign=-1).state(0.0)
-        assert np.allclose(st0.normal, (0, 0, -1))
-        assert st0.kappa == -1.0
+        _, _, n, kappa = lz.PlaneCurve(-1.0, normal_sign=-1).state(0.0)
+        assert np.allclose(n, (0, 0, -1))
+        assert kappa == -1.0
         for bad in (0, 2, -2):
             with pytest.raises(ValueError):
                 lz.PlaneCurve(1.0, normal_sign=bad)
 
     def test_on_hyperboloid(self):
         r = 3.2
-        st0 = lz.PlaneCurve(1.0, normal_sign=1).state(r)
-        assert abs(lz.lorentz_inner(st0.gamma, st0.gamma) + 1.0) < 1e-12 * max(
-            1.0, abs(lz.lorentz_inner(st0.gamma, st0.gamma)))
+        g = lz.PlaneCurve(1.0, normal_sign=1).state(r)[0]
+        assert abs(lz.lorentz_inner(g, g) + 1.0) < 1e-12 * max(
+            1.0, abs(lz.lorentz_inner(g, g)))
 
     def test_negative_sign_matches_display(self):
         s = 0.9
-        st0 = lz.PlaneCurve(-1.0, normal_sign=-1).state(s)
-        assert np.allclose(st0.normal, (s * s / 2, s, (-2 + s * s) / 2))
+        n = lz.PlaneCurve(-1.0, normal_sign=-1).state(s)[2]
+        assert np.allclose(n, (s * s / 2, s, (-2 + s * s) / 2))
 
 
 def test_parallel_curve_curvature_fixed_points():
@@ -304,13 +302,3 @@ def test_parallel_curve_curvature_fixed_points():
         assert lz.parallel_curve_curvature(1.0, l) == pytest.approx(1.0)
         assert lz.parallel_curve_curvature(-1.0, l) == pytest.approx(-1.0)
 
-
-def test_point_and_tangent_validation():
-    with pytest.raises(ValueError):
-        lz.H2Point(np.array([1.0, 1.0, 0.0]))
-    with pytest.raises(ValueError):
-        lz.H2Point(np.array([-1.0, 0.0, 0.0]))
-    p = lz.H2Point(np.array([1.0, 0, 0]))
-    with pytest.raises(ValueError):
-        lz.H2Tangent(p, np.array([1.0, 0, 0]))
-    lz.H2Tangent(p, np.array([0.0, 1, 0]))

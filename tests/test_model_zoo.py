@@ -8,7 +8,7 @@ from h2h2 import model_zoo as mz
 from h2h2 import product_space as ps
 from h2h2 import surface_calculus as sc
 
-from conftest import domain_samples
+from conftest import domain_samples, sectional
 
 
 class TestMGamma:
@@ -88,7 +88,7 @@ class TestSpecializations:
             assert abs(pg.H) < 1e-9
             x = pg.from_coords(rng.normal(size=3))
             y = pg.from_coords(rng.normal(size=3))
-            assert sc.sectional(pg, x, y) == pytest.approx(-0.5, abs=1e-6)
+            assert sectional(pg, x, y) == pytest.approx(-0.5, abs=1e-6)
 
     @pytest.mark.parametrize("kind,maker,element", [
         ("M_1m1", mz.make_M_1m1, ps.group_element_G),
@@ -97,14 +97,14 @@ class TestSpecializations:
     def test_orbit_of_horocycle_subgroup(self, kind, maker, element):
         c = 0.35
         surface, _ = maker(c)
-        seed_pt = ps.ProductPoint.from_ambient(np.array([1.0, 0, 0, 1.0, 0, 0]))
         for t in (-0.8, 0.0, 0.9):
             for r in (-1.2, 0.4):
                 for s in (0.7, -0.2):
-                    g = element(c, t, r, s)
-                    img = ps.apply_isometry(g, seed_pt).ambient
+                    g1, g2 = element(c, t, r, s)
+                    # the image of the diagonal point ((1,0,0), (1,0,0)): first columns
+                    img = np.concatenate([g1[:, 0], g2[:, 0]])
                     assert np.max(np.abs(img - surface.point([t, r, s]))) < 1e-10
-                    assert g.lorentz_defect() < 1e-12
+                    assert ps.lorentz_defect([g1, g2]) < 1e-12
 
 
 class TestMtau:
@@ -140,14 +140,24 @@ class TestMtau:
 
 
 class TestOracles:
-    def test_frame_eigen_consistency(self, m_1m1_04, m_tau_m2, m_kk_tanh, m_gamma_2):
+    def test_closed_form_principal_directions(self, m_1m1_04, m_tau_m2, m_kk_tanh, m_gamma_2):
+        # the chart directions of the curve-built families, and V, J1 N, J2 N
+        # of the tube, are principal with the oracle's curvatures
         for surface, oracle in (m_1m1_04, m_tau_m2, m_kk_tanh, m_gamma_2):
             for u in domain_samples(surface, 6):
                 pg = sc.point_geometry(surface, u)
-                pairs = oracle.frame_eigen(u)
-                # trace of the closed-form action equals the eigenvalue sum
-                assert sum(lam for _, lam in pairs) == pytest.approx(
-                    float(np.sum(oracle.lambdas(u))), abs=1e-12)
+                if surface is m_tau_m2[0]:
+                    j1n, j2n = ps.complex_structures(pg.val, pg.N)
+                    pairs = [(pg.V / math.sqrt(1.0 - pg.C ** 2), 0.0),
+                             (j1n, mz.mtau_lambda_big(-2.0)),
+                             (j2n, mz.mtau_lambda_small(-2.0))]
+                else:
+                    pairs = []
+                    for k in range(3):
+                        x = pg.jac[:, k] / math.sqrt(ps.ambient_inner(pg.jac[:, k], pg.jac[:, k]))
+                        pairs.append((x, ps.ambient_inner(pg.shape_apply(x), x)))
+                    assert np.sort([lam for _, lam in pairs]) == pytest.approx(
+                        oracle.lambdas(u), abs=1e-8)
                 for vec, lam in pairs:
                     av = pg.shape_apply(vec)
                     assert np.max(np.abs(av - lam * vec)) < 1e-8

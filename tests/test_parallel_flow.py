@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from h2h2 import autodiff as ad
 from h2h2 import model_zoo as mz
 from h2h2 import parallel_flow as pf
+from h2h2 import product_space as ps
 from h2h2 import report as rp
 from h2h2 import surface_calculus as sc
 
@@ -24,7 +25,7 @@ def synthetic_frames(draw):
                   [vals[1], vals[3], vals[4]],
                   [vals[2], vals[4], vals[5]]])
     c = draw(st.floats(min_value=-0.95, max_value=0.95, allow_nan=False))
-    return pf.AdaptedFrame.synthetic(a, c)
+    return pf.AdaptedFrame(c, a)
 
 
 class TestAdaptedFrame:
@@ -188,27 +189,30 @@ class TestMeanCurvature:
             pf.mean_curvature_of_parallel(af, l_star)
 
 
+def flowed(surface, u, l):
+    """Point and unit normal of the parallel chart at distance l, as ambient 6-vectors."""
+    p, q, n = pf.parallel_surface(surface, l).chart([float(x) for x in u])
+    return np.array([*p, *q], dtype=float), np.array(n, dtype=float)
+
+
 class TestParallelPoints:
     def test_zero_distance(self, m_1m1_04):
         surface, _ = m_1m1_04
         u = np.array([0.2, -0.3, 0.5])
         pg = sc.point_geometry(surface, u)
-        assert np.allclose(pf.parallel_point(pg, 0.0).ambient, pg.val)
-        assert np.allclose(pf.parallel_normal(pg, 0.0).ambient, pg.N)
+        point, normal = flowed(surface, u, 0.0)
+        assert np.allclose(point, pg.val)
+        assert np.allclose(normal, pg.N)
 
     def test_angle_preserved_along_flow(self):
         surface, _ = mz.make_M_1m1(0.4)
         u = np.array([0.2, -0.3, 0.5])
         pg = sc.point_geometry(surface, u)
-        nl = pf.parallel_normal(pg, 0.37)
-        assert sc.product_angle_C(nl) == pytest.approx(pg.C, abs=1e-10)
+        point, nl = flowed(surface, u, 0.37)
+        assert ps.ambient_inner(ps.P6 @ nl, nl) == pytest.approx(pg.C, abs=1e-10)
         # J1 N is untouched by the flow
-        from h2h2.lorentz import lorentz_cross
-        def j1(point, n):
-            return np.concatenate([lorentz_cross(point[:3], n[:3]),
-                                   lorentz_cross(point[3:], n[3:])])
-        j1_base = j1(pg.val, pg.N)
-        j1_flow = j1(pf.parallel_point(pg, 0.37).ambient, nl.ambient)
+        j1_base = ps.complex_structures(pg.val, pg.N)[0]
+        j1_flow = ps.complex_structures(point, nl)[0]
         assert np.max(np.abs(j1_base - j1_flow)) < 1e-10
 
     def test_shifted_argument_closed_form(self, m_1m1_04):
@@ -216,38 +220,41 @@ class TestParallelPoints:
         c = 0.4
         t, r, s = 0.2, -0.3, 0.5
         l = 0.37
-        pg = sc.point_geometry(surface, np.array([t, r, s]))
-        flowed = pf.parallel_point(pg, l).ambient
+        point, _ = flowed(surface, [t, r, s], l)
         from h2h2.lorentz import PlaneCurve
-        g1 = PlaneCurve(1.0).state(r)
-        g2 = PlaneCurve(-1.0, normal_sign=-1).state(s)
+        g1, _, n1, _ = PlaneCurve(1.0).state(r)
+        g2, _, n2, _ = PlaneCurve(-1.0, normal_sign=-1).state(s)
         a1 = math.sqrt(c) * t + math.sqrt(1 - c) * l
         a2 = math.sqrt(1 - c) * t - math.sqrt(c) * l
         want = np.concatenate([
-            math.cosh(a1) * g1.gamma + math.sinh(a1) * g1.normal,
-            math.cosh(a2) * g2.gamma + math.sinh(a2) * g2.normal,
+            math.cosh(a1) * g1 + math.sinh(a1) * n1,
+            math.cosh(a2) * g2 + math.sinh(a2) * n2,
         ])
-        assert np.max(np.abs(flowed - want)) < 1e-12
+        assert np.max(np.abs(point - want)) < 1e-12
 
     def test_flow_is_factorwise_exponential(self, m_11_03):
         # the parallel point is exp_p(l N1) x exp_q(l N2) in the two factors
-        from h2h2.lorentz import H2Point, h2_exp
+        def h2_exp(p, w, l):
+            # the geodesic from p with velocity w, at parameter l
+            nrm = math.sqrt(w[1] ** 2 + w[2] ** 2 - w[0] ** 2)
+            return math.cosh(nrm * l) * p + math.sinh(nrm * l) * w / nrm
+
         surface, _ = m_11_03
         u = np.array([0.3, -0.6, 0.8])
         pg = sc.point_geometry(surface, u)
         for l in (0.45, -0.7):
-            flowed = pf.parallel_point(pg, l).ambient
-            p_l = h2_exp(H2Point(pg.val[:3]), pg.N[:3], l)
-            q_l = h2_exp(H2Point(pg.val[3:]), pg.N[3:], l)
-            assert np.max(np.abs(flowed - np.concatenate([p_l.v, q_l.v]))) < 1e-13
+            point, _ = flowed(surface, u, l)
+            p_l = h2_exp(pg.val[:3], pg.N[:3], l)
+            q_l = h2_exp(pg.val[3:], pg.N[3:], l)
+            assert np.max(np.abs(point - np.concatenate([p_l, q_l]))) < 1e-13
 
     def test_parallel_normal_unit_and_orthogonal(self, m_kk_tanh):
         surface, _ = m_kk_tanh
         u = np.array([0.1, 0.4, -0.2])
         l = 0.45
-        pg = sc.point_geometry(surface, u)
-        nl = pf.parallel_normal(pg, l).ambient
+        _, nl = flowed(surface, u, l)
         pgl = sc.point_geometry(pf.parallel_surface(surface, l), u)
+        assert abs(ps.ambient_inner(nl, nl) - 1.0) < 1e-10
         assert np.max(np.abs(pgl.N - nl)) < 1e-10
         assert np.max(np.abs(pgl.jac.T @ sc.ETA6 @ nl)) < 1e-9
 
@@ -361,17 +368,17 @@ class TestFocalStructure:
         assert before > 0 > after
 
 
-class TestParallelState:
-    def test_state_invariants(self, m_tau_m2):
+class TestFlowInvariants:
+    def test_q_and_det_along_the_flow(self, m_tau_m2):
         surface, _ = m_tau_m2
         af = pf.adapted_frame(sc.point_geometry(surface, np.array([0.7, 1.1, 2.0])))
-        st0 = pf.parallel_state(af, 0.0)
-        assert np.allclose(st0.Q, np.eye(3))
-        assert st0.detQ == pytest.approx(1.0)
+        q0 = pf.q_matrix(af, 0.0)
+        assert np.allclose(q0, np.eye(3))
+        assert float(np.linalg.det(q0)) == pytest.approx(1.0)
         # det Q stays positive on the component of l = 0 before the focal value
         l_star = mz.mtau_focal_radius(-2.0)
         for l in np.linspace(-0.5, l_star - 0.05, 15):
-            assert pf.parallel_state(af, l).detQ > 0
+            assert float(np.linalg.det(pf.q_matrix(af, l))) > 0
 
 
 def focal_flags_reference(values):

@@ -7,171 +7,121 @@ from h2h2 import lorentz as lz
 from h2h2 import product_space as ps
 
 
+def h2_point(w):
+    """Point of H² at distance |w| from (1,0,0) in the direction (0, w1, w2)."""
+    r = math.hypot(*w)
+    return np.array([math.cosh(r), math.sinh(r) * w[0] / r, math.sinh(r) * w[1] / r])
+
+
 def random_product_point(rng):
-    origin = lz.H2Point(np.array([1.0, 0, 0]))
-    w1 = rng.normal(size=2) * 0.8
-    w2 = rng.normal(size=2) * 0.8
-    p = lz.h2_exp(origin, np.array([0.0, w1[0], w1[1]]))
-    q = lz.h2_exp(origin, np.array([0.0, w2[0], w2[1]]))
-    return ps.ProductPoint(p, q)
+    return np.concatenate([h2_point(rng.normal(size=2) * 0.8),
+                           h2_point(rng.normal(size=2) * 0.8)])
 
 
 def random_tangent(base, rng, scale=1.0):
     def tangentize(x, raw):
         return raw + lz.lorentz_inner(raw, x) * x
 
-    v1 = tangentize(base.p.v, rng.normal(size=3) * scale)
-    v2 = tangentize(base.q.v, rng.normal(size=3) * scale)
-    return ps.ProductTangent(base, v1, v2)
+    return np.concatenate([tangentize(base[:3], rng.normal(size=3) * scale),
+                           tangentize(base[3:], rng.normal(size=3) * scale)])
 
 
-ORIGIN = ps.ProductPoint(lz.H2Point(np.array([1.0, 0, 0])),
-                         lz.H2Point(np.array([1.0, 0, 0])))
+def J1(x, w):
+    return ps.complex_structures(x, w)[0]
+
+
+def J2(x, w):
+    return ps.complex_structures(x, w)[1]
+
+
+def act(g, x):
+    """Image of an ambient 6-vector under the blocks (A1, A2)."""
+    return np.concatenate([g[0] @ x[:3], g[1] @ x[3:]])
+
+
+ORIGIN = np.array([1.0, 0, 0, 1.0, 0, 0])
 
 
 class TestMetricAndStructures:
     def test_metric_examples(self):
-        x = ps.ProductTangent(ORIGIN, np.array([0.0, 1, 0]), np.zeros(3))
-        assert ps.product_metric(x, x) == 1.0
-        y = ps.ProductTangent(ORIGIN, np.zeros(3), np.array([0.0, 1, 0]))
-        assert ps.product_metric(x, y) == 0.0
-        z = ps.ProductTangent(ORIGIN, np.array([0.0, 1, 0]), np.array([0.0, 0, 1]))
-        assert ps.product_metric(z, z) == 2.0
-
-    def test_base_mismatch_rejected(self, rng):
-        a = random_product_point(rng)
-        b = random_product_point(rng)
-        x = random_tangent(a, rng)
-        y = random_tangent(b, rng)
-        with pytest.raises(ValueError):
-            ps.product_metric(x, y)
+        x = np.array([0.0, 1, 0, 0, 0, 0])
+        assert ps.ambient_inner(x, x) == 1.0
+        y = np.array([0.0, 0, 0, 0, 1, 0])
+        assert ps.ambient_inner(x, y) == 0.0
+        z = np.array([0.0, 1, 0, 0, 0, 1])
+        assert ps.ambient_inner(z, z) == 2.0
 
     def test_p_eigenspaces(self):
-        x = ps.ProductTangent(ORIGIN, np.array([0.0, 1, 0]), np.zeros(3))
-        assert np.allclose(ps.apply_P(x).ambient, x.ambient)
-        y = ps.ProductTangent(ORIGIN, np.zeros(3), np.array([0.0, 0, 1]))
-        assert np.allclose(ps.apply_P(y).ambient, -y.ambient)
+        x = np.array([0.0, 1, 0, 0, 0, 0])
+        assert np.allclose(ps.P6 @ x, x)
+        y = np.array([0.0, 0, 0, 0, 0, 1])
+        assert np.allclose(ps.P6 @ y, -y)
 
     def test_p_involution(self, rng):
         for _ in range(10):
             base = random_product_point(rng)
             x = random_tangent(base, rng)
-            assert np.allclose(ps.apply_P(ps.apply_P(x)).ambient, x.ambient)
+            assert np.allclose(ps.P6 @ (ps.P6 @ x), x)
 
     def test_j_squares_to_minus_one(self, rng):
         for _ in range(10):
             base = random_product_point(rng)
             x = random_tangent(base, rng)
-            assert np.allclose(ps.apply_J1(ps.apply_J1(x)).ambient, -x.ambient,
-                               atol=1e-12)
-            assert np.allclose(ps.apply_J2(ps.apply_J2(x)).ambient, -x.ambient,
-                               atol=1e-12)
+            assert np.allclose(J1(base, J1(base, x)), -x, atol=1e-12)
+            assert np.allclose(J2(base, J2(base, x)), -x, atol=1e-12)
 
     def test_p_from_complex_structures(self, rng):
         for _ in range(10):
             base = random_product_point(rng)
             x = random_tangent(base, rng)
-            lhs = -ps.apply_J1(ps.apply_J2(x)).ambient
-            assert np.allclose(lhs, ps.apply_P(x).ambient, atol=1e-12)
-            rhs = -ps.apply_J2(ps.apply_J1(x)).ambient
-            assert np.allclose(rhs, ps.apply_P(x).ambient, atol=1e-12)
+            lhs = -J1(base, J2(base, x))
+            assert np.allclose(lhs, ps.P6 @ x, atol=1e-12)
+            rhs = -J2(base, J1(base, x))
+            assert np.allclose(rhs, ps.P6 @ x, atol=1e-12)
 
     def test_j_isometries(self, rng):
         for _ in range(10):
             base = random_product_point(rng)
             x = random_tangent(base, rng)
             y = random_tangent(base, rng)
-            m = ps.product_metric(x, y)
-            assert ps.product_metric(ps.apply_J1(x), ps.apply_J1(y)) == pytest.approx(m, abs=1e-11)
-            assert ps.product_metric(ps.apply_J2(x), ps.apply_J2(y)) == pytest.approx(m, abs=1e-11)
+            m = ps.ambient_inner(x, y)
+            assert ps.ambient_inner(J1(base, x), J1(base, y)) == pytest.approx(m, abs=1e-11)
+            assert ps.ambient_inner(J2(base, x), J2(base, y)) == pytest.approx(m, abs=1e-11)
 
     def test_p_self_adjoint(self, rng):
         for _ in range(10):
             base = random_product_point(rng)
             x = random_tangent(base, rng)
             y = random_tangent(base, rng)
-            assert ps.product_metric(ps.apply_P(x), y) == pytest.approx(
-                ps.product_metric(x, ps.apply_P(y)), abs=1e-11)
+            assert ps.ambient_inner(ps.P6 @ x, y) == pytest.approx(
+                ps.ambient_inner(x, ps.P6 @ y), abs=1e-11)
 
-
-class TestCurvatureTensor:
-    def orthonormal_frame(self, base):
-        # orthonormal tangent frame of the product at the given base
-        def basis(x):
-            eta = np.diag([-1.0, 1, 1])
-            rows = np.array([eta @ x])
-            _, _, vt = np.linalg.svd(rows)
-            b1, b2 = vt[1], vt[2]
-            b1 = b1 / math.sqrt(lz.lorentz_inner(b1, b1))
-            b2 = b2 + -lz.lorentz_inner(b2, b1) * b1
-            b2 = b2 / math.sqrt(lz.lorentz_inner(b2, b2))
-            return b1, b2
-
-        a1, a2 = basis(base.p.v)
-        b1, b2 = basis(base.q.v)
-        z = np.zeros(3)
-        return [
-            ps.ProductTangent(base, a1, z),
-            ps.ProductTangent(base, a2, z),
-            ps.ProductTangent(base, z, b1),
-            ps.ProductTangent(base, z, b2),
-        ]
-
-    def test_first_factor_plane(self, rng):
+    def test_j_columns_of_a_jacobian(self, rng):
+        # a 6 x k array is taken column by column, as for a chart Jacobian
         base = random_product_point(rng)
-        e, f, _, _ = self.orthonormal_frame(base)
-        assert ps.curvature_tensor(e, f, f, e) == pytest.approx(-1.0, abs=1e-10)
-
-    def test_mixed_plane_flat(self, rng):
-        base = random_product_point(rng)
-        e, _, g, _ = self.orthonormal_frame(base)
-        assert ps.curvature_tensor(e, g, g, e) == pytest.approx(0.0, abs=1e-12)
-
-    def test_scalar_curvature(self, rng):
-        base = random_product_point(rng)
-        frame = self.orthonormal_frame(base)
-        scal = sum(ps.curvature_tensor(x, y, y, x)
-                   for x in frame for y in frame)
-        assert scal == pytest.approx(-4.0, abs=1e-9)
-
-    def test_symmetries_and_bianchi(self, rng):
-        for _ in range(5):
-            base = random_product_point(rng)
-            xs = [random_tangent(base, rng) for _ in range(4)]
-            x, y, z, w = xs
-            r = ps.curvature_tensor
-            scale = max(1.0, abs(r(x, y, z, w)))
-            assert abs(r(x, y, z, w) + r(y, x, z, w)) < 1e-12 * scale
-            assert abs(r(x, y, z, w) + r(x, y, w, z)) < 1e-12 * scale
-            assert abs(r(x, y, z, w) - r(z, w, x, y)) < 1e-12 * scale
-            bianchi = r(x, y, z, w) + r(y, z, x, w) + r(z, x, y, w)
-            assert abs(bianchi) < 1e-12 * scale
+        cols = np.stack([random_tangent(base, rng) for _ in range(3)], axis=1)
+        got1, got2 = ps.complex_structures(base, cols)
+        for i in range(3):
+            assert np.array_equal(got1[:, i], J1(base, cols[:, i]))
+            assert np.array_equal(got2[:, i], J2(base, cols[:, i]))
 
 
 class TestIsometries:
-    def test_identity(self, rng):
-        base = random_product_point(rng)
-        out = ps.apply_isometry(ps.BlockIsometry.identity(), base)
-        assert np.allclose(out.ambient, base.ambient)
-
-    def test_invalid_block_rejected(self):
+    def test_lorentz_defect_of_invalid_block(self):
         bad = np.eye(3)
         bad[0, 0] = 2.0
-        with pytest.raises(ValueError):
-            ps.BlockIsometry(bad, np.eye(3))
-        neg = -np.eye(3)
-        with pytest.raises(ValueError):
-            ps.BlockIsometry(neg, neg)
+        assert ps.lorentz_defect([bad, np.eye(3)]) == 3.0
+        assert ps.lorentz_defect([np.eye(3), np.eye(3)]) == 0.0
 
     def test_group_identity_elements(self):
         for maker in (ps.group_element_G, ps.group_element_B):
-            g = maker(0.37, 0.0, 0.0, 0.0)
-            assert np.allclose(g.A1, np.eye(3), atol=1e-15)
-            assert np.allclose(g.A2, np.eye(3), atol=1e-15)
+            g1, g2 = maker(0.37, 0.0, 0.0, 0.0)
+            assert np.allclose(g1, np.eye(3), atol=1e-15)
+            assert np.allclose(g2, np.eye(3), atol=1e-15)
 
     def test_block_preserves_lorentz_form(self):
         eta = np.diag([-1.0, 1, 1])
-        g1 = ps.group_element_G(0.4, 0.3, -1.1, 0.0).A1
+        g1 = ps.group_element_G(0.4, 0.3, -1.1, 0.0)[0]
         assert np.max(np.abs(g1.T @ eta @ g1 - eta)) < 1e-12
 
     def test_c_out_of_range(self):
@@ -184,28 +134,9 @@ class TestIsometries:
     def test_composition_closure(self, rng):
         for _ in range(10):
             t1, r1, s1, t2, r2, s2 = rng.normal(size=6)
-            g = ps.group_element_G(0.6, t1, r1, s1).compose(
-                ps.group_element_G(0.6, t2, r2, s2))
-            assert g.lorentz_defect() < 1e-10
-            b = ps.group_element_B(0.3, t1, r1, s1).compose(
-                ps.group_element_B(0.3, t2, r2, s2))
-            assert b.lorentz_defect() < 1e-10
-
-    def test_pushforward_is_differential(self, rng):
-        # exact linear pushforward vs a finite-difference differential
-        g = ps.group_element_B(0.55, 0.4, -0.8, 0.6)
-        base = random_product_point(rng)
-        x = random_tangent(base, rng, scale=0.5)
-        push = ps.pushforward(g, x)
-        h = 1e-6
-
-        def curve(t):
-            p = lz.h2_exp(base.p, t * x.v1) if np.any(x.v1) else base.p
-            q = lz.h2_exp(base.q, t * x.v2) if np.any(x.v2) else base.q
-            return ps.apply_isometry(g, ps.ProductPoint(p, q)).ambient
-
-        fd = (curve(h) - curve(-h)) / (2 * h)
-        assert np.max(np.abs(fd - push.ambient)) < 1e-8
+            for maker, c in ((ps.group_element_G, 0.6), (ps.group_element_B, 0.3)):
+                g, h = maker(c, t1, r1, s1), maker(c, t2, r2, s2)
+                assert ps.lorentz_defect([g[0] @ h[0], g[1] @ h[1]]) < 1e-10
 
     def test_metric_preservation(self, rng):
         g = ps.group_element_G(0.25, -0.7, 0.5, 1.2)
@@ -213,14 +144,14 @@ class TestIsometries:
             base = random_product_point(rng)
             x = random_tangent(base, rng)
             y = random_tangent(base, rng)
-            assert ps.product_metric(ps.pushforward(g, x), ps.pushforward(g, y)) == \
-                pytest.approx(ps.product_metric(x, y), abs=1e-10)
+            assert ps.ambient_inner(act(g, x), act(g, y)) == \
+                pytest.approx(ps.ambient_inner(x, y), abs=1e-10)
 
     def test_p_commutes_with_diagonal_isometries(self, rng):
         g = ps.group_element_G(0.45, 0.6, -0.4, 0.9)
         for _ in range(10):
             base = random_product_point(rng)
             x = random_tangent(base, rng)
-            lhs = ps.apply_P(ps.pushforward(g, x)).ambient
-            rhs = ps.pushforward(g, ps.apply_P(x)).ambient
+            lhs = ps.P6 @ act(g, x)
+            rhs = act(g, ps.P6 @ x)
             assert np.max(np.abs(lhs - rhs)) < 1e-10

@@ -80,6 +80,31 @@ class TestVerifyCommand:
         assert f"error: {flag} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "parallel"])
+    @pytest.mark.parametrize("flag, value", [("--l-grid", "0:1:1e-12"),
+                                             ("--l-grid", f"0:{rp.MAX_GRID_POINTS}:1"),
+                                             ("--samples", str(rp.MAX_SAMPLES + 1))])
+    def test_oversized_run_exit_two(self, command, flag, value, capsys):
+        # refused before any array is allocated, not run out of memory
+        assert run_cli([command, "--model", "M_tau", "--tau", "-2", f"{flag}={value}"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"error: {flag}" in out.err and "Traceback" not in out.err
+
+    def test_size_bounds(self):
+        spec = mz.ModelSpec("M_tau", {"tau": -2.0})
+        # the largest admitted runs, validated and not run
+        rp.SuiteConfig(model=spec, samples=rp.MAX_SAMPLES).validate()
+        rp.SuiteConfig(model=spec, l_grid=(0.0, rp.MAX_GRID_POINTS - 1.0, 1.0)).validate()
+        for cfg in (rp.SuiteConfig(model=spec, samples=rp.MAX_SAMPLES + 1),
+                    rp.SuiteConfig(model=spec, l_grid=(0.0, float(rp.MAX_GRID_POINTS), 1.0))):
+            with pytest.raises(rp.ConfigError):
+                cfg.validate()
+        # 100x the CI and benchmark calls (200 samples, the 2001 points of
+        # -2:2:0.002) stays admitted
+        rp.SuiteConfig(model=spec, samples=100 * 200,
+                       l_grid=(0.0, 100 * 2001 - 1.0, 1.0)).validate()
+
     def test_single_point_l_grid_runs(self):
         cfg = rp.SuiteConfig(model=mz.ModelSpec("M_tau", {"tau": -2.0}), l_grid=(0.5, 0.5, 0.1))
         cfg.validate()
@@ -428,10 +453,11 @@ def test_m_tau_constraint_reads_the_batch(monkeypatch):
 
 
 def test_verify_evaluates_the_samples_in_one_chart_call(monkeypatch):
-    # one batched chart pass for all samples; the parallel-shape check makes
-    # one per distance over its 3 points and the scan one over its 8 points.
-    # Float evaluations are orbit_match's 125 grid points only:
-    # chart_constraints reads the sample points from the batch.
+    # orbit_match makes one batched chart pass over its 125 grid points, then
+    # one pass takes all samples; the parallel-shape check makes one per
+    # distance over its 3 points and the scan one over its 8 points.  No
+    # point is evaluated at floats: chart_constraints reads the sample
+    # points from the batch.
     build = mz.build_model
     calls = []
 
@@ -445,5 +471,42 @@ def test_verify_evaluates_the_samples_in_one_chart_call(monkeypatch):
     rp.run_verify_suite(rp.SuiteConfig(model=mz.ModelSpec("M_1m1", {"c": 0.4}), samples=20))
     (log,) = calls
     batches = [len(u[0].val) for u in log if isinstance(u[0], ad.Jet)]
-    assert batches == [20, 3, 3, 8]
-    assert sum(not isinstance(u[0], ad.Jet) for u in log) == 125
+    assert batches == [125, 20, 3, 3, 8]
+    assert all(isinstance(u[0], ad.Jet) for u in log)
+
+
+@pytest.mark.parametrize("spec", [mz.ModelSpec("M_1m1", {"c": 0.3}),
+                                  mz.ModelSpec("M_1m1", {"c": 0.5}),
+                                  mz.ModelSpec("M_11", {"c": 0.6})])
+def test_orbit_grid_chart_values_equal_float_points(spec):
+    # orbit_match reads its 125 grid points from one batched chart pass; the
+    # values equal the float chart evaluations bit for bit, so its residual
+    # is the point-by-point one
+    surface, _ = mz.build_model(spec)
+    axes = [np.linspace(d[0], d[1], 5) for d in surface.domain]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    assert np.array_equal(sc.chart_jet(surface, grid).val,
+                          np.array([surface.point(u) for u in grid]))
+
+
+def test_lorentz_form_defect_is_a_failed_check(monkeypatch, tmp_path, capsys):
+    # a subgroup block off O(1,2) by 1e-9 is judged by lorentz_form_preservation
+    # at its 1e-12 bar: a FAIL row in a written report and exit 1, not an
+    # exception that reads as a usage error
+    element = rp.group_element_G
+
+    def perturbed(c, t, r, s):
+        g1, g2 = element(c, t, r, s)
+        g1 = g1.copy()
+        g1[1, 2] += 1e-9
+        return g1, g2
+
+    monkeypatch.setattr(rp, "group_element_G", perturbed)
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", "--model", "M_1m1", "--c", "0.5", "--samples", "8",
+                    "--out", str(out)]) == 1
+    rows = {r["name"]: r for r in json.loads(out.read_text())["results"]}
+    form = rows["lorentz_form_preservation"]
+    assert form["pass"] is False and 1e-10 < form["max_residual"] < 1e-8
+    assert rows["orbit_match"]["pass"] is True
+    assert "[FAIL] lorentz_form_preservation" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from h2h2 import parallel_flow as pf
 from h2h2 import product_space as ps
 from h2h2 import surface_calculus as sc
 
-from conftest import counted_chart, domain_samples
+from conftest import counted_chart, domain_samples, gauss_operator, sectional
 
 
 def polar(rho, phi):
@@ -209,25 +209,22 @@ class TestNormalWithoutHint:
 
 
 class TestAngleOperators:
-    def test_product_angle_examples(self, rng):
-        base = ps.ProductPoint(lz.H2Point(np.array([1.0, 0, 0])),
-                               lz.H2Point(np.array([1.0, 0, 0])))
-        first = ps.ProductTangent(base, np.array([0.0, 1, 0]), np.zeros(3))
-        assert sc.product_angle_C(first) == pytest.approx(1.0)
-        second = ps.ProductTangent(base, np.zeros(3), np.array([0.0, 1, 0]))
-        assert sc.product_angle_C(second) == pytest.approx(-1.0)
+    def test_product_angle_examples(self):
+        # C = <PN, N> = <J1 N, J2 N> for a unit normal N
+        base = np.array([1.0, 0, 0, 1.0, 0, 0])
         s = 1 / math.sqrt(2)
-        balanced = ps.ProductTangent(base, np.array([0.0, s, 0]), np.array([0.0, 0, s]))
-        assert sc.product_angle_C(balanced) == pytest.approx(0.0, abs=1e-15)
-        with pytest.raises(ValueError):
-            sc.product_angle_C(ps.ProductTangent(base, np.array([0.0, 2, 0]), np.zeros(3)))
+        for n, want in (([0.0, 1, 0, 0, 0, 0], 1.0), ([0.0, 0, 0, 0, 1, 0], -1.0),
+                        ([0.0, s, 0, 0, 0, s], 0.0)):
+            n = np.array(n)
+            j1n, j2n = ps.complex_structures(base, n)
+            assert ps.ambient_inner(ps.P6 @ n, n) == pytest.approx(want, abs=1e-15)
+            assert ps.ambient_inner(j1n, j2n) == pytest.approx(want, abs=1e-15)
 
-    def test_vector_v_degenerate(self):
-        base = ps.ProductPoint(lz.H2Point(np.array([1.0, 0, 0])),
-                               lz.H2Point(np.array([1.0, 0, 0])))
-        n = ps.ProductTangent(base, np.array([0.0, 1, 0]), np.zeros(3))
-        v = sc.vector_V(n)
-        assert np.max(np.abs(v.ambient)) < 1e-15
+    def test_vector_v_degenerate(self, m_gamma_2):
+        # V = PN - CN vanishes where C^2 = 1
+        surface, _ = m_gamma_2
+        pgs = sc.point_geometry(surface, domain_samples(surface, 10))
+        assert np.max(np.abs(pgs.V)) < 1e-15
 
     def test_vector_v_on_m_tau(self, m_tau_m2):
         surface, _ = m_tau_m2
@@ -237,8 +234,7 @@ class TestAngleOperators:
         p, q = pg.val[:3], pg.val[3:]
         expected = np.concatenate([q + tau * p, -p - tau * q]) / math.sqrt(
             2 * (tau ** 2 - 1))
-        v = sc.vector_V(pg.normal)
-        assert np.max(np.abs(v.ambient - expected)) < 1e-12
+        assert np.max(np.abs(pg.V - expected)) < 1e-12
 
     def test_pv_two_ways(self, rng, m_11_03):
         surface, _ = m_11_03
@@ -254,7 +250,7 @@ class TestTangentialT:
         surface, _ = m_11_03
         for u in domain_samples(surface, 8):
             pg = sc.point_geometry(surface, u)
-            tv = sc.tangential_T(pg, pg.V)
+            tv = pg.T_apply(pg.V)
             want = -pg.C * (1 - pg.C ** 2)
             assert ps.ambient_inner(tv, pg.V) == pytest.approx(want, abs=1e-10)
             # TV = -CV as an algebraic consequence of P^2 = Id
@@ -262,28 +258,23 @@ class TestTangentialT:
 
     def test_fixed_vector(self, m_1m1_04):
         # the first-factor curve direction satisfies PX = X and X _|_ V
-        surface, oracle = m_1m1_04
+        surface, _ = m_1m1_04
         u = np.array([0.2, 0.5, -0.7])
         pg = sc.point_geometry(surface, u)
-        x = oracle.frame_eigen(u)[1][0]
+        # d/dr of the chart moves only the first factor, along the curve
+        x = pg.jac[:, 1]
+        assert np.max(np.abs(x[3:])) == 0.0
         assert abs(ps.ambient_inner(x, pg.V)) < 1e-12
-        tx = sc.tangential_T(pg, x)
+        tx = pg.T_apply(x)
         assert np.max(np.abs(tx - ps.P6 @ x)) < 1e-12
 
     def test_trace_is_minus_C(self, m_11_03, m_tau_m2):
         for surface, _ in (m_11_03, m_tau_m2):
             for u in domain_samples(surface, 6):
                 pg = sc.point_geometry(surface, u)
-                tr = sum(ps.ambient_inner(sc.tangential_T(pg, pg.principal_ambient[:, i]),
+                tr = sum(ps.ambient_inner(pg.T_apply(pg.principal_ambient[:, i]),
                                           pg.principal_ambient[:, i]) for i in range(3))
                 assert tr == pytest.approx(-pg.C, abs=1e-10)
-
-    def test_rejects_non_tangent(self, m_11_03):
-        surface, _ = m_11_03
-        u = np.array([0.2, 0.5, -0.7])
-        pg = sc.point_geometry(surface, u)
-        with pytest.raises(ValueError):
-            sc.tangential_T(pg, pg.N)
 
 
 def structural(surface, u):
@@ -400,8 +391,10 @@ class TestRicciSectional:
         for surface, _ in (m_11_03, m_tau_m2):
             for u in domain_samples(surface, 6):
                 pg = sc.point_geometry(surface, u)
-                tr = sum(sc.ricci(pg, pg.principal_ambient[:, i],
-                                  pg.principal_ambient[:, i]) for i in range(3))
+                # Ric(e_i, e_i) = sum_j <R(e_i, e_j) e_j, e_i> in the principal frame
+                e = pg.principal_ambient.T
+                tr = sum(ps.ambient_inner(gauss_operator(pg, e[i], e[j], e[j]), e[i])
+                         for i in range(3) for j in range(3))
                 assert tr == pytest.approx(pg.rho, abs=1e-9)
 
     def test_minimal_constant_sectional_model(self, m_11_half, rng):
@@ -412,30 +405,28 @@ class TestRicciSectional:
             for _ in range(5):
                 x = pg.from_coords(rng.normal(size=3))
                 y = pg.from_coords(rng.normal(size=3))
-                assert sc.sectional(pg, x, y) == pytest.approx(-0.5, abs=1e-6)
-
-    def test_degenerate_plane_rejected(self, m_11_half):
-        surface, _ = m_11_half
-        pg = sc.point_geometry(surface, np.array([0.1, 0.1, 0.1]))
-        x = pg.from_coords(np.array([1.0, 0, 0]))
-        with pytest.raises(ValueError):
-            sc.sectional(pg, x, 2.0 * x)
+                assert sectional(pg, x, y) == pytest.approx(-0.5, abs=1e-6)
 
 
 class TestAmbientCurvatureConsistency:
     def test_gauss_operator_against_ambient_tensor(self, m_11_03, m_tau_m2, rng):
         # <R(X,Y)Z, W> = Rbar(X,Y,Z,W) + <AX,W><AY,Z> - <AX,Z><AY,W> ties the
         # hypersurface operator to the ambient curvature tensor directly
+        inner = ps.ambient_inner
+
+        def ambient_curvature(x, y, z, w):
+            # Rbar(X,Y,Z,W) = -1/2 {<Y,Z><X,W> - <X,Z><Y,W> + <PY,Z><PX,W> - <PX,Z><PY,W>}
+            px, py = ps.P6 @ x, ps.P6 @ y
+            return -0.5 * (inner(y, z) * inner(x, w) - inner(x, z) * inner(y, w)
+                           + inner(py, z) * inner(px, w) - inner(px, z) * inner(py, w))
+
         for surface, _ in (m_11_03, m_tau_m2):
             for u in domain_samples(surface, 4):
                 pg = sc.point_geometry(surface, u)
-                base = pg.point
-                vecs = [pg.from_coords(rng.normal(size=3)) for _ in range(4)]
-                x, y, z, w = vecs
-                lhs = ps.ambient_inner(sc.gauss_curvature_operator(pg, x, y, z), w)
-                tangents = [ps.ProductTangent.from_ambient(base, v) for v in vecs]
+                x, y, z, w = (pg.from_coords(rng.normal(size=3)) for _ in range(4))
+                lhs = ps.ambient_inner(gauss_operator(pg, x, y, z), w)
                 ax, ay = pg.shape_apply(x), pg.shape_apply(y)
-                rhs = (ps.curvature_tensor(*tangents)
+                rhs = (ambient_curvature(x, y, z, w)
                        + ps.ambient_inner(ax, w) * ps.ambient_inner(ay, z)
                        - ps.ambient_inner(ax, z) * ps.ambient_inner(ay, w))
                 assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
