@@ -40,11 +40,13 @@ def main():
                       f"(deviation {abs(root - radius):.2e})")
         else:
             print("   no focal value inside the grid")
-        shown = [r for r in rep.rows[:: max(1, len(rep.rows) // 8)]]
-        for r in shown:
-            h = "    -    " if math.isnan(r.h_mean) else f"{r.h_mean:+.6f}"
-            print(f"   l={r.l:+.3f}  H(l)={h}  min|detQ|={r.min_abs_detq:.3e}"
-                  + ("  [focal]" if r.focal else ""))
+        shown = slice(None, None, max(1, len(rep.l) // 8))
+        for l, h_mean, detq, focal in zip(rep.l[shown].tolist(), rep.h_mean[shown].tolist(),
+                                          rep.min_abs_detq[shown].tolist(),
+                                          rep.focal[shown].tolist()):
+            h = "    -    " if math.isnan(h_mean) else f"{h_mean:+.6f}"
+            print(f"   l={l:+.3f}  H(l)={h}  min|detQ|={detq:.3e}"
+                  + ("  [focal]" if focal else ""))
     return 0
 
 

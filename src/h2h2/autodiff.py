@@ -17,8 +17,9 @@ take their values from ``math.*`` and Python's ``**`` element by element,
 because numpy's vectorized ``cosh``, ``power`` and the like differ from them
 in the last bit on part of their arguments.
 
-Plain floats pass through every function here unchanged, so chart code can be
-written once and evaluated at scalar or jet arguments.
+Plain floats, and arrays of them, pass through every function here without
+derivatives, so chart code can be written once and evaluated at scalar, array
+or jet arguments.
 """
 
 from __future__ import annotations
@@ -149,9 +150,12 @@ def _lift(x: Jet, f0, f1, f2, f3) -> Jet:
 
 
 def value(x: Scalar):
-    """Value of a scalar or jet: a float, or a (*B,) array for a batch of jets."""
+    """Value of a scalar or jet: a float, or a (*B,) array for a batch of jets
+    or an array argument, which passes through."""
     if isinstance(x, Jet):
         return x.val
+    if isinstance(x, np.ndarray) and x.ndim:
+        return x
     return float(x)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 
 from . import model_zoo as mz
@@ -90,11 +89,7 @@ def _config_from_args(args) -> rp.SuiteConfig:
     return cfg
 
 
-def _emit(cfg: rp.SuiteConfig, payload: dict, results=None):
-    if cfg.fmt == "json":
-        text = rp.render_json(payload)
-    else:
-        text = rp.render_csv(results) if results is not None else rp.render_json(payload)
+def _write(cfg: rp.SuiteConfig, text: str):
     if cfg.out:
         rp.write_atomic(cfg.out, text)
     else:
@@ -105,7 +100,7 @@ def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
     results = rp.run_verify_suite(cfg)
     payload = rp.report_payload(cfg, results)
-    _emit(cfg, payload, results)
+    _write(cfg, rp.render_json(payload) if cfg.fmt == "json" else rp.render_csv(results))
     summary = payload["summary"]
     for r in results:
         status = {True: "PASS", False: "FAIL", None: "SKIP"}[r.passed]
@@ -119,24 +114,8 @@ def cmd_verify(args) -> int:
 def cmd_parallel(args) -> int:
     cfg = _config_from_args(args)
     rows = rp.parallel_rows(cfg)
-    if cfg.fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["l", "H_mean", "H_spread", "lambda_spread", "min_abs_detQ", "focal"])
-        for r in rows:
-            w.writerow([repr(r["l"]),
-                        "" if r["H_mean"] is None else repr(r["H_mean"]),
-                        "" if r["H_spread"] is None else repr(r["H_spread"]),
-                        "" if r["lambda_spread"] is None else repr(r["lambda_spread"]),
-                        repr(r["min_abs_detQ"]), str(r["focal"]).lower()])
-        text = buf.getvalue()
-    else:
-        text = json.dumps({"config": cfg.as_dict(), "rows": rows},
-                          indent=2, sort_keys=True) + "\n"
-    if cfg.out:
-        rp.write_atomic(cfg.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(cfg, rp.render_parallel_csv(rows) if cfg.fmt == "csv"
+           else rp.render_json({"config": cfg.as_dict(), "rows": rows}))
     return 0
 
 

@@ -358,31 +358,37 @@ def detq_derivatives_numeric(af: AdaptedFrame,
 # isoparametric scanning
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScanRow:
-    l: float
-    h_mean: float
-    h_spread: float
-    lambda_spread: float
-    min_abs_detq: float
-    focal: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanReport:
-    rows: list
+    """Columns of an isoparametric scan, one entry per l-grid node.
+
+    ``h_mean``, ``h_spread`` and ``lambda_spread`` are NaN at focal nodes
+    (``focal`` true), which the spreads exclude.
+    """
+
+    l: np.ndarray
+    h_mean: np.ndarray
+    h_spread: np.ndarray
+    lambda_spread: np.ndarray
+    min_abs_detq: np.ndarray
+    focal: np.ndarray
     excluded: list
     focal_roots: list
     tol: float
     mode: str
 
+    def _max_off_focal(self, column: np.ndarray) -> float:
+        # NaN when every node is focal: no spread was measured
+        values = column[~self.focal]
+        return float(np.max(values)) if values.size else math.nan
+
     @property
     def max_h_spread(self) -> float:
-        return max((r.h_spread for r in self.rows if not r.focal), default=0.0)
+        return self._max_off_focal(self.h_spread)
 
     @property
     def max_lambda_spread(self) -> float:
-        return max((r.lambda_spread for r in self.rows if not r.focal), default=0.0)
+        return self._max_off_focal(self.lambda_spread)
 
     def isoparametric_within(self, tol: Optional[float] = None) -> bool:
         tol = self.tol if tol is None else tol
@@ -460,10 +466,9 @@ def isoparametric_scan(M: Hypersurface, sample_points, l_grid,
     h_mean[~flags] = np.mean(hs, axis=1)
     h_spread[~flags] = np.max(hs, axis=1) - np.min(hs, axis=1)
     lambda_spread[~flags] = np.max(np.max(lams, axis=1) - np.min(lams, axis=1), axis=-1)
-    columns = (l_grid, h_mean, h_spread, lambda_spread, np.min(np.abs(dets), axis=0), flags)
-    rows = [ScanRow(*row) for row in zip(*(c.tolist() for c in columns))]
-    return ScanReport(rows=rows, excluded=l_grid[flags].tolist(), focal_roots=roots,
-                      tol=tol, mode=mode)
+    return ScanReport(l=l_grid, h_mean=h_mean, h_spread=h_spread, lambda_spread=lambda_spread,
+                      min_abs_detq=np.min(np.abs(dets), axis=0), focal=flags,
+                      excluded=l_grid[flags].tolist(), focal_roots=roots, tol=tol, mode=mode)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import stat
 import tempfile
 import threading
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
 import numpy as np
@@ -360,7 +361,10 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
     notes = f"mode={scan.mode}"
     if scan.excluded:
         notes += f"; focal l excluded: {[round(l, 6) for l in scan.excluded]}"
-    if oracle.constant_curvatures:
+    if scan.focal.all():
+        results.append(_skipped("isoparametric_spread", cfg.tol("isoparametric_spread"),
+                                f"skipped: every l-grid node is focal; {notes}"))
+    elif oracle.constant_curvatures:
         results.append(_judged("isoparametric_spread", spread,
                                cfg.tol("isoparametric_spread"),
                                min(8, cfg.samples), notes=notes))
@@ -440,7 +444,7 @@ def _orbit_checks(cfg: SuiteConfig, surface) -> list[CheckResult]:
         # the seed point is the diagonal point ((1,0,0), (1,0,0)), so its
         # image is the first column of each block
         images = np.array([np.concatenate([g1[:, 0], g2[:, 0]]) for g1, g2 in blocks])
-        dev = np.max(np.abs(images - sc.chart_jet(surface, grid).val))
+        dev = np.max(np.abs(images - surface.point(grid)))
         return [_judged("orbit_match", dev, tol_orbit, len(grid),
                         notes="orbit of the horocycle subgroup through the diagonal point"),
                 _judged("lorentz_form_preservation", max(map(lorentz_defect, blocks)),
@@ -504,8 +508,134 @@ def report_payload(cfg: SuiteConfig, results: list[CheckResult]) -> dict:
     }
 
 
-def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def render_json(payload) -> str:
+    """The report text: ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``,
+    byte for byte.
+
+    json's indented output runs its pure-Python encoder value by value.  Here a
+    list of flat records with the same keys, such as the rows of a scan or the
+    results of a suite, is encoded column by column instead: numbers, bools
+    and nulls of a column in one call of the C encoder, strings one by one,
+    and the indented rows are laid out from those cells.  Everything else
+    takes json's layout, written out below.
+    """
+    out = []
+    _encode(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_RECORD_CELL_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _float_text(x: float) -> str:
+    """json's text of a float: its repr, or NaN / Infinity / -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _scalar_text(o) -> Optional[str]:
+    """json's text of a string, number, bool or None; None for anything else."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    return None
+
+
+def _key_text(key) -> str:
+    """json's text of a dict key: a number, bool or None key as its string."""
+    if not isinstance(key, str):
+        text = _scalar_text(key)
+        if text is None:
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = text
+    return encode_basestring_ascii(key)
+
+
+def _encode(o, newline: str, out: list):
+    """Append json's indented text of ``o``; ``newline`` is "\\n" plus the
+    indent of the line ``o`` starts on."""
+    text = _scalar_text(o)
+    if text is not None:
+        out.append(text)
+        return
+    if isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        rows = _record_rows(o, inner)
+        if rows is not None:
+            out += ["[", inner, rows, newline, "]"]
+            return
+        sep = "[" + inner
+        for value in o:
+            out.append(sep)
+            sep = "," + inner
+            _encode(value, inner, out)
+        out += [newline, "]"]
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            out += [sep, _key_text(key), ": "]
+            sep = "," + inner
+            _encode(value, inner, out)
+        out += [newline, "}"]
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _record_rows(records, inner: str) -> Optional[str]:
+    """The items of a list of flat records at indent ``inner``, or None.
+
+    Records are flat when they are dicts with the same string keys, at least
+    one, and every value is exactly a str, int, float, bool or None; other
+    lists take the general path.
+    """
+    first = records[0]
+    if not first or set(map(type, records)) != {dict} or set(map(len, records)) != {len(first)}:
+        return None
+    if any(type(k) is not str for k in first):
+        return None
+    keys = sorted(first)
+    cells = []
+    for key in keys:
+        try:
+            column = [r[key] for r in records]
+        except KeyError:      # same size, other keys
+            return None
+        types = set(map(type, column))
+        if not types <= _RECORD_CELL_TYPES:
+            return None
+        if str in types:
+            cells.append(list(map(_scalar_text, column)))
+        else:
+            # one C-encoder call; number, bool and null cells hold no ", "
+            cells.append(json.dumps(column)[1:-1].split(", "))
+    item = inner + "  "
+    parts = ["{" + item + encode_basestring_ascii(keys[0]) + ": "]
+    parts += ["," + item + encode_basestring_ascii(k) + ": " for k in keys[1:]]
+    template = "%s".join(p.replace("%", "%%") for p in parts + [inner + "}"])
+    return ("," + inner).join([template % row for row in zip(*cells)])
 
 
 def render_csv(results: list[CheckResult]) -> str:
@@ -565,22 +695,42 @@ def write_atomic(path: str, text: str):
 # parallel-flow table (cmd parallel)
 # ---------------------------------------------------------------------------
 
+# keys of a ``parallel`` row, in CSV column order
+PARALLEL_COLUMNS = ("l", "H_mean", "H_spread", "lambda_spread", "min_abs_detQ", "focal")
+
+
 def parallel_rows(cfg: SuiteConfig) -> list[dict]:
+    """One record per l-grid node, keyed by ``PARALLEL_COLUMNS``; a focal
+    node has None for H_mean and the two spreads."""
     cfg.validate()
     surface, _ = mz.build_model(cfg.model)
     pts = sobol_points(surface.domain, min(8, cfg.samples), cfg.seed)
     scan = pf.isoparametric_scan(surface, pts, cfg.grid())
-    rows = []
-    for r in scan.rows:
-        rows.append({
-            "l": r.l,
-            "H_mean": None if math.isnan(r.h_mean) else r.h_mean,
-            "H_spread": None if math.isnan(r.h_spread) else r.h_spread,
-            "lambda_spread": None if math.isnan(r.lambda_spread) else r.lambda_spread,
-            "min_abs_detQ": r.min_abs_detq,
-            "focal": r.focal,
-        })
-    return rows
+    columns = (scan.l.tolist(), _nulled(scan.h_mean), _nulled(scan.h_spread),
+               _nulled(scan.lambda_spread), scan.min_abs_detq.tolist(), scan.focal.tolist())
+    return [dict(zip(PARALLEL_COLUMNS, row)) for row in zip(*columns)]
+
+
+def _nulled(column: np.ndarray) -> list:
+    """The column as floats, None in place of NaN."""
+    out = column.tolist()
+    for i in np.flatnonzero(np.isnan(column)).tolist():
+        out[i] = None
+    return out
+
+
+def render_parallel_csv(rows: list[dict]) -> str:
+    """``parallel`` rows as CSV: floats by repr, None empty, bools lower case."""
+    def cell(v):
+        if v is None:
+            return ""
+        return str(v).lower() if isinstance(v, bool) else repr(v)
+
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(PARALLEL_COLUMNS)
+    w.writerows([cell(r[k]) for k in PARALLEL_COLUMNS] for r in rows)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

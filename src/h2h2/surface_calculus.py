@@ -80,8 +80,16 @@ class Hypersurface:
     name: str = ""
 
     def point(self, u) -> np.ndarray:
-        p, q, _ = self.chart([float(x) for x in u])
-        return np.array([ad.value(x) for x in (*p, *q)], dtype=float)
+        """The chart point (6,) of u (3,), or the points (n, 6) of a batch u
+        (n, 3) from one chart call on coordinate arrays.  No derivative is
+        carried, and each row equals ``chart_jet(M, u).val`` bit for bit."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 1:
+            p, q, _ = self.chart([float(x) for x in u])
+            return np.array([ad.value(x) for x in (*p, *q)], dtype=float)
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            p, q, _ = self.chart(list(u.T))
+        return np.stack(np.broadcast_arrays(*(ad.value(x) for x in (*p, *q))), axis=-1)
 
     def jet(self, u) -> "ChartJet":
         return chart_jet(self, u)

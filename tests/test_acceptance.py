@@ -39,10 +39,12 @@ def test_criterion_01_model_zoo_oracle_match():
     lam_dev = c_dev = 0.0
     for spec in mz.CATALOG:
         surface, oracle = mz.build_model(spec)
-        for u in sample(surface, 200):
-            pg = sc.point_geometry(surface, u)
-            lam_dev = max(lam_dev, float(np.max(np.abs(pg.lambdas - oracle.lambdas(u)))))
-            c_dev = max(c_dev, abs(pg.C - oracle.C))
+        pts = sample(surface, 200)
+        # one batched call; each row is bit for bit the one-point call
+        pgs = sc.point_geometry(surface, pts)
+        for u, lam, C in zip(pts, pgs.lambdas, pgs.C.tolist()):
+            lam_dev = max(lam_dev, float(np.max(np.abs(lam - oracle.lambdas(u)))))
+            c_dev = max(c_dev, abs(C - oracle.C))
     ok = lam_dev < 1e-7 and c_dev < 1e-9
     emit(1, ok, f"model-zoo oracle match over {len(mz.CATALOG)} families x 200 points: "
                 f"max lambda dev {lam_dev:.2e} (tol 1e-7), max C dev {c_dev:.2e} (tol 1e-9)")

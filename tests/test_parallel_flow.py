@@ -431,7 +431,7 @@ class TestIsoparametricScan:
         assert rep.isoparametric_within(1e-8)
         # kappa = 2 has a focal value at arctanh(1/2) ~ 0.549; the grid point
         # nearest it survives because the pole sits between grid nodes
-        assert all(not math.isnan(r.h_spread) or r.focal for r in rep.rows)
+        assert np.all(~np.isnan(rep.h_spread) | rep.focal)
 
     def test_focal_exclusion_in_curve_mode(self, m_gamma_2):
         surface, _ = m_gamma_2
@@ -498,6 +498,58 @@ class TestFocalRoots:
         rep = pf.isoparametric_scan(surface, domain_samples(surface, 8),
                                     np.linspace(-2.0, 2.0, 401))
         assert rep.focal_roots == [pytest.approx(mz.mtau_focal_radius(-2.0), abs=1e-9)]
+
+
+class TestScanColumns:
+    """The columnar report against the per-row code it replaced."""
+
+    def scan(self):
+        surface, _ = mz.make_M_tau(-1.5)
+        pts = rp.sobol_points(surface.domain, 8, 0)
+        grid = rp.SuiteConfig(model=mz.ModelSpec("M_tau", {"tau": -1.5}),
+                              l_grid=(-2.0, 2.0, 0.002)).grid()
+        return surface, pts, grid, pf.isoparametric_scan(surface, pts, grid)
+
+    def test_columns_and_spreads_equal_the_per_row_code(self):
+        _, _, grid, rep = self.scan()
+        columns = (rep.l, rep.h_mean, rep.h_spread, rep.lambda_spread, rep.min_abs_detq, rep.focal)
+        assert all(len(c) == len(grid) for c in columns)
+        assert np.array_equal(rep.l, grid)
+        # the per-row code: one tuple of Python scalars per node, reduced by
+        # generators over the non-focal rows
+        rows = list(zip(*(c.tolist() for c in columns)))
+        assert 0 < sum(r[5] for r in rows) < len(rows)      # the grid crosses a focal value
+        assert rep.excluded == [r[0] for r in rows if r[5]]
+        assert rep.max_h_spread == max(r[2] for r in rows if not r[5])
+        assert rep.max_lambda_spread == max(r[3] for r in rows if not r[5])
+        assert type(rep.max_h_spread) is float and type(rep.max_lambda_spread) is float
+        # NaN exactly on the focal nodes
+        for c in (rep.h_mean, rep.h_spread, rep.lambda_spread):
+            assert np.array_equal(np.isnan(c), rep.focal)
+
+    def test_columns_equal_a_per_node_recomputation(self):
+        surface, pts, grid, rep = self.scan()
+        frames = [pf.adapted_frame(pg) for pg in sc.point_geometry(surface, pts)]
+        for j in range(0, len(grid), 97):
+            l = float(grid[j])
+            dets = [float(pf.detq_expansion(af, l)) for af in frames]
+            assert rep.min_abs_detq[j] == min(map(abs, dets))
+            if rep.focal[j]:
+                continue
+            hs = [float(pf.mean_curvature_of_parallel(af, l)) for af in frames]
+            lams = np.array([pf.parallel_lambdas(af, l) for af in frames])
+            spread = float(np.max(lams.max(axis=0) - lams.min(axis=0)))
+            assert rep.h_mean[j] == pytest.approx(np.mean(hs), rel=1e-13, abs=1e-13)
+            assert rep.h_spread[j] == pytest.approx(max(hs) - min(hs), abs=1e-13)
+            assert rep.lambda_spread[j] == pytest.approx(spread, abs=1e-13)
+
+    def test_every_node_focal_has_no_spread(self, m_tau_m2):
+        surface, _ = m_tau_m2
+        rep = pf.isoparametric_scan(surface, domain_samples(surface, 8),
+                                    np.array([mz.mtau_focal_radius(-2.0)]))
+        assert rep.focal.all()
+        assert math.isnan(rep.max_h_spread) and math.isnan(rep.max_lambda_spread)
+        assert not rep.isoparametric_within(1.0)
 
 
 def richardson(fn, u, m, h=1e-3):

@@ -13,6 +13,7 @@ import pytest
 from h2h2 import autodiff as ad
 from h2h2 import cli
 from h2h2 import model_zoo as mz
+from h2h2 import parallel_flow as pf
 from h2h2 import report as rp
 from h2h2 import surface_calculus as sc
 
@@ -161,6 +162,20 @@ class TestVerifyCommand:
             <= set(rows[0].keys())
         assert any(r["name"] == "m_tau_constraint" and r["pass"] == "true" for r in rows)
 
+    def test_every_l_grid_node_focal_skips_the_spread(self, tmp_path, capsys):
+        # a one-node grid at the tube radius of M_tau(-2) leaves no spread to
+        # judge: the check is skipped, not passed with residual 0
+        out = tmp_path / "r.json"
+        l_star = mz.mtau_focal_radius(-2.0)
+        assert run_cli(["verify", "--model", "M_tau", "--tau", "-2", "--samples", "8",
+                        f"--l-grid={l_star!r}:{l_star!r}:0.1", "--out", str(out)]) == 0
+        row = next(r for r in json.loads(out.read_text())["results"]
+                   if r["name"] == "isoparametric_spread")
+        assert row["pass"] is None and row["max_residual"] is None
+        assert row["n_samples"] == 0
+        assert "every l-grid node is focal" in row["notes"]
+        assert "[SKIP] isoparametric_spread" in capsys.readouterr().err
+
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -213,6 +228,24 @@ class TestParallelCommand:
             assert type(row["focal"]) is bool
             for key in ("l", "H_mean", "H_spread", "lambda_spread", "min_abs_detQ"):
                 assert row[key] is None or type(row[key]) is float
+
+    def test_rows_equal_the_per_row_code(self):
+        # the record of each node, as the per-row code built it from the scan
+        cfg = rp.SuiteConfig(model=mz.ModelSpec("M_tau", {"tau": -1.5}),
+                             l_grid=(-2.0, 2.0, 0.002))
+        surface, _ = mz.build_model(cfg.model)
+        scan = pf.isoparametric_scan(surface, rp.sobol_points(surface.domain, 8, 0), cfg.grid())
+        columns = (scan.l, scan.h_mean, scan.h_spread, scan.lambda_spread,
+                   scan.min_abs_detq, scan.focal)
+        expected = [{"l": l, "H_mean": None if math.isnan(h) else h,
+                     "H_spread": None if math.isnan(hs) else hs,
+                     "lambda_spread": None if math.isnan(ls) else ls,
+                     "min_abs_detQ": d, "focal": f}
+                    for l, h, hs, ls, d, f in zip(*(c.tolist() for c in columns))]
+        rows = rp.parallel_rows(cfg)
+        assert rows == expected
+        assert any(r["focal"] for r in rows)
+        assert [list(r) for r in rows] == [list(rp.PARALLEL_COLUMNS)] * len(rows)
 
     def test_bad_step_exit_two(self):
         assert run_cli(["parallel", "--model", "M_1m1", "--c", "0.3",
@@ -453,11 +486,11 @@ def test_m_tau_constraint_reads_the_batch(monkeypatch):
 
 
 def test_verify_evaluates_the_samples_in_one_chart_call(monkeypatch):
-    # orbit_match makes one batched chart pass over its 125 grid points, then
-    # one pass takes all samples; the parallel-shape check makes one per
-    # distance over its 3 points and the scan one over its 8 points.  No
-    # point is evaluated at floats: chart_constraints reads the sample
-    # points from the batch.
+    # orbit_match makes one value-only chart pass on the coordinate arrays of
+    # its 125 grid points, then one jet pass takes all samples; the
+    # parallel-shape check makes one per distance over its 3 points and the
+    # scan one over its 8 points.  No point is evaluated at floats:
+    # chart_constraints reads the sample points from the batch.
     build = mz.build_model
     calls = []
 
@@ -470,23 +503,27 @@ def test_verify_evaluates_the_samples_in_one_chart_call(monkeypatch):
     monkeypatch.setattr(mz, "build_model", counted)
     rp.run_verify_suite(rp.SuiteConfig(model=mz.ModelSpec("M_1m1", {"c": 0.4}), samples=20))
     (log,) = calls
-    batches = [len(u[0].val) for u in log if isinstance(u[0], ad.Jet)]
-    assert batches == [125, 20, 3, 3, 8]
-    assert all(isinstance(u[0], ad.Jet) for u in log)
+    orbit, *jets = log
+    assert all(type(x) is np.ndarray and x.shape == (125,) for x in orbit)
+    assert all(isinstance(u[0], ad.Jet) for u in jets)
+    assert [len(u[0].val) for u in jets] == [20, 3, 3, 8]
 
 
 @pytest.mark.parametrize("spec", [mz.ModelSpec("M_1m1", {"c": 0.3}),
                                   mz.ModelSpec("M_1m1", {"c": 0.5}),
                                   mz.ModelSpec("M_11", {"c": 0.6})])
 def test_orbit_grid_chart_values_equal_float_points(spec):
-    # orbit_match reads its 125 grid points from one batched chart pass; the
-    # values equal the float chart evaluations bit for bit, so its residual
-    # is the point-by-point one
+    # orbit_match reads its 125 grid points from one value-only chart pass on
+    # coordinate arrays; the values equal the float chart evaluations and
+    # the values of the jet pass bit for bit, so its residual is the
+    # point-by-point one
     surface, _ = mz.build_model(spec)
     axes = [np.linspace(d[0], d[1], 5) for d in surface.domain]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    assert np.array_equal(sc.chart_jet(surface, grid).val,
-                          np.array([surface.point(u) for u in grid]))
+    points = surface.point(grid)
+    assert points.shape == (125, 6)
+    assert np.array_equal(points, np.array([surface.point(u) for u in grid]))
+    assert np.array_equal(sc.chart_jet(surface, grid).val, points)
 
 
 def test_lorentz_form_defect_is_a_failed_check(monkeypatch, tmp_path, capsys):
