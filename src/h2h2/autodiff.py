@@ -46,10 +46,17 @@ def _rows(c, k: int):
 
 
 def elementwise(fn, v):
-    """fn(v) for a float, or fn of every element of an array by scalar calls."""
-    if isinstance(v, np.ndarray) and v.ndim:
+    """fn(v) for a float, or fn of every element of an array (0-d too) by
+    calls on Python floats."""
+    if isinstance(v, np.ndarray):
         return np.fromiter(map(fn, v.ravel().tolist()), float, v.size).reshape(v.shape)
     return fn(v)
+
+
+def power(v, m):
+    """v ** m for a float, or for every element of an array, by Python's float
+    power: numpy's power and square differ from it in the last bit."""
+    return elementwise(lambda x: x ** m, v)
 
 
 class Jet:
@@ -132,12 +139,8 @@ class Jet:
         if not isinstance(n, _NUMBER):
             return NotImplemented
         v = self.val
-
-        def power(m):
-            return elementwise(lambda x: x ** m, v)
-
-        return _lift(self, power(n), n * power(n - 1), n * (n - 1) * power(n - 2),
-                     n * (n - 1) * (n - 2) * power(n - 3))
+        return _lift(self, power(v, n), n * power(v, n - 1), n * (n - 1) * power(v, n - 2),
+                     n * (n - 1) * (n - 2) * power(v, n - 3))
 
 
 def _lift(x: Jet, f0, f1, f2, f3) -> Jet:

@@ -12,8 +12,6 @@ failure at a chart point, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 
 from . import model_zoo as mz
@@ -150,12 +148,7 @@ def cmd_table(args) -> int:
     else:
         raise rp.ConfigError(f"unknown table {which!r}")
     if args.out:
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
-        w.writeheader()
-        for r in rows:
-            w.writerow({c: r[c] for c in cols})
-        rp.write_atomic(args.out, buf.getvalue())
+        rp.write_atomic(args.out, rp.csv_text(cols, ([r[c] for c in cols] for r in rows)))
     else:
         _print_table(rows, cols)
     return 0

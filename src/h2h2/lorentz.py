@@ -221,7 +221,7 @@ class PlaneCurve:
         gddd = (1.0 - k * k) * t + kp * n
         nd = -k * t
         ndd = -kp * t - k * gdd
-        nddd = (ad.elementwise(lambda x: x ** 3, k) - k - kpp) * t - 2.0 * kp * g - 3.0 * k * kp * n
+        nddd = (ad.power(k, 3) - k - kpp) * t - 2.0 * kp * g - 3.0 * k * kp * n
         return ([ad.compose_jet(g[i], t[i], gdd[i], gddd[i], r) for i in range(3)],
                 [ad.compose_jet(n[i], nd[i], ndd[i], nddd[i], r) for i in range(3)])
 

@@ -57,7 +57,7 @@ class Oracle:
 
     name: str
     C: float
-    lambdas: Callable                 # u -> (3,) ascending principal curvatures
+    lambdas: Callable                 # u (3,) or (n, 3) -> ascending principal curvatures (..., 3)
     constant_curvatures: bool
 
 
@@ -66,6 +66,12 @@ DEFAULT_DOMAINS = {
     "M_kk": ((-1.0, 1.0), (-1.6, 1.6), (-1.6, 1.6)),
     "M_tau": ((0.3, 1.8), (0.3, 6.0), (0.3, 6.0)),
 }
+
+
+def _constant_lambdas(*lam):
+    """Oracle curvatures that do not depend on the point: u -> sorted lam."""
+    lam = np.sort(np.array(lam))
+    return lambda u: np.broadcast_to(lam, np.shape(u))
 
 
 def _polar(rho, phi):
@@ -85,19 +91,33 @@ def make_M_Gamma(kappa_gamma: float, domain=None):
         g, n = curve.jet(r)
         return g, _polar(rho, phi), [*n, 0.0, 0.0, 0.0]
 
-    lam = np.sort(np.array([kappa_gamma, 0.0, 0.0]))
-
-    def lambdas(_u):
-        return lam
-
     surface = Hypersurface(chart=chart, domain=domain, name=f"M_Gamma(kappa={kappa_gamma})")
-    oracle = Oracle(name=surface.name, C=1.0, lambdas=lambdas, constant_curvatures=True)
+    oracle = Oracle(name=surface.name, C=1.0, lambdas=_constant_lambdas(kappa_gamma, 0.0, 0.0),
+                    constant_curvatures=True)
     return surface, oracle
 
 
 # ---------------------------------------------------------------------------
 # M_kk: two-curve product construction
 # ---------------------------------------------------------------------------
+
+def product_lambdas(c: float, a1, a2, k1, k2) -> np.ndarray:
+    """Ascending principal curvatures {0, lambda2, lambda3} (..., 3) of a
+    two-curve product with factor curvatures k1, k2 at the arguments a1
+    (sqrt(c) t on the surface) and a2 (sqrt(1-c) t), by ``math`` element by
+    element; the first row (and factor) whose denominator vanishes raises."""
+    (ch1, sh1), (ch2, sh2) = ((ad.elementwise(math.cosh, a), ad.elementwise(math.sinh, a))
+                              for a in (a1, a2))
+    d1, d2 = ch1 - sh1 * k1, ch2 - sh2 * k2
+    vanishing = np.stack(np.broadcast_arrays(np.abs(d1) <= 1e-6, np.abs(d2) <= 1e-6), axis=-1)
+    if vanishing.any():
+        raise DomainError(("first-factor denominator cosh(sqrt(c) t) - sinh(sqrt(c) t) kappa(r)",
+                           "second-factor denominator cosh(sqrt(1-c) t) - sinh(sqrt(1-c) t) "
+                           "kappa~(s)")[int(np.argmax(vanishing)) % 2] + " vanishes")
+    lam2 = -math.sqrt(1.0 - c) * (sh1 - ch1 * k1) / d1
+    lam3 = math.sqrt(c) * (sh2 - ch2 * k2) / d2
+    return np.sort(np.stack([np.zeros_like(lam2), lam2, lam3], axis=-1), axis=-1)
+
 
 def _product_surface(c: float, curve1: PlaneCurve, curve2: PlaneCurve,
                      domain, name: str, constant: bool):
@@ -118,25 +138,10 @@ def _product_surface(c: float, curve1: PlaneCurve, curve2: PlaneCurve,
              + [-sc * (sh2 * g2[i] + ch2 * n2[i]) for i in range(3)])
         return p, q, n
 
-    def _factors(t, r, s):
-        k1 = curve1.kappa_at(r)
-        k2 = curve2.kappa_at(s)
-        d1 = math.cosh(sc * t) - math.sinh(sc * t) * k1
-        d2 = math.cosh(s1c * t) - math.sinh(s1c * t) * k2
-        if abs(d1) <= 1e-6:
-            raise DomainError(
-                "first-factor denominator cosh(sqrt(c) t) - sinh(sqrt(c) t) kappa(r) vanishes")
-        if abs(d2) <= 1e-6:
-            raise DomainError(
-                "second-factor denominator cosh(sqrt(1-c) t) - sinh(sqrt(1-c) t) kappa~(s) vanishes")
-        lam2 = -s1c * (math.sinh(sc * t) - math.cosh(sc * t) * k1) / d1
-        lam3 = sc * (math.sinh(s1c * t) - math.cosh(s1c * t) * k2) / d2
-        return lam2, lam3
-
     def lambdas(u):
-        t, r, s = (float(x) for x in u)
-        lam2, lam3 = _factors(t, r, s)
-        return np.sort(np.array([0.0, lam2, lam3]))
+        t, r, s = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
+        return product_lambdas(c, sc * t, s1c * t, ad.elementwise(curve1.kappa_at, r),
+                               ad.elementwise(curve2.kappa_at, s))
 
     surface = Hypersurface(chart=chart, domain=domain, name=name)
     oracle = Oracle(name=name, C=1.0 - 2.0 * c, lambdas=lambdas, constant_curvatures=constant)
@@ -216,12 +221,8 @@ def make_M_tau(tau: float, domain=None):
              + [(x[i] + tau * y[i]) * scale for i in range(3)])
         return x, y, n
 
-    lam = np.sort(np.array([0.0, mtau_lambda_small(tau), mtau_lambda_big(tau)]))
-
-    def lambdas(_u):
-        return lam
-
     surface = Hypersurface(chart=chart, domain=domain, name=f"M_tau(tau={tau})")
+    lambdas = _constant_lambdas(0.0, mtau_lambda_small(tau), mtau_lambda_big(tau))
     oracle = Oracle(name=surface.name, C=0.0, lambdas=lambdas, constant_curvatures=True)
     return surface, oracle
 

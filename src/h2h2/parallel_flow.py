@@ -17,16 +17,17 @@ det Q at l = 0 reduce to scalar invariants (H, rho, C, and two principal
 minors) and are checked against the Taylor coefficients of the expansion.
 Focal values of l are the roots of det Q.
 
-Every function of l takes a float or an array of distances and broadcasts
-over it (matrices gain two trailing axes), so ``isoparametric_scan``
-evaluates each base point once over the whole l-grid.
+An ``AdaptedFrame`` is one frame or a batch with the batch axes of its
+``PointGeometry``, and every function of a frame and l broadcasts over the
+frames and l by numpy's rules (matrices gain two trailing axes), each row
+bit for bit its one-frame, one-distance call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Union
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .surface_calculus import (
     Hypersurface,
     PointDerivatives,
     PointGeometry,
+    _pairing,
     point_derivatives,
     point_geometry,
 )
@@ -54,78 +56,91 @@ class FocalPointError(ArithmeticError):
 # adapted frame
 # ---------------------------------------------------------------------------
 
+def _one(x):
+    """A value of one frame as a Python float; a batch's values pass through."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 @dataclass(frozen=True)
 class AdaptedFrame:
     """Shape-operator components in the adapted frame (E1 along V).
 
-    ``A`` is symmetric.  ``adapted_frame`` also records the ambient frame
-    vectors as the rows of ``frame``; a frame given by C and A alone, as
+    ``A`` (*B,3,3) is symmetric and ``C`` (*B,) is a float for one frame,
+    B = ().  ``adapted_frame`` also records the ambient frame vectors as the
+    rows of ``frame`` (*B,3,6); a frame given by C and A alone, as
     ``AdaptedFrame(C, A)``, has none, and the functions of l need none.
+    ``af[index]`` selects frames of a batch.
     """
 
-    C: float
+    C: Union[float, np.ndarray]
     A: np.ndarray
-    frame: Optional[np.ndarray] = None   # (3,6) rows E1,E2,E3
+    frame: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "C", _one(self.C))
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        if abs(self.C) >= 1.0:
+        if np.any(np.abs(self.C) >= 1.0):
             raise DegenerateProductAngleError("adapted frame requires |C| < 1")
 
-    @property
-    def cplus(self) -> float:
-        return math.sqrt((1.0 + self.C) / 2.0)
+    def __getitem__(self, index) -> "AdaptedFrame":
+        return AdaptedFrame(self.C[index], self.A[index],
+                            None if self.frame is None else self.frame[index])
 
     @property
-    def cminus(self) -> float:
-        return math.sqrt((1.0 - self.C) / 2.0)
+    def cplus(self):
+        return ad.elementwise(math.sqrt, (1.0 + self.C) / 2.0)
 
     @property
-    def H(self) -> float:
-        return float(np.trace(self.A))
+    def cminus(self):
+        return ad.elementwise(math.sqrt, (1.0 - self.C) / 2.0)
 
-    def principal_minors(self) -> tuple[float, float, float]:
+    @property
+    def H(self):
+        return _one(np.trace(self.A, axis1=-2, axis2=-1))
+
+    @property
+    def entries(self) -> np.ndarray:
+        """A with its matrix axes first: ``entries[i, j]`` is A_ij over the batch."""
+        return np.moveaxis(self.A, (-2, -1), (0, 1))
+
+    def principal_minors(self) -> tuple:
         """(H12, H13, H23) with H_ij = A_ii A_jj - A_ij²."""
-        a = self.A
-        return (
-            float(a[0, 0] * a[1, 1] - a[0, 1] ** 2),
-            float(a[0, 0] * a[2, 2] - a[0, 2] ** 2),
-            float(a[1, 1] * a[2, 2] - a[1, 2] ** 2),
-        )
+        a = self.entries
+        return tuple(_one(a[i, i] * a[j, j] - ad.power(a[i, j], 2))
+                     for i, j in ((0, 1), (0, 2), (1, 2)))
 
     @property
-    def rho(self) -> float:
+    def rho(self):
         """Scalar curvature via 2 (H12 + H13 + H23) = rho + 2."""
         return 2.0 * sum(self.principal_minors()) - 2.0
 
 
 def frame_vectors(pg: PointGeometry) -> np.ndarray:
-    """Ambient adapted-frame vectors (rows E1, E2, E3) at a point with |C|<1."""
-    if abs(pg.C) > DEGENERATE_C:
-        raise DegenerateProductAngleError(f"|C|={abs(pg.C):.12f} too close to 1")
-    j1n, j2n = complex_structures(pg.val, pg.N)
-    e1 = pg.V / math.sqrt(1.0 - pg.C ** 2)
-    e2 = (j1n + j2n) / math.sqrt(2.0 * (1.0 + pg.C))
-    e3 = (j1n - j2n) / math.sqrt(2.0 * (1.0 - pg.C))
-    return np.stack([e1, e2, e3])
+    """Ambient adapted-frame vectors, rows E1, E2, E3: (3,6) for one point,
+    (*B,3,6) for a batch.  The first point with |C| too close to 1 raises."""
+    C = np.asarray(pg.C)
+    bad = np.flatnonzero(np.abs(C) > DEGENERATE_C)
+    if bad.size:
+        raise DegenerateProductAngleError(f"|C|={abs(C.flat[bad[0]]):.12f} too close to 1")
+    j1n, j2n = (w.T for w in complex_structures(pg.val.T, pg.N.T))
+    e1 = pg.V / np.sqrt(1.0 - ad.power(C, 2))[..., None]
+    e2 = (j1n + j2n) / np.sqrt(2.0 * (1.0 + C))[..., None]
+    e3 = (j1n - j2n) / np.sqrt(2.0 * (1.0 - C))[..., None]
+    return np.stack([e1, e2, e3], axis=-2)
 
 
 def adapted_frame(pg: PointGeometry) -> AdaptedFrame:
-    """Adapted frame and shape-operator components A_ij = <A E_i, E_j>."""
+    """Adapted frame and shape-operator components A_ij = <A E_i, E_j>, with
+    the batch shape of the point bundle ``pg``."""
     E = frame_vectors(pg)
-    a = np.empty((3, 3))
-    shaped = [pg.shape_apply(E[i]) for i in range(3)]
-    for i in range(3):
-        for j in range(3):
-            a[i, j] = ambient_inner(shaped[i], E[j])
-    a = 0.5 * (a + a.T)
-    return AdaptedFrame(C=pg.C, A=a, frame=E)
+    shaped = np.stack([pg.shape_apply(E[..., i, :]) for i in range(3)], axis=-2)
+    a = _pairing(shaped[..., :, None, :], E[..., None, :, :])
+    return AdaptedFrame(C=pg.C, A=0.5 * (a + a.swapaxes(-1, -2)), frame=E)
 
 
-def frame_orthonormality_residual(af: AdaptedFrame) -> float:
-    gram = np.array([[ambient_inner(af.frame[i], af.frame[j]) for j in range(3)]
-                     for i in range(3)])
-    return float(np.max(np.abs(gram - np.eye(3))))
+def frame_orthonormality_residual(af: AdaptedFrame):
+    gram = _pairing(af.frame[..., :, None, :], af.frame[..., None, :, :])
+    return _one(np.max(np.abs(gram - np.eye(3)), axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +194,14 @@ def _hyperbolic(af: AdaptedFrame, l):
 
 
 def _matrix(rows, l) -> np.ndarray:
-    """Nested 3x3 entries, each broadcast against l, as an array (*l.shape, 3, 3)."""
+    """Nested 3x3 entries, broadcast against each other and l, as an array (..., 3, 3)."""
     entries = np.broadcast_arrays(*(x for row in rows for x in row), l)[:-1]
-    return np.stack(entries, axis=-1).reshape(np.shape(l) + (3, 3))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
 
 
 def q_matrix(af: AdaptedFrame, l) -> np.ndarray:
     """Pushforward matrix of the parallel map in the adapted frame."""
-    a = af.A
+    a = af.entries
     l = np.asarray(l, dtype=float)
     (chp, sp, _), (chm, sm, _) = _hyperbolic(af, l)
     return _matrix([
@@ -198,7 +213,7 @@ def q_matrix(af: AdaptedFrame, l) -> np.ndarray:
 
 def q_prime(af: AdaptedFrame, l) -> np.ndarray:
     """d/dl of the pushforward matrix; -Q' gives the parallel shape operator."""
-    a = af.A
+    a = af.entries
     l = np.asarray(l, dtype=float)
     (chp, _, dchp), (chm, _, dchm) = _hyperbolic(af, l)
     return _matrix([
@@ -217,12 +232,12 @@ def _detq_terms(af: AdaptedFrame):
 
     Factor 0 is cosh(c l) and factor 1 is sinh(c l)/c, as in ``_hyperbolic``.
     """
-    a = af.A
+    a = af.entries
     h12, h13, h23 = af.principal_minors()
     # det A by cofactors: an LU factorization divides by pivots, which
     # overflows on nearly singular A with subnormal entries
-    k = float(a[0, 0] * h23 - a[0, 1] * (a[0, 1] * a[2, 2] - a[0, 2] * a[1, 2])
-              + a[0, 2] * (a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]))
+    k = (a[0, 0] * h23 - a[0, 1] * (a[0, 1] * a[2, 2] - a[0, 2] * a[1, 2])
+         + a[0, 2] * (a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]))
     return ((1.0, -a[0, 0], 0, 0),
             (-a[1, 1], h12, 1, 0),
             (-a[2, 2], h13, 0, 1),
@@ -251,7 +266,8 @@ def _shape_operator(q: np.ndarray, qp: np.ndarray, l) -> np.ndarray:
     focal = np.abs(det) <= FOCAL_DET_TOL
     if np.any(focal):
         i = int(np.argmax(focal))
-        raise FocalPointError(f"det Q = {np.ravel(det)[i]:.3e} at l = {np.ravel(l)[i]}")
+        l = np.ravel(np.broadcast_to(l, det.shape))[i]
+        raise FocalPointError(f"det Q = {np.ravel(det)[i]:.3e} at l = {l}")
     return -np.linalg.solve(q, qp)
 
 
@@ -289,20 +305,23 @@ def focal_pushforward_norm(M: Hypersurface, u, l: float) -> float:
     return float(np.linalg.norm(q_matrix(af, l).T @ coords))
 
 
-def find_focal_radius(af: AdaptedFrame, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Bisection root of det Q on a bracketing interval."""
+def find_focal_radius(af: AdaptedFrame, lo, hi):
+    """Bisection roots of det Q on brackets [lo, hi] that broadcast against the
+    frame batch, all halved together until each is narrower than 1e-10."""
+    shape = np.broadcast_shapes(np.shape(af.C), np.shape(lo), np.shape(hi))
+    lo, hi = (np.broadcast_to(np.asarray(x, dtype=float), shape) for x in (lo, hi))
     flo = detq_expansion(af, lo)
-    fhi = detq_expansion(af, hi)
-    if flo * fhi > 0.0:
+    if np.any(flo * detq_expansion(af, hi) > 0.0):
         raise ValueError("det Q does not change sign on the bracket")
-    while hi - lo > tol:
+    wide = hi - lo > 1e-10
+    while np.any(wide):
         mid = 0.5 * (lo + hi)
         fm = detq_expansion(af, mid)
-        if flo * fm <= 0.0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+        left = flo * fm <= 0.0
+        hi = np.where(wide & left, mid, hi)
+        lo, flo = np.where(wide & ~left, mid, lo), np.where(wide & ~left, fm, flo)
+        wide = hi - lo > 1e-10
+    return _one(0.5 * (lo + hi))
 
 
 # ---------------------------------------------------------------------------
@@ -312,46 +331,49 @@ def find_focal_radius(af: AdaptedFrame, lo: float, hi: float, tol: float = 1e-10
 DETQ_ORDERS = (1, 2, 4, 6, 8)
 
 
-def detq_derivatives_at_0(af: AdaptedFrame, rho: float) -> dict[int, float]:
+def detq_derivatives_at_0(af: AdaptedFrame, rho) -> dict:
     """Closed-form d^k(det Q)/dl^k at l = 0 for k = 1, 2, 4, 6, 8."""
     c = af.C
+    c2, c3, c4 = (ad.power(c, m) for m in (2, 3, 4))
     h12, h13, _ = af.principal_minors()
     return {
         1: -af.H,
         2: rho + 3.0,
-        4: 6.0 - c ** 2 + (4.0 - 4.0 * c) * h12 + (4.0 + 4.0 * c) * h13 + 2.0 * rho,
-        6: (12.0 - 5.0 * c ** 2 + (16.0 - 12.0 * c - 4.0 * c ** 2) * h12
-            + (16.0 + 12.0 * c - 4.0 * c ** 2) * h13 + (4.0 - c ** 2) * rho),
-        8: (24.0 - 16.0 * c ** 2 + c ** 4 + (8.0 - 4.0 * c ** 2) * rho
-            + (48.0 - 32.0 * c - 24.0 * c ** 2 + 8.0 * c ** 3) * h12
-            + (48.0 + 32.0 * c - 24.0 * c ** 2 - 8.0 * c ** 3) * h13),
+        4: 6.0 - c2 + (4.0 - 4.0 * c) * h12 + (4.0 + 4.0 * c) * h13 + 2.0 * rho,
+        6: (12.0 - 5.0 * c2 + (16.0 - 12.0 * c - 4.0 * c2) * h12
+            + (16.0 + 12.0 * c - 4.0 * c2) * h13 + (4.0 - c2) * rho),
+        8: (24.0 - 16.0 * c2 + c4 + (8.0 - 4.0 * c2) * rho
+            + (48.0 - 32.0 * c - 24.0 * c2 + 8.0 * c3) * h12
+            + (48.0 + 32.0 * c - 24.0 * c2 - 8.0 * c3) * h13),
     }
 
 
-def _factor_series(c: float, i: int, deg: int) -> np.ndarray:
-    """Taylor coefficients to l^deg of cosh(c l) (i = 0) or sinh(c l)/c (i = 1)."""
-    return np.array([c ** (m - i) / math.factorial(m) if m % 2 == i else 0.0
-                     for m in range(deg + 1)])
+def _factor_series(c, i: int) -> np.ndarray:
+    """Taylor coefficients to l^8 of cosh(c l) (i = 0) or sinh(c l)/c (i = 1)."""
+    zero = np.zeros(np.shape(c))
+    return np.stack([ad.power(c, m - i) / math.factorial(m) if m % 2 == i else zero
+                     for m in range(DETQ_ORDERS[-1] + 1)], axis=-1)
 
 
-def detq_derivatives_numeric(af: AdaptedFrame,
-                             orders: Sequence[int] = DETQ_ORDERS) -> dict[int, float]:
+def detq_derivatives_numeric(af: AdaptedFrame) -> dict:
     """d^k(det Q)/dl^k at l = 0 from the Taylor series of the det Q expansion.
 
     Each term (alpha + beta l) P(C+ l) M(C- l) of ``_detq_terms`` is
-    multiplied out as a power series truncated at the highest order asked
-    for, which is exact up to that order; the k-th derivative is k! times the
-    l^k coefficient.  Nothing is differenced, and nothing is shared with the
-    closed forms of ``detq_derivatives_at_0`` but the expansion itself.
+    multiplied out as a power series truncated at l^8, which is exact up to
+    that order; the k-th derivative is k! times the l^k coefficient.  Nothing
+    is differenced, and nothing is shared with the closed forms of
+    ``detq_derivatives_at_0`` but the expansion itself.  ``np.convolve`` runs
+    frame by frame: a batched product sums in another order.
     """
-    deg = max(orders)
-    series = np.zeros(deg + 1)
+    n = DETQ_ORDERS[-1] + 1
+    plus, minus = ([_factor_series(c, i).reshape(-1, n) for i in (0, 1)]
+                   for c in (af.cplus, af.cminus))
+    series = np.zeros(np.shape(af.C) + (n,))
     for alpha, beta, i, j in _detq_terms(af):
-        pm = np.convolve(_factor_series(af.cplus, i, deg),
-                         _factor_series(af.cminus, j, deg))[:deg + 1]
-        series += alpha * pm
-        series[1:] += beta * pm[:-1]
-    return {k: math.factorial(k) * float(series[k]) for k in orders}
+        pm = np.reshape([np.convolve(p, m)[:n] for p, m in zip(plus[i], minus[j])], series.shape)
+        series += np.asarray(alpha)[..., None] * pm
+        series[..., 1:] += np.asarray(beta)[..., None] * pm[..., :-1]
+    return {k: _one(math.factorial(k) * series[..., k]) for k in DETQ_ORDERS}
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +396,6 @@ class ScanReport:
     focal: np.ndarray
     excluded: list
     focal_roots: list
-    tol: float
     mode: str
 
     def _max_off_focal(self, column: np.ndarray) -> float:
@@ -390,8 +411,7 @@ class ScanReport:
     def max_lambda_spread(self) -> float:
         return self._max_off_focal(self.lambda_spread)
 
-    def isoparametric_within(self, tol: Optional[float] = None) -> bool:
-        tol = self.tol if tol is None else tol
+    def isoparametric_within(self, tol: float) -> bool:
         return self.max_h_spread < tol and self.max_lambda_spread < tol
 
 
@@ -420,8 +440,7 @@ def _merged(roots, tol: float = 1e-9) -> list:
     return out
 
 
-def isoparametric_scan(M: Hypersurface, sample_points, l_grid,
-                       tol: float = 1e-8) -> ScanReport:
+def isoparametric_scan(M: Hypersurface, sample_points, l_grid) -> ScanReport:
     """Spread of H(l) and of the parallel principal curvatures over base points.
 
     Constant spreads across base points for every l characterize the
@@ -432,35 +451,35 @@ def isoparametric_scan(M: Hypersurface, sample_points, l_grid,
     of det Q between grid nodes, are excluded from the spreads and flagged;
     every base point's sign changes are bisected to full precision, and
     roots that agree within 1e-9 are reported once.  The base points take
-    one batched ``point_geometry`` call, and each is evaluated once over the
-    whole grid.
+    one batched ``point_geometry`` call and one frame batch, evaluated once
+    over the whole grid.
     """
     l_grid = np.asarray(l_grid, dtype=float)
     pgs = point_geometry(M, np.asarray(sample_points, dtype=float).reshape(-1, 3))
 
-    if all(abs(pg.C) > DEGENERATE_C for pg in pgs):
+    if np.all(np.abs(pgs.C) > DEGENERATE_C):
         mode = "curve_factor"
-        kappas = np.array([pg.H for pg in pgs])
+        kappas = pgs.H
         dets = np.cosh(l_grid) - kappas[:, None] * np.sinh(l_grid)
         flags = _focal_flags(dets)
-        roots = sorted({round(math.atanh(1.0 / k), 12) for k in kappas
+        roots = sorted({round(math.atanh(1.0 / k), 12) for k in kappas.tolist()
                         if abs(k) > 1.0 and l_grid[0] < math.atanh(1.0 / k) < l_grid[-1]})
         hs = parallel_curve_curvature(kappas, l_grid[~flags, None])   # (l, base point)
         lams = hs[..., None]
     else:
         mode = "adapted"
-        frames = [adapted_frame(pg) for pg in pgs]
-        dets = np.stack([detq_expansion(af, l_grid) for af in frames])
+        af = adapted_frame(pgs)
+        # the frames broadcast against l as a column: arrays are (l, base point, ...)
+        dets = detq_expansion(af, l_grid[:, None]).T
         flags = _focal_flags(dets)
-        roots = _merged([find_focal_radius(af, float(l_grid[j]), float(l_grid[j + 1]))
-                         for af, det in zip(frames, dets)
-                         for j in np.flatnonzero(det[:-1] * det[1:] < 0)])
-        hs, lams = [], []
-        for af in frames:
-            s = parallel_shape_operator(af, l_grid[~flags])
-            hs.append(np.trace(s, axis1=-2, axis2=-1))
-            lams.append(_real_spectrum(s))
-        hs, lams = np.stack(hs, axis=1), np.stack(lams, axis=1)   # (l, base point, ...)
+        rows, j = np.nonzero(dets[:, :-1] * dets[:, 1:] < 0)
+        roots = _merged(find_focal_radius(af[rows], l_grid[j], l_grid[j + 1]).tolist())
+        # about 256 nodes at a time, so that the stacked Q, Q' and S stay small
+        parts = []
+        for block in np.array_split(l_grid[~flags, None], len(l_grid) // 256 + 1):
+            s = parallel_shape_operator(af, block)
+            parts.append((np.trace(s, axis1=-2, axis2=-1), _real_spectrum(s)))
+        hs, lams = (np.concatenate(x) for x in zip(*parts))
 
     h_mean, h_spread, lambda_spread = (np.full(len(l_grid), math.nan) for _ in range(3))
     h_mean[~flags] = np.mean(hs, axis=1)
@@ -468,7 +487,7 @@ def isoparametric_scan(M: Hypersurface, sample_points, l_grid,
     lambda_spread[~flags] = np.max(np.max(lams, axis=1) - np.min(lams, axis=1), axis=-1)
     return ScanReport(l=l_grid, h_mean=h_mean, h_spread=h_spread, lambda_spread=lambda_spread,
                       min_abs_detq=np.min(np.abs(dets), axis=0), focal=flags,
-                      excluded=l_grid[flags].tolist(), focal_roots=roots, tol=tol, mode=mode)
+                      excluded=l_grid[flags].tolist(), focal_roots=roots, mode=mode)
 
 
 # ---------------------------------------------------------------------------

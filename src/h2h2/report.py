@@ -247,7 +247,7 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
     n_fd = min(50, cfg.samples)
     n_par = min(10, cfg.samples)
     n_frame = min(3, cfg.samples)
-    degenerate = abs(oracle.C) >= 1.0 - 1e-9
+    degenerate = abs(oracle.C) >= pf.DEGENERATE_C
     # the orbit grid's chart pass runs before the sample bundle exists, so
     # the peak memory of the two does not add up
     results = _orbit_checks(cfg, surface)
@@ -269,8 +269,7 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
 
     # ---- oracle agreement ------------------------------------------------
     results.append(_judged(
-        "oracle_lambda",
-        max(float(np.max(np.abs(lam - oracle.lambdas(u)))) for lam, u in zip(pgs.lambdas, pts)),
+        "oracle_lambda", np.max(np.abs(pgs.lambdas - oracle.lambdas(pts))),
         cfg.tol("oracle_lambda"), len(pts)))
     results.append(_judged(
         "oracle_C", np.max(np.abs(pgs.C - oracle.C)), cfg.tol("oracle_C"), len(pts)))
@@ -305,29 +304,25 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
                                cfg.tol(name), n_fd))
 
     # ---- parallel flow ----------------------------------------------------
-    frames = [] if degenerate else [pf.adapted_frame(pg) for pg in pgs[:n_par]]
+    af = None if degenerate else pf.adapted_frame(pgs[:n_par])
     if degenerate:
         for name in ("mean_curvature_two_forms", "detq_derivatives_low", "detq_derivatives_high",
                      "parallel_shape_consistency"):
             results.append(_skipped(name, cfg.tol(name),
                                     "skipped: degenerate product angle (C^2 = 1)"))
     else:
-        dev_h = 0.0
+        # H(l) by the trace and by the det Q expansion, wherever det Q is not small
         ls = np.array([-0.6, 0.37, 0.8])
-        for af in frames:
-            det = pf.detq_expansion(af, ls)
-            ok = np.abs(det) >= 1e-6
-            h_det = -pf.detq_expansion_prime(af, ls[ok]) / det[ok]
-            dev_h = float(np.max(np.abs(pf.mean_curvature_of_parallel(af, ls[ok]) - h_det),
-                                initial=dev_h))
+        det = pf.detq_expansion(af, ls[:, None])
+        li, fi = np.nonzero(np.abs(det) >= 1e-6)
+        h_det = -pf.detq_expansion_prime(af[fi], ls[li]) / det[li, fi]
+        dev_h = np.max(np.abs(pf.mean_curvature_of_parallel(af[fi], ls[li]) - h_det), initial=0.0)
         results.append(_judged("mean_curvature_two_forms", dev_h, cfg.tol("mean_curvature_two_forms"), n_par))
 
-        lo = hi = 0.0
-        for af, pg in zip(frames, pgs[:n_par]):
-            closed = pf.detq_derivatives_at_0(af, pg.rho)
-            numeric = pf.detq_derivatives_numeric(af)
-            lo = max(lo, abs(closed[1] - numeric[1]), abs(closed[2] - numeric[2]))
-            hi = max(hi, *(abs(closed[k] - numeric[k]) for k in (4, 6, 8)))
+        closed = pf.detq_derivatives_at_0(af, pgs.rho[:n_par])
+        numeric = pf.detq_derivatives_numeric(af)
+        lo, hi = (np.max([np.abs(closed[k] - numeric[k]) for k in orders], initial=0.0)
+                  for orders in ((1, 2), (4, 6, 8)))
         results.append(_judged("detq_derivatives_low", lo,
                                cfg.tol("detq_derivatives_low"), n_par, notes="orders 1,2"))
         results.append(_judged("detq_derivatives_high", hi,
@@ -336,9 +331,8 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
         dev = 0.0
         for l in (0.25, -0.4):
             pgls = sc.point_geometry(pf.parallel_surface(surface, l), pts[:n_frame])
-            for pgl, af in zip(pgls, frames[:n_frame]):
-                dev = max(dev, float(np.max(np.abs(pgl.lambdas - pf.parallel_lambdas(af, l)))),
-                          abs(pgl.H - pf.mean_curvature_of_parallel(af, l)))
+            dev = max(dev, np.max(np.abs(pgls.lambdas - pf.parallel_lambdas(af[:n_frame], l))),
+                      np.max(np.abs(pgls.H - pf.mean_curvature_of_parallel(af[:n_frame], l))))
         results.append(_judged(
             "parallel_shape_consistency", dev, cfg.tol("parallel_shape_consistency"),
             n_frame, notes="parallel shape operator vs direct recomputation on the parallel chart"))
@@ -350,13 +344,13 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
         results.append(_skipped("parallel_lambda_closed_form", cfg.tol("parallel_lambda_closed_form"),
                                 "skipped: closed form needs constant curvatures"))
     else:
-        dev = _parallel_lambda_closed_dev(cfg.model, pgs[:n_par], frames)
+        # a degenerate product angle leaves no frame to judge
+        dev = 0.0 if degenerate else _parallel_lambda_closed_dev(cfg.model, pts[:n_par], af)
         results.append(_judged("parallel_lambda_closed_form", dev,
                                cfg.tol("parallel_lambda_closed_form"), n_par))
 
     # ---- isoparametric scan ------------------------------------------------
-    scan = pf.isoparametric_scan(surface, pts[:min(8, cfg.samples)], cfg.grid(),
-                                 tol=cfg.tol("isoparametric_spread"))
+    scan = pf.isoparametric_scan(surface, pts[:min(8, cfg.samples)], cfg.grid())
     spread = max(scan.max_h_spread, scan.max_lambda_spread)
     notes = f"mode={scan.mode}"
     if scan.excluded:
@@ -398,14 +392,16 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
     return results
 
 
-def _parallel_lambda_closed_dev(spec: mz.ModelSpec, pgs, frames) -> float:
-    """Closed-form parallel principal curvatures vs the Q-matrix spectrum."""
-    dev = 0.0
-    for pg, af in zip(pgs, frames):
-        for l in (0.3, -0.45):
-            closed = _closed_parallel_lambdas(spec, pg.u, l)
-            dev = max(dev, float(np.max(np.abs(pf.parallel_lambdas(af, l) - closed))))
-    return dev
+def _parallel_lambda_closed_dev(spec: mz.ModelSpec, u, af) -> float:
+    """Shifted-argument closed form of the parallel principal curvatures vs
+    the Q-matrix spectrum of the frames ``af`` at chart points ``u``, at
+    l = 0.3 and -0.45."""
+    c = float(spec.params["c"])
+    t, l = u[:, 0], np.array([[0.3], [-0.45]])
+    closed = mz.product_lambdas(c, math.sqrt(c) * t + math.sqrt(1.0 - c) * l,
+                                math.sqrt(1.0 - c) * t - math.sqrt(c) * l,
+                                *_constant_curvature_pair(spec))
+    return float(np.max(np.abs(pf.parallel_lambdas(af, l) - closed)))
 
 
 def _constant_curvature_pair(spec: mz.ModelSpec):
@@ -414,20 +410,6 @@ def _constant_curvature_pair(spec: mz.ModelSpec):
     if pair is None or any(callable(k) for k in pair):
         return None
     return tuple(float(k) for k in pair)
-
-
-def _closed_parallel_lambdas(spec: mz.ModelSpec, u, l: float):
-    """Shifted-argument closed form of the parallel principal curvatures."""
-    k1, k2 = _constant_curvature_pair(spec)
-    c = float(spec.params["c"])
-    t = float(u[0])
-    a1 = math.sqrt(c) * t + math.sqrt(1.0 - c) * l
-    a2 = math.sqrt(1.0 - c) * t - math.sqrt(c) * l
-    lam2 = -math.sqrt(1.0 - c) * (math.sinh(a1) - math.cosh(a1) * k1) / (
-        math.cosh(a1) - math.sinh(a1) * k1)
-    lam3 = math.sqrt(c) * (math.sinh(a2) - math.cosh(a2) * k2) / (
-        math.cosh(a2) - math.sinh(a2) * k2)
-    return np.sort(np.array([0.0, lam2, lam3]))
 
 
 def _orbit_checks(cfg: SuiteConfig, surface) -> list[CheckResult]:
@@ -638,17 +620,22 @@ def _record_rows(records, inner: str) -> Optional[str]:
     return ("," + inner).join([template % row for row in zip(*cells)])
 
 
-def render_csv(results: list[CheckResult]) -> str:
+def csv_text(header, rows) -> str:
+    """CSV of a header and rows, lines ending in "\\n"."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["name", "max_residual", "tolerance", "pass", "n_samples", "notes"])
-    for r in results:
-        w.writerow([r.name,
-                    "" if r.max_residual is None else repr(r.max_residual),
-                    repr(r.tolerance),
-                    "" if r.passed is None else str(r.passed).lower(),
-                    r.n_samples, r.notes])
+    w.writerow(header)
+    w.writerows(rows)
     return buf.getvalue()
+
+
+def render_csv(results: list[CheckResult]) -> str:
+    return csv_text(["name", "max_residual", "tolerance", "pass", "n_samples", "notes"],
+                    ([r.name,
+                      "" if r.max_residual is None else repr(r.max_residual),
+                      repr(r.tolerance),
+                      "" if r.passed is None else str(r.passed).lower(),
+                      r.n_samples, r.notes] for r in results))
 
 
 _UMASK_LOCK = threading.Lock()
@@ -726,20 +713,18 @@ def render_parallel_csv(rows: list[dict]) -> str:
             return ""
         return str(v).lower() if isinstance(v, bool) else repr(v)
 
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(PARALLEL_COLUMNS)
-    w.writerows([cell(r[k]) for k in PARALLEL_COLUMNS] for r in rows)
-    return buf.getvalue()
+    return csv_text(PARALLEL_COLUMNS, ([cell(r[k]) for k in PARALLEL_COLUMNS] for r in rows))
 
 
 # ---------------------------------------------------------------------------
 # Poincaré-disk dump (reporting aid)
 # ---------------------------------------------------------------------------
 
-def poincare_project(x) -> tuple[float, float]:
-    """Hyperboloid point -> Poincaré disk: (x2, x3) / (1 + x1)."""
-    return (float(x[1] / (1.0 + x[0])), float(x[2] / (1.0 + x[0])))
+def poincare_project(x):
+    """Hyperboloid point -> Poincaré disk: (x2, x3) / (1 + x1), for one point
+    (3,) or for points (..., 3) as two arrays."""
+    x = np.asarray(x, dtype=float)
+    return x[..., 1] / (1.0 + x[..., 0]), x[..., 2] / (1.0 + x[..., 0])
 
 
 def poincare_lift(dx: float, dy: float) -> np.ndarray:
@@ -751,33 +736,29 @@ def poincare_lift(dx: float, dy: float) -> np.ndarray:
                      2.0 * dy / (1.0 - r2)])
 
 
-def poincare_dump(model: mz.ModelSpec, path: str, grid_n: int = 6, line_n: int = 80):
-    """CSV of chart grids and coordinate lines projected to the two disks."""
+# points per axis of the dump's chart grid, and along each coordinate line
+POINCARE_GRID_N = 6
+POINCARE_LINE_N = 80
+
+
+def poincare_dump(model: mz.ModelSpec, path: str):
+    """CSV of a chart grid and of the coordinate lines through the chart
+    centre, projected to the two disks; all points take one chart call."""
     surface, _ = mz.build_model(model)
     dom = surface.domain
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["factor", "u1", "u2", "u3", "disk_x", "disk_y"])
-
-    def emit(u):
-        x = surface.point(u)
-        for factor, part in ((1, x[:3]), (2, x[3:])):
-            dx, dy = poincare_project(part)
-            w.writerow([factor, repr(float(u[0])), repr(float(u[1])), repr(float(u[2])),
-                        repr(dx), repr(dy)])
-
-    axes = [np.linspace(d[0], d[1], grid_n) for d in dom]
-    for u1 in axes[0]:
-        for u2 in axes[1]:
-            for u3 in axes[2]:
-                emit((u1, u2, u3))
-    center = [0.5 * (d[0] + d[1]) for d in dom]
+    axes = [np.linspace(d[0], d[1], POINCARE_GRID_N) for d in dom]
+    blocks = [np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)]
     for axis in range(3):
-        for v in np.linspace(dom[axis][0], dom[axis][1], line_n):
-            u = list(center)
-            u[axis] = v
-            emit(u)
-    write_atomic(path, buf.getvalue())
+        line = np.tile([0.5 * (d[0] + d[1]) for d in dom], (POINCARE_LINE_N, 1))
+        line[:, axis] = np.linspace(dom[axis][0], dom[axis][1], POINCARE_LINE_N)
+        blocks.append(line)
+    u = np.concatenate(blocks)
+    x = surface.point(u)
+    disks = [(factor, np.stack(poincare_project(part), axis=-1).tolist())
+             for factor, part in ((1, x[:, :3]), (2, x[:, 3:]))]
+    write_atomic(path, csv_text(["factor", "u1", "u2", "u3", "disk_x", "disk_y"],
+                                ([factor, *map(repr, point + disk[row])]
+                                 for row, point in enumerate(u.tolist()) for factor, disk in disks)))
 
 
 # ---------------------------------------------------------------------------

@@ -322,9 +322,7 @@ def _geometry(jet: ChartJet) -> PointGeometry:
                    K=K, norm_A_sq=norm_A_sq)
     if jet.u.ndim == 1:
         scalars = {name: float(x) for name, x in scalars.items()}
-    # Python's float **: numpy's power differs from it in the last bit
-    scalars["rho"] = (-2.0 + ad.elementwise(lambda h: h ** 2, scalars["H"])
-                      - scalars["norm_A_sq"])
+    scalars["rho"] = -2.0 + ad.power(scalars["H"], 2) - scalars["norm_A_sq"]
     return PointGeometry(u=jet.u, val=jet.val, jac=jac, hess=jet.hess, d3=jet.d3, n=jet.n,
                          dn=jet.dn, g=g, N=N, b=b, A=A, lambdas=lambdas,
                          principal_coords=principal, principal_ambient=jac @ principal, V=V,

@@ -162,6 +162,44 @@ class TestOracles:
                     av = pg.shape_apply(vec)
                     assert np.max(np.abs(av - lam * vec)) < 1e-8
 
+    @pytest.mark.parametrize("spec", mz.CATALOG + (
+        mz.ModelSpec("M_kk", {"c": 0.5, "kappa": "tanh", "kappa_tilde": "one"}),), ids=str)
+    def test_sample_array_equals_row_calls(self, spec):
+        surface, oracle = mz.build_model(spec)
+        u = domain_samples(surface, 40)
+        lam = oracle.lambdas(u)
+        assert lam.shape == (40, 3)
+        assert np.array_equal(lam, [oracle.lambdas(x) for x in u])
+
+    def test_sample_array_equals_math_reference(self):
+        # the two-curve formula float by float through math, as one point takes it
+        c = 0.5
+        surface, oracle = mz.build_model(
+            mz.ModelSpec("M_kk", {"c": c, "kappa": "tanh", "kappa_tilde": "one"}))
+        u = domain_samples(surface, 1000)
+        got = oracle.lambdas(u)
+        sc_, s1c = math.sqrt(c), math.sqrt(1.0 - c)
+        for row, (t, r, _) in zip(got, u.tolist()):
+            k1 = math.tanh(r)
+            lam2 = -s1c * (math.sinh(sc_ * t) - math.cosh(sc_ * t) * k1) / (
+                math.cosh(sc_ * t) - math.sinh(sc_ * t) * k1)
+            lam3 = sc_ * (math.sinh(s1c * t) - math.cosh(s1c * t)) / (
+                math.cosh(s1c * t) - math.sinh(s1c * t))
+            assert row.tolist() == sorted([0.0, lam2, lam3])
+
+    def test_sample_array_raises_the_first_failing_rows_error(self):
+        _, oracle = mz.make_M_kk(0.3, 2.0, 2.0)
+        t1 = math.atanh(0.5) / math.sqrt(0.3)     # the first factor's denominator vanishes
+        t2 = math.atanh(0.5) / math.sqrt(0.7)     # the second factor's
+        u = np.array([[0.1, 0.0, 0.0], [t2, 0.0, 0.0], [t1, 0.0, 0.0]])
+        with pytest.raises(mz.DomainError) as row:
+            oracle.lambdas(u[1])
+        with pytest.raises(mz.DomainError, match="second-factor") as batch:
+            oracle.lambdas(u)
+        assert str(batch.value) == str(row.value)
+        with pytest.raises(mz.DomainError, match="first-factor"):
+            oracle.lambdas(u[[0, 2, 1]])
+
     def test_normal_matches_hint_up_to_sign(self, m_11_03, m_tau_m2):
         for surface, _ in (m_11_03, m_tau_m2):
             for u in domain_samples(surface, 10):

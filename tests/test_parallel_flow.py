@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -143,6 +145,208 @@ class TestArrayCalls:
                   pf.parallel_lambdas):
             with pytest.raises(pf.FocalPointError):
                 f(af, ls)
+
+
+# functions of a frame and l; the flow functions raise at a focal (frame, l) pair
+L_FUNCTIONS = (pf.q_matrix, pf.q_prime, pf.detq_expansion, pf.detq_expansion_prime)
+FLOW_FUNCTIONS = (pf.parallel_shape_operator, pf.mean_curvature_of_parallel, pf.parallel_lambdas)
+
+
+def frame_batch(frames):
+    return pf.AdaptedFrame(np.array([af.C for af in frames]), np.stack([af.A for af in frames]))
+
+
+def stacked_bundles(pgs):
+    """One-point bundles stacked into a batch bundle, field by field."""
+    return sc.PointGeometry(**{f.name: np.stack([getattr(pg, f.name) for pg in pgs])
+                               for f in dataclasses.fields(sc.PointGeometry)})
+
+
+def assert_batch_rows_equal(batch, frames, ls, functions):
+    """Every row of the batch at the column ls (m, 1) is its one-frame,
+    one-distance call bit for bit."""
+    for name in ("cplus", "cminus", "H", "rho"):
+        assert np.array_equal(getattr(batch, name), [getattr(af, name) for af in frames])
+        assert all(type(getattr(af, name)) is float for af in frames)
+    assert np.array_equal(batch.principal_minors(), np.array([af.principal_minors() for af in frames]).T)
+    for got, *want in zip(pf._detq_terms(batch), *(pf._detq_terms(af) for af in frames)):
+        for k in (0, 1):   # alpha and beta of each term
+            assert np.array_equal(np.broadcast_to(got[k], batch.C.shape), [w[k] for w in want])
+    closed = pf.detq_derivatives_at_0(batch, batch.rho)
+    numeric = pf.detq_derivatives_numeric(batch)
+    for k in pf.DETQ_ORDERS:
+        assert np.array_equal(closed[k], [pf.detq_derivatives_at_0(af, af.rho)[k] for af in frames])
+        assert np.array_equal(numeric[k], [pf.detq_derivatives_numeric(af)[k] for af in frames])
+    for c, factors in enumerate(pf._hyperbolic(batch, ls)):
+        for q, got in enumerate(factors):
+            want = [[pf._hyperbolic(af, float(l))[c][q] for af in frames] for l in ls[:, 0]]
+            assert np.array_equal(got, want)
+    for f in functions:
+        got = f(batch, ls)
+        want = np.array([[f(af, float(l)) for af in frames] for l in ls[:, 0]])
+        assert got.shape == want.shape
+        assert np.array_equal(got, want), f.__name__
+
+
+class TestFrameBatch:
+    """A batch of frames at a column of distances gives the one-frame calls bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(synthetic_frames(), min_size=1, max_size=5),
+           st.lists(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+                    min_size=1, max_size=6))
+    def test_synthetic_frames(self, frames, ls):
+        batch = frame_batch(frames)
+        assert_batch_rows_equal(batch, frames, np.array(ls)[:, None], L_FUNCTIONS)
+
+    @pytest.mark.parametrize("model", ["m_kk_tanh", "m_tau_m2"])
+    def test_model_frames(self, model, request):
+        surface, _ = request.getfixturevalue(model)
+        pgs = sc.point_geometry(surface, domain_samples(surface, 5))
+        batch = pf.adapted_frame(pgs)
+        frames = [pf.adapted_frame(pg) for pg in pgs]
+        assert np.array_equal(pf.frame_vectors(pgs), [pf.frame_vectors(pg) for pg in pgs])
+        assert np.array_equal(batch.C, [af.C for af in frames])
+        assert np.array_equal(batch.A, [af.A for af in frames])
+        assert np.array_equal(batch.frame, [af.frame for af in frames])
+        assert np.array_equal(pf.frame_orthonormality_residual(batch),
+                              [pf.frame_orthonormality_residual(af) for af in frames])
+        row = batch[2]
+        assert type(row.C) is float and np.array_equal(row.A, frames[2].A)
+        ls = np.linspace(-0.9, 0.9, 7)[:, None]   # M_tau(-2) is focal only at 0.931
+        assert_batch_rows_equal(batch, frames, ls, L_FUNCTIONS + FLOW_FUNCTIONS)
+
+    def test_degenerate_row_raises_the_first_rows_error(self, m_tau_m2):
+        surface, _ = m_tau_m2
+        good = sc.point_geometry(surface, np.array([0.7, 1.1, 2.0]))
+        rows = [good, dataclasses.replace(good, C=-0.9999999999), dataclasses.replace(good, C=1.0)]
+        with pytest.raises(sc.DegenerateProductAngleError) as one:
+            pf.adapted_frame(rows[1])
+        with pytest.raises(sc.DegenerateProductAngleError) as batch:
+            pf.adapted_frame(stacked_bundles(rows))
+        assert str(batch.value) == str(one.value) == "|C|=0.999999999900 too close to 1"
+        with pytest.raises(sc.DegenerateProductAngleError):
+            pf.AdaptedFrame(np.array([0.2, 1.0]), np.zeros((2, 3, 3)))
+
+    def test_focal_pair_in_batch_raises(self, m_tau_m2):
+        surface, _ = m_tau_m2
+        batch = pf.adapted_frame(sc.point_geometry(surface, domain_samples(surface, 3)))
+        ls = np.array([[0.3], [mz.mtau_focal_radius(-2.0)]])
+        for f in FLOW_FUNCTIONS:
+            with pytest.raises(pf.FocalPointError, match="at l = 0.93"):
+                f(batch, ls)
+        # one focal frame among regular ones: only the pair (frame 1, l) is focal
+        focal_frame = pf.AdaptedFrame(0.0, np.diag([0.0, 2.0, 0.5]))
+        mixed = frame_batch([pf.adapted_frame(sc.point_geometry(surface, domain_samples(surface, 1)[0])),
+                             focal_frame])
+        c = math.sqrt(0.5)
+        l_star = math.atanh(c / 2.0) / c     # cosh(c l) = (2 / c) sinh(c l)
+        with pytest.raises(pf.FocalPointError):
+            pf.parallel_lambdas(mixed, l_star)
+
+
+def reference_minors(a):
+    """Principal minors of one frame's nested A in Python floats."""
+    return [a[0][0] * a[1][1] - a[0][1] ** 2, a[0][0] * a[2][2] - a[0][2] ** 2,
+            a[1][1] * a[2][2] - a[1][2] ** 2]
+
+
+def reference_detq_derivatives(c, a):
+    """Closed-form and Taylor-series det Q derivatives at l = 0 of one frame,
+    float by float, with one 1-D np.convolve per series product."""
+    h12, h13, h23 = reference_minors(a)
+    rho = 2.0 * (h12 + h13 + h23) - 2.0
+    closed = [-float(np.trace(np.array(a))), rho + 3.0,
+              6.0 - c ** 2 + (4.0 - 4.0 * c) * h12 + (4.0 + 4.0 * c) * h13 + 2.0 * rho,
+              (12.0 - 5.0 * c ** 2 + (16.0 - 12.0 * c - 4.0 * c ** 2) * h12
+               + (16.0 + 12.0 * c - 4.0 * c ** 2) * h13 + (4.0 - c ** 2) * rho),
+              (24.0 - 16.0 * c ** 2 + c ** 4 + (8.0 - 4.0 * c ** 2) * rho
+               + (48.0 - 32.0 * c - 24.0 * c ** 2 + 8.0 * c ** 3) * h12
+               + (48.0 + 32.0 * c - 24.0 * c ** 2 - 8.0 * c ** 3) * h13)]
+    k = (a[0][0] * h23 - a[0][1] * (a[0][1] * a[2][2] - a[0][2] * a[1][2])
+         + a[0][2] * (a[0][1] * a[1][2] - a[0][2] * a[1][1]))
+    factors = [[np.array([x ** (m - i) / math.factorial(m) if m % 2 == i else 0.0
+                          for m in range(9)]) for i in (0, 1)]
+               for x in (math.sqrt((1.0 + c) / 2.0), math.sqrt((1.0 - c) / 2.0))]
+    series = np.zeros(9)
+    for alpha, beta, i, j in ((1.0, -a[0][0], 0, 0), (-a[1][1], h12, 1, 0),
+                              (-a[2][2], h13, 0, 1), (h23, -k, 1, 1)):
+        pm = np.convolve(factors[0][i], factors[1][j])[:9]
+        series += alpha * pm
+        series[1:] += beta * pm[:-1]
+    return closed, [math.factorial(k) * float(series[k]) for k in pf.DETQ_ORDERS]
+
+
+class TestScalarReference:
+    """Batched frame values against references written float by float, on
+    enough rows that a numpy power, square or batched product in place of
+    Python's ``**`` or ``np.convolve`` would show in the last bit."""
+
+    def test_minors_and_detq_derivatives(self):
+        rng = np.random.default_rng(7)
+        a = rng.uniform(-2.0, 2.0, (3000, 3, 3))
+        af = pf.AdaptedFrame(rng.uniform(-0.95, 0.95, 3000), a + a.swapaxes(-1, -2))
+        minors = np.array(af.principal_minors()).T.tolist()
+        closed = pf.detq_derivatives_at_0(af, af.rho)
+        numeric = pf.detq_derivatives_numeric(af)
+        closed, numeric = ([d[k].tolist() for k in pf.DETQ_ORDERS] for d in (closed, numeric))
+        for b, (c, a) in enumerate(zip(af.C.tolist(), af.A.tolist())):
+            assert minors[b] == reference_minors(a)
+            want_closed, want_numeric = reference_detq_derivatives(c, a)
+            assert [x[b] for x in closed] == want_closed
+            assert [x[b] for x in numeric] == want_numeric
+
+    def test_frame_vectors(self):
+        # frame_vectors reads C, V, the point and N of a bundle; random rows
+        # take 1 - C² at 20000 values of C
+        rng = np.random.default_rng(8)
+        rows = types.SimpleNamespace(C=rng.uniform(-0.95, 0.95, 20000),
+                                     **{f: rng.normal(size=(20000, 6)) for f in ("V", "val", "N")})
+        E = pf.frame_vectors(rows)
+        for b, (c, v, x, n) in enumerate(zip(rows.C.tolist(), rows.V, rows.val, rows.N)):
+            j1n, j2n = ps.complex_structures(x, n)
+            want = [v / math.sqrt(1.0 - c ** 2), (j1n + j2n) / math.sqrt(2.0 * (1.0 + c)),
+                    (j1n - j2n) / math.sqrt(2.0 * (1.0 - c))]
+            assert np.array_equal(E[b], want)
+
+
+def scalar_bisection(af, lo, hi):
+    """The one-bracket bisection of det Q, float by float."""
+    flo = float(pf.detq_expansion(af, lo))
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        fm = float(pf.detq_expansion(af, mid))
+        if flo * fm <= 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
+class TestVectorBisection:
+    def test_all_brackets_at_once_equal_single_brackets(self):
+        # each base point of M_kk(c=0.5, kappa=2, kappa~=1) has its own focal value
+        spec = mz.ModelSpec("M_kk", {"c": 0.5, "kappa": 2.0, "kappa_tilde": "one"})
+        surface, _ = mz.build_model(spec)
+        batch = pf.adapted_frame(sc.point_geometry(surface, rp.sobol_points(surface.domain, 8, 0)))
+        grid = np.linspace(-2.0, 2.0, 201)
+        det = pf.detq_expansion(batch, grid[:, None]).T
+        rows, j = np.nonzero(det[:, :-1] * det[:, 1:] < 0)
+        assert len(rows) == 8
+        roots = pf.find_focal_radius(batch[rows], grid[j], grid[j + 1])
+        singles = [pf.find_focal_radius(batch[r], float(grid[i]), float(grid[i + 1]))
+                   for r, i in zip(rows.tolist(), j.tolist())]
+        assert all(type(x) is float for x in singles)
+        assert np.array_equal(roots, singles)
+        assert singles == [scalar_bisection(batch[r], float(grid[i]), float(grid[i + 1]))
+                           for r, i in zip(rows.tolist(), j.tolist())]
+        assert np.max(np.abs(pf.detq_expansion(batch[rows], roots))) < 1e-9
+
+    def test_bracket_without_sign_change_raises(self, m_tau_m2):
+        surface, _ = m_tau_m2
+        batch = pf.adapted_frame(sc.point_geometry(surface, domain_samples(surface, 2)))
+        with pytest.raises(ValueError, match="does not change sign"):
+            pf.find_focal_radius(batch, np.array([0.5, 0.0]), np.array([1.2, 0.3]))
 
 
 class TestMeanCurvature:

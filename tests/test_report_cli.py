@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -315,6 +316,31 @@ class TestPoincareDump:
             assert r["factor"] in ("1", "2")
             d2 = float(r["disk_x"]) ** 2 + float(r["disk_y"]) ** 2
             assert d2 < 1.0
+
+    @pytest.mark.parametrize("spec", [
+        mz.ModelSpec("M_Gamma", {"kappa_gamma": 1.0}),
+        mz.ModelSpec("M_kk", {"c": 0.5, "kappa": "tanh", "kappa_tilde": "one"})], ids=str)
+    def test_dump_equals_per_point_reference(self, spec, tmp_path):
+        # the grid, then the coordinate lines through the centre, each point
+        # by its own chart call and projected factor by factor
+        surface, _ = mz.build_model(spec)
+        dom = surface.domain
+        axes = [np.linspace(d[0], d[1], rp.POINCARE_GRID_N) for d in dom]
+        points = [[a, b, c] for a in axes[0] for b in axes[1] for c in axes[2]]
+        center = [0.5 * (d[0] + d[1]) for d in dom]
+        for axis in range(3):
+            for v in np.linspace(dom[axis][0], dom[axis][1], rp.POINCARE_LINE_N):
+                points.append(center[:axis] + [v] + center[axis + 1:])
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["factor", "u1", "u2", "u3", "disk_x", "disk_y"])
+        for u in points:
+            x = surface.point(np.array(u, dtype=float))
+            for factor, part in ((1, x[:3]), (2, x[3:])):
+                w.writerow([factor, *(repr(float(v)) for v in u),
+                            *(repr(float(d)) for d in rp.poincare_project(part))])
+        rp.poincare_dump(spec, str(tmp_path / "disk.csv"))
+        assert (tmp_path / "disk.csv").read_text() == buf.getvalue()
 
     def test_dump_requires_out(self):
         assert run_cli(["poincare-dump", "--model", "M_Gamma",
