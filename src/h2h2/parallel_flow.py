@@ -17,6 +17,16 @@ det Q at l = 0 reduce to scalar invariants (H, rho, C, and two principal
 minors) and are checked against the Taylor coefficients of the expansion.
 Focal values of l are the roots of det Q.
 
+S(l) is symmetric in the parallel frame, for every frame and every l.
+Q = K - A diag(s) with K = diag(1, cosh C+ l, cosh C- l) and s = (l,
+sinh(C+ l)/C+, sinh(C- l)/C-), so Q'' = Q diag(0, C+², C-²), and the
+Wronskian W = Q Q'^T - Q' Q^T has W' = Q Q''^T - Q'' Q^T = 0: W is constant
+in l, and W(0) = -A^T + A = 0 because A is symmetric.  W = 0 is
+Q^{-1} Q' = (Q^{-1} Q')^T wherever det Q != 0.  So S is formed from the
+adjugate of Q, its spectrum is that of a symmetric matrix
+(``numpy.linalg.eigvalsh``), and an S that is not symmetric to roundoff is
+refused.
+
 An ``AdaptedFrame`` is one frame or a batch with the batch axes of its
 ``PointGeometry``, and every function of a frame and l broadcasts over the
 frames and l by numpy's rules (matrices gain two trailing axes), each row
@@ -260,22 +270,53 @@ def detq_expansion_prime(af: AdaptedFrame, l):
                for alpha, beta, i, j in _detq_terms(af))
 
 
+def _cofactors(q: np.ndarray):
+    """Cofactors cof[i][j] of the matrices q (..., 3, 3), each over the batch,
+    and det q.
+
+    The cofactor rows are cross products of the rows, cof[i] = q[i+1] x
+    q[i+2], and det q = q[0] . cof[0].  Every product is written out entry
+    by entry, so a matrix's bits do not depend on its batch.
+    """
+    r = np.moveaxis(q, (-2, -1), (0, 1))
+    cof = [[r[(i + 1) % 3, (j + 1) % 3] * r[(i + 2) % 3, (j + 2) % 3]
+            - r[(i + 1) % 3, (j + 2) % 3] * r[(i + 2) % 3, (j + 1) % 3]
+            for j in range(3)] for i in range(3)]
+    return cof, r[0, 0] * cof[0][0] + r[0, 1] * cof[0][1] + r[0, 2] * cof[0][2]
+
+
 def _shape_operator(q: np.ndarray, qp: np.ndarray, l) -> np.ndarray:
-    """-Q^{-1} Q', refused with FocalPointError wherever det Q vanishes."""
-    det = np.linalg.det(q)
+    """-Q^{-1} Q' = -adj(Q) Q' / det Q, refused with FocalPointError wherever
+    det Q vanishes."""
+    cof, det = _cofactors(q)
     focal = np.abs(det) <= FOCAL_DET_TOL
     if np.any(focal):
         i = int(np.argmax(focal))
         l = np.ravel(np.broadcast_to(l, det.shape))[i]
         raise FocalPointError(f"det Q = {np.ravel(det)[i]:.3e} at l = {l}")
-    return -np.linalg.solve(q, qp)
+    p = np.moveaxis(qp, (-2, -1), (0, 1))
+    s = [-(cof[0][i] * p[0, j] + cof[1][i] * p[1, j] + cof[2][i] * p[2, j]) / det
+         for i in range(3) for j in range(3)]
+    return np.stack(s, axis=-1).reshape(det.shape + (3, 3))
+
+
+# Bar on ||S - S^T||_F: max(ASYMMETRY_TOL, ASYMMETRY_REL ||S||_F).  By
+# Bendixson's bound |Im lambda| <= ||S - S^T||_F / 2, so while ||S||_F <= 2e4
+# every S with |Im lambda| > 1e-8 is refused.  Next to a focal value S grows
+# like 1/det Q and so does the adjugate's roundoff asymmetry (at most
+# 3.2e-14 ||S||_F measured), which an absolute bar alone would refuse.
+ASYMMETRY_TOL = 2e-8
+ASYMMETRY_REL = 1e-12
 
 
 def _real_spectrum(s: np.ndarray) -> np.ndarray:
-    ev = np.linalg.eigvals(s)
-    if np.any(np.abs(ev.imag) > 1e-8):
-        raise ArithmeticError("parallel shape operator has non-real spectrum")
-    return np.sort(ev.real, axis=-1)
+    """Ascending eigenvalues of the self-adjoint shape operator S (see the
+    module docstring), refused where S is not symmetric to roundoff."""
+    st = s.swapaxes(-1, -2)
+    bar = np.maximum(ASYMMETRY_TOL ** 2, ASYMMETRY_REL ** 2 * np.sum(s * s, axis=(-2, -1)))
+    if np.any(np.sum((s - st) ** 2, axis=(-2, -1)) > bar):
+        raise ArithmeticError("parallel shape operator is not self-adjoint")
+    return np.linalg.eigvalsh(0.5 * (s + st))
 
 
 def parallel_shape_operator(af: AdaptedFrame, l) -> np.ndarray:

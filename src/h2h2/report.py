@@ -337,17 +337,20 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
             "parallel_shape_consistency", dev, cfg.tol("parallel_shape_consistency"),
             n_frame, notes="parallel shape operator vs direct recomputation on the parallel chart"))
 
-    if cfg.model.kind not in ("M_kk", "M_1m1", "M_11"):
-        results.append(_skipped("parallel_lambda_closed_form", cfg.tol("parallel_lambda_closed_form"),
+    tol_closed = cfg.tol("parallel_lambda_closed_form")
+    if mz.curvature_pair(cfg.model) is None:
+        results.append(_skipped("parallel_lambda_closed_form", tol_closed,
                                 "skipped: not a two-curve product model"))
     elif _constant_curvature_pair(cfg.model) is None:
-        results.append(_skipped("parallel_lambda_closed_form", cfg.tol("parallel_lambda_closed_form"),
+        results.append(_skipped("parallel_lambda_closed_form", tol_closed,
                                 "skipped: closed form needs constant curvatures"))
+    elif degenerate:
+        results.append(_skipped("parallel_lambda_closed_form", tol_closed,
+                                "skipped: degenerate product angle (C^2 = 1)"))
     else:
-        # a degenerate product angle leaves no frame to judge
-        dev = 0.0 if degenerate else _parallel_lambda_closed_dev(cfg.model, pts[:n_par], af)
-        results.append(_judged("parallel_lambda_closed_form", dev,
-                               cfg.tol("parallel_lambda_closed_form"), n_par))
+        results.append(_judged("parallel_lambda_closed_form",
+                               _parallel_lambda_closed_dev(cfg.model, pts[:n_par], af),
+                               tol_closed, n_par))
 
     # ---- isoparametric scan ------------------------------------------------
     scan = pf.isoparametric_scan(surface, pts[:min(8, cfg.samples)], cfg.grid())
@@ -457,20 +460,18 @@ def _model_specific_checks(cfg: SuiteConfig, vals) -> list[CheckResult]:
         out.append(_skipped("m_tau_constraint", tol_tau, "skipped: not a level-set model"))
         out.append(_skipped("m_tau_tube_identity", tol_tube, "skipped: not a level-set model"))
 
-    if kind == "M_kk":
-        k1 = mz.curvature_pair(cfg.model)[0]
-        if isinstance(k1, (int, float)) and abs(float(k1)) < 1.0:
-            c = float(cfg.model.params["c"])
-            tgrid = np.linspace(-1.0, 1.0, 41)
-            out.append(_judged("tanh_profile",
-                               mz.tanh_profile_check(c, float(k1), tgrid),
-                               tol_tanh, len(tgrid)))
-        else:
-            out.append(_skipped("tanh_profile", tol_tanh,
-                                "skipped: first curvature not a constant in (-1,1)"))
-    else:
+    pair = mz.curvature_pair(cfg.model)
+    if pair is None:
         out.append(_skipped("tanh_profile", tol_tanh,
                             "skipped: not a two-curve product model"))
+    elif isinstance(pair[0], (int, float)) and abs(float(pair[0])) < 1.0:
+        c = float(cfg.model.params["c"])
+        tgrid = np.linspace(-1.0, 1.0, 41)
+        out.append(_judged("tanh_profile", mz.tanh_profile_check(c, float(pair[0]), tgrid),
+                           tol_tanh, len(tgrid)))
+    else:
+        out.append(_skipped("tanh_profile", tol_tanh,
+                            "skipped: first curvature not a constant in (-1,1)"))
     return out
 
 

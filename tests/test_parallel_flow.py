@@ -4,7 +4,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -145,6 +145,104 @@ class TestArrayCalls:
                   pf.parallel_lambdas):
             with pytest.raises(pf.FocalPointError):
                 f(af, ls)
+
+
+def assert_symmetric_with_real_spectrum(s):
+    """S (..., 3, 3) is symmetric to roundoff, and its spectrum equals the
+    sorted real parts of the general eigensolver's, both relative to max(1, |S|)."""
+    scale = np.maximum(1.0, np.max(np.abs(s), axis=(-2, -1)))
+    asymmetry = np.linalg.norm(s - s.swapaxes(-1, -2), axis=(-2, -1))
+    assert np.all(asymmetry <= 1e-12 * scale), np.max(asymmetry / scale)
+    reference = np.sort(np.linalg.eigvals(s).real, axis=-1)
+    spectrum = pf._real_spectrum(s)
+    assert np.all(np.max(np.abs(spectrum - reference), axis=-1) <= 1e-12 * scale)
+
+
+def assert_cofactor_det(q):
+    """The cofactor det Q against LAPACK's: to roundoff of the entries' scale
+    everywhere, and to 1e-12 relative where |det Q| is not small on that scale."""
+    _, det = pf._cofactors(q)
+    reference = np.linalg.det(q)
+    cube = np.maximum(1.0, np.max(np.abs(q), axis=(-2, -1))) ** 3
+    assert np.all(np.abs(det - reference) <= 1e-13 * cube)
+    off_focal = np.abs(det) >= 1e-2 * cube
+    assert np.all(np.abs(det - reference)[off_focal] <= 1e-12 * np.abs(det[off_focal]))
+
+
+class TestSymmetricShapeOperator:
+    """S(l) = -Q^{-1} Q' is symmetric for every frame and every l (the
+    Wronskian argument of the module docstring), so its spectrum is eigvalsh's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(synthetic_frames(), st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
+    def test_synthetic_frames(self, af, l):
+        q = pf.q_matrix(af, l)
+        assert_cofactor_det(q)
+        assume(abs(pf.detq_expansion(af, l)) > 1e-6)
+        s = pf.parallel_shape_operator(af, l)
+        assert_symmetric_with_real_spectrum(s)
+        assert np.array_equal(pf.parallel_lambdas(af, l), pf._real_spectrum(s))
+        # -Q^{-1} Q' by LAPACK, to roundoff of the condition of Q
+        solved = -np.linalg.solve(q, pf.q_prime(af, l))
+        bound = 1e-13 * np.linalg.cond(q) * max(1.0, np.max(np.abs(solved)))
+        assert np.max(np.abs(s - solved)) <= bound
+
+    def test_level_set_frames(self, level_set):
+        # AV != 0 on the level set (V is principal there, AV = A_11 V), so
+        # Q's V column carries -l A_11, which the catalog's frames zero
+        pgs = sc.point_geometry(level_set, domain_samples(level_set, 16))
+        af = pf.adapted_frame(pgs)
+        assert np.min(sc._norm(pgs.shape_apply(pgs.V))) > 0.1
+        assert np.min(np.abs(af.A[:, 0, 0])) > 0.1
+        ls = np.linspace(-2.0, 2.0, 81)
+        assert_cofactor_det(pf.q_matrix(af, ls[:, None]))
+        li, fi = np.nonzero(np.abs(pf.detq_expansion(af, ls[:, None])) > 1e-6)
+        assert li.size > 0.9 * ls.size * 16
+        assert_symmetric_with_real_spectrum(pf.parallel_shape_operator(af[fi], ls[li]))
+
+    def test_non_self_adjoint_is_refused(self):
+        rotation = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])   # spectrum ±i, 2
+        for s in (rotation, np.stack([np.diag([1.0, 2.0, 3.0]), rotation])):
+            with pytest.raises(ArithmeticError, match="not self-adjoint"):
+                pf._real_spectrum(s)
+
+    @pytest.mark.parametrize("scale, d, refused", [
+        (1.0, 1.40e-8, False), (1.0, 1.42e-8, True),         # bar 2e-8
+        (5e3, 1.40e-8, False), (5e3, 1.42e-8, True),         # ||S||_F = 1.9e4: still 2e-8
+        (1e9, 2.64e-3, False), (1e9, 2.66e-3, True),         # bar 1e-12 ||S||_F = 3.74e-3
+    ])
+    def test_asymmetry_bar(self, scale, d, refused):
+        # ||S - S^T||_F = sqrt(2) d
+        s = scale * np.diag([1.0, 2.0, 3.0])
+        s[0, 1] = d
+        if refused:
+            with pytest.raises(ArithmeticError):
+                pf._real_spectrum(s)
+        else:
+            assert np.allclose(pf._real_spectrum(s), [scale, 2 * scale, 3 * scale],
+                               rtol=1e-15, atol=0.0)
+
+    def test_next_to_a_focal_value(self, m_tau_m2):
+        # 1e-8 past the focal radius, |S| ~ 5e7 and the roundoff asymmetry of
+        # S exceeds 2e-8; the spectrum is still that of the general eigensolver
+        surface, _ = m_tau_m2
+        af = pf.adapted_frame(sc.point_geometry(surface, domain_samples(surface, 8)))
+        s = pf.parallel_shape_operator(af, mz.mtau_focal_radius(-2.0) + 1e-8)
+        assert np.max(np.abs(s)) > 1e7
+        assert_symmetric_with_real_spectrum(s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=0.0, max_value=1e-7),
+           st.floats(min_value=0.0, max_value=1e-7), st.floats(min_value=0.0, max_value=math.pi))
+    def test_refuses_whatever_has_a_non_real_spectrum(self, a, gap, e, angle):
+        # a block [[a, e], [-e, a + gap]] has Im lambda = sqrt(e² - gap²/4) when
+        # e > gap/2; a rotation keeps the spectrum and ||S - S^T||_F
+        c, s_ = math.cos(angle), math.sin(angle)
+        u = np.array([[c, -s_, 0.0], [s_, c, 0.0], [0.0, 0.0, 1.0]])
+        s = u @ np.array([[a, e, 0.0], [-e, a + gap, 0.0], [0.0, 0.0, 1.0]]) @ u.T
+        if np.max(np.abs(np.linalg.eigvals(s).imag)) > 1e-8:
+            with pytest.raises(ArithmeticError):
+                pf._real_spectrum(s)
 
 
 # functions of a frame and l; the flow functions raise at a focal (frame, l) pair

@@ -177,6 +177,41 @@ class TestVerifyCommand:
         assert "every l-grid node is focal" in row["notes"]
         assert "[SKIP] isoparametric_spread" in capsys.readouterr().err
 
+    def test_degenerate_angle_skips_the_closed_form(self, tmp_path):
+        # C = 1 - 2e-10 leaves no adapted frame to judge the closed form on
+        out = tmp_path / "r.json"
+        assert run_cli(["verify", "--model", "M_1m1", "--c", "1e-10", "--samples", "8",
+                        "--out", str(out)]) == 0
+        rows = {r["name"]: r for r in json.loads(out.read_text())["results"]}
+        for name in ("parallel_lambda_closed_form", "mean_curvature_two_forms"):
+            assert rows[name]["pass"] is None and rows[name]["max_residual"] is None
+            assert rows[name]["n_samples"] == 0
+            assert rows[name]["notes"] == "skipped: degenerate product angle (C^2 = 1)"
+
+    @pytest.mark.parametrize("model, argv, note", [
+        ("M_1m1", ["--c", "0.3"], "skipped: first curvature not a constant in (-1,1)"),
+        ("M_11", ["--c", "0.3"], "skipped: first curvature not a constant in (-1,1)"),
+        ("M_kk", ["--c", "0.5", "--kappa", "tanh", "--kappa-tilde", "one"],
+         "skipped: first curvature not a constant in (-1,1)"),
+        ("M_tau", ["--tau", "-2"], "skipped: not a two-curve product model"),
+        ("M_Gamma", ["--kappa-gamma", "0.5"], "skipped: not a two-curve product model"),
+    ])
+    def test_tanh_profile_notes(self, model, argv, note, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli(["verify", "--model", model, *argv, "--samples", "4",
+                        "--out", str(out)]) == 0
+        row = next(r for r in json.loads(out.read_text())["results"]
+                   if r["name"] == "tanh_profile")
+        assert row["pass"] is None and row["notes"] == note
+
+    def test_tanh_profile_judged_on_a_constant_first_curvature(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli(["verify", "--model", "M_kk", "--c", "0.5", "--kappa", "0.4",
+                        "--kappa-tilde", "-0.6", "--samples", "4", "--out", str(out)]) == 0
+        row = next(r for r in json.loads(out.read_text())["results"]
+                   if r["name"] == "tanh_profile")
+        assert row["pass"] is True and row["n_samples"] == 41
+
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
