@@ -6,7 +6,8 @@ derivative / frame-residual tables), ``poincare-dump`` (CSV projection of a
 chart to the two Poincaré disks).
 
 Exit codes: 0 all required checks pass, 1 check failure or a geometric
-failure at a chart point, 2 usage or configuration error.
+failure at a chart point or along the parallel flow, 2 usage or
+configuration error.
 """
 
 from __future__ import annotations
@@ -18,10 +19,13 @@ from . import model_zoo as mz
 from . import report as rp
 from . import surface_calculus as sc
 
-# a valid call that fails on the geometry of a chart point; these are
-# ValueErrors too, so they are caught before the usage-error clause
+# a valid call that fails on the geometry of a chart point or of the parallel
+# flow; the first four are ValueErrors too, so they are caught before the
+# usage-error clause.  ArithmeticError covers FocalPointError, the refusal of
+# a shape operator that is not finite or not self-adjoint, and the
+# FloatingPointError of an overflow at large l.
 GEOMETRIC_ERRORS = (sc.ChartRankError, sc.NormalSpaceError,
-                    sc.DegenerateProductAngleError, mz.DomainError)
+                    sc.DegenerateProductAngleError, mz.DomainError, ArithmeticError)
 
 
 def _model_from_args(args) -> mz.ModelSpec:

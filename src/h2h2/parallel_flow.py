@@ -23,9 +23,13 @@ sinh(C+ l)/C+, sinh(C- l)/C-), so Q'' = Q diag(0, C+², C-²), and the
 Wronskian W = Q Q'^T - Q' Q^T has W' = Q Q''^T - Q'' Q^T = 0: W is constant
 in l, and W(0) = -A^T + A = 0 because A is symmetric.  W = 0 is
 Q^{-1} Q' = (Q^{-1} Q')^T wherever det Q != 0.  So S is formed from the
-adjugate of Q, its spectrum is that of a symmetric matrix
-(``numpy.linalg.eigvalsh``), and an S that is not symmetric to roundoff is
-refused.
+adjugate of Q, its spectrum is that of a symmetric matrix, taken in closed
+form (``_symmetric_spectrum``), and an S that is not finite or not symmetric
+to roundoff is refused.  From Q to the spectrum every matrix is kept as its
+entry arrays over the frames and l; ``q_matrix``, ``q_prime`` and
+``parallel_shape_operator`` stack them only to return them.  An overflow, a
+division by zero or an invalid operation in the flow raises
+FloatingPointError.
 
 An ``AdaptedFrame`` is one frame or a batch with the batch axes of its
 ``PointGeometry``, and every function of a frame and l broadcasts over the
@@ -71,6 +75,11 @@ def _one(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _entries(m: np.ndarray) -> np.ndarray:
+    """Matrices (..., 3, 3) with their matrix axes first: ``r[i][j]`` over the batch."""
+    return np.moveaxis(m, (-2, -1), (0, 1))
+
+
 @dataclass(frozen=True)
 class AdaptedFrame:
     """Shape-operator components in the adapted frame (E1 along V).
@@ -111,7 +120,7 @@ class AdaptedFrame:
     @property
     def entries(self) -> np.ndarray:
         """A with its matrix axes first: ``entries[i, j]`` is A_ij over the batch."""
-        return np.moveaxis(self.A, (-2, -1), (0, 1))
+        return _entries(self.A)
 
     def principal_minors(self) -> tuple:
         """(H12, H13, H23) with H_ij = A_ii A_jj - A_ij²."""
@@ -209,28 +218,29 @@ def _matrix(rows, l) -> np.ndarray:
     return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
 
 
+def _q_rows(af: AdaptedFrame, l) -> tuple:
+    """Entries of the pushforward matrix Q of the parallel map in the adapted
+    frame and of its l-derivative Q', as nested rows."""
+    a = af.entries
+    (chp, sp, dchp), (chm, sm, dchm) = _hyperbolic(af, l)
+    return ([[1.0 - l * a[0, 0], -a[0, 1] * sp, -a[0, 2] * sm],
+             [-l * a[0, 1], chp - a[1, 1] * sp, -a[1, 2] * sm],
+             [-l * a[0, 2], -a[1, 2] * sp, chm - a[2, 2] * sm]],
+            [[-a[0, 0], -a[0, 1] * chp, -a[0, 2] * chm],
+             [-a[0, 1], dchp - a[1, 1] * chp, -a[1, 2] * chm],
+             [-a[0, 2], -a[1, 2] * chp, dchm - a[2, 2] * chm]])
+
+
 def q_matrix(af: AdaptedFrame, l) -> np.ndarray:
     """Pushforward matrix of the parallel map in the adapted frame."""
-    a = af.entries
     l = np.asarray(l, dtype=float)
-    (chp, sp, _), (chm, sm, _) = _hyperbolic(af, l)
-    return _matrix([
-        [1.0 - l * a[0, 0], -a[0, 1] * sp, -a[0, 2] * sm],
-        [-l * a[0, 1], chp - a[1, 1] * sp, -a[1, 2] * sm],
-        [-l * a[0, 2], -a[1, 2] * sp, chm - a[2, 2] * sm],
-    ], l)
+    return _matrix(_q_rows(af, l)[0], l)
 
 
 def q_prime(af: AdaptedFrame, l) -> np.ndarray:
     """d/dl of the pushforward matrix; -Q' gives the parallel shape operator."""
-    a = af.entries
     l = np.asarray(l, dtype=float)
-    (chp, _, dchp), (chm, _, dchm) = _hyperbolic(af, l)
-    return _matrix([
-        [-a[0, 0], -a[0, 1] * chp, -a[0, 2] * chm],
-        [-a[0, 1], dchp - a[1, 1] * chp, -a[1, 2] * chm],
-        [-a[0, 2], -a[1, 2] * chp, dchm - a[2, 2] * chm],
-    ], l)
+    return _matrix(_q_rows(af, l)[1], l)
 
 
 # index of the l-derivative of each factor of _hyperbolic: cosh -> c sinh, sinh/c -> cosh
@@ -270,34 +280,52 @@ def detq_expansion_prime(af: AdaptedFrame, l):
                for alpha, beta, i, j in _detq_terms(af))
 
 
-def _cofactors(q: np.ndarray):
-    """Cofactors cof[i][j] of the matrices q (..., 3, 3), each over the batch,
-    and det q.
+def _adjugate(r):
+    """Cofactors cof[i][j] and det of the matrices with entries r[i][j], each
+    over the batch.
 
-    The cofactor rows are cross products of the rows, cof[i] = q[i+1] x
-    q[i+2], and det q = q[0] . cof[0].  Every product is written out entry
-    by entry, so a matrix's bits do not depend on its batch.
+    The cofactor rows are cross products of the rows, cof[i] = r[i+1] x
+    r[i+2], and det = r[0] . cof[0].  Every product is written out entry by
+    entry, so a matrix's bits do not depend on its batch.
     """
-    r = np.moveaxis(q, (-2, -1), (0, 1))
-    cof = [[r[(i + 1) % 3, (j + 1) % 3] * r[(i + 2) % 3, (j + 2) % 3]
-            - r[(i + 1) % 3, (j + 2) % 3] * r[(i + 2) % 3, (j + 1) % 3]
+    cof = [[r[(i + 1) % 3][(j + 1) % 3] * r[(i + 2) % 3][(j + 2) % 3]
+            - r[(i + 1) % 3][(j + 2) % 3] * r[(i + 2) % 3][(j + 1) % 3]
             for j in range(3)] for i in range(3)]
-    return cof, r[0, 0] * cof[0][0] + r[0, 1] * cof[0][1] + r[0, 2] * cof[0][2]
+    return cof, r[0][0] * cof[0][0] + r[0][1] * cof[0][1] + r[0][2] * cof[0][2]
 
 
-def _shape_operator(q: np.ndarray, qp: np.ndarray, l) -> np.ndarray:
-    """-Q^{-1} Q' = -adj(Q) Q' / det Q, refused with FocalPointError wherever
-    det Q vanishes."""
-    cof, det = _cofactors(q)
+def _cofactors(q: np.ndarray):
+    """``_adjugate`` of the matrices q (..., 3, 3)."""
+    return _adjugate(_entries(q))
+
+
+def _shape_operator(q, qp, l) -> list:
+    """Entries of -Q^{-1} Q' = -adj(Q) Q' / det Q from the entries of Q and Q',
+    refused with FocalPointError wherever det Q vanishes."""
+    cof, det = _adjugate(q)
     focal = np.abs(det) <= FOCAL_DET_TOL
     if np.any(focal):
         i = int(np.argmax(focal))
         l = np.ravel(np.broadcast_to(l, det.shape))[i]
         raise FocalPointError(f"det Q = {np.ravel(det)[i]:.3e} at l = {l}")
-    p = np.moveaxis(qp, (-2, -1), (0, 1))
-    s = [-(cof[0][i] * p[0, j] + cof[1][i] * p[1, j] + cof[2][i] * p[2, j]) / det
-         for i in range(3) for j in range(3)]
-    return np.stack(s, axis=-1).reshape(det.shape + (3, 3))
+    return [[-(cof[0][i] * qp[0][j] + cof[1][i] * qp[1][j] + cof[2][i] * qp[2][j]) / det
+             for j in range(3)] for i in range(3)]
+
+
+# the flow raises FloatingPointError instead of leaving inf or NaN in S(l)
+_RAISE = np.errstate(over="raise", invalid="raise", divide="raise")
+
+
+@_RAISE
+def _flow(af: AdaptedFrame, l) -> list:
+    """Entries s[i][j] of the parallel shape operator S(l), each over the
+    frames and l."""
+    l = np.asarray(l, dtype=float)
+    return _shape_operator(*_q_rows(af, l), l)
+
+
+def _trace(s):
+    return s[0][0] + s[1][1] + s[2][2]
 
 
 # Bar on ||S - S^T||_F: max(ASYMMETRY_TOL, ASYMMETRY_REL ||S||_F).  By
@@ -309,29 +337,105 @@ ASYMMETRY_TOL = 2e-8
 ASYMMETRY_REL = 1e-12
 
 
-def _real_spectrum(s: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the self-adjoint shape operator S (see the
-    module docstring), refused where S is not symmetric to roundoff."""
-    st = s.swapaxes(-1, -2)
-    bar = np.maximum(ASYMMETRY_TOL ** 2, ASYMMETRY_REL ** 2 * np.sum(s * s, axis=(-2, -1)))
-    if np.any(np.sum((s - st) ** 2, axis=(-2, -1)) > bar):
+def _cross(x, y) -> list:
+    return [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
+
+
+def _dot(x, y):
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _symmetric_spectrum(s) -> np.ndarray:
+    """Ascending eigenvalues (..., 3) of the symmetric part of the matrices
+    with entries s[i][j], in closed form.
+
+    Eberly's robust eigensolver (D. Eberly, A Robust Eigensolver for 3x3
+    Symmetric Matrices, Geometric Tools, 2014).  With m the largest |entry|
+    and q the mean of the diagonal of A/m, B = (A/m - q I)/p has ||B||_F² = 6
+    and det B/2 in [-1, 1], and its roots are 2 cos(phi + 2 pi k/3) with
+    phi = arccos(det B/2)/3 (O. K. Smith, CACM 4:168, 1961).  The root beta
+    farthest from the other two, the largest where det B >= 0 and else the
+    smallest, is at least sqrt 3 from both, so Smith's formula is well
+    conditioned for it.  Its eigenvector is the longest cross product of two
+    rows of B - beta I, and the other two roots are those of the 2x2 block
+    of B on the orthogonal complement, by ``hypot``.  The zero matrix and
+    c I have p = 0 and divide by 1 instead, where B = 0.
+    """
+    a = [s[0][0], s[1][1], s[2][2],
+         0.5 * (s[0][1] + s[1][0]), 0.5 * (s[0][2] + s[2][0]), 0.5 * (s[1][2] + s[2][1])]
+    m = np.abs(a[0])
+    for x in a[1:]:
+        m = np.maximum(m, np.abs(x))
+    a00, a11, a22, a01, a02, a12 = (x / np.where(m > 0.0, m, 1.0) for x in a)
+    q = (a00 + a11 + a22) / 3.0
+    b00, b11, b22 = a00 - q, a11 - q, a22 - q
+    p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
+                 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
+    b00, b11, b22, b01, b02, b12 = (x / np.where(p > 0.0, p, 1.0)
+                                    for x in (b00, b11, b22, a01, a02, a12))
+    half_det = np.clip(0.5 * (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
+                              + b02 * (b01 * b12 - b11 * b02)), -1.0, 1.0)
+    phi = np.arccos(half_det) / 3.0
+    beta = 2.0 * np.cos(np.where(half_det >= 0.0, phi, phi + 2.0 * math.pi / 3.0))
+    b = [[b00, b01, b02], [b01, b11, b12], [b02, b12, b22]]
+    rows = [[b00 - beta, b01, b02], [b01, b11 - beta, b12], [b02, b12, b22 - beta]]
+    v = _cross(rows[0], rows[1])
+    vv = _dot(v, v)
+    for x, y in ((0, 2), (1, 2)):
+        c = _cross(rows[x], rows[y])
+        cc = _dot(c, c)
+        longer = cc > vv
+        v, vv = [np.where(longer, ci, vi) for ci, vi in zip(c, v)], np.where(longer, cc, vv)
+    v = [x / np.sqrt(vv) for x in v]
+    # a unit vector u orthogonal to v (Eberly's choice)
+    first = np.abs(v[0]) > np.abs(v[1])
+    norm = np.sqrt(np.where(first, v[0] * v[0], v[1] * v[1]) + v[2] * v[2])
+    u = [np.where(first, -v[2], 0.0) / norm, np.where(first, 0.0, v[2]) / norm,
+         np.where(first, v[0], -v[1]) / norm]
+    # the block [[j00, j01], [j01, j11]] in the basis u, w = v x u, whose
+    # trace j00 + j11 is tr B - beta
+    bu = [_dot(row, u) for row in b]
+    j00, j01 = _dot(u, bu), _dot(_cross(v, u), bu)
+    mid = 0.5 * ((b00 + b11 + b22) - beta)
+    half = np.hypot(j00 - mid, j01)
+    iso, lo, hi = (m * (q + p * x) for x in (beta, mid - half, mid + half))
+    return np.stack([np.minimum(iso, lo), np.maximum(lo, np.minimum(iso, hi)),
+                     np.maximum(iso, hi)], axis=-1)
+
+
+@_RAISE
+def _spectrum(s) -> np.ndarray:
+    """Ascending eigenvalues of the self-adjoint shape operator with entries
+    s[i][j] (see the module docstring), refused where an entry is not finite
+    or S is not symmetric to roundoff."""
+    norm2 = sum(s[i][j] * s[i][j] for i in range(3) for j in range(3))
+    if not np.all(np.isfinite(norm2)):
+        raise ArithmeticError("parallel shape operator is not finite")
+    d = [s[i][j] - s[j][i] for i, j in ((0, 1), (0, 2), (1, 2))]
+    if np.any(2.0 * _dot(d, d) > np.maximum(ASYMMETRY_TOL ** 2, ASYMMETRY_REL ** 2 * norm2)):
         raise ArithmeticError("parallel shape operator is not self-adjoint")
-    return np.linalg.eigvalsh(0.5 * (s + st))
+    return _symmetric_spectrum(s)
+
+
+def _real_spectrum(s: np.ndarray) -> np.ndarray:
+    """``_spectrum`` of the matrices s (..., 3, 3): their ascending
+    eigenvalues in closed form, refused where not finite or not symmetric."""
+    return _spectrum(_entries(s))
 
 
 def parallel_shape_operator(af: AdaptedFrame, l) -> np.ndarray:
     """Shape operator -Q^{-1} Q' of the parallel hypersurface in the parallel frame."""
-    return _shape_operator(q_matrix(af, l), q_prime(af, l), l)
+    return _matrix(_flow(af, l), np.asarray(l, dtype=float))
 
 
 def mean_curvature_of_parallel(af: AdaptedFrame, l):
     """H(l) = -tr(Q^{-1} Q'), the trace of the parallel shape operator."""
-    return np.trace(parallel_shape_operator(af, l), axis1=-2, axis2=-1)
+    return _trace(_flow(af, l))
 
 
 def parallel_lambdas(af: AdaptedFrame, l) -> np.ndarray:
     """Principal curvatures of the parallel hypersurface, ascending."""
-    return _real_spectrum(parallel_shape_operator(af, l))
+    return _spectrum(_flow(af, l))
 
 
 def focal_pushforward_norm(M: Hypersurface, u, l: float) -> float:
@@ -481,6 +585,7 @@ def _merged(roots, tol: float = 1e-9) -> list:
     return out
 
 
+@_RAISE
 def isoparametric_scan(M: Hypersurface, sample_points, l_grid) -> ScanReport:
     """Spread of H(l) and of the parallel principal curvatures over base points.
 
@@ -493,7 +598,8 @@ def isoparametric_scan(M: Hypersurface, sample_points, l_grid) -> ScanReport:
     every base point's sign changes are bisected to full precision, and
     roots that agree within 1e-9 are reported once.  The base points take
     one batched ``point_geometry`` call and one frame batch, evaluated once
-    over the whole grid.
+    over the whole grid.  An overflow, a division by zero or an invalid
+    operation raises FloatingPointError, as in the flow.
     """
     l_grid = np.asarray(l_grid, dtype=float)
     pgs = point_geometry(M, np.asarray(sample_points, dtype=float).reshape(-1, 3))
@@ -515,11 +621,11 @@ def isoparametric_scan(M: Hypersurface, sample_points, l_grid) -> ScanReport:
         flags = _focal_flags(dets)
         rows, j = np.nonzero(dets[:, :-1] * dets[:, 1:] < 0)
         roots = _merged(find_focal_radius(af[rows], l_grid[j], l_grid[j + 1]).tolist())
-        # about 256 nodes at a time, so that the stacked Q, Q' and S stay small
+        # about 256 nodes at a time, so that the entries of Q, Q' and S stay small
         parts = []
         for block in np.array_split(l_grid[~flags, None], len(l_grid) // 256 + 1):
-            s = parallel_shape_operator(af, block)
-            parts.append((np.trace(s, axis1=-2, axis2=-1), _real_spectrum(s)))
+            s = _flow(af, block)
+            parts.append((_trace(s), _spectrum(s)))
         hs, lams = (np.concatenate(x) for x in zip(*parts))
 
     h_mean, h_spread, lambda_spread = (np.full(len(l_grid), math.nan) for _ in range(3))

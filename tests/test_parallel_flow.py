@@ -171,7 +171,8 @@ def assert_cofactor_det(q):
 
 class TestSymmetricShapeOperator:
     """S(l) = -Q^{-1} Q' is symmetric for every frame and every l (the
-    Wronskian argument of the module docstring), so its spectrum is eigvalsh's."""
+    Wronskian argument of the module docstring), so its spectrum is real and
+    the symmetric closed form of ``_symmetric_spectrum`` takes it."""
 
     @settings(max_examples=60, deadline=None)
     @given(synthetic_frames(), st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
@@ -243,6 +244,91 @@ class TestSymmetricShapeOperator:
         if np.max(np.abs(np.linalg.eigvals(s).imag)) > 1e-8:
             with pytest.raises(ArithmeticError):
                 pf._real_spectrum(s)
+
+
+def rotation(quaternion):
+    """The rotation matrix of a nonzero quaternion (w, x, y, z)."""
+    w, x, y, z = np.asarray(quaternion) / np.linalg.norm(quaternion)
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                     [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                     [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+
+
+@st.composite
+def rotated_spectra(draw):
+    """Q^T diag(lambda) Q with an exact double or triple eigenvalue, a
+    relative cluster of 1e-12 to 1e-3, or three free eigenvalues, at a scale
+    of 1e-8 to 1e8; the pair of a double or cluster lies above or below the
+    third eigenvalue."""
+    unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    quaternion = draw(st.lists(unit, min_size=4, max_size=4))
+    assume(np.linalg.norm(quaternion) > 0.1)
+    scale = 10.0 ** draw(st.integers(min_value=-8, max_value=8))
+    base, other = draw(unit), draw(unit)
+    kind = draw(st.sampled_from(["double", "triple", "cluster", "triple cluster", "free"]))
+    rel = 10.0 ** draw(st.floats(min_value=-12.0, max_value=-3.0))
+    lam = {"double": [base, base, other], "triple": [base] * 3,
+           "cluster": [base, base * (1.0 + rel), other],
+           "triple cluster": [base, base * (1.0 + rel), base * (1.0 - 0.5 * rel)],
+           "free": [base, other, draw(unit)]}[kind]
+    q = rotation(quaternion)
+    return q.T @ np.diag(scale * np.array(lam)) @ q
+
+
+def assert_spectrum_is_eigvalsh(s):
+    want = np.linalg.eigvalsh(s)
+    bar = 1e-14 * np.maximum(1.0, np.max(np.abs(s), axis=(-2, -1)))
+    assert np.all(np.max(np.abs(pf._real_spectrum(s) - want), axis=-1) <= bar)
+
+
+class TestClosedFormSpectrum:
+    """The closed-form spectrum of ``_symmetric_spectrum`` against LAPACK's
+    eigvalsh, to 1e-14 max(1, |S|), on the matrices where a closed form is
+    weakest: exact and near multiple eigenvalues."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rotated_spectra())
+    def test_multiple_and_clustered_eigenvalues(self, s):
+        assert_spectrum_is_eigvalsh(s)
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, -2.5, 3e-300, -7e100])
+    def test_multiples_of_the_identity(self, c):
+        # p = 0: no 0/0, and the eigenvalue c exactly
+        assert np.array_equal(pf._real_spectrum(c * np.eye(3)), [c, c, c])
+
+    @pytest.mark.parametrize("d", [[1.0, 2.0, 3.0], [3.0, -1.0, 3.0], [-1.0, -1.0, 2.0],
+                                   [0.0, 0.0, 5.0], [1e-9, -1e-9, 0.0], [4e8, -3.0, 0.5]])
+    def test_diagonal_matrices(self, d):
+        assert_spectrum_is_eigvalsh(np.diag(d))
+        scale = max(1.0, max(abs(x) for x in d))
+        assert np.max(np.abs(pf._real_spectrum(np.diag(d)) - sorted(d))) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("i, j", [(0, 0), (1, 2), (2, 1)])
+    def test_non_finite_entry_is_refused(self, bad, i, j):
+        s = np.stack([np.diag([1.0, 2.0, 3.0])] * 3)
+        s[1, i, j] = bad
+        for matrices in (s[1], s):
+            with pytest.raises(ArithmeticError, match="not finite"):
+                pf._real_spectrum(matrices)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(rotated_spectra(), min_size=1, max_size=6))
+    def test_batch_rows_are_the_one_matrix_calls(self, matrices):
+        batch = np.stack(matrices)
+        want = np.array([pf._real_spectrum(s) for s in matrices])
+        assert np.array_equal(pf._real_spectrum(batch), want)
+        # the same matrices as a (3, 3, n) transpose: strided entries
+        assert np.array_equal(pf._real_spectrum(np.moveaxis(batch.T, -1, 0).swapaxes(-1, -2)), want)
+
+    def test_double_eigenvalue_scan(self):
+        # M_1m1 c = 1/2 has the principal curvatures {0, 1/sqrt 2, 1/sqrt 2}:
+        # a double eigenvalue of S(l) at every l
+        surface, _ = mz.build_model(mz.ModelSpec("M_1m1", {"c": 0.5}))
+        grid = np.arange(-2.0, 2.0 + 1e-9, 0.002)
+        scan = pf.isoparametric_scan(surface, rp.sobol_points(surface.domain, 8, 0), grid)
+        assert not scan.focal.any()
+        assert np.max(scan.lambda_spread / np.maximum(1.0, np.abs(scan.h_mean))) <= 1e-13
 
 
 # functions of a frame and l; the flow functions raise at a focal (frame, l) pair

@@ -49,6 +49,23 @@ class TestVerifyCommand:
                         "--samples", "20"]) == 1
         assert "error: chart differential is rank-deficient" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "parallel"])
+    @pytest.mark.parametrize("argv, message", [
+        # the cofactor det Q is cancellation noise (-7.5e-20) at l = 22.5
+        (["--model", "M_11", "--c", "0.25", "--l-grid=0:40:2.5"], "error: det Q = "),
+        # S(l) is refused as not self-adjoint from |l| ~ 75 on
+        (["--model", "M_tau", "--tau", "-2", "--l-grid=0:80:5"],
+         "error: parallel shape operator is not self-adjoint"),
+        # cosh overflows
+        (["--model", "M_tau", "--tau", "-2", "--l-grid=0:2000:500"], "error: overflow encountered"),
+    ])
+    def test_large_l_grid_exit_one(self, command, argv, message, capsys):
+        # a valid call that fails along the parallel flow is a failed run
+        # with one error line, not a traceback or a usage error
+        assert run_cli([command, *argv, "--samples", "8"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message), err
+
     def test_bad_l_grid_exit_two(self):
         assert run_cli(["verify", "--model", "M_tau", "--tau", "-2",
                         "--l-grid", "0:1:-0.5"]) == 2
