@@ -6,6 +6,15 @@ propagates all four orders exactly (Griewank & Walther, *Evaluating
 Derivatives*, ch. 13), so evaluating a chart on ``jet_variables(u)`` gives its
 first, second and third derivatives in one pass, with no truncation error.
 
+The order travels with the seeds.  ``jet_variables(u, order=2)`` seeds jets
+whose ``ddd`` is None: the arithmetic then carries the value, gradient and
+Hessian only, by the same expressions, so those three are bit for bit the
+ones an order-3 pass gives.  An operation appends the third-order term only
+when its jet operands all carry one; a result mixing the two orders is
+truncated at order 2.  Curvatures, frames and the parallel flow need second
+derivatives of the chart; only the structural equations and the frame
+connection identities read the third.
+
 A jet has a leading batch shape B: ``val`` is (*B,), ``d`` (*B,k), ``dd``
 (*B,k,k) and ``ddd`` (*B,k,k,k), and the arithmetic broadcasts over B, so one
 pass over ``jet_variables(U)`` with U of shape (n, 3) evaluates a chart at n
@@ -59,29 +68,34 @@ def power(v, m):
     return elementwise(lambda x: x ** m, v)
 
 
+def _third(fn, *ddd):
+    """fn of the third-order tensors, or None unless every one is carried."""
+    return None if any(t is None for t in ddd) else fn(*ddd)
+
+
 class Jet:
-    """Third-order forward-mode scalar, or batch of them: value, gradient,
-    Hessian, third derivatives."""
+    """Forward-mode scalar, or batch of them: value, gradient, Hessian and,
+    at order 3, third derivatives (``ddd`` is None at order 2)."""
 
     __slots__ = ("val", "d", "dd", "ddd")
 
-    def __init__(self, val, d, dd, ddd):
+    def __init__(self, val, d, dd, ddd=None):
         batched = isinstance(val, np.ndarray) and val.ndim
         self.val = np.asarray(val, dtype=float) if batched else float(val)
         self.d = np.asarray(d, dtype=float)
         self.dd = np.asarray(dd, dtype=float)
-        self.ddd = np.asarray(ddd, dtype=float)
+        self.ddd = None if ddd is None else np.asarray(ddd, dtype=float)
 
     def __repr__(self):
         return f"Jet({self.val!r}, {self.d!r}, {self.dd!r}, {self.ddd!r})"
 
     def __neg__(self):
-        return Jet(-self.val, -self.d, -self.dd, -self.ddd)
+        return Jet(-self.val, -self.d, -self.dd, _third(np.negative, self.ddd))
 
     def __add__(self, other):
         if isinstance(other, Jet):
             return Jet(self.val + other.val, self.d + other.d, self.dd + other.dd,
-                       self.ddd + other.ddd)
+                       _third(np.add, self.ddd, other.ddd))
         if isinstance(other, _NUMBER):
             return Jet(self.val + other, self.d, self.dd, self.ddd)
         return NotImplemented
@@ -91,30 +105,31 @@ class Jet:
     def __sub__(self, other):
         if isinstance(other, Jet):
             return Jet(self.val - other.val, self.d - other.d, self.dd - other.dd,
-                       self.ddd - other.ddd)
+                       _third(np.subtract, self.ddd, other.ddd))
         if isinstance(other, _NUMBER):
             return Jet(self.val - other, self.d, self.dd, self.ddd)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, _NUMBER):
-            return Jet(other - self.val, -self.d, -self.dd, -self.ddd)
+            return Jet(other - self.val, -self.d, -self.dd, _third(np.negative, self.ddd))
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b = self, other
             cross = a.d[..., :, None] * b.d[..., None, :]
-            mixed = (a.dd[..., None] * b.d[..., None, None, :]
-                     + b.dd[..., None] * a.d[..., None, None, :])
             return Jet(
                 a.val * b.val,
                 _rows(a.val, 1) * b.d + _rows(b.val, 1) * a.d,
                 _rows(a.val, 2) * b.dd + _rows(b.val, 2) * a.dd + cross + cross.swapaxes(-1, -2),
-                _rows(a.val, 3) * b.ddd + _rows(b.val, 3) * a.ddd + _sym3(mixed),
+                _third(lambda ta, tb: _rows(a.val, 3) * tb + _rows(b.val, 3) * ta
+                       + _sym3(a.dd[..., None] * b.d[..., None, None, :]
+                               + b.dd[..., None] * a.d[..., None, None, :]), a.ddd, b.ddd),
             )
         if isinstance(other, _NUMBER):
-            return Jet(self.val * other, self.d * other, self.dd * other, self.ddd * other)
+            return Jet(self.val * other, self.d * other, self.dd * other,
+                       _third(lambda t: t * other, self.ddd))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -123,7 +138,8 @@ class Jet:
         if isinstance(other, Jet):
             return self * other._reciprocal()
         if isinstance(other, _NUMBER):
-            return Jet(self.val / other, self.d / other, self.dd / other, self.ddd / other)
+            return Jet(self.val / other, self.d / other, self.dd / other,
+                       _third(lambda t: t / other, self.ddd))
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -133,23 +149,25 @@ class Jet:
 
     def _reciprocal(self):
         v = self.val
-        return _lift(self, 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v), -6.0 / (v * v * v * v))
+        return _lift(self, 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v),
+                     None if self.ddd is None else -6.0 / (v * v * v * v))
 
     def __pow__(self, n):
         if not isinstance(n, _NUMBER):
             return NotImplemented
         v = self.val
         return _lift(self, power(v, n), n * power(v, n - 1), n * (n - 1) * power(v, n - 2),
-                     n * (n - 1) * (n - 2) * power(v, n - 3))
+                     None if self.ddd is None else n * (n - 1) * (n - 2) * power(v, n - 3))
 
 
 def _lift(x: Jet, f0, f1, f2, f3) -> Jet:
-    """f(x) for f known by its derivatives f0..f3 at x.val (Faà di Bruno)."""
+    """f(x) for f known by its derivatives f0..f3 at x.val (Faà di Bruno).
+    f3 is read only when x carries third derivatives."""
     dd = x.d[..., :, None] * x.d[..., None, :]
     return Jet(f0, _rows(f1, 1) * x.d, _rows(f2, 2) * dd + _rows(f1, 2) * x.dd,
-               _rows(f3, 3) * (dd[..., None] * x.d[..., None, None, :])
-               + _rows(f2, 3) * _sym3(x.dd[..., None] * x.d[..., None, None, :])
-               + _rows(f1, 3) * x.ddd)
+               _third(lambda t: _rows(f3, 3) * (dd[..., None] * x.d[..., None, None, :])
+                      + _rows(f2, 3) * _sym3(x.dd[..., None] * x.d[..., None, None, :])
+                      + _rows(f1, 3) * t, x.ddd))
 
 
 def value(x: Scalar):
@@ -222,17 +240,20 @@ def tanh(x: Scalar) -> Scalar:
     return compose_jet(t, sech2, -2.0 * t * sech2, 2.0 * sech2 * (3.0 * t * t - 1.0), x)
 
 
-def jet_variables(u) -> list[Jet]:
+def jet_variables(u, order: int = 3) -> list[Jet]:
     """Seed one Jet per coordinate: gradients the standard basis, higher orders zero.
 
     u of shape (k,) gives one-point jets; u of shape (*B, k) gives jets of
-    batch shape B, one row per point.
+    batch shape B, one row per point.  ``order`` is 3, or 2 for jets that
+    carry no third derivatives.
     """
+    if order not in (2, 3):
+        raise ValueError(f"jet order must be 2 or 3, got {order!r}")
     u = np.asarray(u, dtype=float)
     batch, k = u.shape[:-1], u.shape[-1]
     eye = np.eye(k)
     dd = np.zeros(batch + (k, k))
-    ddd = np.zeros(batch + (k, k, k))
+    ddd = np.zeros(batch + (k, k, k)) if order == 3 else None
     if not batch:
         return [Jet(float(u[i]), eye[i], dd, ddd) for i in range(k)]
     return [Jet(u[..., i], np.broadcast_to(eye[i], batch + (k,)), dd, ddd) for i in range(k)]

@@ -211,7 +211,7 @@ class PlaneCurve:
         if not isinstance(r, ad.Jet):
             return list(g), list(n)
         if callable(self.kappa):
-            kj = self.kappa(ad.jet_variables(np.asarray(r0)[..., None])[0])
+            kj = self.kappa(ad.jet_variables(np.asarray(r0)[..., None], order=2)[0])
             k, kp, kpp = ad.value(kj), 0.0, 0.0
             if isinstance(kj, ad.Jet):
                 kp, kpp = kj.d[..., 0], kj.dd[..., 0, 0]

@@ -39,9 +39,12 @@ bit for bit its one-frame, one-distance call.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -53,6 +56,8 @@ from .surface_calculus import (
     Hypersurface,
     PointDerivatives,
     PointGeometry,
+    _matvec,
+    _norm,
     _pairing,
     point_derivatives,
     point_geometry,
@@ -407,12 +412,24 @@ def _symmetric_spectrum(s) -> np.ndarray:
 def _spectrum(s) -> np.ndarray:
     """Ascending eigenvalues of the self-adjoint shape operator with entries
     s[i][j] (see the module docstring), refused where an entry is not finite
-    or S is not symmetric to roundoff."""
-    norm2 = sum(s[i][j] * s[i][j] for i in range(3) for j in range(3))
-    if not np.all(np.isfinite(norm2)):
+    or S is not symmetric to roundoff.
+
+    The bar is judged on S / m, m the largest |entry|, against
+    max((ASYMMETRY_TOL / m)², ASYMMETRY_REL² ||S / m||_F²), so no square
+    overflows whatever the size of S.
+    """
+    x = np.stack(np.broadcast_arrays(*(s[i][j] for i in range(3) for j in range(3))))
+    m = np.max(np.abs(x), axis=0)
+    if not np.all(np.isfinite(m)):
         raise ArithmeticError("parallel shape operator is not finite")
-    d = [s[i][j] - s[j][i] for i, j in ((0, 1), (0, 2), (1, 2))]
-    if np.any(2.0 * _dot(d, d) > np.maximum(ASYMMETRY_TOL ** 2, ASYMMETRY_REL ** 2 * norm2)):
+    m = np.where(m > 0.0, m, 1.0)
+    t = x / m
+    d = t[[1, 2, 5]] - t[[3, 6, 7]]        # s01 - s10, s02 - s20, s12 - s21, scaled
+    with np.errstate(over="ignore"):
+        # (ASYMMETRY_TOL / m)² is inf for a tiny S, and then every S passes
+        # the bar, as it would unscaled
+        bar = np.maximum((ASYMMETRY_TOL / m) ** 2, ASYMMETRY_REL ** 2 * np.sum(t * t, axis=0))
+    if np.any(2.0 * np.sum(d * d, axis=0) > bar):
         raise ArithmeticError("parallel shape operator is not self-adjoint")
     return _symmetric_spectrum(s)
 
@@ -530,7 +547,8 @@ class ScanReport:
     """Columns of an isoparametric scan, one entry per l-grid node.
 
     ``h_mean``, ``h_spread`` and ``lambda_spread`` are NaN at focal nodes
-    (``focal`` true), which the spreads exclude.
+    (``focal`` true), which the spreads exclude.  ``focal_roots`` is
+    computed on first read, from the sign changes the scan recorded.
     """
 
     l: np.ndarray
@@ -540,8 +558,13 @@ class ScanReport:
     min_abs_detq: np.ndarray
     focal: np.ndarray
     excluded: list
-    focal_roots: list
     mode: str
+    find_roots: Callable[[], list] = dataclasses.field(repr=False)
+
+    @functools.cached_property
+    def focal_roots(self) -> list:
+        """Sorted focal values of l inside the grid, each given once."""
+        return self.find_roots()
 
     def _max_off_focal(self, column: np.ndarray) -> float:
         # NaN when every node is focal: no spread was measured
@@ -594,15 +617,16 @@ def isoparametric_scan(M: Hypersurface, sample_points, l_grid) -> ScanReport:
     the curve x H² family) the scan runs on the curve factor: the parallel
     hypersurface is the parallel curve x H², so H(l) is the parallel-curve
     curvature of kappa = H(u).  Focal values of l, detected by sign changes
-    of det Q between grid nodes, are excluded from the spreads and flagged;
-    every base point's sign changes are bisected to full precision, and
-    roots that agree within 1e-9 are reported once.  The base points take
-    one batched ``point_geometry`` call and one frame batch, evaluated once
-    over the whole grid.  An overflow, a division by zero or an invalid
-    operation raises FloatingPointError, as in the flow.
+    of det Q between grid nodes, are excluded from the spreads and flagged.
+    When ``focal_roots`` is read, every base point's sign changes are
+    bisected to full precision, and roots that agree within 1e-9 are
+    reported once.  The base points take one batched ``point_geometry``
+    call (second order: the scan reads no third derivative) and one frame
+    batch, evaluated once over the whole grid.  An overflow, a division by
+    zero or an invalid operation raises FloatingPointError, as in the flow.
     """
     l_grid = np.asarray(l_grid, dtype=float)
-    pgs = point_geometry(M, np.asarray(sample_points, dtype=float).reshape(-1, 3))
+    pgs = point_geometry(M, np.asarray(sample_points, dtype=float).reshape(-1, 3), order=2)
 
     if np.all(np.abs(pgs.C) > DEGENERATE_C):
         mode = "curve_factor"
@@ -611,6 +635,7 @@ def isoparametric_scan(M: Hypersurface, sample_points, l_grid) -> ScanReport:
         flags = _focal_flags(dets)
         roots = sorted({round(math.atanh(1.0 / k), 12) for k in kappas.tolist()
                         if abs(k) > 1.0 and l_grid[0] < math.atanh(1.0 / k) < l_grid[-1]})
+        find_roots = roots.copy
         hs = parallel_curve_curvature(kappas, l_grid[~flags, None])   # (l, base point)
         lams = hs[..., None]
     else:
@@ -620,7 +645,7 @@ def isoparametric_scan(M: Hypersurface, sample_points, l_grid) -> ScanReport:
         dets = detq_expansion(af, l_grid[:, None]).T
         flags = _focal_flags(dets)
         rows, j = np.nonzero(dets[:, :-1] * dets[:, 1:] < 0)
-        roots = _merged(find_focal_radius(af[rows], l_grid[j], l_grid[j + 1]).tolist())
+        find_roots = functools.partial(_bisected_roots, af[rows], l_grid[j], l_grid[j + 1])
         # about 256 nodes at a time, so that the entries of Q, Q' and S stay small
         parts = []
         for block in np.array_split(l_grid[~flags, None], len(l_grid) // 256 + 1):
@@ -634,7 +659,14 @@ def isoparametric_scan(M: Hypersurface, sample_points, l_grid) -> ScanReport:
     lambda_spread[~flags] = np.max(np.max(lams, axis=1) - np.min(lams, axis=1), axis=-1)
     return ScanReport(l=l_grid, h_mean=h_mean, h_spread=h_spread, lambda_spread=lambda_spread,
                       min_abs_detq=np.min(np.abs(dets), axis=0), focal=flags,
-                      excluded=l_grid[flags].tolist(), focal_roots=roots, mode=mode)
+                      excluded=l_grid[flags].tolist(), mode=mode, find_roots=find_roots)
+
+
+@_RAISE
+def _bisected_roots(af: AdaptedFrame, lo, hi) -> list:
+    """The roots of det Q on the sign-change brackets [lo, hi] of the frames
+    ``af``, sorted, each run that agrees within 1e-9 given once."""
+    return _merged(find_focal_radius(af, lo, hi).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -664,39 +696,49 @@ class FrameCheckReport:
         vals = [it.residual for it in self.items if not it.skipped]
         return max(vals) if vals else 0.0
 
-    def all_within(self, tol: float) -> bool:
-        return all(it.skipped or it.residual <= tol for it in self.items)
+
+def _outer(e, w):
+    return e[..., :, None] * w[..., None, :]
 
 
 def _adapted_frame_jacobians(pg: PointGeometry, d: PointDerivatives) -> np.ndarray:
-    """Ambient 6x3 Jacobians of the adapted frame fields E1 = V-hat, E2, E3 at pg.
+    """Ambient Jacobians of the adapted frame fields E1 = V-hat, E2, E3 at pg:
+    (3,6,3) for one point, (*B,3,6,3) for a batch.
 
     E1 = V / sqrt(1 - C²) follows from dV and dC.  E2 and E3 are
     (J1 N ± J2 N) / sqrt(2 (1 ± C)), and J_i N, bilinear in the point and
     N, is differentiated by the product rule.
     """
-    E, C = frame_vectors(pg), pg.C
-    dj1, dj2 = (a + b for a, b in zip(complex_structures(pg.jac, pg.N),
-                                      complex_structures(pg.val, d.dN)))
+    E, C = frame_vectors(pg), np.asarray(pg.C)
+    # complex_structures takes the 6 ambient components on the first axis
+    dj1, dj2 = (np.moveaxis(a + b, 0, -2) for a, b in
+                zip(complex_structures(np.moveaxis(pg.jac, -2, 0), pg.N.T[..., None]),
+                    complex_structures(pg.val.T[..., None], np.moveaxis(d.dN, -2, 0))))
     dw2, dw3 = dj1 + dj2, dj1 - dj2
+    c2 = ad.power(C, 2)
     return np.stack([
-        d.dV / math.sqrt(1.0 - C ** 2) + np.outer(E[0], C * d.dC / (1.0 - C ** 2)),
-        dw2 / math.sqrt(2.0 * (1.0 + C)) - np.outer(E[1], d.dC / (2.0 * (1.0 + C))),
-        dw3 / math.sqrt(2.0 * (1.0 - C)) + np.outer(E[2], d.dC / (2.0 * (1.0 - C))),
-    ])
+        d.dV / np.sqrt(1.0 - c2)[..., None, None]
+        + _outer(E[..., 0, :], C[..., None] * d.dC / (1.0 - c2)[..., None]),
+        dw2 / np.sqrt(2.0 * (1.0 + C))[..., None, None]
+        - _outer(E[..., 1, :], d.dC / (2.0 * (1.0 + C))[..., None]),
+        dw3 / np.sqrt(2.0 * (1.0 - C))[..., None, None]
+        + _outer(E[..., 2, :], d.dC / (2.0 * (1.0 - C))[..., None]),
+    ], axis=-3)
 
 
 def _shape_apply_jacobian(pg: PointGeometry, d: PointDerivatives, X, dX) -> np.ndarray:
-    """6x3 Jacobian of the field A X, for a tangent field X with Jacobian dX.
+    """Ambient Jacobian (..., 6, 3) of the field A X, for tangent fields X
+    (..., 6) with Jacobians dX (..., 6, 3) over the batch of ``pg``.
 
     A X = Phi_* A xi with chart components xi = g^{-1} Phi_*^T eta X, so by the
     product rule d(A X) = d(Phi_*) A xi + Phi_* (dA xi + A dxi).
     """
     xi = pg.coords(X)
-    dxi = np.linalg.solve(pg.g, np.einsum("aki,a->ik", pg.hess, ETA6 @ X)
-                          + pg.jac.T @ ETA6 @ dX - (d.dg @ xi).T)
-    return (np.einsum("aki,i->ak", pg.hess, pg.A @ xi)
-            + pg.jac @ (np.einsum("kij,j->ik", d.dA, xi) + pg.A @ dxi))
+    dxi = np.linalg.solve(pg.g, np.einsum("...aki,...a->...ik", pg.hess, _matvec(ETA6, X))
+                          + pg.jac.swapaxes(-1, -2) @ ETA6 @ dX
+                          - _matvec(d.dg, xi[..., None, :]).swapaxes(-1, -2))
+    return (np.einsum("...aki,...i->...ak", pg.hess, _matvec(pg.A, xi))
+            + pg.jac @ (np.einsum("...kij,...j->...ik", d.dA, xi) + pg.A @ dxi))
 
 
 def _principal_jacobians(pg: PointGeometry, d: PointDerivatives):
@@ -710,201 +752,231 @@ def _principal_jacobians(pg: PointGeometry, d: PointDerivatives):
                 - 1/2 (x_i^T dg x_i) x_i.
 
     Returns dlam[i, k] = d_k lambda_i and the ambient Jacobians dP[i] (6x3)
-    of the principal direction fields Phi_* x_i.
+    of the principal direction fields Phi_* x_i, with the batch axes of pg
+    in front.
     """
     X, lam = pg.principal_coords, pg.lambdas
-    Gx = X.T @ d.dg @ X                        # [k, j, i] = x_j^T d_k g x_i
-    Mx = X.T @ d.db @ X - Gx * lam             # column i uses lambda_i
-    gap = lam[None, :] - lam[:, None]          # [j, i] = lambda_i - lambda_j
+    Xt, Xk = X.swapaxes(-1, -2)[..., None, :, :], X[..., None, :, :]
+    Gx = Xt @ d.dg @ Xk                        # [k, j, i] = x_j^T d_k g x_i
+    Mx = Xt @ d.db @ Xk - Gx * lam[..., None, None, :]   # column i uses lambda_i
+    gap = lam[..., None, :] - lam[..., :, None]          # [j, i] = lambda_i - lambda_j
     off = ~np.eye(3, dtype=bool)
-    coef = np.where(off, Mx / np.where(off, gap, 1.0), -0.5 * Gx)
-    dX = np.einsum("cj,kji->cik", X, coef)     # [coordinate, eigenvector, direction]
-    dP = np.einsum("akc,ci->iak", pg.hess, X) + np.einsum("ac,cik->iak", pg.jac, dX)
-    return np.diagonal(Mx, axis1=1, axis2=2).T, dP
+    coef = np.where(off, Mx / np.where(off, gap, 1.0)[..., None, :, :], -0.5 * Gx)
+    dX = np.einsum("...cj,...kji->...cik", X, coef)     # [coordinate, eigenvector, direction]
+    dP = (np.einsum("...akc,...ci->...iak", pg.hess, X)
+          + np.einsum("...ac,...cik->...iak", pg.jac, dX))
+    return np.diagonal(Mx, axis1=-2, axis2=-1).swapaxes(-1, -2), dP
 
 
 FRAME_ITEMS = ("v_direction_identity", "eigenframe_connections", "product_frame_connections",
                "connection_antisymmetry", "codazzi_frame_relation", "diagonal_connection_formula",
                "connection_pairing")
 
+# (i, j) with i != j, and (i, j, k) all distinct
+_PAIRS = np.nonzero(~np.eye(3, dtype=bool))
+_TRIPLES = tuple(np.array(list(itertools.permutations(range(3)))).T)
 
-def frame_identity_checks(pg: PointGeometry) -> FrameCheckReport:
-    """Residuals of the constant-curvature frame identities at one point bundle.
+
+def _batch_of_one(pg: PointGeometry) -> PointGeometry:
+    """A one-point bundle as a batch of one row (views of its fields)."""
+    fields = {f.name: getattr(pg, f.name) for f in dataclasses.fields(pg)}
+    return PointGeometry(**{name: x if x is None else np.asarray(x)[None]
+                            for name, x in fields.items()})
+
+
+def _covariant(pg: PointGeometry, jacobians, X) -> np.ndarray:
+    """nabla_X F = proj(dF xi(X)) for each field Jacobian dF (..., n, 6, 3)
+    of the list ``jacobians`` along the tangent vectors X (..., n, 6), which
+    broadcast against it: (..., len(jacobians), n, 6), from one ``coords``
+    and one ``project`` call."""
+    xi = pg.coords(X)
+    return pg.project(np.stack([_matvec(dF, xi) for dF in jacobians], axis=1))
+
+
+def frame_identity_checks(pg: PointGeometry):
+    """Residuals of the constant-curvature frame identities at each point of
+    a bundle: a ``FrameCheckReport`` for one point, a list of them, one per
+    row, for a batch (n,).
 
     Checks the V-direction derivative identity on {V}-orthogonal pairs, the
     eigenframe connection table (distinct nonzero pair of curvatures), the
     product-frame connection table (needs J1 N + J2 N principal), and the
     antisymmetry/Codazzi relations of the three-curvature eigenframe.  Any
-    item whose hypothesis fails numerically is reported as skipped with the
-    reason, not as a failure.  Covariant derivatives are the tangential
-    projections of exact field Jacobians, nabla_X F = proj(dF xi(X)), built
-    from ``point_derivatives``, so no chart is evaluated.
+    item whose hypothesis fails numerically at a point is reported there as
+    skipped with the reason, not as a failure.  Covariant derivatives are the
+    tangential projections of exact field Jacobians, nabla_X F =
+    proj(dF xi(X)), built from ``point_derivatives``, so no chart is
+    evaluated; it needs an order-3 bundle.
+
+    Each hypothesis is decided row by row.  A table's covariant derivatives
+    take one stacked ``coords`` and ``project`` call over the rows that need
+    them, and the eigenvector derivatives, which divide by eigenvalue gaps,
+    are formed only on the rows whose hypotheses admit them.  Every
+    per-vector product keeps its one-point shape, so each row's report is
+    bit for bit that of its one-point call, which is the batch of one.
     """
-    items: list[CheckItem] = []
+    if not pg.batch_shape:
+        return frame_identity_checks(_batch_of_one(pg))[0]
+    n = len(pg)
+    # reasons[name][row] is why the item is skipped there, None where it is judged
+    reasons = {name: ["degenerate product angle (C^2 = 1)"] * n for name in FRAME_ITEMS}
+    residuals = {name: [None] * n for name in FRAME_ITEMS}
+    min_gaps = [None] * n
+    live = np.flatnonzero(~(np.abs(pg.C) > DEGENERATE_C))
+    if live.size:
+        _frame_tables(pg if live.size == n else pg[live], live, reasons, residuals, min_gaps)
+    return [FrameCheckReport([CheckItem(name, residuals[name][r], reasons[name][r] is not None,
+                                        reasons[name][r] or "") for name in FRAME_ITEMS],
+                             min_gaps[r]) for r in range(n)]
 
-    if abs(pg.C) > DEGENERATE_C:
-        reason = "degenerate product angle (C^2 = 1)"
-        return FrameCheckReport([CheckItem(n, None, True, reason) for n in FRAME_ITEMS])
 
+def _frame_tables(pg: PointGeometry, rows, reasons: dict, residuals: dict, min_gaps: list):
+    """The frame identities at the rows of a bundle whose product angle is
+    not degenerate; ``rows`` are their indices in the reports, which the
+    tables fill in."""
     d = point_derivatives(pg)
     E = frame_vectors(pg)
     dE = _adapted_frame_jacobians(pg, d)
-    vhat, e2, e3 = E
-    av_norm = float(np.linalg.norm(pg.shape_apply(pg.V)))
-    s = math.sqrt(1.0 - pg.C ** 2)
+    vhat, C = E[:, 0], pg.C
+    c2 = ad.power(C, 2)
+    s = np.sqrt(1.0 - c2)
 
-    def nabla(dF, X):
-        # covariant derivative along the tangent X of the field with Jacobian dF
-        return pg.project(dF @ pg.coords(X))
+    def record(name, where, values, why):
+        """Item ``name`` judged with values[i] where where[i], else skipped for why(i)."""
+        for i, r in enumerate(rows.tolist()):
+            if where[i]:
+                residuals[name][r], reasons[name][r] = float(values[i]), None
+            else:
+                reasons[name][r] = why(i)
 
     # ---- V-direction derivative identity on {V}-orthogonal pairs --------
-    if av_norm > 1e-6:
-        items.append(CheckItem("v_direction_identity", None, True,
-                               f"hypothesis AV=0 violated (|AV|={av_norm:.2e})"))
-    else:
-        res = 0.0
-        for i in (1, 2):
-            xi = E[i]
-            nab_v_ax = nabla(_shape_apply_jacobian(pg, d, xi, dE[i]), pg.V)
-            nab_v_x = nabla(dE[i], pg.V)
-            a2x = pg.shape_apply(pg.shape_apply(xi))
-            atax = pg.shape_apply(pg.T_apply(pg.shape_apply(xi)))
-            tx = pg.T_apply(xi)
-            for y in (e2, e3):
-                lhs = (-pg.C * ambient_inner(a2x, y) + ambient_inner(atax, y)
-                       - ambient_inner(nab_v_ax, y)
-                       + ambient_inner(pg.shape_apply(nab_v_x), y))
-                rhs = 0.5 * (1.0 - pg.C ** 2) * ambient_inner(tx, y)
-                res = max(res, abs(lhs - rhs))
-        items.append(CheckItem("v_direction_identity", res, False))
+    X, dX = E[:, 1:].swapaxes(0, 1), dE[:, 1:].swapaxes(0, 1)    # e2, e3: (2, n, 6), (2, n, 6, 3)
+    av_norm = _norm(pg.shape_apply(pg.V))
+    sa = pg.shape_apply(X)
+    nab = _covariant(pg, [_shape_apply_jacobian(pg, d, X, dX), dX], pg.V)   # nabla_V of A x, x
+    nab_ax, nab_x = nab[:, 0], nab[:, 1]
+    a2x, atax, a_nab = pg.shape_apply(np.stack([sa, pg.T_apply(sa), nab_x]))
+
+    def pairs(v):
+        # <v_x, y> for x, y in (e2, e3): [x, y, row]
+        return _pairing(v[:, None], X[None])
+
+    lhs = -C * pairs(a2x) + pairs(atax) - pairs(nab_ax) + pairs(a_nab)
+    rhs = 0.5 * (1.0 - c2) * pairs(pg.T_apply(X))
+    av_zero = ~(av_norm > 1e-6)
+    record("v_direction_identity", av_zero, np.max(np.abs(lhs - rhs), axis=(0, 1)),
+           lambda i: f"hypothesis AV=0 violated (|AV|={float(av_norm[i]):.2e})")
 
     # ---- eigenframe bookkeeping ----------------------------------------
-    overlaps = [abs(ambient_inner(pg.principal_ambient[:, i], vhat)) for i in range(3)]
-    i_v = int(np.argmax(overlaps))
-    others = [i for i in range(3) if i != i_v]
-    lam_v = pg.lambdas[i_v]
-    lam1, lam2 = pg.lambdas[others[0]], pg.lambdas[others[1]]
-    gaps = [abs(pg.lambdas[0] - pg.lambdas[1]), abs(pg.lambdas[1] - pg.lambdas[2]),
-            abs(pg.lambdas[0] - pg.lambdas[2])]
-    eigen_table = av_norm <= 1e-6 and abs(lam_v) <= 1e-6 and abs(lam1 - lam2) > 1e-6
-    three_distinct = min(gaps) > 1e-6
-    min_gap = None
-    if eigen_table or three_distinct:
+    lam = pg.lambdas
+    i_v = np.argmax(np.abs(_pairing(pg.principal_ambient.swapaxes(-1, -2), vhat[:, None])),
+                    axis=-1)
+    # the two other principal directions, then the one along V
+    order = np.stack([(i_v == 0).astype(int), 2 - (i_v == 2), i_v], axis=-1)
+    lam1, lam2, lam_v = np.take_along_axis(lam, order, axis=-1).T
+    min_gap = np.min(np.abs(lam[:, [0, 1, 0]] - lam[:, [1, 2, 2]]), axis=-1)
+    eigen = (av_norm <= 1e-6) & (np.abs(lam_v) <= 1e-6) & (np.abs(lam1 - lam2) > 1e-6)
+    three = min_gap > 1e-6
+    need = np.flatnonzero(eigen | three)
+    for i in need.tolist():
         # every eigenvector derivative divides by the gaps to both other eigenvalues
-        min_gap = float(min(gaps))
-        dlam, dP = _principal_jacobians(pg, d)
+        min_gaps[rows[i]] = float(min_gap[i])
 
     # ---- connection table for the eigenframe ----------------------------
-    if av_norm > 1e-6 or abs(lam_v) > 1e-6:
-        items.append(CheckItem("eigenframe_connections", None, True,
-                               "hypothesis AV=0 violated"))
-    elif not eigen_table:
-        items.append(CheckItem("eigenframe_connections", None, True,
-                               f"hypothesis lambda_1 != lambda_2 violated "
-                               f"({lam1:.6f} vs {lam2:.6f})"))
-    else:
-        frame0 = [pg.principal_ambient[:, others[0]], pg.principal_ambient[:, others[1]], vhat]
-        jacobians = [dP[others[0]], dP[others[1]], dE[0]]
-        nab = {(i, j): nabla(jacobians[j], frame0[i]) for i in range(3) for j in range(3)}
-        p11 = ambient_inner(P6 @ frame0[0], frame0[0])
-        p22 = ambient_inner(P6 @ frame0[1], frame0[1])
-        p12 = ambient_inner(P6 @ frame0[0], frame0[1])
-        e1v, e2v, e3v = frame0
-        coef = (p12 / (lam1 - lam2)) * (lam1 * lam2 / s - s / 2.0)
-        expected = {
-            (0, 0): (p11 * lam1 - pg.C * lam1) / s * e3v,
-            (0, 1): p12 * lam1 / s * e3v,
-            (0, 2): ((pg.C - p11) * lam1 * e1v - lam1 * p12 * e2v) / s,
-            (1, 0): p12 * lam2 / s * e3v,
-            (1, 1): (p22 * lam2 - pg.C * lam2) / s * e3v,
-            (1, 2): ((pg.C - p22) * lam2 * e2v - lam2 * p12 * e1v) / s,
-            (2, 0): coef * e2v,
-            (2, 1): -coef * e1v,
-            (2, 2): np.zeros(6),
-        }
-        res = max(float(np.max(np.abs(nab[k] - expected[k]))) for k in expected)
-        items.append(CheckItem("eigenframe_connections", res, False))
+    eigen_res = np.zeros(len(pg))
+    if need.size:
+        sub = pg if need.size == len(pg) else pg[need]
+        dlam, dP = _principal_jacobians(sub, PointDerivatives(*(x[need] for x in d)))
+        eigen_res[need] = _eigen_table(sub, dP, vhat[need], dE[need, 0], order[need],
+                                       lam1[need], lam2[need], s[need])
+    record("eigenframe_connections", eigen, eigen_res,
+           lambda i: ("hypothesis AV=0 violated" if not av_zero[i] or abs(lam_v[i]) > 1e-6
+                      else f"hypothesis lambda_1 != lambda_2 violated "
+                           f"({lam1[i]:.6f} vs {lam2[i]:.6f})"))
 
     # ---- connection table in the product-frame ordering -----------------
-    a_e2 = pg.shape_apply(e2)
-    principal_defect = float(np.linalg.norm(a_e2 - ambient_inner(a_e2, e2) * e2))
-    if av_norm > 1e-6:
-        items.append(CheckItem("product_frame_connections", None, True, "hypothesis AV=0 violated"))
-    elif principal_defect > 1e-6:
-        items.append(CheckItem("product_frame_connections", None, True,
-                               f"hypothesis J1N+J2N principal violated "
-                               f"(defect {principal_defect:.2e})"))
-    else:
-        lam_a = ambient_inner(a_e2, e2)
-        lam_b = ambient_inner(pg.shape_apply(e3), e3)
-        gframe = [e2, e3, vhat]
-        jacobians = [dE[1], dE[2], dE[0]]
-        nab = {(i, j): nabla(jacobians[j], gframe[i]) for i in range(3) for j in range(3)}
-        rm = math.sqrt((1.0 - pg.C) / (1.0 + pg.C))
-        rp = math.sqrt((1.0 + pg.C) / (1.0 - pg.C))
-        expected = {
-            (0, 0): lam_a * rm * vhat,
-            (0, 1): np.zeros(6),
-            (0, 2): -lam_a * rm * e2,
-            (1, 0): np.zeros(6),
-            (1, 1): -lam_b * rp * vhat,
-            (1, 2): lam_b * rp * e3,
-            (2, 0): np.zeros(6),
-            (2, 1): np.zeros(6),
-            (2, 2): np.zeros(6),
-        }
-        res = max(float(np.max(np.abs(nab[k] - expected[k]))) for k in expected)
-        items.append(CheckItem("product_frame_connections", res, False))
+    lam_a, lam_b = _pairing(sa, X)
+    e2, e3 = X
+    defect = _norm(sa[0] - lam_a[:, None] * e2)
+    nab = _covariant(pg, [dE[:, 1], dE[:, 2], dE[:, 0]], np.stack([e2, e3, vhat]))
+    rm, rp = np.sqrt((1.0 - C) / (1.0 + C))[:, None], np.sqrt((1.0 + C) / (1.0 - C))[:, None]
+    expected = np.zeros(nab.shape)
+    expected[0, 0] = lam_a[:, None] * rm * vhat
+    expected[0, 2] = -lam_a[:, None] * rm * e2
+    expected[1, 1] = -lam_b[:, None] * rp * vhat
+    expected[1, 2] = lam_b[:, None] * rp * e3
+    record("product_frame_connections", av_zero & ~(defect > 1e-6),
+           np.max(np.abs(nab - expected), axis=(0, 1, 3)),
+           lambda i: ("hypothesis AV=0 violated" if not av_zero[i]
+                      else f"hypothesis J1N+J2N principal violated "
+                           f"(defect {float(defect[i]):.2e})"))
 
     # ---- three-curvature eigenframe relations ---------------------------
-    if not three_distinct:
-        reason = "hypothesis of three distinct principal curvatures violated"
-        for n in FRAME_ITEMS[3:]:
-            items.append(CheckItem(n, None, True, reason))
-        return FrameCheckReport(items, min_gap)
+    out = np.zeros((4, len(pg)))
+    lam_grad = np.zeros(len(pg))
+    if three.any():
+        # the rows of three distinct curvatures are rows of ``need``
+        at = np.flatnonzero(three[need])
+        sub3 = sub if at.size == need.size else sub[at]
+        lam_grad[need[at]] = np.max(np.abs(dlam[at]), axis=(-2, -1))
+        out[:, need[at]] = _three_curvature_table(sub3, dP[at])
+    record("connection_antisymmetry", three, out[0],
+           lambda i: "hypothesis of three distinct principal curvatures violated")
+    for name, values in zip(FRAME_ITEMS[4:], out[1:]):
+        record(name, three & ~(lam_grad > 1e-6), values,
+               lambda i: ("hypothesis of three distinct principal curvatures violated"
+                          if not three[i] else
+                          f"hypothesis of constant principal curvatures violated "
+                          f"(|grad lambda| ~ {float(lam_grad[i]):.2e})"))
 
-    x0 = [pg.principal_ambient[:, c] for c in range(3)]
-    lam = pg.lambdas
-    gam = np.array([[[ambient_inner(nabla(dP[j], x0[i]), x0[k]) for k in range(3)]
-                     for j in range(3)] for i in range(3)])
-    items.append(CheckItem("connection_antisymmetry",
-                           float(np.max(np.abs(gam + gam.transpose(0, 2, 1)))), False))
-    lam_grad = float(np.max(np.abs(dlam)))
-    if lam_grad > 1e-6:
-        # items (3)-(5) consume derivatives of the eigenvalues; only the
-        # antisymmetry item survives without constancy
-        reason = (f"hypothesis of constant principal curvatures violated "
-                  f"(|grad lambda| ~ {lam_grad:.2e})")
-        for n in FRAME_ITEMS[4:]:
-            items.append(CheckItem(n, None, True, reason))
-        return FrameCheckReport(items, min_gap)
 
-    b = np.array([ambient_inner(P6 @ x0[i], pg.N) for i in range(3)])
-    pmat = np.array([[ambient_inner(P6 @ x0[i], x0[j]) for j in range(3)]
-                     for i in range(3)])
-    r3 = 0.0
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                lhs = (lam[k] - lam[j]) * gam[i, j, k] - (lam[k] - lam[i]) * gam[j, i, k]
-                rhs = -0.5 * (b[j] * pmat[i, k] - b[i] * pmat[j, k])
-                r3 = max(r3, abs(lhs - rhs))
-    r4 = 0.0
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            rhs = (b[i] * pmat[i, j] - b[j] * pmat[i, i]) / (-2.0 * (lam[i] - lam[j]))
-            r4 = max(r4, abs(gam[i, i, j] - rhs))
-    r5 = 0.0
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                if len({i, j, k}) != 3:
-                    continue
-                r5 = max(r5, abs((lam[i] - lam[j]) * gam[i, i, j]
-                                 + (lam[k] - lam[j]) * gam[k, k, j]))
-    items.append(CheckItem("codazzi_frame_relation", r3, False))
-    items.append(CheckItem("diagonal_connection_formula", r4, False))
-    items.append(CheckItem("connection_pairing", r5, False))
-    return FrameCheckReport(items, min_gap)
+def _eigen_table(pg: PointGeometry, dP, vhat, dE1, order, lam1, lam2, s) -> np.ndarray:
+    """Residual of the eigenframe connection table at each row: the frame is
+    the two principal directions other than V's, ``order[:, :2]``, and
+    V-hat."""
+    # the principal directions as columns of a C-ordered (6, 3) matrix each,
+    # so that the pairings read them with the strides of the one-point code
+    cols = np.take_along_axis(pg.principal_ambient, order[:, None, :], axis=-1)
+    e1v, e2v = cols[..., 0], cols[..., 1]
+    # every dP[:, j] keeps its layout, which decides how a product with it
+    # sums, and the two fields of the frame are picked from the results
+    nab = _covariant(pg, [dP[:, 0], dP[:, 1], dP[:, 2], dE1], np.stack([e1v, e2v, vhat]))
+    rows = np.arange(len(pg))
+    nab = np.stack([nab[:, order[:, 0], rows], nab[:, order[:, 1], rows], nab[:, 3]], axis=1)
+    pe1, pe2 = _matvec(P6, e1v), _matvec(P6, e2v)
+    p11, p22, p12 = _pairing(pe1, e1v), _pairing(pe2, e2v), _pairing(pe1, e2v)
+    C = pg.C
+    coef = (p12 / (lam1 - lam2)) * (lam1 * lam2 / s - s / 2.0)
+    col = (lambda x: x[:, None])
+    expected = np.stack([
+        [col((p11 * lam1 - C * lam1) / s) * vhat, col(p12 * lam1 / s) * vhat,
+         (col((C - p11) * lam1) * e1v - col(lam1 * p12) * e2v) / col(s)],
+        [col(p12 * lam2 / s) * vhat, col((p22 * lam2 - C * lam2) / s) * vhat,
+         (col((C - p22) * lam2) * e2v - col(lam2 * p12) * e1v) / col(s)],
+        [col(coef) * e2v, col(-coef) * e1v, np.zeros(vhat.shape)],
+    ])
+    return np.max(np.abs(nab - expected), axis=(0, 1, 3))
+
+
+def _three_curvature_table(pg: PointGeometry, dP) -> np.ndarray:
+    """Residuals (4, n) of connection_antisymmetry, codazzi_frame_relation,
+    diagonal_connection_formula and connection_pairing in the eigenframe of
+    three distinct principal curvatures."""
+    x0 = np.moveaxis(pg.principal_ambient, -1, 0)      # the columns: (3, n, 6)
+    nab = _covariant(pg, [dP[:, j] for j in range(3)], x0)
+    gam = _pairing(nab[:, :, None], x0[None, None])    # [i, j, k, row]
+    antisymmetry = np.max(np.abs(gam + gam.swapaxes(1, 2)), axis=(0, 1, 2))
+    px = _matvec(P6, x0)
+    b = _pairing(px, pg.N)                             # [i, row]
+    pmat = _pairing(px[:, None], x0[None])             # [i, j, row]
+    lam = pg.lambdas.T
+    li, lj, lk = lam[:, None, None], lam[None, :, None], lam[None, None, :]
+    rhs = -0.5 * (b[None, :, None] * pmat[:, None, :] - b[:, None, None] * pmat[None, :, :])
+    r3 = np.max(np.abs((lk - lj) * gam - (lk - li) * gam.swapaxes(0, 1) - rhs), axis=(0, 1, 2))
+    i, j = _PAIRS
+    r4 = np.max(np.abs(gam[i, i, j] - (b[i] * pmat[i, j] - b[j] * pmat[i, i])
+                       / (-2.0 * (lam[i] - lam[j]))), axis=0)
+    i, j, k = _TRIPLES
+    r5 = np.max(np.abs((lam[i] - lam[j]) * gam[i, i, j] + (lam[k] - lam[j]) * gam[k, k, j]),
+                axis=0)
+    return np.stack([antisymmetry, r3, r4, r5])

@@ -252,7 +252,11 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
     # the peak memory of the two does not add up
     results = _orbit_checks(cfg, surface)
 
-    pgs = sc.point_geometry(surface, pts)
+    # the structural equations and the frame identities read third
+    # derivatives, on the first n_fd points only, and second order serves
+    # every other check; when n_fd is every point, one order-3 pass serves
+    # all checks, so that no point is evaluated twice
+    pgs = sc.point_geometry(surface, pts, order=3 if n_fd == len(pts) else 2)
 
     # ---- chart validity --------------------------------------------------
     # deviation of both factors from their hyperboloid constraints
@@ -295,7 +299,8 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
         notes="2(H12+H13+H23) = rho + 2 via the principal frame"))
 
     # ---- structural equations (exact third-order derivatives) -------------
-    structural = sc.structural_residuals(pgs[:n_fd])
+    pg3 = pgs if pgs.d3 is not None else sc.point_geometry(surface, pts[:n_fd], order=3)
+    structural = sc.structural_residuals(pg3)
     for name, field_name in (("grad_C_identity", "grad_C"),
                              ("V_derivative_identity", "V_derivative"),
                              ("gauss_equation", "gauss"),
@@ -330,7 +335,7 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
 
         dev = 0.0
         for l in (0.25, -0.4):
-            pgls = sc.point_geometry(pf.parallel_surface(surface, l), pts[:n_frame])
+            pgls = sc.point_geometry(pf.parallel_surface(surface, l), pts[:n_frame], order=2)
             dev = max(dev, np.max(np.abs(pgls.lambdas - pf.parallel_lambdas(af[:n_frame], l))),
                       np.max(np.abs(pgls.H - pf.mean_curvature_of_parallel(af[:n_frame], l))))
         results.append(_judged(
@@ -380,7 +385,7 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
         results.append(_skipped("frame_identities", cfg.tol("frame_identities"),
                                 "skipped: degenerate product angle (C^2 = 1)"))
     else:
-        reps = [pf.frame_identity_checks(pg) for pg in pgs[:n_frame]]
+        reps = pf.frame_identity_checks(pg3[:n_frame])
         skipped_items = sorted({it.name for rep in reps for it in rep.items if it.skipped})
         gaps = [rep.min_gap for rep in reps if rep.min_gap is not None]
         notes = [f"hypothesis-guarded skips: {', '.join(skipped_items)}"] if skipped_items else []
@@ -781,7 +786,7 @@ def curvature_catalog_rows() -> list[dict]:
     rows = []
     for spec in mz.CATALOG:
         surface, oracle = mz.build_model(spec)
-        pg = sc.point_geometry(surface, _center(surface))
+        pg = sc.point_geometry(surface, _center(surface), order=2)
         rows.append({
             "model": surface.name,
             "C": pg.C,
@@ -795,7 +800,7 @@ def detq_table_rows() -> list[dict]:
     rows = []
     for spec in TABLE_MODELS:
         surface, _ = mz.build_model(spec)
-        pg = sc.point_geometry(surface, _center(surface))
+        pg = sc.point_geometry(surface, _center(surface), order=2)
         af = pf.adapted_frame(pg)
         closed = pf.detq_derivatives_at_0(af, pg.rho)
         numeric = pf.detq_derivatives_numeric(af)

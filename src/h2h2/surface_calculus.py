@@ -26,7 +26,9 @@ shape operator, derivatives of C and V) are exact too.  ``point_derivatives``
 gives the chart derivatives of N, g, b, A, C and V at a point, with dN taken
 from the Jacobian of the closed-form normal that the same jet pass carries,
 and ``structural_residuals`` checks grad C = -2AV, nabla V = CA - TA, Gauss
-and Codazzi from them.
+and Codazzi from them.  Only these derivatives read the chart's third
+derivatives, so ``chart_jet`` and ``point_geometry`` take a jet order: order
+2 leaves out ``d3`` and gives every other field bit for bit.
 
 The second fundamental form is computed from the ambient identity
 b_ij = <d_i d_j Phi, N>: N is orthogonal to the position directions (p,0) and
@@ -40,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -99,38 +101,43 @@ class Hypersurface:
 class ChartJet:
     """Value and first three derivatives of a chart, with the value and
     Jacobian of its closed-form normal, at one parameter point (the shapes
-    below) or at a batch of n points (one more leading axis on each)."""
+    below) or at a batch of n points (one more leading axis on each).  An
+    order-2 jet has ``d3`` None."""
 
     u: np.ndarray     # (3,)
     val: np.ndarray   # (6,)
     jac: np.ndarray   # (6,3)
     hess: np.ndarray  # (6,3,3)
-    d3: np.ndarray    # (6,3,3,3)
+    d3: Optional[np.ndarray]    # (6,3,3,3)
     n: np.ndarray     # (6,) raw normal, not normalized
     dn: np.ndarray    # (6,3)
 
 
-def chart_jet(M: Hypersurface, u) -> ChartJet:
+def chart_jet(M: Hypersurface, u, order: int = 3) -> ChartJet:
     """One jet pass over the 12 components of the chart and its normal.
 
     u of shape (3,) is one point; u of shape (n, 3) is n points, evaluated by
-    one chart call on jets of batch shape (n,).  A division by zero, an
-    invalid operation or an overflow in the arithmetic raises
-    FloatingPointError rather than leaving inf or NaN in a row.
+    one chart call on jets of batch shape (n,).  ``order`` 2 carries no third
+    derivatives (``d3`` is None) and leaves the other fields bit for bit as
+    order 3 gives them.  A division by zero, an invalid operation or an
+    overflow in the arithmetic raises FloatingPointError rather than leaving
+    inf or NaN in a row.
     """
     u = np.asarray(u, dtype=float)
     with np.errstate(divide="raise", invalid="raise", over="raise"):
-        p, q, n = M.chart(ad.jet_variables(u))
+        p, q, n = M.chart(ad.jet_variables(u, order))
     batch = u.shape[:-1]
-    val, d, dd, ddd = (np.zeros(batch + (12,) + (3,) * order) for order in range(4))
+    val, d, dd = (np.zeros(batch + (12,) + (3,) * k) for k in range(3))
+    ddd = np.zeros(batch + (12, 3, 3, 3)) if order == 3 else None
     for i, c in enumerate((*p, *q, *n)):
         if isinstance(c, ad.Jet):
-            val[..., i], d[..., i, :], dd[..., i, :, :], ddd[..., i, :, :, :] = (
-                c.val, c.d, c.dd, c.ddd)
+            val[..., i], d[..., i, :], dd[..., i, :, :] = c.val, c.d, c.dd
+            if ddd is not None:
+                ddd[..., i, :, :, :] = c.ddd
         else:
             val[..., i] = c
-    return ChartJet(u, val[..., :6], d[..., :6, :], dd[..., :6, :, :], ddd[..., :6, :, :, :],
-                    val[..., 6:], d[..., 6:, :])
+    return ChartJet(u, val[..., :6], d[..., :6, :], dd[..., :6, :, :],
+                    None if ddd is None else ddd[..., :6, :, :, :], val[..., 6:], d[..., 6:, :])
 
 
 def _normal_from_constraints(jet) -> np.ndarray:
@@ -193,7 +200,7 @@ class PointGeometry:
     ----------
     u : chart coordinates (3,)
     val, jac, hess, d3 : ambient position (6,) and the chart's first three
-        derivatives (6,3), (6,3,3), (6,3,3,3)
+        derivatives (6,3), (6,3,3), (6,3,3,3); d3 is None in an order-2 bundle
     n, dn : the chart's raw closed-form normal (6,) and its Jacobian (6,3)
     g : induced metric (3,3); sigma_min : square root of its smallest eigenvalue
     N, V : ambient unit normal and tangential part of PN (6,)
@@ -210,7 +217,7 @@ class PointGeometry:
     val: np.ndarray
     jac: np.ndarray
     hess: np.ndarray
-    d3: np.ndarray
+    d3: Optional[np.ndarray]
     n: np.ndarray
     dn: np.ndarray
     g: np.ndarray
@@ -242,7 +249,8 @@ class PointGeometry:
     def __getitem__(self, index) -> "PointGeometry":
         if not self.batch_shape:
             raise TypeError("a one-point PointGeometry cannot be indexed")
-        fields = {f.name: getattr(self, f.name)[index] for f in dataclasses.fields(self)}
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        fields = {name: x if x is None else x[index] for name, x in fields.items()}
         if fields["u"].ndim == 1:
             fields.update((name, float(fields[name])) for name in _SCALAR_FIELDS)
         return PointGeometry(**fields)
@@ -329,7 +337,7 @@ def _geometry(jet: ChartJet) -> PointGeometry:
                          **scalars)
 
 
-def point_geometry(M: Hypersurface, u) -> PointGeometry:
+def point_geometry(M: Hypersurface, u, order: int = 3) -> PointGeometry:
     """Full per-point geometry bundle of a hypersurface chart.
 
     One chart jet gives everything; the unit normal is the chart's normal
@@ -338,17 +346,19 @@ def point_geometry(M: Hypersurface, u) -> PointGeometry:
     n points with a leading batch axis, from one batched chart pass and
     stacked linear algebra, each row equal bit for bit to its single-point
     call.  If any point fails, the batch raises what the single-point calls
-    raise for the first failing point in sample order.
+    raise for the first failing point in sample order.  An ``order`` 2
+    bundle has no ``d3``, so it cannot give ``point_derivatives``; every
+    other field is bit for bit that of order 3.
     """
     u = np.asarray(u, dtype=float)
     try:
-        return _geometry(chart_jet(M, u))
+        return _geometry(chart_jet(M, u, order))
     except (ArithmeticError, ValueError):
         if u.ndim == 1:
             raise
         # some point fails: the single-point calls, in order, raise its error
         for x in u:
-            point_geometry(M, x)
+            point_geometry(M, x, order)
         raise
 
 
@@ -374,7 +384,11 @@ def point_derivatives(pg: PointGeometry) -> PointDerivatives:
     chart jet already carries, so no chart is evaluated here.  It does not
     come from A, so grad C = -2AV and the Codazzi equation do not hold by
     construction.  A batch ``pg`` gives every field a leading batch axis.
+    It needs the third chart derivatives of an order-3 bundle.
     """
+    if pg.d3 is None:
+        raise ValueError("point_derivatives needs third chart derivatives, and this "
+                         "bundle was built at order 2; build it with order=3")
     length = np.sqrt(_pairing(pg.n, pg.n))[..., None, None]
     dN = (pg.dn - pg.N[..., :, None] * (pg.N[..., None, :] @ ETA6 @ pg.dn)) / length
     half = np.einsum("...aki,...aj->...kij", pg.hess, ETA6 @ pg.jac)

@@ -218,3 +218,49 @@ def test_batch_division_by_zero_raises():
     with np.errstate(divide="raise", invalid="raise", over="raise"):
         with pytest.raises(FloatingPointError):
             1.0 / x
+
+
+class TestJetOrder:
+    """Order-2 jets carry no third derivatives and leave the other orders as
+    order 3 gives them."""
+
+    def test_number_minus_jet_third_derivative(self):
+        # d³(c - x³)/dx³ = -6 and d³(c - x y z)/dx dy dz = -1, with every
+        # other third derivative of c - x y z zero
+        x, y, z = ad.jet_variables([0.7, -0.4, 1.3])
+        cube = 2.5 - x ** 3
+        assert cube.ddd[0, 0, 0] == -6.0
+        assert np.count_nonzero(cube.ddd) == 1
+        triple = 2.5 - x * y * z
+        want = np.zeros((3, 3, 3))
+        for perm in itertools.permutations(range(3)):
+            want[perm] = -1.0
+        assert np.array_equal(triple.ddd, want)
+        assert np.array_equal((2.5 - f_test(x, y, z)).ddd, -f_test(x, y, z).ddd)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(finite, finite, finite), min_size=1, max_size=4))
+    def test_order_two_equals_order_three_below_third(self, rows):
+        U = np.array(rows)
+        for u in (U, U[0]):
+            full = ad.jet_variables(u)
+            low = ad.jet_variables(u, order=2)
+            assert all(x.ddd is None for x in low)
+            for fn in [*BATCHED.values(), lambda x: 1.5 - x, lambda x: -x / 2.0,
+                       lambda x: 3.0 * x - x * 0.5]:
+                for f3, f2 in ((fn(full[0] * full[1] - full[2]), fn(low[0] * low[1] - low[2])),
+                               (f_test(*full), f_test(*low))):
+                    assert f2.ddd is None
+                    for order in ("val", "d", "dd"):
+                        assert np.array_equal(getattr(f2, order), getattr(f3, order))
+
+    def test_mixed_orders_truncate(self):
+        x3 = ad.jet_variables([0.3, 0.2, 0.1])[0]
+        x2 = ad.jet_variables([0.3, 0.2, 0.1], order=2)[0]
+        for mixed in (x3 + x2, x3 - x2, x3 * x2, x2 * x3, x3 / (x2 + 1.0)):
+            assert mixed.ddd is None
+
+    def test_unknown_order_is_refused(self):
+        for order in (1, 4):
+            with pytest.raises(ValueError, match="order"):
+                ad.jet_variables([0.0, 0.0, 0.0], order=order)

@@ -312,6 +312,31 @@ class TestClosedFormSpectrum:
             with pytest.raises(ArithmeticError, match="not finite"):
                 pf._real_spectrum(matrices)
 
+    @pytest.mark.parametrize("scale", [7e200, 1e154, 1e20])
+    def test_guard_at_large_scales(self, scale):
+        # the guard judges S scaled by its largest |entry|, so no square of an
+        # entry overflows, and the relative bar 1e-12 ||S||_F (2.65e-12 scale
+        # on s[0, 1] here) holds at every scale
+        assert np.array_equal(pf._real_spectrum(-scale * np.eye(3)), [-scale] * 3)
+        s = scale * np.diag([1.0, 2.0, 3.0])
+        assert np.allclose(pf._real_spectrum(s), [scale, 2 * scale, 3 * scale], rtol=1e-15, atol=0)
+        s[0, 1] = 2.6e-12 * scale
+        assert np.allclose(pf._real_spectrum(s), [scale, 2 * scale, 3 * scale], rtol=1e-15, atol=0)
+        s[0, 1] = 2.7e-12 * scale
+        with pytest.raises(ArithmeticError, match="not self-adjoint"):
+            pf._real_spectrum(s)
+        rotation = scale * np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        with pytest.raises(ArithmeticError, match="not self-adjoint"):
+            pf._real_spectrum(rotation)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-300, 5e-324])
+    def test_guard_at_small_scales(self, scale):
+        # below the absolute bar 2e-8 every asymmetry passes, as it does
+        # unscaled, and (2e-8 / |S|)² overflowing to inf raises nothing
+        assert np.array_equal(pf._real_spectrum(-scale * np.eye(3)), [-scale] * 3)
+        rotation = scale * np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        assert np.array_equal(pf._real_spectrum(rotation), [0.0, 0.0, 2.0 * scale])
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(rotated_spectra(), min_size=1, max_size=6))
     def test_batch_rows_are_the_one_matrix_calls(self, matrices):
@@ -880,6 +905,21 @@ class TestFocalRoots:
         assert len(rep.focal_roots) == len(rep.excluded)
         for node, root in zip(rep.excluded, rep.focal_roots):
             assert abs(node - root) < step
+
+    def test_roots_are_bisected_on_first_read(self, m_tau_m2, monkeypatch):
+        # the scan records the sign changes; only reading focal_roots bisects
+        # them, once, under the flow's error state
+        surface, _ = m_tau_m2
+        calls = []
+        bisect = pf.find_focal_radius
+        monkeypatch.setattr(pf, "find_focal_radius",
+                            lambda *args: calls.append(np.geterr()["over"]) or bisect(*args))
+        rep = pf.isoparametric_scan(surface, domain_samples(surface, 8),
+                                    np.linspace(-2.0, 2.0, 401))
+        assert rep.excluded and calls == []
+        roots = rep.focal_roots
+        assert rep.focal_roots is roots and calls == ["raise"]
+        assert roots == [pytest.approx(mz.mtau_focal_radius(-2.0), abs=1e-9)]
 
     def test_shared_focal_value_is_reported_once(self, m_tau_m2):
         surface, _ = m_tau_m2

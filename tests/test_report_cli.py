@@ -587,6 +587,32 @@ def test_verify_evaluates_the_samples_in_one_chart_call(monkeypatch):
     assert [len(u[0].val) for u in jets] == [20, 3, 3, 8]
 
 
+def test_verify_reads_third_derivatives_on_the_structural_rows_only(monkeypatch):
+    # past n_fd = 50 samples the sample pass is second order, and one
+    # third-order pass takes the first 50 points for the structural
+    # equations and the frame identities; the parallel charts and the scan
+    # are second order, and no focal value is bisected
+    build = mz.build_model
+    calls, bisections = [], []
+
+    def counted(spec):
+        surface, oracle = build(spec)
+        counted_surface, log = counted_chart(surface)
+        calls.append(log)
+        return counted_surface, oracle
+
+    monkeypatch.setattr(mz, "build_model", counted)
+    monkeypatch.setattr(pf, "find_focal_radius", lambda *args: bisections.append(args))
+    results = rp.run_verify_suite(rp.SuiteConfig(model=mz.ModelSpec("M_tau", {"tau": -2.0}),
+                                                 samples=200, l_grid=(-1.0, 1.0, 0.01)))
+    (log,) = calls
+    passes = [(len(u[0].val), 2 if u[0].ddd is None else 3) for u in log]
+    assert passes == [(200, 2), (50, 3), (3, 2), (3, 2), (8, 2)]
+    assert bisections == []
+    (spread,) = [r for r in results if r.name == "isoparametric_spread"]
+    assert "focal l excluded: [0.93]" in spread.notes
+
+
 @pytest.mark.parametrize("spec", [mz.ModelSpec("M_1m1", {"c": 0.3}),
                                   mz.ModelSpec("M_1m1", {"c": 0.5}),
                                   mz.ModelSpec("M_11", {"c": 0.6})])

@@ -586,3 +586,89 @@ class TestBatchedJets:
             sc.point_geometry(surface, U[1])
         with pytest.raises(ZeroDivisionError):
             sc.point_geometry(surface, U)
+
+
+ORDER_SURFACES = CATALOG_NAMES + ["M_kk tanh/one", "M_tau(-1.0001)", "level_set"]
+
+
+class TestJetOrder:
+    """An order-2 pass leaves out the chart's third derivatives and nothing else."""
+
+    @pytest.mark.parametrize("batch_surface", ORDER_SURFACES, indirect=True)
+    def test_order_two_equals_order_three_bitwise(self, batch_surface):
+        U = domain_samples(batch_surface, 12, seed=5)
+        for u in (U, U[3]):
+            full, low = sc.chart_jet(batch_surface, u), sc.chart_jet(batch_surface, u, order=2)
+            assert low.d3 is None and full.d3.shape == full.hess.shape + (3,)
+            for f in dataclasses.fields(sc.ChartJet):
+                if f.name != "d3":
+                    assert np.array_equal(getattr(low, f.name), getattr(full, f.name)), f.name
+            full, low = sc.point_geometry(batch_surface, u), sc.point_geometry(batch_surface, u, 2)
+            assert low.d3 is None
+            for f in dataclasses.fields(sc.PointGeometry):
+                if f.name != "d3":
+                    got, want = getattr(low, f.name), getattr(full, f.name)
+                    assert type(got) is type(want), f.name
+                    assert np.array_equal(got, want), f.name
+        # indexing an order-2 batch passes the missing third order through
+        assert sc.point_geometry(batch_surface, U, order=2)[2:5].d3 is None
+
+    def test_point_derivatives_refuses_an_order_two_bundle(self, m_tau_m2):
+        surface, _ = m_tau_m2
+        U = domain_samples(surface, 4)
+        for pg in (sc.point_geometry(surface, U, order=2), sc.point_geometry(surface, U[0], 2)):
+            with pytest.raises(ValueError, match="order 2"):
+                sc.point_derivatives(pg)
+            with pytest.raises(ValueError, match="order 2"):
+                sc.structural_residuals(pg)
+
+
+FRAME_SURFACES = CATALOG_NAMES + ["M_kk tanh/one", "M_tau(-1.0001)", "level_set", "graph"]
+
+
+def frame_report_key(rep):
+    """Everything a frame-identity report holds, with floats as their bits."""
+    return ([(it.name, None if it.residual is None else float(it.residual).hex(), it.skipped,
+              it.reason) for it in rep.items],
+            None if rep.min_gap is None else float(rep.min_gap).hex())
+
+
+def stacked(rows):
+    """One batch bundle of one-point bundles, which may come from several charts."""
+    return sc.PointGeometry(**{f.name: np.stack([getattr(pg, f.name) for pg in rows])
+                               for f in dataclasses.fields(sc.PointGeometry)})
+
+
+class TestBatchedFrameIdentities:
+    @pytest.mark.parametrize("batch_surface", FRAME_SURFACES, indirect=True)
+    def test_rows_equal_single_points_bitwise(self, batch_surface):
+        U = domain_samples(batch_surface, 16, seed=6)
+        reports = pf.frame_identity_checks(sc.point_geometry(batch_surface, U))
+        assert type(reports) is list and len(reports) == len(U)
+        for rep, u in zip(reports, U):
+            one = pf.frame_identity_checks(sc.point_geometry(batch_surface, u))
+            assert isinstance(one, pf.FrameCheckReport)
+            assert frame_report_key(rep) == frame_report_key(one)
+            assert all(type(it.residual) in (float, type(None)) for it in rep.items)
+
+    def test_rows_of_every_branch_in_one_batch(self, level_set, graph_surface, m_gamma_2):
+        # the rows take different hypothesis branches: a degenerate angle
+        # (M_Gamma), equal curvatures (M_1m1 c=1/2), no principal J1N+J2N
+        # (M_tau), all items (M_11), varying curvatures (M_kk tanh) and AV != 0
+        # (the level set and the graph)
+        charts = [m_gamma_2[0], mz.make_M_1m1(0.5)[0], mz.make_M_tau(-2.0)[0],
+                  mz.make_M_11(0.3)[0], mz.make_M_kk(0.5, ad.tanh, 1.0)[0], level_set,
+                  graph_surface]
+        rows = [sc.point_geometry(M, u) for M in charts for u in domain_samples(M, 2, seed=1)]
+        singles = [frame_report_key(pf.frame_identity_checks(pg)) for pg in rows]
+        order = np.random.default_rng(3).permutation(len(rows))
+        batch = pf.frame_identity_checks(stacked([rows[i] for i in order]))
+        assert [frame_report_key(rep) for rep in batch] == [singles[i] for i in order]
+        branches = {tuple((it.skipped, it.reason.split(" (")[0]) for it in rep.items)
+                    for rep in batch}
+        assert len(branches) >= 6
+
+    def test_needs_an_order_three_bundle(self, m_tau_m2):
+        surface, _ = m_tau_m2
+        with pytest.raises(ValueError, match="order 2"):
+            pf.frame_identity_checks(sc.point_geometry(surface, domain_samples(surface, 3), 2))
