@@ -16,6 +16,7 @@ import numpy as np
 from h2h2 import model_zoo as mz
 from h2h2 import parallel_flow as pf
 from h2h2 import report as rp
+from h2h2 import surface_calculus as sc
 
 
 def main():
@@ -30,7 +31,7 @@ def main():
         pts = rp.sobol_points(surface.domain, args.samples, seed=0)
         radius = mz.mtau_focal_radius(tau)
         grid = np.arange(-0.5, radius + 0.4, args.step)
-        rep = pf.isoparametric_scan(surface, pts, grid)
+        rep = pf.isoparametric_scan(sc.point_geometry(surface, pts, order=2), grid)
         print(f"== tau = {tau}  (expected focal radius {radius:.6f})")
         print(f"   mode={rep.mode}  max H spread {rep.max_h_spread:.3e}  "
               f"max lambda spread {rep.max_lambda_spread:.3e}")

@@ -28,7 +28,11 @@ in the last bit on part of their arguments.
 
 Plain floats, and arrays of them, pass through every function here without
 derivatives, so chart code can be written once and evaluated at scalar, array
-or jet arguments.
+or jet arguments.  In the arithmetic of a batch, a float array of the batch
+shape stands wherever a float may, as one constant per row, and each row is
+bit for bit the jet with that row's float (a power's exponent stays a
+number).  ``Jet.__array_ufunc__`` is None, so ``array * jet`` and the other
+reflected operations defer to the jet.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ import numpy as np
 Scalar = Union[int, float, "Jet"]
 
 _NUMBER = (int, float, np.integer, np.floating)
+# a constant operand of the jet arithmetic: a number, or one per batch row
+_CONSTANT = _NUMBER + (np.ndarray,)
 
 
 def _sym3(t: np.ndarray) -> np.ndarray:
@@ -78,6 +84,8 @@ class Jet:
     at order 3, third derivatives (``ddd`` is None at order 2)."""
 
     __slots__ = ("val", "d", "dd", "ddd")
+    # numpy's operators defer to the jet's reflected ones
+    __array_ufunc__ = None
 
     def __init__(self, val, d, dd, ddd=None):
         batched = isinstance(val, np.ndarray) and val.ndim
@@ -96,7 +104,7 @@ class Jet:
         if isinstance(other, Jet):
             return Jet(self.val + other.val, self.d + other.d, self.dd + other.dd,
                        _third(np.add, self.ddd, other.ddd))
-        if isinstance(other, _NUMBER):
+        if isinstance(other, _CONSTANT):
             return Jet(self.val + other, self.d, self.dd, self.ddd)
         return NotImplemented
 
@@ -106,12 +114,12 @@ class Jet:
         if isinstance(other, Jet):
             return Jet(self.val - other.val, self.d - other.d, self.dd - other.dd,
                        _third(np.subtract, self.ddd, other.ddd))
-        if isinstance(other, _NUMBER):
+        if isinstance(other, _CONSTANT):
             return Jet(self.val - other, self.d, self.dd, self.ddd)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, _NUMBER):
+        if isinstance(other, _CONSTANT):
             return Jet(other - self.val, -self.d, -self.dd, _third(np.negative, self.ddd))
         return NotImplemented
 
@@ -127,9 +135,9 @@ class Jet:
                        + _sym3(a.dd[..., None] * b.d[..., None, None, :]
                                + b.dd[..., None] * a.d[..., None, None, :]), a.ddd, b.ddd),
             )
-        if isinstance(other, _NUMBER):
-            return Jet(self.val * other, self.d * other, self.dd * other,
-                       _third(lambda t: t * other, self.ddd))
+        if isinstance(other, _CONSTANT):
+            return Jet(self.val * other, self.d * _rows(other, 1), self.dd * _rows(other, 2),
+                       _third(lambda t: t * _rows(other, 3), self.ddd))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -137,13 +145,13 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._reciprocal()
-        if isinstance(other, _NUMBER):
-            return Jet(self.val / other, self.d / other, self.dd / other,
-                       _third(lambda t: t / other, self.ddd))
+        if isinstance(other, _CONSTANT):
+            return Jet(self.val / other, self.d / _rows(other, 1), self.dd / _rows(other, 2),
+                       _third(lambda t: t / _rows(other, 3), self.ddd))
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, _NUMBER):
+        if isinstance(other, _CONSTANT):
             return self._reciprocal() * other
         return NotImplemented
 

@@ -171,15 +171,27 @@ def frame_orthonormality_residual(af: AdaptedFrame):
 # the parallel hypersurface
 # ---------------------------------------------------------------------------
 
-def parallel_surface(M: Hypersurface, l: float) -> Hypersurface:
+def parallel_surface(M: Hypersurface, l) -> Hypersurface:
     """The parallel hypersurface at distance l as a chart of its own.
 
     Each evaluation calls ``M.chart`` once and flows its point along its
     closed-form normal, so the flowed chart and its normal stay evaluable at
-    jet arguments.
+    jet arguments.  ``l`` is a float, or a float array of one distance per
+    row of the batch the chart is evaluated on: each row is then bit for bit
+    the chart at its row's float distance, which ``row_surface(i)`` gives,
+    and a batch of another shape is refused.
     """
+    row_surface = None
+    if np.ndim(l):
+        l = np.asarray(l, dtype=float)
+
+        def row_surface(i):
+            return parallel_surface(M, float(l[i]))
 
     def chart(u):
+        if row_surface is not None and np.shape(ad.value(u[0])) != l.shape:
+            raise ValueError(f"{l.size} distances, one per row, for a batch of shape "
+                             f"{np.shape(ad.value(u[0]))}")
         p, q, raw = M.chart(u)
         n1 = list(raw[:3])
         n2 = list(raw[3:])
@@ -201,7 +213,8 @@ def parallel_surface(M: Hypersurface, l: float) -> Hypersurface:
               + [chm * n2[i] + cm * shm * q[i] for i in range(3)])
         return pl, ql, nl
 
-    return Hypersurface(chart=chart, domain=M.domain, name=f"{M.name}|parallel(l={l})")
+    return Hypersurface(chart=chart, domain=M.domain, name=f"{M.name}|parallel(l={l})",
+                        row_surface=row_surface)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +622,7 @@ def _merged(roots, tol: float = 1e-9) -> list:
 
 
 @_RAISE
-def isoparametric_scan(M: Hypersurface, sample_points, l_grid) -> ScanReport:
+def isoparametric_scan(pgs: PointGeometry, l_grid) -> ScanReport:
     """Spread of H(l) and of the parallel principal curvatures over base points.
 
     Constant spreads across base points for every l characterize the
@@ -620,13 +633,13 @@ def isoparametric_scan(M: Hypersurface, sample_points, l_grid) -> ScanReport:
     of det Q between grid nodes, are excluded from the spreads and flagged.
     When ``focal_roots`` is read, every base point's sign changes are
     bisected to full precision, and roots that agree within 1e-9 are
-    reported once.  The base points take one batched ``point_geometry``
-    call (second order: the scan reads no third derivative) and one frame
-    batch, evaluated once over the whole grid.  An overflow, a division by
-    zero or an invalid operation raises FloatingPointError, as in the flow.
+    reported once.  ``pgs`` is the bundle of the base points, a batch (n,)
+    of any jet order (the scan reads no third derivative), so the caller's
+    chart pass serves it; its frames form one batch, evaluated once over the
+    whole grid.  An overflow, a division by zero or an invalid operation
+    raises FloatingPointError, as in the flow.
     """
     l_grid = np.asarray(l_grid, dtype=float)
-    pgs = point_geometry(M, np.asarray(sample_points, dtype=float).reshape(-1, 3), order=2)
 
     if np.all(np.abs(pgs.C) > DEGENERATE_C):
         mode = "curve_factor"

@@ -252,11 +252,7 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
     # the peak memory of the two does not add up
     results = _orbit_checks(cfg, surface)
 
-    # the structural equations and the frame identities read third
-    # derivatives, on the first n_fd points only, and second order serves
-    # every other check; when n_fd is every point, one order-3 pass serves
-    # all checks, so that no point is evaluated twice
-    pgs = sc.point_geometry(surface, pts, order=3 if n_fd == len(pts) else 2)
+    pg3, pgs = _sample_bundle(surface, pts, n_fd)
 
     # ---- chart validity --------------------------------------------------
     # deviation of both factors from their hyperboloid constraints
@@ -299,7 +295,6 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
         notes="2(H12+H13+H23) = rho + 2 via the principal frame"))
 
     # ---- structural equations (exact third-order derivatives) -------------
-    pg3 = pgs if pgs.d3 is not None else sc.point_geometry(surface, pts[:n_fd], order=3)
     structural = sc.structural_residuals(pg3)
     for name, field_name in (("grad_C_identity", "grad_C"),
                              ("V_derivative_identity", "V_derivative"),
@@ -333,11 +328,13 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
         results.append(_judged("detq_derivatives_high", hi,
                                cfg.tol("detq_derivatives_high"), n_par, notes="orders 4,6,8"))
 
-        dev = 0.0
-        for l in (0.25, -0.4):
-            pgls = sc.point_geometry(pf.parallel_surface(surface, l), pts[:n_frame], order=2)
-            dev = max(dev, np.max(np.abs(pgls.lambdas - pf.parallel_lambdas(af[:n_frame], l))),
-                      np.max(np.abs(pgls.H - pf.mean_curvature_of_parallel(af[:n_frame], l))))
+        # both distances in one parallel-chart pass: the frame points twice,
+        # at l = 0.25 on the first n_frame rows and at l = -0.4 on the rest
+        rows = np.tile(np.arange(n_frame), 2)
+        ls = np.repeat([0.25, -0.4], n_frame)
+        pgls = sc.point_geometry(pf.parallel_surface(surface, ls), pts[rows], order=2)
+        dev = max(np.max(np.abs(pgls.lambdas - pf.parallel_lambdas(af[rows], ls))),
+                  np.max(np.abs(pgls.H - pf.mean_curvature_of_parallel(af[rows], ls))))
         results.append(_judged(
             "parallel_shape_consistency", dev, cfg.tol("parallel_shape_consistency"),
             n_frame, notes="parallel shape operator vs direct recomputation on the parallel chart"))
@@ -358,7 +355,8 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
                                tol_closed, n_par))
 
     # ---- isoparametric scan ------------------------------------------------
-    scan = pf.isoparametric_scan(surface, pts[:min(8, cfg.samples)], cfg.grid())
+    # the scan's base points are the first 8 rows of the sample bundle
+    scan = pf.isoparametric_scan(pgs[:min(8, cfg.samples)], cfg.grid())
     spread = max(scan.max_h_spread, scan.max_lambda_spread)
     notes = f"mode={scan.mode}"
     if scan.excluded:
@@ -400,6 +398,23 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
     return results
 
 
+def _sample_bundle(surface, pts, n_fd: int) -> tuple:
+    """(pg3, pgs): the first n_fd samples as an order-3 bundle, and all the
+    samples ``pts`` as one bundle, whose first n_fd rows are pg3's.
+
+    The structural equations and the frame identities read third
+    derivatives, on the first n_fd points only, and second order serves
+    every other check.  So one order-3 pass takes those points and one
+    order-2 pass the rest, joined: no point is evaluated twice.  A failing
+    sample raises the error of the first failing row, of the order-3 rows
+    first.
+    """
+    pg3 = sc.point_geometry(surface, pts[:n_fd], order=3)
+    if n_fd == len(pts):
+        return pg3, pg3
+    return pg3, sc.join(pg3, sc.point_geometry(surface, pts[n_fd:], order=2))
+
+
 def _parallel_lambda_closed_dev(spec: mz.ModelSpec, u, af) -> float:
     """Shifted-argument closed form of the parallel principal curvatures vs
     the Q-matrix spectrum of the frames ``af`` at chart points ``u``, at
@@ -430,14 +445,15 @@ def _orbit_checks(cfg: SuiteConfig, surface) -> list[CheckResult]:
         element = group_element_G if kind == "M_1m1" else group_element_B
         axes = [np.linspace(d[0], d[1], 5) for d in surface.domain]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        blocks = [element(c, t, r, s) for t, r, s in grid.tolist()]
+        # the blocks of all grid points, stacked (125, 3, 3)
+        g1, g2 = element(c, *grid.T)
         # the seed point is the diagonal point ((1,0,0), (1,0,0)), so its
         # image is the first column of each block
-        images = np.array([np.concatenate([g1[:, 0], g2[:, 0]]) for g1, g2 in blocks])
+        images = np.concatenate([g1[..., 0], g2[..., 0]], axis=-1)
         dev = np.max(np.abs(images - surface.point(grid)))
         return [_judged("orbit_match", dev, tol_orbit, len(grid),
                         notes="orbit of the horocycle subgroup through the diagonal point"),
-                _judged("lorentz_form_preservation", max(map(lorentz_defect, blocks)),
+                _judged("lorentz_form_preservation", lorentz_defect(np.concatenate([g1, g2])),
                         tol_form, len(grid))]
     return [_skipped("orbit_match", tol_orbit, "skipped: no orbit construction"),
             _skipped("lorentz_form_preservation", tol_form, "skipped: no orbit construction")]
@@ -504,13 +520,34 @@ def render_json(payload) -> str:
     list of flat records with the same keys, such as the rows of a scan or the
     results of a suite, is encoded column by column instead: numbers, bools
     and nulls of a column in one call of the C encoder, strings one by one,
-    and the indented rows are laid out from those cells.  Everything else
-    takes json's layout, written out below.
+    and the indented rows are laid out from those cells.  A ``Records``
+    payload hands over its columns as they are, and is written as json
+    writes its list of records.  Everything else takes json's layout,
+    written out below.
     """
     out = []
     _encode(payload, "\n", out)
     out.append("\n")
     return "".join(out)
+
+
+class Records:
+    """A list of flat records held as its columns: ``columns[key]`` lists the
+    records' values under ``key``, in record order.  ``render_json`` writes
+    it as json writes the list of records, and iterating it yields them as
+    dicts with the keys in ``columns`` order."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def __iter__(self):
+        keys = list(self.columns)
+        return (dict(zip(keys, row)) for row in zip(*self.columns.values()))
 
 
 _RECORD_CELL_TYPES = frozenset((str, int, float, bool, type(None)))
@@ -562,8 +599,8 @@ def _encode(o, newline: str, out: list):
     if text is not None:
         out.append(text)
         return
-    if isinstance(o, (list, tuple)):
-        if not o:
+    if isinstance(o, (list, tuple, Records)):
+        if not len(o):
             out.append("[]")
             return
         inner = newline + "  "
@@ -597,20 +634,16 @@ def _record_rows(records, inner: str) -> Optional[str]:
 
     Records are flat when they are dicts with the same string keys, at least
     one, and every value is exactly a str, int, float, bool or None; other
-    lists take the general path.
+    lists take the general path.  A list of dicts is taken apart into its
+    columns, and a ``Records`` gives its own; both then take the same path.
     """
-    first = records[0]
-    if not first or set(map(type, records)) != {dict} or set(map(len, records)) != {len(first)}:
+    columns = records.columns if isinstance(records, Records) else _record_columns(records)
+    if not columns or any(type(k) is not str for k in columns):
         return None
-    if any(type(k) is not str for k in first):
-        return None
-    keys = sorted(first)
+    keys = sorted(columns)
     cells = []
     for key in keys:
-        try:
-            column = [r[key] for r in records]
-        except KeyError:      # same size, other keys
-            return None
+        column = columns[key]
         types = set(map(type, column))
         if not types <= _RECORD_CELL_TYPES:
             return None
@@ -624,6 +657,17 @@ def _record_rows(records, inner: str) -> Optional[str]:
     parts += ["," + item + encode_basestring_ascii(k) + ": " for k in keys[1:]]
     template = "%s".join(p.replace("%", "%%") for p in parts + [inner + "}"])
     return ("," + inner).join([template % row for row in zip(*cells)])
+
+
+def _record_columns(records) -> Optional[dict]:
+    """The columns of a list of dicts with the same keys, or None."""
+    first = records[0]
+    if set(map(type, records)) != {dict} or set(map(len, records)) != {len(first)}:
+        return None
+    try:
+        return {key: [r[key] for r in records] for key in first}
+    except KeyError:      # same size, other keys
+        return None
 
 
 def csv_text(header, rows) -> str:
@@ -692,16 +736,17 @@ def write_atomic(path: str, text: str):
 PARALLEL_COLUMNS = ("l", "H_mean", "H_spread", "lambda_spread", "min_abs_detQ", "focal")
 
 
-def parallel_rows(cfg: SuiteConfig) -> list[dict]:
-    """One record per l-grid node, keyed by ``PARALLEL_COLUMNS``; a focal
-    node has None for H_mean and the two spreads."""
+def parallel_rows(cfg: SuiteConfig) -> Records:
+    """The scan's columns, one record per l-grid node, keyed by
+    ``PARALLEL_COLUMNS``; a focal node has None for H_mean and the two
+    spreads."""
     cfg.validate()
     surface, _ = mz.build_model(cfg.model)
     pts = sobol_points(surface.domain, min(8, cfg.samples), cfg.seed)
-    scan = pf.isoparametric_scan(surface, pts, cfg.grid())
+    scan = pf.isoparametric_scan(sc.point_geometry(surface, pts, order=2), cfg.grid())
     columns = (scan.l.tolist(), _nulled(scan.h_mean), _nulled(scan.h_spread),
                _nulled(scan.lambda_spread), scan.min_abs_detq.tolist(), scan.focal.tolist())
-    return [dict(zip(PARALLEL_COLUMNS, row)) for row in zip(*columns)]
+    return Records(dict(zip(PARALLEL_COLUMNS, columns)))
 
 
 def _nulled(column: np.ndarray) -> list:
@@ -712,14 +757,15 @@ def _nulled(column: np.ndarray) -> list:
     return out
 
 
-def render_parallel_csv(rows: list[dict]) -> str:
+def render_parallel_csv(rows: Records) -> str:
     """``parallel`` rows as CSV: floats by repr, None empty, bools lower case."""
     def cell(v):
         if v is None:
             return ""
         return str(v).lower() if isinstance(v, bool) else repr(v)
 
-    return csv_text(PARALLEL_COLUMNS, ([cell(r[k]) for k in PARALLEL_COLUMNS] for r in rows))
+    return csv_text(PARALLEL_COLUMNS,
+                    zip(*([cell(v) for v in rows.columns[k]] for k in PARALLEL_COLUMNS)))
 
 
 # ---------------------------------------------------------------------------

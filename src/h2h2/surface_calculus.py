@@ -18,7 +18,8 @@ methods broadcast over it, so one point is the batch shape () of the same
 code.  Each row equals the single-point call bit for bit, because every
 per-vector operation keeps its one-point shape: matrix-vector products as
 (..., m, k) @ (..., k, 1), pairings through ``_pairing`` and ``solve`` with
-(..., 3, 1) right-hand sides.
+(..., 3, 1) right-hand sides.  ``join`` lays batches end to end, so rows
+evaluated by separate passes (at separate jet orders) form one bundle.
 
 Second derivatives of the chart are enough for Christoffel symbols; the
 third-order quantities (intrinsic curvature, covariant derivatives of the
@@ -74,12 +75,16 @@ class Hypersurface:
     ``(p, q, n)``: the two hyperboloid factors as 3-sequences and the 6
     ambient components of a normal field, all of the same scalar type.  n
     need not be unit length; it fixes the orientation used everywhere
-    downstream.
+    downstream.  A chart whose constants differ by batch row (a parallel
+    chart at one distance per row) gives ``row_surface(i)``, the
+    hypersurface that row i evaluates; it is None when every row evaluates
+    this one.
     """
 
     chart: Callable
     domain: tuple
     name: str = ""
+    row_surface: Optional[Callable[[int], "Hypersurface"]] = None
 
     def point(self, u) -> np.ndarray:
         """The chart point (6,) of u (3,), or the points (n, 6) of a batch u
@@ -92,9 +97,6 @@ class Hypersurface:
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             p, q, _ = self.chart(list(u.T))
         return np.stack(np.broadcast_arrays(*(ad.value(x) for x in (*p, *q))), axis=-1)
-
-    def jet(self, u) -> "ChartJet":
-        return chart_jet(self, u)
 
 
 @dataclass(frozen=True)
@@ -346,7 +348,8 @@ def point_geometry(M: Hypersurface, u, order: int = 3) -> PointGeometry:
     n points with a leading batch axis, from one batched chart pass and
     stacked linear algebra, each row equal bit for bit to its single-point
     call.  If any point fails, the batch raises what the single-point calls
-    raise for the first failing point in sample order.  An ``order`` 2
+    (on ``M.row_surface(i)`` where M has one) raise for the first failing
+    point in sample order.  An ``order`` 2
     bundle has no ``d3``, so it cannot give ``point_derivatives``; every
     other field is bit for bit that of order 3.
     """
@@ -357,9 +360,21 @@ def point_geometry(M: Hypersurface, u, order: int = 3) -> PointGeometry:
         if u.ndim == 1:
             raise
         # some point fails: the single-point calls, in order, raise its error
-        for x in u:
-            point_geometry(M, x, order)
+        for i, x in enumerate(u):
+            point_geometry(M if M.row_surface is None else M.row_surface(i), x, order)
         raise
+
+
+def join(*bundles: PointGeometry) -> PointGeometry:
+    """The batches ``bundles`` as one batch, their rows in order along the
+    batch axis: each row is bit for bit the row it was.  ``d3`` is kept only
+    when every bundle carries it, so joining an order-3 and an order-2
+    bundle gives an order-2 one."""
+    fields = {}
+    for f in dataclasses.fields(PointGeometry):
+        parts = [getattr(pg, f.name) for pg in bundles]
+        fields[f.name] = None if any(x is None for x in parts) else np.concatenate(parts)
+    return PointGeometry(**fields)
 
 
 class PointDerivatives(NamedTuple):

@@ -3,6 +3,7 @@ import pytest
 
 from h2h2 import autodiff as ad
 from h2h2 import model_zoo as mz
+from h2h2 import parallel_flow as pf
 from h2h2 import surface_calculus as sc
 from h2h2.product_space import ambient_inner as inner
 from h2h2.report import sobol_points
@@ -10,6 +11,11 @@ from h2h2.report import sobol_points
 
 def domain_samples(surface, n, seed=0):
     return sobol_points(surface.domain, n, seed)
+
+
+def scan_of(surface, points, l_grid):
+    """The isoparametric scan of the surface's base points ``points``."""
+    return pf.isoparametric_scan(sc.point_geometry(surface, points, order=2), l_grid)
 
 
 def counted_chart(surface):

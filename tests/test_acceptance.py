@@ -17,7 +17,7 @@ from h2h2 import product_space as ps
 from h2h2 import report as rp
 from h2h2 import surface_calculus as sc
 
-from conftest import sectional
+from conftest import scan_of, sectional
 
 SEED = 20250810
 
@@ -173,10 +173,10 @@ def test_criterion_07_isoparametric_discrimination():
                 build("M_tau", {"tau": -3.0}),
                 build("M_tau", {"tau": -2.0})]
     for surface, _ in families:
-        rep = pf.isoparametric_scan(surface, sample(surface, 6), grid)
+        rep = scan_of(surface, sample(surface, 6), grid)
         worst = max(worst, rep.max_h_spread, rep.max_lambda_spread)
     generic, _ = mz.make_M_kk(0.5, ad.tanh, 1.0)
-    rep = pf.isoparametric_scan(generic, sample(generic, 6), grid)
+    rep = scan_of(generic, sample(generic, 6), grid)
     generic_spread = max(rep.max_h_spread, rep.max_lambda_spread)
     ok = worst < 1e-8 and generic_spread > 1e-3
     emit(7, ok, f"isoparametric families spread {worst:.2e} (tol 1e-8); "

@@ -209,6 +209,40 @@ def test_batch_rows_equal_scalar_jets(rows):
                 assert np.array_equal(getattr(batch, order)[i], getattr(single, order)), name
 
 
+PER_ROW = {
+    "jet * c": lambda j, c: j * c,
+    "c * jet": lambda j, c: c * j,
+    "jet + c": lambda j, c: j + c,
+    "c + jet": lambda j, c: c + j,
+    "jet - c": lambda j, c: j - c,
+    "c - jet": lambda j, c: c - j,
+    "jet / c": lambda j, c: j / c,
+    "c / jet": lambda j, c: c / (j * j + 1.0),
+    "tanh(jet * c)": lambda j, c: ad.tanh(j * c),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(finite, finite, finite, finite), min_size=1, max_size=6))
+def test_per_row_constants_equal_float_constants(rows):
+    # a float array of the batch shape is one constant per row: each row is
+    # bit for bit the one-point jet with that row's float, at both orders,
+    # and numpy's operators defer to the jet
+    U, c = np.array(rows)[:, :3], np.array(rows)[:, 3] + 3.5
+    for order in (2, 3):
+        bx, by, bz = ad.jet_variables(U, order)
+        for name, op in PER_ROW.items():
+            batch = op(f_test(bx, by, bz), c)
+            assert isinstance(batch, ad.Jet) and batch.val.shape == (len(U),), name
+            for i, u in enumerate(U):
+                single = op(f_test(*ad.jet_variables(u, order)), float(c[i]))
+                assert type(single.val) is float
+                for part in ("val", "d", "dd", "ddd"):
+                    got, want = getattr(batch, part), getattr(single, part)
+                    assert (got is None) == (want is None) == (part == "ddd" and order == 2)
+                    assert got is None or np.array_equal(got[i], want), (name, part)
+
+
 def test_batch_division_by_zero_raises():
     # a one-point jet raises ZeroDivisionError; a batch raises under the
     # error state the chart pass runs in instead of leaving inf in a row

@@ -15,7 +15,7 @@ from h2h2 import product_space as ps
 from h2h2 import report as rp
 from h2h2 import surface_calculus as sc
 
-from conftest import counted_chart, domain_samples
+from conftest import counted_chart, domain_samples, scan_of
 
 sym_entries = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -351,7 +351,7 @@ class TestClosedFormSpectrum:
         # a double eigenvalue of S(l) at every l
         surface, _ = mz.build_model(mz.ModelSpec("M_1m1", {"c": 0.5}))
         grid = np.arange(-2.0, 2.0 + 1e-9, 0.002)
-        scan = pf.isoparametric_scan(surface, rp.sobol_points(surface.domain, 8, 0), grid)
+        scan = scan_of(surface, rp.sobol_points(surface.domain, 8, 0), grid)
         assert not scan.focal.any()
         assert np.max(scan.lambda_spread / np.maximum(1.0, np.abs(scan.h_mean))) <= 1e-13
 
@@ -681,6 +681,66 @@ class TestParallelPoints:
         assert len(calls) == 2
 
 
+PER_ROW_MODELS = [mz.ModelSpec("M_tau", {"tau": -2.0}), mz.ModelSpec("M_tau", {"tau": -1.0001}),
+                  mz.ModelSpec("M_1m1", {"c": 0.5}), mz.ModelSpec("M_11", {"c": 0.25}),
+                  mz.ModelSpec("M_kk", {"c": 0.5, "kappa": "tanh", "kappa_tilde": "one"})]
+
+
+class TestPerRowDistances:
+    """One parallel-chart pass with one distance per row, as verify's
+    parallel_shape_consistency makes it, against the float-distance calls."""
+
+    @pytest.mark.parametrize("spec", PER_ROW_MODELS, ids=str)
+    def test_rows_equal_the_float_distance_calls(self, spec):
+        surface, _ = mz.build_model(spec)
+        U = domain_samples(surface, 3, seed=1)
+        rows, ls = np.tile(np.arange(3), 2), np.repeat([0.25, -0.4], 3)
+        merged = pf.parallel_surface(surface, ls)
+        jets = sc.chart_jet(merged, U[rows])
+        pgls = sc.point_geometry(merged, U[rows], order=2)
+        af = pf.adapted_frame(sc.point_geometry(surface, U, order=2))
+        lams = pf.parallel_lambdas(af[rows], ls)
+        hs = pf.mean_curvature_of_parallel(af[rows], ls)
+        for l, part in ((0.25, slice(0, 3)), (-0.4, slice(3, 6))):
+            batch = sc.point_geometry(pf.parallel_surface(surface, l), U, order=2)
+            for f in dataclasses.fields(sc.PointGeometry):
+                if f.name != "d3":
+                    assert np.array_equal(getattr(pgls[part], f.name), getattr(batch, f.name))
+            assert np.array_equal(lams[part], pf.parallel_lambdas(af, l))
+            assert np.array_equal(hs[part], pf.mean_curvature_of_parallel(af, l))
+        for i, (row, l) in enumerate(zip(rows, ls.tolist())):
+            one = sc.chart_jet(pf.parallel_surface(surface, l), U[row])
+            for name in ("val", "jac", "hess", "d3", "n", "dn"):
+                assert np.array_equal(getattr(jets, name)[i], getattr(one, name)), (i, name)
+            assert np.array_equal(lams[i], pf.parallel_lambdas(af[row], l))
+            assert hs[i] == pf.mean_curvature_of_parallel(af[row], l)
+
+    def test_a_failing_row_raises_its_float_distance_error(self, m_tau_m2):
+        # the parallel chart of M_tau(-2) degenerates at the focal radius:
+        # the batch raises the one-point error of that row, not an error of
+        # a chart evaluated at one point against all the distances
+        surface, _ = m_tau_m2
+        U = domain_samples(surface, 2)
+        l_star = mz.mtau_focal_radius(-2.0)
+        with pytest.raises(sc.ChartRankError) as one:
+            sc.point_geometry(pf.parallel_surface(surface, l_star), U[1], order=2)
+        ls = np.array([0.25, 0.25, -0.4, l_star])
+        merged = pf.parallel_surface(surface, ls)
+        assert merged.row_surface(3).name == pf.parallel_surface(surface, l_star).name
+        with pytest.raises(sc.ChartRankError) as batch:
+            sc.point_geometry(merged, U[[0, 1, 0, 1]], order=2)
+        assert str(batch.value) == str(one.value)
+
+    def test_distances_must_match_the_batch(self, m_tau_m2):
+        surface, _ = m_tau_m2
+        U = domain_samples(surface, 3)
+        merged = pf.parallel_surface(surface, np.array([0.25, -0.4]))
+        for call in (lambda: merged.point(U[0]), lambda: merged.point(U),
+                     lambda: sc.chart_jet(merged, U[:1]), lambda: sc.chart_jet(merged, U[0])):
+            with pytest.raises(ValueError, match="2 distances, one per row"):
+                call()
+
+
 class TestEq35:
     def test_closed_form_parallel_curvatures(self):
         c = 0.4
@@ -822,24 +882,24 @@ class TestIsoparametricScan:
 
     def test_horocycle_product_isoparametric(self, m_1m1_04):
         surface, _ = m_1m1_04
-        rep = pf.isoparametric_scan(surface, domain_samples(surface, 6), self.grid())
+        rep = scan_of(surface, domain_samples(surface, 6), self.grid())
         assert rep.mode == "adapted"
         assert rep.isoparametric_within(1e-8)
 
     def test_tube_isoparametric(self):
         surface, _ = mz.make_M_tau(-3.0)
-        rep = pf.isoparametric_scan(surface, domain_samples(surface, 6), self.grid())
+        rep = scan_of(surface, domain_samples(surface, 6), self.grid())
         assert rep.isoparametric_within(1e-8)
         assert not rep.excluded   # focal radius 1.2465 lies outside the grid
 
     def test_generic_curve_not_isoparametric(self):
         surface, _ = mz.make_M_kk(0.5, ad.tanh, 1.0)
-        rep = pf.isoparametric_scan(surface, domain_samples(surface, 6), self.grid())
+        rep = scan_of(surface, domain_samples(surface, 6), self.grid())
         assert max(rep.max_h_spread, rep.max_lambda_spread) > 1e-3
 
     def test_curve_factor_mode(self, m_gamma_2):
         surface, _ = m_gamma_2
-        rep = pf.isoparametric_scan(surface, domain_samples(surface, 6), self.grid())
+        rep = scan_of(surface, domain_samples(surface, 6), self.grid())
         assert rep.mode == "curve_factor"
         assert rep.isoparametric_within(1e-8)
         # kappa = 2 has a focal value at arctanh(1/2) ~ 0.549; the grid point
@@ -849,8 +909,8 @@ class TestIsoparametricScan:
     def test_focal_exclusion_in_curve_mode(self, m_gamma_2):
         surface, _ = m_gamma_2
         l_pole = math.atanh(0.5)
-        rep = pf.isoparametric_scan(surface, domain_samples(surface, 4),
-                                    np.array([0.0, l_pole, 1.0]))
+        rep = scan_of(surface, domain_samples(surface, 4),
+                      np.array([0.0, l_pole, 1.0]))
         assert rep.excluded == [pytest.approx(l_pole)]
 
 
@@ -900,7 +960,7 @@ class TestFocalRoots:
         surface, _ = mz.build_model(spec)
         step = 0.01
         grid = rp.SuiteConfig(model=spec, l_grid=(-2.0, 2.0, step)).grid()
-        rep = pf.isoparametric_scan(surface, rp.sobol_points(surface.domain, 8, 0), grid)
+        rep = scan_of(surface, rp.sobol_points(surface.domain, 8, 0), grid)
         assert len(rep.excluded) == 8
         assert len(rep.focal_roots) == len(rep.excluded)
         for node, root in zip(rep.excluded, rep.focal_roots):
@@ -914,8 +974,8 @@ class TestFocalRoots:
         bisect = pf.find_focal_radius
         monkeypatch.setattr(pf, "find_focal_radius",
                             lambda *args: calls.append(np.geterr()["over"]) or bisect(*args))
-        rep = pf.isoparametric_scan(surface, domain_samples(surface, 8),
-                                    np.linspace(-2.0, 2.0, 401))
+        rep = scan_of(surface, domain_samples(surface, 8),
+                      np.linspace(-2.0, 2.0, 401))
         assert rep.excluded and calls == []
         roots = rep.focal_roots
         assert rep.focal_roots is roots and calls == ["raise"]
@@ -923,9 +983,27 @@ class TestFocalRoots:
 
     def test_shared_focal_value_is_reported_once(self, m_tau_m2):
         surface, _ = m_tau_m2
-        rep = pf.isoparametric_scan(surface, domain_samples(surface, 8),
-                                    np.linspace(-2.0, 2.0, 401))
+        rep = scan_of(surface, domain_samples(surface, 8),
+                      np.linspace(-2.0, 2.0, 401))
         assert rep.focal_roots == [pytest.approx(mz.mtau_focal_radius(-2.0), abs=1e-9)]
+
+
+class TestScanFromBundle:
+    @pytest.mark.parametrize(
+        "spec", PER_ROW_MODELS + [mz.ModelSpec("M_Gamma", {"kappa_gamma": 2.0})], ids=str)
+    def test_sample_bundle_rows_scan_as_a_fresh_bundle(self, spec):
+        # verify scans the first 8 rows of its sample bundle (third order on
+        # those rows at 200 samples); a fresh order-2 bundle of the same
+        # points gives the same report bit for bit
+        surface, _ = mz.build_model(spec)
+        pts = rp.sobol_points(surface.domain, 200, 0)
+        grid = np.arange(-1.0, 1.0 + 1e-9, 0.01)
+        _, pgs = rp._sample_bundle(surface, pts, 50)
+        got, want = pf.isoparametric_scan(pgs[:8], grid), scan_of(surface, pts[:8], grid)
+        for name in ("l", "h_mean", "h_spread", "lambda_spread", "min_abs_detq", "focal"):
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+        assert (got.excluded, got.mode, got.focal_roots) == (want.excluded, want.mode,
+                                                              want.focal_roots)
 
 
 class TestScanColumns:
@@ -936,7 +1014,7 @@ class TestScanColumns:
         pts = rp.sobol_points(surface.domain, 8, 0)
         grid = rp.SuiteConfig(model=mz.ModelSpec("M_tau", {"tau": -1.5}),
                               l_grid=(-2.0, 2.0, 0.002)).grid()
-        return surface, pts, grid, pf.isoparametric_scan(surface, pts, grid)
+        return surface, pts, grid, scan_of(surface, pts, grid)
 
     def test_columns_and_spreads_equal_the_per_row_code(self):
         _, _, grid, rep = self.scan()
@@ -973,8 +1051,8 @@ class TestScanColumns:
 
     def test_every_node_focal_has_no_spread(self, m_tau_m2):
         surface, _ = m_tau_m2
-        rep = pf.isoparametric_scan(surface, domain_samples(surface, 8),
-                                    np.array([mz.mtau_focal_radius(-2.0)]))
+        rep = scan_of(surface, domain_samples(surface, 8),
+                      np.array([mz.mtau_focal_radius(-2.0)]))
         assert rep.focal.all()
         assert math.isnan(rep.max_h_spread) and math.isnan(rep.max_lambda_spread)
         assert not rep.isoparametric_within(1.0)

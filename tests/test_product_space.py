@@ -113,6 +113,24 @@ class TestIsometries:
         assert ps.lorentz_defect([bad, np.eye(3)]) == 3.0
         assert ps.lorentz_defect([np.eye(3), np.eye(3)]) == 0.0
 
+    @pytest.mark.parametrize("c", [0.25, 0.3, 0.5, 0.77])
+    def test_stacked_blocks_equal_the_one_point_blocks(self, c):
+        # the orbit checks' 125 grid points as one stacked call: each block,
+        # and the defect of the stack, bit for bit the one-point code
+        axes = [np.linspace(-1.0, 1.0, 5), np.linspace(-1.5, 1.5, 5), np.linspace(-2.0, 2.0, 5)]
+        t, r, s = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3).T
+        eta = np.diag([-1.0, 1.0, 1.0])
+        for maker in (ps.group_element_G, ps.group_element_B):
+            g1, g2 = maker(c, t, r, s)
+            assert g1.shape == g2.shape == (125, 3, 3)
+            worst = 0.0
+            for i, args in enumerate(zip(t.tolist(), r.tolist(), s.tolist())):
+                h1, h2 = maker(c, *args)
+                assert np.array_equal(g1[i], h1) and np.array_equal(g2[i], h2)
+                for b in (h1, h2):
+                    worst = max(worst, float(np.max(np.abs(b.T @ eta @ b - eta))))
+            assert ps.lorentz_defect(np.concatenate([g1, g2])) == worst
+
     def test_group_identity_elements(self):
         for maker in (ps.group_element_G, ps.group_element_B):
             g1, g2 = maker(0.37, 0.0, 0.0, 0.0)

@@ -18,7 +18,7 @@ from h2h2 import parallel_flow as pf
 from h2h2 import report as rp
 from h2h2 import surface_calculus as sc
 
-from conftest import counted_chart
+from conftest import counted_chart, scan_of
 
 
 def run_cli(argv):
@@ -287,7 +287,7 @@ class TestParallelCommand:
         cfg = rp.SuiteConfig(model=mz.ModelSpec("M_tau", {"tau": -1.5}),
                              l_grid=(-2.0, 2.0, 0.002))
         surface, _ = mz.build_model(cfg.model)
-        scan = pf.isoparametric_scan(surface, rp.sobol_points(surface.domain, 8, 0), cfg.grid())
+        scan = scan_of(surface, rp.sobol_points(surface.domain, 8, 0), cfg.grid())
         columns = (scan.l, scan.h_mean, scan.h_spread, scan.lambda_spread,
                    scan.min_abs_detq, scan.focal)
         expected = [{"l": l, "H_mean": None if math.isnan(h) else h,
@@ -296,7 +296,7 @@ class TestParallelCommand:
                      "min_abs_detQ": d, "focal": f}
                     for l, h, hs, ls, d, f in zip(*(c.tolist() for c in columns))]
         rows = rp.parallel_rows(cfg)
-        assert rows == expected
+        assert list(rows) == expected
         assert any(r["focal"] for r in rows)
         assert [list(r) for r in rows] == [list(rp.PARALLEL_COLUMNS)] * len(rows)
 
@@ -566,8 +566,9 @@ def test_m_tau_constraint_reads_the_batch(monkeypatch):
 def test_verify_evaluates_the_samples_in_one_chart_call(monkeypatch):
     # orbit_match makes one value-only chart pass on the coordinate arrays of
     # its 125 grid points, then one jet pass takes all samples; the
-    # parallel-shape check makes one per distance over its 3 points and the
-    # scan one over its 8 points.  No point is evaluated at floats:
+    # parallel-shape check makes one over its 3 points at both distances,
+    # and the scan reads its 8 points from the sample bundle.  No point is
+    # evaluated at floats:
     # chart_constraints reads the sample points from the batch.
     build = mz.build_model
     calls = []
@@ -584,14 +585,15 @@ def test_verify_evaluates_the_samples_in_one_chart_call(monkeypatch):
     orbit, *jets = log
     assert all(type(x) is np.ndarray and x.shape == (125,) for x in orbit)
     assert all(isinstance(u[0], ad.Jet) for u in jets)
-    assert [len(u[0].val) for u in jets] == [20, 3, 3, 8]
+    assert [len(u[0].val) for u in jets] == [20, 6]
 
 
 def test_verify_reads_third_derivatives_on_the_structural_rows_only(monkeypatch):
-    # past n_fd = 50 samples the sample pass is second order, and one
-    # third-order pass takes the first 50 points for the structural
-    # equations and the frame identities; the parallel charts and the scan
-    # are second order, and no focal value is bisected
+    # the first n_fd = 50 samples take one third-order pass, for the
+    # structural equations and the frame identities, and the other 150 one
+    # second-order pass; the parallel chart takes both distances in one
+    # second-order pass, the scan reads the sample bundle, and no focal
+    # value is bisected
     build = mz.build_model
     calls, bisections = [], []
 
@@ -607,7 +609,7 @@ def test_verify_reads_third_derivatives_on_the_structural_rows_only(monkeypatch)
                                                  samples=200, l_grid=(-1.0, 1.0, 0.01)))
     (log,) = calls
     passes = [(len(u[0].val), 2 if u[0].ddd is None else 3) for u in log]
-    assert passes == [(200, 2), (50, 3), (3, 2), (3, 2), (8, 2)]
+    assert passes == [(50, 3), (150, 2), (6, 2)]
     assert bisections == []
     (spread,) = [r for r in results if r.name == "isoparametric_spread"]
     assert "focal l excluded: [0.93]" in spread.notes
@@ -639,7 +641,7 @@ def test_lorentz_form_defect_is_a_failed_check(monkeypatch, tmp_path, capsys):
     def perturbed(c, t, r, s):
         g1, g2 = element(c, t, r, s)
         g1 = g1.copy()
-        g1[1, 2] += 1e-9
+        g1[..., 1, 2] += 1e-9
         return g1, g2
 
     monkeypatch.setattr(rp, "group_element_G", perturbed)

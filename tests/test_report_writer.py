@@ -53,7 +53,9 @@ def test_parallel_payloads_at_the_benchmark_grid(spec):
     rows = rp.parallel_rows(cfg)
     if spec.kind == "M_tau":
         assert any(r["H_mean"] is None for r in rows)      # focal rows hold nulls
-    assert_same_text({"config": cfg.as_dict(), "rows": rows})
+    # the column payload is written as json writes its list of records
+    assert rp.render_json({"config": cfg.as_dict(), "rows": rows}) == reference(
+        {"config": cfg.as_dict(), "rows": list(rows)})
 
 
 @pytest.mark.parametrize("value", EDGE_SCALARS, ids=repr)
@@ -69,6 +71,28 @@ def test_edge_scalars(value):
 def test_edge_scalar_columns():
     assert_same_text([{"x": v, "s": str(v)} for v in EDGE_SCALARS])
     assert_same_text({"rows": [{"a": v, "b": -v} for v in EDGE_SCALARS if isinstance(v, float)]})
+
+
+def assert_same_records_text(columns: dict):
+    """render_json of a column payload against json.dumps of its records,
+    alone and inside a dict."""
+    records = rp.Records(columns)
+    rows = list(records)
+    assert len(records) == len(rows) and all(list(r) == list(columns) for r in rows)
+    assert rp.render_json(records) == reference(rows)
+    assert rp.render_json({"rows": records, "n": 1}) == reference({"rows": rows, "n": 1})
+
+
+def test_record_columns():
+    floats = [v for v in EDGE_SCALARS if isinstance(v, float)]
+    assert_same_records_text({"x": EDGE_SCALARS, "s": list(map(str, EDGE_SCALARS))})
+    assert_same_records_text({"b": floats, "a": [-v for v in floats], "%": ["%s"] * len(floats)})
+    assert_same_records_text({key: [1.5, None] for key in STRINGS})
+    # columns that are not flat take json's general layout
+    assert_same_records_text({"x": [[1.0, 2.0], {"y": None}], "z": [0, 1]})
+    assert_same_records_text({2: ["key not a string"], 3.5: [None]})
+    assert_same_records_text({})
+    assert_same_records_text({"x": []})
 
 
 @pytest.mark.parametrize("text", STRINGS, ids=repr)

@@ -10,6 +10,7 @@ from h2h2 import lorentz as lz
 from h2h2 import model_zoo as mz
 from h2h2 import parallel_flow as pf
 from h2h2 import product_space as ps
+from h2h2 import report as rp
 from h2h2 import surface_calculus as sc
 
 from conftest import counted_chart, domain_samples, gauss_operator, sectional
@@ -621,6 +622,52 @@ class TestJetOrder:
                 sc.point_derivatives(pg)
             with pytest.raises(ValueError, match="order 2"):
                 sc.structural_residuals(pg)
+
+
+JOIN_SURFACES = CATALOG_NAMES + ["M_kk tanh/one", "M_tau(-1.0001)"]
+
+
+class TestSampleBundle:
+    """verify's samples: an order-3 pass over the first n_fd points joined
+    to an order-2 pass over the rest."""
+
+    @pytest.mark.parametrize("batch_surface", JOIN_SURFACES, indirect=True)
+    def test_joined_bundle_equals_one_order_two_pass(self, batch_surface):
+        for n in (7, 50, 51, 200):
+            pts = rp.sobol_points(batch_surface.domain, n, 0)
+            pg3, pgs = rp._sample_bundle(batch_surface, pts, min(50, n))
+            whole = sc.point_geometry(batch_surface, pts, order=2)
+            assert len(pg3) == min(50, n) and len(pgs) == n
+            assert pgs.d3 is (pg3.d3 if n <= 50 else None)
+            assert pg3.d3 is not None
+            for f in dataclasses.fields(sc.PointGeometry):
+                if f.name != "d3":
+                    got, want = getattr(pgs, f.name), getattr(whole, f.name)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (n, f.name)
+                    assert np.array_equal(getattr(pg3, f.name), want[:len(pg3)]), (n, f.name)
+
+    def test_join_keeps_the_rows_in_order(self, m_tau_m2):
+        surface, _ = m_tau_m2
+        U = domain_samples(surface, 9, seed=3)
+        parts = [sc.point_geometry(surface, U[a:b], order)
+                 for a, b, order in ((0, 2, 3), (2, 7, 3), (7, 9, 2))]
+        whole = sc.point_geometry(surface, U)
+        assert sc.join(*parts[:2]).d3 is not None and sc.join(*parts).d3 is None
+        assert np.array_equal(sc.join(*parts[:2]).d3, whole.d3[:7])
+        for f in dataclasses.fields(sc.PointGeometry):
+            if f.name != "d3":
+                assert np.array_equal(getattr(sc.join(*parts), f.name), getattr(whole, f.name))
+
+    def test_failing_sample_raises_the_first_failing_row(self, m_gamma_geodesic):
+        # index 2 is rank-deficient and index 3 has a normal that is not
+        # orthogonal (see TestBatchedJets), on either side of the split
+        surface = _shifted_normal(m_gamma_geodesic[0], lambda u: u[0] - 1.0)
+        U = np.array([[1.0, 0.8, 0.5], [1.0, 1.2, 1.0], [1.0, 1e-7, 0.7], [1.5, 0.9, 0.2]])
+        for n_fd in (1, 2, 3, 4):
+            with pytest.raises(sc.ChartRankError, match="sigma_min=1.000e-07"):
+                rp._sample_bundle(surface, U, n_fd)
+            with pytest.raises(sc.NormalSpaceError, match="orthogonal"):
+                rp._sample_bundle(surface, U[[0, 3, 2]], n_fd)
 
 
 FRAME_SURFACES = CATALOG_NAMES + ["M_kk tanh/one", "M_tau(-1.0001)", "level_set", "graph"]
