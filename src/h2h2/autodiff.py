@@ -208,16 +208,6 @@ def sqrt(x: Scalar) -> Scalar:
     return compose_jet(s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v), x)
 
 
-def exp(x: Scalar) -> Scalar:
-    e = elementwise(math.exp, value(x))
-    return compose_jet(e, e, e, e, x)
-
-
-def log(x: Scalar) -> Scalar:
-    v = value(x)
-    return compose_jet(elementwise(math.log, v), 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v), x)
-
-
 def sin(x: Scalar) -> Scalar:
     v = value(x)
     s, c = elementwise(math.sin, v), elementwise(math.cos, v)

@@ -187,11 +187,6 @@ class PlaneCurve:
             F = self._magnus_step(F, k * self.STRIDE, r - k * self.STRIDE)
         return F
 
-    def state(self, r: float) -> tuple:
-        """Frenet data (gamma, T, N, kappa) at a float arc length r."""
-        g, t, n = _frame_columns(self._frame(r).copy())
-        return g, t, n, self.kappa_at(r)
-
     def jet(self, r):
         """Curve point and normal at a scalar or jet parameter.
 

@@ -9,13 +9,13 @@ For a hypersurface point with |C| < 1, the adapted orthonormal frame is
 and flowing distance l along the normal sends the pushed-forward frame
 through the matrix Q(l) whose rows mix E_i into the parallel frame.  The
 shape operator of the parallel hypersurface in the parallel frame is
-S(l) = -Q^{-1} Q' (``parallel_shape_operator``); its trace is the mean
-curvature H(l) and its spectrum the parallel principal curvatures.  det Q has
-a closed-form expansion in the frame components A_ij, so H(l) also equals
--(det Q)'/det Q; ``report`` compares the two routes.  The derivatives of
-det Q at l = 0 reduce to scalar invariants (H, rho, C, and two principal
-minors) and are checked against the Taylor coefficients of the expansion.
-Focal values of l are the roots of det Q.
+S(l) = -Q^{-1} Q'; its trace is the mean curvature H(l) and its spectrum the
+parallel principal curvatures.  det Q has a closed-form expansion in the
+frame components A_ij, so H(l) also equals -(det Q)'/det Q; ``report``
+compares the two routes.  The derivatives of det Q at l = 0 reduce to
+scalar invariants (H, rho, C, and two principal minors) and are checked
+against the Taylor coefficients of the expansion.  Focal values of l are the
+roots of det Q.
 
 S(l) is symmetric in the parallel frame, for every frame and every l.
 Q = K - A diag(s) with K = diag(1, cosh C+ l, cosh C- l) and s = (l,
@@ -26,15 +26,15 @@ Q^{-1} Q' = (Q^{-1} Q')^T wherever det Q != 0.  So S is formed from the
 adjugate of Q, its spectrum is that of a symmetric matrix, taken in closed
 form (``_symmetric_spectrum``), and an S that is not finite or not symmetric
 to roundoff is refused.  From Q to the spectrum every matrix is kept as its
-entry arrays over the frames and l; ``q_matrix``, ``q_prime`` and
-``parallel_shape_operator`` stack them only to return them.  An overflow, a
-division by zero or an invalid operation in the flow raises
+entry arrays over the frames and l: ``_q_rows`` gives Q and Q', ``_flow``
+gives S and ``_spectrum`` its eigenvalues, and no 3x3 matrix is stacked.  An
+overflow, a division by zero or an invalid operation in the flow raises
 FloatingPointError.
 
 An ``AdaptedFrame`` is one frame or a batch with the batch axes of its
 ``PointGeometry``, and every function of a frame and l broadcasts over the
-frames and l by numpy's rules (matrices gain two trailing axes), each row
-bit for bit its one-frame, one-distance call.
+frames and l by numpy's rules, each row bit for bit its one-frame,
+one-distance call.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .lorentz import parallel_curve_curvature
-from .product_space import ETA6, P6, ambient_inner, complex_structures
+from .product_space import ETA6, P6, complex_structures
 from .surface_calculus import (
     DegenerateProductAngleError,
     Hypersurface,
@@ -60,7 +60,6 @@ from .surface_calculus import (
     _norm,
     _pairing,
     point_derivatives,
-    point_geometry,
 )
 
 DEGENERATE_C = 1.0 - 1e-9
@@ -80,25 +79,16 @@ def _one(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _entries(m: np.ndarray) -> np.ndarray:
-    """Matrices (..., 3, 3) with their matrix axes first: ``r[i][j]`` over the batch."""
-    return np.moveaxis(m, (-2, -1), (0, 1))
-
-
 @dataclass(frozen=True)
 class AdaptedFrame:
     """Shape-operator components in the adapted frame (E1 along V).
 
     ``A`` (*B,3,3) is symmetric and ``C`` (*B,) is a float for one frame,
-    B = ().  ``adapted_frame`` also records the ambient frame vectors as the
-    rows of ``frame`` (*B,3,6); a frame given by C and A alone, as
-    ``AdaptedFrame(C, A)``, has none, and the functions of l need none.
-    ``af[index]`` selects frames of a batch.
+    B = ().  ``af[index]`` selects frames of a batch.
     """
 
     C: Union[float, np.ndarray]
     A: np.ndarray
-    frame: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "C", _one(self.C))
@@ -107,8 +97,7 @@ class AdaptedFrame:
             raise DegenerateProductAngleError("adapted frame requires |C| < 1")
 
     def __getitem__(self, index) -> "AdaptedFrame":
-        return AdaptedFrame(self.C[index], self.A[index],
-                            None if self.frame is None else self.frame[index])
+        return AdaptedFrame(self.C[index], self.A[index])
 
     @property
     def cplus(self):
@@ -125,7 +114,7 @@ class AdaptedFrame:
     @property
     def entries(self) -> np.ndarray:
         """A with its matrix axes first: ``entries[i, j]`` is A_ij over the batch."""
-        return _entries(self.A)
+        return np.moveaxis(self.A, (-2, -1), (0, 1))
 
     def principal_minors(self) -> tuple:
         """(H12, H13, H23) with H_ij = A_ii A_jj - A_ij²."""
@@ -159,12 +148,7 @@ def adapted_frame(pg: PointGeometry) -> AdaptedFrame:
     E = frame_vectors(pg)
     shaped = np.stack([pg.shape_apply(E[..., i, :]) for i in range(3)], axis=-2)
     a = _pairing(shaped[..., :, None, :], E[..., None, :, :])
-    return AdaptedFrame(C=pg.C, A=0.5 * (a + a.swapaxes(-1, -2)), frame=E)
-
-
-def frame_orthonormality_residual(af: AdaptedFrame):
-    gram = _pairing(af.frame[..., :, None, :], af.frame[..., None, :, :])
-    return _one(np.max(np.abs(gram - np.eye(3)), axis=(-2, -1)))
+    return AdaptedFrame(C=pg.C, A=0.5 * (a + a.swapaxes(-1, -2)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +214,6 @@ def _hyperbolic(af: AdaptedFrame, l):
     return out
 
 
-def _matrix(rows, l) -> np.ndarray:
-    """Nested 3x3 entries, broadcast against each other and l, as an array (..., 3, 3)."""
-    entries = np.broadcast_arrays(*(x for row in rows for x in row), l)[:-1]
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
-
-
 def _q_rows(af: AdaptedFrame, l) -> tuple:
     """Entries of the pushforward matrix Q of the parallel map in the adapted
     frame and of its l-derivative Q', as nested rows."""
@@ -247,18 +225,6 @@ def _q_rows(af: AdaptedFrame, l) -> tuple:
             [[-a[0, 0], -a[0, 1] * chp, -a[0, 2] * chm],
              [-a[0, 1], dchp - a[1, 1] * chp, -a[1, 2] * chm],
              [-a[0, 2], -a[1, 2] * chp, dchm - a[2, 2] * chm]])
-
-
-def q_matrix(af: AdaptedFrame, l) -> np.ndarray:
-    """Pushforward matrix of the parallel map in the adapted frame."""
-    l = np.asarray(l, dtype=float)
-    return _matrix(_q_rows(af, l)[0], l)
-
-
-def q_prime(af: AdaptedFrame, l) -> np.ndarray:
-    """d/dl of the pushforward matrix; -Q' gives the parallel shape operator."""
-    l = np.asarray(l, dtype=float)
-    return _matrix(_q_rows(af, l)[1], l)
 
 
 # index of the l-derivative of each factor of _hyperbolic: cosh -> c sinh, sinh/c -> cosh
@@ -310,11 +276,6 @@ def _adjugate(r):
             - r[(i + 1) % 3][(j + 2) % 3] * r[(i + 2) % 3][(j + 1) % 3]
             for j in range(3)] for i in range(3)]
     return cof, r[0][0] * cof[0][0] + r[0][1] * cof[0][1] + r[0][2] * cof[0][2]
-
-
-def _cofactors(q: np.ndarray):
-    """``_adjugate`` of the matrices q (..., 3, 3)."""
-    return _adjugate(_entries(q))
 
 
 def _shape_operator(q, qp, l) -> list:
@@ -447,17 +408,6 @@ def _spectrum(s) -> np.ndarray:
     return _symmetric_spectrum(s)
 
 
-def _real_spectrum(s: np.ndarray) -> np.ndarray:
-    """``_spectrum`` of the matrices s (..., 3, 3): their ascending
-    eigenvalues in closed form, refused where not finite or not symmetric."""
-    return _spectrum(_entries(s))
-
-
-def parallel_shape_operator(af: AdaptedFrame, l) -> np.ndarray:
-    """Shape operator -Q^{-1} Q' of the parallel hypersurface in the parallel frame."""
-    return _matrix(_flow(af, l), np.asarray(l, dtype=float))
-
-
 def mean_curvature_of_parallel(af: AdaptedFrame, l):
     """H(l) = -tr(Q^{-1} Q'), the trace of the parallel shape operator."""
     return _trace(_flow(af, l))
@@ -466,18 +416,6 @@ def mean_curvature_of_parallel(af: AdaptedFrame, l):
 def parallel_lambdas(af: AdaptedFrame, l) -> np.ndarray:
     """Principal curvatures of the parallel hypersurface, ascending."""
     return _spectrum(_flow(af, l))
-
-
-def focal_pushforward_norm(M: Hypersurface, u, l: float) -> float:
-    """Norm of the pushed-forward J1 N along the parallel flow.
-
-    J1 N = C+ E2 + C- E3 in the adapted frame, so the pushforward has frame
-    components Q^T (0, C+, C-); its norm vanishes exactly at focal points of
-    tube-type hypersurfaces.
-    """
-    af = adapted_frame(point_geometry(M, u))
-    coords = np.array([0.0, af.cplus, af.cminus])
-    return float(np.linalg.norm(q_matrix(af, l).T @ coords))
 
 
 def find_focal_radius(af: AdaptedFrame, lo, hi):
@@ -592,9 +530,6 @@ class ScanReport:
     def max_lambda_spread(self) -> float:
         return self._max_off_focal(self.lambda_spread)
 
-    def isoparametric_within(self, tol: float) -> bool:
-        return self.max_h_spread < tol and self.max_lambda_spread < tol
-
 
 def _focal_flags(values: np.ndarray) -> np.ndarray:
     """Grid nodes next to a root of det Q, given per base point (rows) over l.
@@ -699,12 +634,6 @@ class FrameCheckReport:
     items: list
     min_gap: Optional[float] = None   # smallest eigenvalue gap an eigenvector derivative divided by
 
-    def item(self, name: str) -> CheckItem:
-        for it in self.items:
-            if it.name == name:
-                return it
-        raise KeyError(name)
-
     def max_residual(self) -> float:
         vals = [it.residual for it in self.items if not it.skipped]
         return max(vals) if vals else 0.0
@@ -790,13 +719,6 @@ _PAIRS = np.nonzero(~np.eye(3, dtype=bool))
 _TRIPLES = tuple(np.array(list(itertools.permutations(range(3)))).T)
 
 
-def _batch_of_one(pg: PointGeometry) -> PointGeometry:
-    """A one-point bundle as a batch of one row (views of its fields)."""
-    fields = {f.name: getattr(pg, f.name) for f in dataclasses.fields(pg)}
-    return PointGeometry(**{name: x if x is None else np.asarray(x)[None]
-                            for name, x in fields.items()})
-
-
 def _covariant(pg: PointGeometry, jacobians, X) -> np.ndarray:
     """nabla_X F = proj(dF xi(X)) for each field Jacobian dF (..., n, 6, 3)
     of the list ``jacobians`` along the tangent vectors X (..., n, 6), which
@@ -808,8 +730,7 @@ def _covariant(pg: PointGeometry, jacobians, X) -> np.ndarray:
 
 def frame_identity_checks(pg: PointGeometry):
     """Residuals of the constant-curvature frame identities at each point of
-    a bundle: a ``FrameCheckReport`` for one point, a list of them, one per
-    row, for a batch (n,).
+    a bundle, a batch (n,): a list of ``FrameCheckReport``, one per row.
 
     Checks the V-direction derivative identity on {V}-orthogonal pairs, the
     eigenframe connection table (distinct nonzero pair of curvatures), the
@@ -826,10 +747,8 @@ def frame_identity_checks(pg: PointGeometry):
     them, and the eigenvector derivatives, which divide by eigenvalue gaps,
     are formed only on the rows whose hypotheses admit them.  Every
     per-vector product keeps its one-point shape, so each row's report is
-    bit for bit that of its one-point call, which is the batch of one.
+    bit for bit that of the row alone, as a batch of one.
     """
-    if not pg.batch_shape:
-        return frame_identity_checks(_batch_of_one(pg))[0]
     n = len(pg)
     # reasons[name][row] is why the item is skipped there, None where it is judged
     reasons = {name: ["degenerate product angle (C^2 = 1)"] * n for name in FRAME_ITEMS}

@@ -22,11 +22,6 @@ ETA6 = np.diag([-1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
 P6 = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 
 
-def ambient_inner(w1, w2) -> float:
-    """Block-Lorentz pairing of ambient 6-vectors."""
-    return float(np.asarray(w1) @ ETA6 @ np.asarray(w2))
-
-
 def complex_structures(x, w):
     """(J1 w, J2 w) = ((p ⊠ w1, q ⊠ w2), (p ⊠ w1, -q ⊠ w2)) at x = (p, q).
 

@@ -24,7 +24,7 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.random import default_rng
@@ -516,14 +516,12 @@ def render_json(payload) -> str:
     """The report text: ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``,
     byte for byte.
 
-    json's indented output runs its pure-Python encoder value by value.  Here a
-    list of flat records with the same keys, such as the rows of a scan or the
-    results of a suite, is encoded column by column instead: numbers, bools
-    and nulls of a column in one call of the C encoder, strings one by one,
-    and the indented rows are laid out from those cells.  A ``Records``
-    payload hands over its columns as they are, and is written as json
-    writes its list of records.  Everything else takes json's layout,
-    written out below.
+    json's indented output runs its pure-Python encoder value by value.  Here
+    a ``Records`` payload, such as the rows of a scan, is encoded column by
+    column instead: numbers, bools and nulls of a column in one call of the C
+    encoder, strings one by one, and the indented rows are laid out from
+    those cells, as json writes the list of records.  Everything else takes
+    json's layout, written out below.
     """
     out = []
     _encode(payload, "\n", out)
@@ -604,7 +602,7 @@ def _encode(o, newline: str, out: list):
             out.append("[]")
             return
         inner = newline + "  "
-        rows = _record_rows(o, inner)
+        rows = _record_rows(o.columns, inner) if isinstance(o, Records) else None
         if rows is not None:
             out += ["[", inner, rows, newline, "]"]
             return
@@ -629,15 +627,14 @@ def _encode(o, newline: str, out: list):
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-def _record_rows(records, inner: str) -> Optional[str]:
-    """The items of a list of flat records at indent ``inner``, or None.
+def _record_rows(columns: dict, inner: str) -> Optional[str]:
+    """The items of the flat records with columns ``columns`` at indent
+    ``inner``, or None.
 
-    Records are flat when they are dicts with the same string keys, at least
-    one, and every value is exactly a str, int, float, bool or None; other
-    lists take the general path.  A list of dicts is taken apart into its
-    columns, and a ``Records`` gives its own; both then take the same path.
+    Records are flat when their keys are strings, at least one, and every
+    value is exactly a str, int, float, bool or None; other records take the
+    general path.
     """
-    columns = records.columns if isinstance(records, Records) else _record_columns(records)
     if not columns or any(type(k) is not str for k in columns):
         return None
     keys = sorted(columns)
@@ -657,17 +654,6 @@ def _record_rows(records, inner: str) -> Optional[str]:
     parts += ["," + item + encode_basestring_ascii(k) + ": " for k in keys[1:]]
     template = "%s".join(p.replace("%", "%%") for p in parts + [inner + "}"])
     return ("," + inner).join([template % row for row in zip(*cells)])
-
-
-def _record_columns(records) -> Optional[dict]:
-    """The columns of a list of dicts with the same keys, or None."""
-    first = records[0]
-    if set(map(type, records)) != {dict} or set(map(len, records)) != {len(first)}:
-        return None
-    try:
-        return {key: [r[key] for r in records] for key in first}
-    except KeyError:      # same size, other keys
-        return None
 
 
 def csv_text(header, rows) -> str:
@@ -779,15 +765,6 @@ def poincare_project(x):
     return x[..., 1] / (1.0 + x[..., 0]), x[..., 2] / (1.0 + x[..., 0])
 
 
-def poincare_lift(dx: float, dy: float) -> np.ndarray:
-    """Disk point back to the hyperboloid (inverse of poincare_project)."""
-    r2 = dx * dx + dy * dy
-    if r2 >= 1.0:
-        raise ValueError("point outside the open disk")
-    return np.array([(1.0 + r2) / (1.0 - r2), 2.0 * dx / (1.0 - r2),
-                     2.0 * dy / (1.0 - r2)])
-
-
 # points per axis of the dump's chart grid, and along each coordinate line
 POINCARE_GRID_N = 6
 POINCARE_LINE_N = 80
@@ -861,7 +838,7 @@ def lemma_residual_rows() -> list[dict]:
     specs = TABLE_MODELS + [mz.ModelSpec("M_1m1", {"c": 0.5})]
     for spec in specs:
         surface, _ = mz.build_model(spec)
-        rep = pf.frame_identity_checks(sc.point_geometry(surface, _center(surface)))
+        rep = pf.frame_identity_checks(sc.point_geometry(surface, _center(surface)[None]))[0]
         for it in rep.items:
             rows.append({"model": surface.name, "identity": it.name,
                          "residual": it.residual,

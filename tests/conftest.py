@@ -5,12 +5,24 @@ from h2h2 import autodiff as ad
 from h2h2 import model_zoo as mz
 from h2h2 import parallel_flow as pf
 from h2h2 import surface_calculus as sc
-from h2h2.product_space import ambient_inner as inner
+from h2h2.product_space import ETA6
 from h2h2.report import sobol_points
+
+
+def inner(w1, w2) -> float:
+    """Block-Lorentz pairing of ambient 6-vectors."""
+    return float(np.asarray(w1) @ ETA6 @ np.asarray(w2))
 
 
 def domain_samples(surface, n, seed=0):
     return sobol_points(surface.domain, n, seed)
+
+
+def as_matrices(entries) -> np.ndarray:
+    """The parallel flow's nested 3x3 entries ``entries[i][j]``, each over a
+    batch, broadcast against each other and stacked as matrices (..., 3, 3)."""
+    cells = np.broadcast_arrays(*(x for row in entries for x in row))
+    return np.stack(cells, axis=-1).reshape(cells[0].shape + (3, 3))
 
 
 def scan_of(surface, points, l_grid):

@@ -17,7 +17,7 @@ from h2h2 import product_space as ps
 from h2h2 import report as rp
 from h2h2 import surface_calculus as sc
 
-from conftest import scan_of, sectional
+from conftest import as_matrices, scan_of, sectional
 
 SEED = 20250810
 
@@ -112,8 +112,8 @@ def test_criterion_05_parallel_flow_consistency():
                 det = pf.detq_expansion(af, l)
                 if abs(det) < 1e-3:
                     continue
-                q = pf.q_matrix(af, l)
-                h_tr = -float(np.trace(np.linalg.solve(q, pf.q_prime(af, l))))
+                q, qp = map(as_matrices, pf._q_rows(af, l))
+                h_tr = -float(np.trace(np.linalg.solve(q, qp)))
                 h_det = -pf.detq_expansion_prime(af, l) / det
                 dev_htwo = max(dev_htwo, abs(h_tr - h_det))
         u = sample(surface, 1)[0]
@@ -190,9 +190,12 @@ def test_criterion_08_m_tau_focal_structure():
     af = pf.adapted_frame(sc.point_geometry(surface, u))
     root_det = pf.find_focal_radius(af, 0.5, 1.2)
 
+    def pushforward(l):
+        """Q(l)^T (0, C+, C-): J1 N = C+ E2 + C- E3 pushed along the flow."""
+        return as_matrices(pf._q_rows(af, l)[0]).T @ np.array([0.0, af.cplus, af.cminus])
+
     def signed_bracket(l):
-        coords = np.array([0.0, af.cplus, af.cminus])
-        return float((pf.q_matrix(af, l).T @ coords)[1])
+        return float(pushforward(l)[1])
 
     lo, hi = 0.5, 1.2
     flo = signed_bracket(lo)
@@ -204,7 +207,7 @@ def test_criterion_08_m_tau_focal_structure():
         else:
             lo, flo = mid, fm
     root_push = 0.5 * (lo + hi)
-    push_at_star = pf.focal_pushforward_norm(surface, u, l_star)
+    push_at_star = float(np.linalg.norm(pushforward(l_star)))
     ok = abs(root_det - l_star) < 1e-6 and abs(root_push - l_star) < 1e-6 \
         and push_at_star < 1e-8
     emit(8, ok, f"focal radius {l_star:.6f}: det Q root off by "
@@ -236,15 +239,13 @@ def test_criterion_09_homogeneity_orbits():
 def test_criterion_10_frame_identity_suite():
     worst = 0.0
     surface, _ = build("M_11", {"c": 0.3})
-    for u in sample(surface, 3):
-        rep = pf.frame_identity_checks(sc.point_geometry(surface, u))
+    for rep in pf.frame_identity_checks(sc.point_geometry(surface, sample(surface, 3))):
         assert not any(it.skipped for it in rep.items)
         worst = max(worst, rep.max_residual())
 
     surface, _ = build("M_tau", {"tau": -2.0})
     tau_skips = set()
-    for u in sample(surface, 3):
-        rep = pf.frame_identity_checks(sc.point_geometry(surface, u))
+    for rep in pf.frame_identity_checks(sc.point_geometry(surface, sample(surface, 3))):
         tau_skips |= {it.name for it in rep.items if it.skipped}
         worst = max(worst, rep.max_residual())
     # the product-frame table requires J1N+J2N principal, which fails on the
@@ -252,8 +253,8 @@ def test_criterion_10_frame_identity_suite():
     guard_ok = tau_skips == {"product_frame_connections"}
 
     surface, _ = build("M_1m1", {"c": 0.5})
-    rep = pf.frame_identity_checks(sc.point_geometry(surface, sample(surface, 1)[0]))
-    skip = rep.item("eigenframe_connections")
+    rep, = pf.frame_identity_checks(sc.point_geometry(surface, sample(surface, 1)))
+    skip, = (it for it in rep.items if it.name == "eigenframe_connections")
     guard_ok = guard_ok and skip.skipped and "lambda_1 != lambda_2" in skip.reason
 
     ok = worst < 1e-7 and guard_ok

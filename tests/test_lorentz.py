@@ -8,6 +8,13 @@ from scipy.linalg import expm
 
 from h2h2 import lorentz as lz
 
+def frenet(curve, r):
+    """Frenet data (gamma, T, N, kappa) of the curve at a float arc length r:
+    the columns of its frame, which must be Lorentz-orthonormal."""
+    g, t, n = lz._frame_columns(curve._frame(r).copy())
+    return g, t, n, curve.kappa_at(r)
+
+
 vec = st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False),
                min_size=3, max_size=3).map(np.array)
 
@@ -88,13 +95,13 @@ class TestExponentialMap:
     """The geodesic PlaneCurve(0.0) is r -> exp(r (0,1,0)) from (1,0,0)."""
 
     def frame(self, r):
-        return np.stack(lz.PlaneCurve(0.0).state(r)[:3], axis=1)
+        return np.stack(frenet(lz.PlaneCurve(0.0), r)[:3], axis=1)
 
     def test_identity_case(self):
         assert np.array_equal(self.frame(0.0), np.eye(3))
 
     def test_standard_geodesic(self):
-        g = lz.PlaneCurve(0.0).state(1.0)[0]
+        g = frenet(lz.PlaneCurve(0.0), 1.0)[0]
         assert np.allclose(g, (math.cosh(1), math.sinh(1), 0))
 
     def test_distance_additivity(self):
@@ -103,14 +110,14 @@ class TestExponentialMap:
         assert np.max(np.abs(self.frame(a + b) - self.frame(a) @ self.frame(b))) < 1e-10
 
     def test_stays_on_hyperboloid_far_out(self):
-        g = lz.PlaneCurve(0.0).state(10.0)[0]
+        g = frenet(lz.PlaneCurve(0.0), 10.0)[0]
         # judged relative to |x|^2: the constraint cancels terms of that size
         assert abs(lz.lorentz_inner(g, g) + 1.0) < 1e-12 * float(g @ g)
 
 
 def test_frame_check_rejects_a_non_orthonormal_frame():
-    # the one frame check of PlaneCurve.state and PlaneCurve.jet, on one
-    # frame and on a batch with one bad frame
+    # the frame check of PlaneCurve.jet, on one frame and on a batch with
+    # one bad frame
     bad = np.diag([1.0, 1.0 + 1e-8, 1.0])
     with pytest.raises(ValueError, match="not Lorentz-orthonormal"):
         lz._frame_columns(bad)
@@ -149,19 +156,19 @@ def rk4_reference(kappa, r_target, h):
 
 class TestCurves:
     def test_horocycle_at_zero(self):
-        g, _, n, kappa = lz.PlaneCurve(1.0).state(0.0)
+        g, _, n, kappa = frenet(lz.PlaneCurve(1.0), 0.0)
         assert np.allclose(g, (1, 0, 0))
         assert np.allclose(n, (0, 0, 1))
         assert kappa == 1.0
 
     def test_horocycle_closed_form(self):
         r = 1.3
-        g, _, n, _ = lz.PlaneCurve(1.0).state(r)
+        g, _, n, _ = frenet(lz.PlaneCurve(1.0), r)
         assert np.allclose(g, ((2 + r * r) / 2, r, r * r / 2))
         assert np.allclose(n, (-r * r / 2, -r, (2 - r * r) / 2))
 
     def test_geodesic(self):
-        g, _, n, _ = lz.PlaneCurve(0.0).state(0.83)
+        g, _, n, _ = frenet(lz.PlaneCurve(0.0), 0.83)
         assert np.allclose(g, (math.cosh(0.83), math.sinh(0.83), 0))
         assert np.allclose(n, (0, 0, 1))
 
@@ -173,7 +180,7 @@ class TestCurves:
         # handed over as a function
         for curve in (lz.PlaneCurve(kappa), lz.PlaneCurve(lambda _r: kappa)):
             for r in (-2.3, -0.4, 0.7, 1.9):
-                got = curve.state(r)[:3]
+                got = frenet(curve, r)[:3]
                 for x, want in zip(got, exact_constant_curvature_state(kappa, r)):
                     assert np.max(np.abs(x - want)) < 1e-9
 
@@ -186,14 +193,14 @@ class TestCurves:
         g2, t2 = rk4_reference(lambda _r: kappa, r_target, 5e-5)
         assert np.max(np.abs(g1 - g2)) < 1e-12   # oracle self-consistency
 
-        g, t, _, _ = lz.PlaneCurve(kappa).state(r_target)
+        g, t, _, _ = frenet(lz.PlaneCurve(kappa), r_target)
         assert np.max(np.abs(g - g2)) < 1e-9
         assert np.max(np.abs(t - t2)) < 1e-9
 
     @pytest.mark.parametrize("kappa", [0.0, 1.0, -1.0, 2.0, 0.4])
     def test_orthonormality_along_long_arcs(self, kappa):
         curve = lz.PlaneCurve(kappa)
-        drift = max(lz.frame_residual(*curve.state(r)[:3]) for r in np.linspace(-5, 5, 81))
+        drift = max(lz.frame_residual(*frenet(curve, r)[:3]) for r in np.linspace(-5, 5, 81))
         assert drift < 1e-8
 
     def test_variable_curvature_frenet_closure(self):
@@ -203,22 +210,22 @@ class TestCurves:
         h = 1e-4
         rs = (-1.2, 0.3, 0.9)
         for r in rs:
-            _, tp, n_plus, _ = curve.state(r + h)
-            _, tm, n_minus, _ = curve.state(r - h)
-            g0, t0, n0, k0 = curve.state(r)
+            _, tp, n_plus, _ = frenet(curve, r + h)
+            _, tm, n_minus, _ = frenet(curve, r - h)
+            g0, t0, n0, k0 = frenet(curve, r)
             dN = (n_plus - n_minus) / (2 * h)
             assert np.max(np.abs(dN + k0 * t0)) < 1e-6
             dT = (tp - tm) / (2 * h)
             assert np.max(np.abs(dT - g0 - k0 * n0)) < 1e-6
         # the sixth-order Magnus steps against plain RK4 at a fine step
         g_ref, t_ref = rk4_reference(math.tanh, 1.5, 1e-3)
-        g, t, _, _ = curve.state(1.5)
+        g, t, _, _ = frenet(curve, 1.5)
         assert np.max(np.abs(g - g_ref)) < 1e-11
         assert np.max(np.abs(t - t_ref)) < 1e-11
         # knots grow in a fixed order, so frames do not depend on the query order
         fresh = lz.PlaneCurve(ad.tanh)
         for r in reversed(rs):
-            for x, y in zip(fresh.state(r), curve.state(r)):
+            for x, y in zip(frenet(fresh, r), frenet(curve, r)):
                 assert np.array_equal(x, y)
 
     def test_curve_jet_matches_finite_differences(self):
@@ -228,9 +235,9 @@ class TestCurves:
         x = ad.jet_variables([r0, 0.0, 0.0])[0]
         g, n = curve.jet(x)
         h = 1e-5
-        gp, _, n_plus, _ = curve.state(r0 + h)
-        gm, _, n_minus, _ = curve.state(r0 - h)
-        g0 = curve.state(r0)[0]
+        gp, _, n_plus, _ = frenet(curve, r0 + h)
+        gm, _, n_minus, _ = frenet(curve, r0 - h)
+        g0 = frenet(curve, r0)[0]
         for i in range(3):
             assert g[i].d[0] == pytest.approx((gp[i] - gm[i]) / (2 * h), abs=1e-8)
             assert n[i].d[0] == pytest.approx((n_plus[i] - n_minus[i]) / (2 * h), abs=1e-8)
@@ -272,12 +279,12 @@ class TestCurves:
 
 class TestHorocycleSigns:
     def test_positive_sign(self):
-        _, _, n, kappa = lz.PlaneCurve(1.0, normal_sign=1).state(0.0)
+        _, _, n, kappa = frenet(lz.PlaneCurve(1.0, normal_sign=1), 0.0)
         assert np.allclose(n, (0, 0, 1))
         assert kappa == 1.0
 
     def test_negative_sign(self):
-        _, _, n, kappa = lz.PlaneCurve(-1.0, normal_sign=-1).state(0.0)
+        _, _, n, kappa = frenet(lz.PlaneCurve(-1.0, normal_sign=-1), 0.0)
         assert np.allclose(n, (0, 0, -1))
         assert kappa == -1.0
         for bad in (0, 2, -2):
@@ -286,13 +293,13 @@ class TestHorocycleSigns:
 
     def test_on_hyperboloid(self):
         r = 3.2
-        g = lz.PlaneCurve(1.0, normal_sign=1).state(r)[0]
+        g = frenet(lz.PlaneCurve(1.0, normal_sign=1), r)[0]
         assert abs(lz.lorentz_inner(g, g) + 1.0) < 1e-12 * max(
             1.0, abs(lz.lorentz_inner(g, g)))
 
     def test_negative_sign_matches_display(self):
         s = 0.9
-        n = lz.PlaneCurve(-1.0, normal_sign=-1).state(s)[2]
+        n = frenet(lz.PlaneCurve(-1.0, normal_sign=-1), s)[2]
         assert np.allclose(n, (s * s / 2, s, (-2 + s * s) / 2))
 
 

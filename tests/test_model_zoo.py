@@ -8,7 +8,7 @@ from h2h2 import model_zoo as mz
 from h2h2 import product_space as ps
 from h2h2 import surface_calculus as sc
 
-from conftest import domain_samples, sectional
+from conftest import domain_samples, inner, sectional
 
 
 class TestMGamma:
@@ -154,8 +154,8 @@ class TestOracles:
                 else:
                     pairs = []
                     for k in range(3):
-                        x = pg.jac[:, k] / math.sqrt(ps.ambient_inner(pg.jac[:, k], pg.jac[:, k]))
-                        pairs.append((x, ps.ambient_inner(pg.shape_apply(x), x)))
+                        x = pg.jac[:, k] / math.sqrt(inner(pg.jac[:, k], pg.jac[:, k]))
+                        pairs.append((x, inner(pg.shape_apply(x), x)))
                     assert np.sort([lam for _, lam in pairs]) == pytest.approx(
                         oracle.lambdas(u), abs=1e-8)
                 for vec, lam in pairs:

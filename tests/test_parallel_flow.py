@@ -15,7 +15,43 @@ from h2h2 import product_space as ps
 from h2h2 import report as rp
 from h2h2 import surface_calculus as sc
 
-from conftest import counted_chart, domain_samples, scan_of
+from conftest import as_matrices, counted_chart, domain_samples, inner, scan_of
+
+def q_matrix(af, l):
+    """Q(l) of the frames ``af`` as matrices (..., 3, 3)."""
+    return as_matrices(pf._q_rows(af, np.asarray(l, dtype=float))[0])
+
+
+def q_prime(af, l):
+    """Q'(l) of the frames ``af`` as matrices (..., 3, 3)."""
+    return as_matrices(pf._q_rows(af, np.asarray(l, dtype=float))[1])
+
+
+def shape_operator(af, l):
+    """S(l) = -Q^{-1} Q' of the frames ``af`` as matrices (..., 3, 3)."""
+    return as_matrices(pf._flow(af, l))
+
+
+def entries(m):
+    """Matrices (..., 3, 3) as the flow's nested entries ``entries(m)[i][j]``."""
+    return np.moveaxis(m, (-2, -1), (0, 1))
+
+
+def real_spectrum(s):
+    """``pf._spectrum`` of the matrices s (..., 3, 3)."""
+    return pf._spectrum(entries(s))
+
+
+def pushforward_norm(surface, u, l):
+    """|Q(l)^T (0, C+, C-)|: J1 N = C+ E2 + C- E3 pushed along the flow,
+    whose norm vanishes exactly at the focal points of a tube."""
+    af = pf.adapted_frame(sc.point_geometry(surface, u))
+    return float(np.linalg.norm(q_matrix(af, l).T @ np.array([0.0, af.cplus, af.cminus])))
+
+
+def isoparametric_within(scan, tol):
+    return scan.max_h_spread < tol and scan.max_lambda_spread < tol
+
 
 sym_entries = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -34,8 +70,10 @@ class TestAdaptedFrame:
     def test_orthonormal_on_models(self, m_1m1_04, m_tau_m2, m_kk_tanh):
         for surface, _ in (m_1m1_04, m_tau_m2, m_kk_tanh):
             for u in domain_samples(surface, 8):
-                af = pf.adapted_frame(sc.point_geometry(surface, u))
-                assert pf.frame_orthonormality_residual(af) < 1e-10
+                pg = sc.point_geometry(surface, u)
+                e = pf.frame_vectors(pg)
+                assert np.max(np.abs(e @ ps.ETA6 @ e.T - np.eye(3))) < 1e-10
+                af = pf.adapted_frame(pg)
                 assert np.max(np.abs(af.A - af.A.T)) < 1e-12
 
     def test_m11_frame_is_diagonal(self, m_11_03):
@@ -81,24 +119,24 @@ class TestQMatrix:
     def test_identity_at_zero(self, m_11_03):
         surface, _ = m_11_03
         af = pf.adapted_frame(sc.point_geometry(surface, np.array([0.2, 0.1, 0.3])))
-        assert np.allclose(pf.q_matrix(af, 0.0), np.eye(3))
+        assert np.allclose(q_matrix(af, 0.0), np.eye(3))
 
     @settings(max_examples=30, deadline=None)
     @given(synthetic_frames())
     def test_qprime_at_zero_is_minus_A(self, af):
-        assert np.allclose(pf.q_prime(af, 0.0), -af.A, atol=1e-14)
+        assert np.allclose(q_prime(af, 0.0), -af.A, atol=1e-14)
 
     @settings(max_examples=25, deadline=None)
     @given(synthetic_frames(), st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
     def test_qprime_matches_finite_differences(self, af, l):
         h = 1e-6
-        fd = (pf.q_matrix(af, l + h) - pf.q_matrix(af, l - h)) / (2 * h)
-        assert np.max(np.abs(fd - pf.q_prime(af, l))) < 1e-8
+        fd = (q_matrix(af, l + h) - q_matrix(af, l - h)) / (2 * h)
+        assert np.max(np.abs(fd - q_prime(af, l))) < 1e-8
 
     @settings(max_examples=40, deadline=None)
     @given(synthetic_frames(), st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
     def test_detq_expansion_is_determinant(self, af, l):
-        det = float(np.linalg.det(pf.q_matrix(af, l)))
+        det = float(np.linalg.det(q_matrix(af, l)))
         assert pf.detq_expansion(af, l) == pytest.approx(det, abs=1e-10 * max(1, abs(det)))
 
     def test_detq_at_zero(self, m_11_03):
@@ -123,7 +161,7 @@ class TestArrayCalls:
                     min_size=1, max_size=12))
     def test_q_and_detq(self, af, ls):
         ls = np.array(ls)
-        for f in (pf.q_matrix, pf.q_prime, pf.detq_expansion):
+        for f in (q_matrix, q_prime, pf.detq_expansion):
             got = f(af, ls)
             want = np.array([f(af, l) for l in ls])
             assert got.shape == want.shape
@@ -141,7 +179,7 @@ class TestArrayCalls:
         surface, _ = m_tau_m2
         af = pf.adapted_frame(sc.point_geometry(surface, np.array([0.7, 1.1, 2.0])))
         ls = np.array([0.0, 0.3, mz.mtau_focal_radius(-2.0), 0.5])
-        for f in (pf.parallel_shape_operator, pf.mean_curvature_of_parallel,
+        for f in (shape_operator, pf.mean_curvature_of_parallel,
                   pf.parallel_lambdas):
             with pytest.raises(pf.FocalPointError):
                 f(af, ls)
@@ -154,14 +192,14 @@ def assert_symmetric_with_real_spectrum(s):
     asymmetry = np.linalg.norm(s - s.swapaxes(-1, -2), axis=(-2, -1))
     assert np.all(asymmetry <= 1e-12 * scale), np.max(asymmetry / scale)
     reference = np.sort(np.linalg.eigvals(s).real, axis=-1)
-    spectrum = pf._real_spectrum(s)
+    spectrum = real_spectrum(s)
     assert np.all(np.max(np.abs(spectrum - reference), axis=-1) <= 1e-12 * scale)
 
 
 def assert_cofactor_det(q):
     """The cofactor det Q against LAPACK's: to roundoff of the entries' scale
     everywhere, and to 1e-12 relative where |det Q| is not small on that scale."""
-    _, det = pf._cofactors(q)
+    _, det = pf._adjugate(entries(q))
     reference = np.linalg.det(q)
     cube = np.maximum(1.0, np.max(np.abs(q), axis=(-2, -1))) ** 3
     assert np.all(np.abs(det - reference) <= 1e-13 * cube)
@@ -177,14 +215,14 @@ class TestSymmetricShapeOperator:
     @settings(max_examples=60, deadline=None)
     @given(synthetic_frames(), st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
     def test_synthetic_frames(self, af, l):
-        q = pf.q_matrix(af, l)
+        q = q_matrix(af, l)
         assert_cofactor_det(q)
         assume(abs(pf.detq_expansion(af, l)) > 1e-6)
-        s = pf.parallel_shape_operator(af, l)
+        s = shape_operator(af, l)
         assert_symmetric_with_real_spectrum(s)
-        assert np.array_equal(pf.parallel_lambdas(af, l), pf._real_spectrum(s))
+        assert np.array_equal(pf.parallel_lambdas(af, l), real_spectrum(s))
         # -Q^{-1} Q' by LAPACK, to roundoff of the condition of Q
-        solved = -np.linalg.solve(q, pf.q_prime(af, l))
+        solved = -np.linalg.solve(q, q_prime(af, l))
         bound = 1e-13 * np.linalg.cond(q) * max(1.0, np.max(np.abs(solved)))
         assert np.max(np.abs(s - solved)) <= bound
 
@@ -196,16 +234,16 @@ class TestSymmetricShapeOperator:
         assert np.min(sc._norm(pgs.shape_apply(pgs.V))) > 0.1
         assert np.min(np.abs(af.A[:, 0, 0])) > 0.1
         ls = np.linspace(-2.0, 2.0, 81)
-        assert_cofactor_det(pf.q_matrix(af, ls[:, None]))
+        assert_cofactor_det(q_matrix(af, ls[:, None]))
         li, fi = np.nonzero(np.abs(pf.detq_expansion(af, ls[:, None])) > 1e-6)
         assert li.size > 0.9 * ls.size * 16
-        assert_symmetric_with_real_spectrum(pf.parallel_shape_operator(af[fi], ls[li]))
+        assert_symmetric_with_real_spectrum(shape_operator(af[fi], ls[li]))
 
     def test_non_self_adjoint_is_refused(self):
         rotation = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])   # spectrum ±i, 2
         for s in (rotation, np.stack([np.diag([1.0, 2.0, 3.0]), rotation])):
             with pytest.raises(ArithmeticError, match="not self-adjoint"):
-                pf._real_spectrum(s)
+                real_spectrum(s)
 
     @pytest.mark.parametrize("scale, d, refused", [
         (1.0, 1.40e-8, False), (1.0, 1.42e-8, True),         # bar 2e-8
@@ -218,9 +256,9 @@ class TestSymmetricShapeOperator:
         s[0, 1] = d
         if refused:
             with pytest.raises(ArithmeticError):
-                pf._real_spectrum(s)
+                real_spectrum(s)
         else:
-            assert np.allclose(pf._real_spectrum(s), [scale, 2 * scale, 3 * scale],
+            assert np.allclose(real_spectrum(s), [scale, 2 * scale, 3 * scale],
                                rtol=1e-15, atol=0.0)
 
     def test_next_to_a_focal_value(self, m_tau_m2):
@@ -228,7 +266,7 @@ class TestSymmetricShapeOperator:
         # S exceeds 2e-8; the spectrum is still that of the general eigensolver
         surface, _ = m_tau_m2
         af = pf.adapted_frame(sc.point_geometry(surface, domain_samples(surface, 8)))
-        s = pf.parallel_shape_operator(af, mz.mtau_focal_radius(-2.0) + 1e-8)
+        s = shape_operator(af, mz.mtau_focal_radius(-2.0) + 1e-8)
         assert np.max(np.abs(s)) > 1e7
         assert_symmetric_with_real_spectrum(s)
 
@@ -243,7 +281,7 @@ class TestSymmetricShapeOperator:
         s = u @ np.array([[a, e, 0.0], [-e, a + gap, 0.0], [0.0, 0.0, 1.0]]) @ u.T
         if np.max(np.abs(np.linalg.eigvals(s).imag)) > 1e-8:
             with pytest.raises(ArithmeticError):
-                pf._real_spectrum(s)
+                real_spectrum(s)
 
 
 def rotation(quaternion):
@@ -278,7 +316,7 @@ def rotated_spectra(draw):
 def assert_spectrum_is_eigvalsh(s):
     want = np.linalg.eigvalsh(s)
     bar = 1e-14 * np.maximum(1.0, np.max(np.abs(s), axis=(-2, -1)))
-    assert np.all(np.max(np.abs(pf._real_spectrum(s) - want), axis=-1) <= bar)
+    assert np.all(np.max(np.abs(real_spectrum(s) - want), axis=-1) <= bar)
 
 
 class TestClosedFormSpectrum:
@@ -294,14 +332,14 @@ class TestClosedFormSpectrum:
     @pytest.mark.parametrize("c", [0.0, 1.0, -2.5, 3e-300, -7e100])
     def test_multiples_of_the_identity(self, c):
         # p = 0: no 0/0, and the eigenvalue c exactly
-        assert np.array_equal(pf._real_spectrum(c * np.eye(3)), [c, c, c])
+        assert np.array_equal(real_spectrum(c * np.eye(3)), [c, c, c])
 
     @pytest.mark.parametrize("d", [[1.0, 2.0, 3.0], [3.0, -1.0, 3.0], [-1.0, -1.0, 2.0],
                                    [0.0, 0.0, 5.0], [1e-9, -1e-9, 0.0], [4e8, -3.0, 0.5]])
     def test_diagonal_matrices(self, d):
         assert_spectrum_is_eigvalsh(np.diag(d))
         scale = max(1.0, max(abs(x) for x in d))
-        assert np.max(np.abs(pf._real_spectrum(np.diag(d)) - sorted(d))) <= 1e-14 * scale
+        assert np.max(np.abs(real_spectrum(np.diag(d)) - sorted(d))) <= 1e-14 * scale
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("i, j", [(0, 0), (1, 2), (2, 1)])
@@ -310,41 +348,41 @@ class TestClosedFormSpectrum:
         s[1, i, j] = bad
         for matrices in (s[1], s):
             with pytest.raises(ArithmeticError, match="not finite"):
-                pf._real_spectrum(matrices)
+                real_spectrum(matrices)
 
     @pytest.mark.parametrize("scale", [7e200, 1e154, 1e20])
     def test_guard_at_large_scales(self, scale):
         # the guard judges S scaled by its largest |entry|, so no square of an
         # entry overflows, and the relative bar 1e-12 ||S||_F (2.65e-12 scale
         # on s[0, 1] here) holds at every scale
-        assert np.array_equal(pf._real_spectrum(-scale * np.eye(3)), [-scale] * 3)
+        assert np.array_equal(real_spectrum(-scale * np.eye(3)), [-scale] * 3)
         s = scale * np.diag([1.0, 2.0, 3.0])
-        assert np.allclose(pf._real_spectrum(s), [scale, 2 * scale, 3 * scale], rtol=1e-15, atol=0)
+        assert np.allclose(real_spectrum(s), [scale, 2 * scale, 3 * scale], rtol=1e-15, atol=0)
         s[0, 1] = 2.6e-12 * scale
-        assert np.allclose(pf._real_spectrum(s), [scale, 2 * scale, 3 * scale], rtol=1e-15, atol=0)
+        assert np.allclose(real_spectrum(s), [scale, 2 * scale, 3 * scale], rtol=1e-15, atol=0)
         s[0, 1] = 2.7e-12 * scale
         with pytest.raises(ArithmeticError, match="not self-adjoint"):
-            pf._real_spectrum(s)
+            real_spectrum(s)
         rotation = scale * np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
         with pytest.raises(ArithmeticError, match="not self-adjoint"):
-            pf._real_spectrum(rotation)
+            real_spectrum(rotation)
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-300, 5e-324])
     def test_guard_at_small_scales(self, scale):
         # below the absolute bar 2e-8 every asymmetry passes, as it does
         # unscaled, and (2e-8 / |S|)² overflowing to inf raises nothing
-        assert np.array_equal(pf._real_spectrum(-scale * np.eye(3)), [-scale] * 3)
+        assert np.array_equal(real_spectrum(-scale * np.eye(3)), [-scale] * 3)
         rotation = scale * np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
-        assert np.array_equal(pf._real_spectrum(rotation), [0.0, 0.0, 2.0 * scale])
+        assert np.array_equal(real_spectrum(rotation), [0.0, 0.0, 2.0 * scale])
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(rotated_spectra(), min_size=1, max_size=6))
     def test_batch_rows_are_the_one_matrix_calls(self, matrices):
         batch = np.stack(matrices)
-        want = np.array([pf._real_spectrum(s) for s in matrices])
-        assert np.array_equal(pf._real_spectrum(batch), want)
+        want = np.array([real_spectrum(s) for s in matrices])
+        assert np.array_equal(real_spectrum(batch), want)
         # the same matrices as a (3, 3, n) transpose: strided entries
-        assert np.array_equal(pf._real_spectrum(np.moveaxis(batch.T, -1, 0).swapaxes(-1, -2)), want)
+        assert np.array_equal(real_spectrum(np.moveaxis(batch.T, -1, 0).swapaxes(-1, -2)), want)
 
     def test_double_eigenvalue_scan(self):
         # M_1m1 c = 1/2 has the principal curvatures {0, 1/sqrt 2, 1/sqrt 2}:
@@ -357,8 +395,8 @@ class TestClosedFormSpectrum:
 
 
 # functions of a frame and l; the flow functions raise at a focal (frame, l) pair
-L_FUNCTIONS = (pf.q_matrix, pf.q_prime, pf.detq_expansion, pf.detq_expansion_prime)
-FLOW_FUNCTIONS = (pf.parallel_shape_operator, pf.mean_curvature_of_parallel, pf.parallel_lambdas)
+L_FUNCTIONS = (q_matrix, q_prime, pf.detq_expansion, pf.detq_expansion_prime)
+FLOW_FUNCTIONS = (shape_operator, pf.mean_curvature_of_parallel, pf.parallel_lambdas)
 
 
 def frame_batch(frames):
@@ -417,9 +455,6 @@ class TestFrameBatch:
         assert np.array_equal(pf.frame_vectors(pgs), [pf.frame_vectors(pg) for pg in pgs])
         assert np.array_equal(batch.C, [af.C for af in frames])
         assert np.array_equal(batch.A, [af.A for af in frames])
-        assert np.array_equal(batch.frame, [af.frame for af in frames])
-        assert np.array_equal(pf.frame_orthonormality_residual(batch),
-                              [pf.frame_orthonormality_residual(af) for af in frames])
         row = batch[2]
         assert type(row.C) is float and np.array_equal(row.A, frames[2].A)
         ls = np.linspace(-0.9, 0.9, 7)[:, None]   # M_tau(-2) is focal only at 0.931
@@ -579,8 +614,8 @@ class TestMeanCurvature:
         det = pf.detq_expansion(af, l)
         if abs(det) < 1e-6:
             return
-        q = pf.q_matrix(af, l)
-        h_tr = -float(np.trace(np.linalg.solve(q, pf.q_prime(af, l))))
+        q = q_matrix(af, l)
+        h_tr = -float(np.trace(np.linalg.solve(q, q_prime(af, l))))
         h_det = -pf.detq_expansion_prime(af, l) / det
         assert abs(h_tr - h_det) < 1e-9 * max(1.0, abs(h_tr))
 
@@ -622,7 +657,7 @@ class TestParallelPoints:
         u = np.array([0.2, -0.3, 0.5])
         pg = sc.point_geometry(surface, u)
         point, nl = flowed(surface, u, 0.37)
-        assert ps.ambient_inner(ps.P6 @ nl, nl) == pytest.approx(pg.C, abs=1e-10)
+        assert inner(ps.P6 @ nl, nl) == pytest.approx(pg.C, abs=1e-10)
         # J1 N is untouched by the flow
         j1_base = ps.complex_structures(pg.val, pg.N)[0]
         j1_flow = ps.complex_structures(point, nl)[0]
@@ -635,8 +670,8 @@ class TestParallelPoints:
         l = 0.37
         point, _ = flowed(surface, [t, r, s], l)
         from h2h2.lorentz import PlaneCurve
-        g1, _, n1, _ = PlaneCurve(1.0).state(r)
-        g2, _, n2, _ = PlaneCurve(-1.0, normal_sign=-1).state(s)
+        g1, n1 = map(np.array, PlaneCurve(1.0).jet(r))
+        g2, n2 = map(np.array, PlaneCurve(-1.0, normal_sign=-1).jet(s))
         a1 = math.sqrt(c) * t + math.sqrt(1 - c) * l
         a2 = math.sqrt(1 - c) * t - math.sqrt(c) * l
         want = np.concatenate([
@@ -667,7 +702,7 @@ class TestParallelPoints:
         l = 0.45
         _, nl = flowed(surface, u, l)
         pgl = sc.point_geometry(pf.parallel_surface(surface, l), u)
-        assert abs(ps.ambient_inner(nl, nl) - 1.0) < 1e-10
+        assert abs(inner(nl, nl) - 1.0) < 1e-10
         assert np.max(np.abs(pgl.N - nl)) < 1e-10
         assert np.max(np.abs(pgl.jac.T @ sc.ETA6 @ nl)) < 1e-9
 
@@ -819,9 +854,9 @@ class TestFocalStructure:
     def test_pushforward_norm(self, m_tau_m2):
         surface, _ = m_tau_m2
         u = np.array([0.7, 1.1, 2.0])
-        assert pf.focal_pushforward_norm(surface, u, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert pushforward_norm(surface, u, 0.0) == pytest.approx(1.0, abs=1e-12)
         l_star = mz.mtau_focal_radius(-2.0)
-        assert pf.focal_pushforward_norm(surface, u, l_star) < 1e-8
+        assert pushforward_norm(surface, u, l_star) < 1e-8
 
     def test_bracket_sign_change(self, m_tau_m2):
         # cosh(l/sqrt2) - sqrt((tau-1)/(tau+1)) sinh(l/sqrt2) flips sign at
@@ -832,7 +867,7 @@ class TestFocalStructure:
         l_star = mz.mtau_focal_radius(-2.0)
         for l in (l_star - 0.2, l_star + 0.2):
             bracket = math.cosh(l / math.sqrt(2)) - ratio * math.sinh(l / math.sqrt(2))
-            assert pf.focal_pushforward_norm(surface, u, l) == pytest.approx(
+            assert pushforward_norm(surface, u, l) == pytest.approx(
                 abs(bracket), abs=1e-10)
         before = math.cosh((l_star - 0.2) / math.sqrt(2)) - ratio * math.sinh(
             (l_star - 0.2) / math.sqrt(2))
@@ -845,13 +880,13 @@ class TestFlowInvariants:
     def test_q_and_det_along_the_flow(self, m_tau_m2):
         surface, _ = m_tau_m2
         af = pf.adapted_frame(sc.point_geometry(surface, np.array([0.7, 1.1, 2.0])))
-        q0 = pf.q_matrix(af, 0.0)
+        q0 = q_matrix(af, 0.0)
         assert np.allclose(q0, np.eye(3))
         assert float(np.linalg.det(q0)) == pytest.approx(1.0)
         # det Q stays positive on the component of l = 0 before the focal value
         l_star = mz.mtau_focal_radius(-2.0)
         for l in np.linspace(-0.5, l_star - 0.05, 15):
-            assert float(np.linalg.det(pf.q_matrix(af, l))) > 0
+            assert float(np.linalg.det(q_matrix(af, l))) > 0
 
 
 def focal_flags_reference(values):
@@ -884,12 +919,12 @@ class TestIsoparametricScan:
         surface, _ = m_1m1_04
         rep = scan_of(surface, domain_samples(surface, 6), self.grid())
         assert rep.mode == "adapted"
-        assert rep.isoparametric_within(1e-8)
+        assert isoparametric_within(rep, 1e-8)
 
     def test_tube_isoparametric(self):
         surface, _ = mz.make_M_tau(-3.0)
         rep = scan_of(surface, domain_samples(surface, 6), self.grid())
-        assert rep.isoparametric_within(1e-8)
+        assert isoparametric_within(rep, 1e-8)
         assert not rep.excluded   # focal radius 1.2465 lies outside the grid
 
     def test_generic_curve_not_isoparametric(self):
@@ -901,7 +936,7 @@ class TestIsoparametricScan:
         surface, _ = m_gamma_2
         rep = scan_of(surface, domain_samples(surface, 6), self.grid())
         assert rep.mode == "curve_factor"
-        assert rep.isoparametric_within(1e-8)
+        assert isoparametric_within(rep, 1e-8)
         # kappa = 2 has a focal value at arctanh(1/2) ~ 0.549; the grid point
         # nearest it survives because the pole sits between grid nodes
         assert np.all(~np.isnan(rep.h_spread) | rep.focal)
@@ -914,41 +949,47 @@ class TestIsoparametricScan:
         assert rep.excluded == [pytest.approx(l_pole)]
 
 
+def frame_report(surface, u):
+    """The frame-identity report at the chart point u, and its items by name."""
+    rep, = pf.frame_identity_checks(sc.point_geometry(surface, np.array([u])))
+    return rep, {it.name: it for it in rep.items}
+
+
 class TestFrameIdentities:
     def test_all_pass_on_m11(self, m_11_03):
         surface, _ = m_11_03
-        rep = pf.frame_identity_checks(sc.point_geometry(surface, np.array([0.25, 0.5, -0.4])))
+        rep, _ = frame_report(surface, [0.25, 0.5, -0.4])
         assert not any(it.skipped for it in rep.items)
         assert rep.max_residual() < 1e-7
 
     def test_m_tau_skips_product_frame_identity(self, m_tau_m2):
         surface, _ = m_tau_m2
-        rep = pf.frame_identity_checks(sc.point_geometry(surface, np.array([0.7, 1.1, 2.0])))
-        assert rep.item("product_frame_connections").skipped
-        assert "principal" in rep.item("product_frame_connections").reason
+        rep, items = frame_report(surface, [0.7, 1.1, 2.0])
+        assert items["product_frame_connections"].skipped
+        assert "principal" in items["product_frame_connections"].reason
         others = [it for it in rep.items if it.name != "product_frame_connections"]
         assert not any(it.skipped for it in others)
         assert rep.max_residual() < 1e-7
 
     def test_equal_curvature_pair_skips(self, m_1m1_half):
         surface, _ = m_1m1_half
-        rep = pf.frame_identity_checks(sc.point_geometry(surface, np.array([0.2, 0.3, -0.1])))
-        it = rep.item("eigenframe_connections")
+        rep, items = frame_report(surface, [0.2, 0.3, -0.1])
+        it = items["eigenframe_connections"]
         assert it.skipped
         assert "lambda_1 != lambda_2" in it.reason
 
     def test_nonconstant_curvature_guards(self, m_kk_tanh):
         surface, _ = m_kk_tanh
-        rep = pf.frame_identity_checks(sc.point_geometry(surface, np.array([0.2, 0.4, -0.3])))
-        assert not rep.item("v_direction_identity").skipped
-        assert not rep.item("product_frame_connections").skipped
-        assert rep.item("codazzi_frame_relation").skipped
-        assert "constant" in rep.item("codazzi_frame_relation").reason
+        rep, items = frame_report(surface, [0.2, 0.4, -0.3])
+        assert not items["v_direction_identity"].skipped
+        assert not items["product_frame_connections"].skipped
+        assert items["codazzi_frame_relation"].skipped
+        assert "constant" in items["codazzi_frame_relation"].reason
         assert rep.max_residual() < 1e-7
 
     def test_degenerate_angle_skips_everything(self, m_gamma_2):
         surface, _ = m_gamma_2
-        rep = pf.frame_identity_checks(sc.point_geometry(surface, np.array([0.3, 0.8, 1.0])))
+        rep, _ = frame_report(surface, [0.3, 0.8, 1.0])
         assert all(it.skipped for it in rep.items)
 
 
@@ -1055,7 +1096,7 @@ class TestScanColumns:
                       np.array([mz.mtau_focal_radius(-2.0)]))
         assert rep.focal.all()
         assert math.isnan(rep.max_h_spread) and math.isnan(rep.max_lambda_spread)
-        assert not rep.isoparametric_within(1.0)
+        assert not isoparametric_within(rep, 1.0)
 
 
 def richardson(fn, u, m, h=1e-3):

@@ -351,7 +351,9 @@ class TestPoincareDump:
         rng = np.random.default_rng(5)
         for _ in range(20):
             d = rng.uniform(-0.6, 0.6, size=2)
-            x = rp.poincare_lift(d[0], d[1])
+            # the disk point lifted to the hyperboloid
+            r2 = d[0] * d[0] + d[1] * d[1]
+            x = np.array([1.0 + r2, 2.0 * d[0], 2.0 * d[1]]) / (1.0 - r2)
             assert abs(-x[0] ** 2 + x[1] ** 2 + x[2] ** 2 + 1.0) < 1e-12
             back = rp.poincare_project(x)
             assert abs(back[0] - d[0]) < 1e-12

@@ -20,6 +20,23 @@ def assert_same_text(payload):
     assert rp.render_json(payload) == reference(payload)
 
 
+def assert_same_records_text(columns: dict):
+    """render_json of a column payload against json.dumps of its records,
+    alone and inside a dict."""
+    records = rp.Records(columns)
+    rows = list(records)
+    assert len(records) == len(rows) and all(list(r) == list(columns) for r in rows)
+    assert rp.render_json(records) == reference(rows)
+    assert rp.render_json({"rows": records, "n": 1}) == reference({"rows": rows, "n": 1})
+
+
+def assert_same_as_records(rows: list):
+    """A list of dicts with the same keys, as it is (json's general layout)
+    and as the ``Records`` of its columns (the columnar encoder)."""
+    assert_same_text(rows)
+    assert_same_records_text({key: [r[key] for r in rows] for key in rows[0]})
+
+
 EDGE_SCALARS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e-300,
                 0.1, 1.0 / 3.0, 2.0 ** 53, 1e16, 1e-5, True, False, None, 0, -7,
                 2 ** 64, 10 ** 40, -(10 ** 30)]
@@ -64,23 +81,15 @@ def test_edge_scalars(value):
     assert_same_text([value, value])
     assert_same_text({"x": value})
     # a column of records: alone, and mixed with the other scalar types
-    assert_same_text([{"x": value, "y": 1.5}, {"x": value, "y": None}])
-    assert_same_text([{"x": value, "y": v} for v in EDGE_SCALARS])
+    assert_same_as_records([{"x": value, "y": 1.5}, {"x": value, "y": None}])
+    assert_same_as_records([{"x": value, "y": v} for v in EDGE_SCALARS])
 
 
 def test_edge_scalar_columns():
-    assert_same_text([{"x": v, "s": str(v)} for v in EDGE_SCALARS])
-    assert_same_text({"rows": [{"a": v, "b": -v} for v in EDGE_SCALARS if isinstance(v, float)]})
-
-
-def assert_same_records_text(columns: dict):
-    """render_json of a column payload against json.dumps of its records,
-    alone and inside a dict."""
-    records = rp.Records(columns)
-    rows = list(records)
-    assert len(records) == len(rows) and all(list(r) == list(columns) for r in rows)
-    assert rp.render_json(records) == reference(rows)
-    assert rp.render_json({"rows": records, "n": 1}) == reference({"rows": rows, "n": 1})
+    assert_same_as_records([{"x": v, "s": str(v)} for v in EDGE_SCALARS])
+    rows = [{"a": v, "b": -v} for v in EDGE_SCALARS if isinstance(v, float)]
+    assert_same_text({"rows": rows})
+    assert_same_as_records(rows)
 
 
 def test_record_columns():
@@ -100,8 +109,9 @@ def test_strings(text):
     assert_same_text(text)
     assert_same_text({text: text})
     # string columns, keys that need escaping, and "%" in keys and cells
-    assert_same_text([{"name": text, "x": 1.0}, {"name": ", ".join([text, text]), "x": 2.0}])
-    assert_same_text([{text: 1.0, "k": text}, {text: None, "k": "}"}])
+    assert_same_as_records([{"name": text, "x": 1.0},
+                            {"name": ", ".join([text, text]), "x": 2.0}])
+    assert_same_as_records([{text: 1.0, "k": text}, {text: None, "k": "}"}])
 
 
 def test_string_columns_with_separators():

@@ -13,7 +13,7 @@ from h2h2 import product_space as ps
 from h2h2 import report as rp
 from h2h2 import surface_calculus as sc
 
-from conftest import counted_chart, domain_samples, gauss_operator, sectional
+from conftest import counted_chart, domain_samples, gauss_operator, inner, sectional
 
 
 def polar(rho, phi):
@@ -150,10 +150,10 @@ class TestPointGeometry:
             for u in domain_samples(surface, 25):
                 pg = sc.point_geometry(surface, u)
                 assert np.all(np.linalg.eigvalsh(pg.g) > 0)
-                assert abs(ps.ambient_inner(pg.N, pg.N) - 1.0) < 1e-10
+                assert abs(inner(pg.N, pg.N) - 1.0) < 1e-10
                 assert np.max(np.abs(pg.jac.T @ ps.ETA6 @ pg.N)) < 1e-10
                 assert -1.0 - 1e-12 <= pg.C <= 1.0 + 1e-12
-                assert abs(ps.ambient_inner(pg.V, pg.V) - (1 - pg.C ** 2)) < 1e-9
+                assert abs(inner(pg.V, pg.V) - (1 - pg.C ** 2)) < 1e-9
                 assert pg.H == pytest.approx(np.trace(pg.A), abs=1e-9)
                 assert pg.K == pytest.approx(np.linalg.det(pg.A), abs=1e-9)
                 assert pg.rho == pytest.approx(-2 + pg.H ** 2 - pg.norm_A_sq, abs=1e-12)
@@ -184,8 +184,8 @@ class TestPointGeometry:
             for _ in range(5):
                 x = pg.from_coords(rng.normal(size=3))
                 y = pg.from_coords(rng.normal(size=3))
-                assert ps.ambient_inner(pg.shape_apply(x), y) == pytest.approx(
-                    ps.ambient_inner(x, pg.shape_apply(y)), abs=1e-9)
+                assert inner(pg.shape_apply(x), y) == pytest.approx(
+                    inner(x, pg.shape_apply(y)), abs=1e-9)
 
     def test_minor_sum_identity(self, m_tau_m2):
         surface, _ = m_tau_m2
@@ -202,7 +202,7 @@ class TestNormalWithoutHint:
     def test_nullspace_normal(self, graph_surface):
         for u in domain_samples(graph_surface, 12, seed=3):
             pg = sc.point_geometry(graph_surface, u)
-            assert abs(ps.ambient_inner(pg.N, pg.N) - 1.0) < 1e-10
+            assert abs(inner(pg.N, pg.N) - 1.0) < 1e-10
             assert np.max(np.abs(pg.jac.T @ ps.ETA6 @ pg.N)) < 1e-10
             # it agrees with the chart's own normal up to sign
             n_null = sc._normal_from_constraints(pg)
@@ -218,8 +218,8 @@ class TestAngleOperators:
                         ([0.0, s, 0, 0, 0, s], 0.0)):
             n = np.array(n)
             j1n, j2n = ps.complex_structures(base, n)
-            assert ps.ambient_inner(ps.P6 @ n, n) == pytest.approx(want, abs=1e-15)
-            assert ps.ambient_inner(j1n, j2n) == pytest.approx(want, abs=1e-15)
+            assert inner(ps.P6 @ n, n) == pytest.approx(want, abs=1e-15)
+            assert inner(j1n, j2n) == pytest.approx(want, abs=1e-15)
 
     def test_vector_v_degenerate(self, m_gamma_2):
         # V = PN - CN vanishes where C^2 = 1
@@ -253,7 +253,7 @@ class TestTangentialT:
             pg = sc.point_geometry(surface, u)
             tv = pg.T_apply(pg.V)
             want = -pg.C * (1 - pg.C ** 2)
-            assert ps.ambient_inner(tv, pg.V) == pytest.approx(want, abs=1e-10)
+            assert inner(tv, pg.V) == pytest.approx(want, abs=1e-10)
             # TV = -CV as an algebraic consequence of P^2 = Id
             assert np.max(np.abs(tv + pg.C * pg.V)) < 1e-10
 
@@ -265,7 +265,7 @@ class TestTangentialT:
         # d/dr of the chart moves only the first factor, along the curve
         x = pg.jac[:, 1]
         assert np.max(np.abs(x[3:])) == 0.0
-        assert abs(ps.ambient_inner(x, pg.V)) < 1e-12
+        assert abs(inner(x, pg.V)) < 1e-12
         tx = pg.T_apply(x)
         assert np.max(np.abs(tx - ps.P6 @ x)) < 1e-12
 
@@ -273,7 +273,7 @@ class TestTangentialT:
         for surface, _ in (m_11_03, m_tau_m2):
             for u in domain_samples(surface, 6):
                 pg = sc.point_geometry(surface, u)
-                tr = sum(ps.ambient_inner(pg.T_apply(pg.principal_ambient[:, i]),
+                tr = sum(inner(pg.T_apply(pg.principal_ambient[:, i]),
                                           pg.principal_ambient[:, i]) for i in range(3))
                 assert tr == pytest.approx(-pg.C, abs=1e-10)
 
@@ -394,7 +394,7 @@ class TestRicciSectional:
                 pg = sc.point_geometry(surface, u)
                 # Ric(e_i, e_i) = sum_j <R(e_i, e_j) e_j, e_i> in the principal frame
                 e = pg.principal_ambient.T
-                tr = sum(ps.ambient_inner(gauss_operator(pg, e[i], e[j], e[j]), e[i])
+                tr = sum(inner(gauss_operator(pg, e[i], e[j], e[j]), e[i])
                          for i in range(3) for j in range(3))
                 assert tr == pytest.approx(pg.rho, abs=1e-9)
 
@@ -413,7 +413,6 @@ class TestAmbientCurvatureConsistency:
     def test_gauss_operator_against_ambient_tensor(self, m_11_03, m_tau_m2, rng):
         # <R(X,Y)Z, W> = Rbar(X,Y,Z,W) + <AX,W><AY,Z> - <AX,Z><AY,W> ties the
         # hypersurface operator to the ambient curvature tensor directly
-        inner = ps.ambient_inner
 
         def ambient_curvature(x, y, z, w):
             # Rbar(X,Y,Z,W) = -1/2 {<Y,Z><X,W> - <X,Z><Y,W> + <PY,Z><PX,W> - <PX,Z><PY,W>}
@@ -425,11 +424,11 @@ class TestAmbientCurvatureConsistency:
             for u in domain_samples(surface, 4):
                 pg = sc.point_geometry(surface, u)
                 x, y, z, w = (pg.from_coords(rng.normal(size=3)) for _ in range(4))
-                lhs = ps.ambient_inner(gauss_operator(pg, x, y, z), w)
+                lhs = inner(gauss_operator(pg, x, y, z), w)
                 ax, ay = pg.shape_apply(x), pg.shape_apply(y)
                 rhs = (ambient_curvature(x, y, z, w)
-                       + ps.ambient_inner(ax, w) * ps.ambient_inner(ay, z)
-                       - ps.ambient_inner(ax, z) * ps.ambient_inner(ay, w))
+                       + inner(ax, w) * inner(ay, z)
+                       - inner(ax, z) * inner(ay, w))
                 assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
 
 
@@ -693,7 +692,7 @@ class TestBatchedFrameIdentities:
         reports = pf.frame_identity_checks(sc.point_geometry(batch_surface, U))
         assert type(reports) is list and len(reports) == len(U)
         for rep, u in zip(reports, U):
-            one = pf.frame_identity_checks(sc.point_geometry(batch_surface, u))
+            one, = pf.frame_identity_checks(sc.point_geometry(batch_surface, u[None]))
             assert isinstance(one, pf.FrameCheckReport)
             assert frame_report_key(rep) == frame_report_key(one)
             assert all(type(it.residual) in (float, type(None)) for it in rep.items)
@@ -707,13 +706,19 @@ class TestBatchedFrameIdentities:
                   mz.make_M_11(0.3)[0], mz.make_M_kk(0.5, ad.tanh, 1.0)[0], level_set,
                   graph_surface]
         rows = [sc.point_geometry(M, u) for M in charts for u in domain_samples(M, 2, seed=1)]
-        singles = [frame_report_key(pf.frame_identity_checks(pg)) for pg in rows]
+        singles = [frame_report_key(pf.frame_identity_checks(stacked([pg]))[0]) for pg in rows]
         order = np.random.default_rng(3).permutation(len(rows))
         batch = pf.frame_identity_checks(stacked([rows[i] for i in order]))
         assert [frame_report_key(rep) for rep in batch] == [singles[i] for i in order]
         branches = {tuple((it.skipped, it.reason.split(" (")[0]) for it in rep.items)
                     for rep in batch}
         assert len(branches) >= 6
+
+    def test_takes_a_batch_only(self, m_tau_m2):
+        # one return shape: a single point is a batch of one
+        surface, _ = m_tau_m2
+        with pytest.raises(TypeError, match="no length"):
+            pf.frame_identity_checks(sc.point_geometry(surface, domain_samples(surface, 1)[0]))
 
     def test_needs_an_order_three_bundle(self, m_tau_m2):
         surface, _ = m_tau_m2
