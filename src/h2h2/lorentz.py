@@ -14,7 +14,7 @@ the signed curvature is kappa = <gamma'', J(gamma')>; normal_sign = -1 flips
 the normal, since both orientations occur as generating curves of product
 hypersurfaces.  Constant kappa has the closed form F0 exp(r C) through the
 so(1,2) exponential so12_exp; a curvature function is stepped by Magnus steps
-built on the same exponential.
+built on the same exponential, taken over arrays of steps at once.
 """
 
 from __future__ import annotations
@@ -66,17 +66,18 @@ def _frame_columns(F: np.ndarray):
 
 
 def so12_exp(X: np.ndarray) -> np.ndarray:
-    """Matrix exponential of X in so(1,2) from the cubic identity X³ = w² X.
+    """Matrix exponential of X in so(1,2), or of each of stacked X (*B,3,3),
+    from the cubic identity X³ = w² X.
 
     exp(X) = I + s X + c X² with w² = tr(X²)/2; c is written with the
     half-angle sinh² (sin²) so nothing cancels for w² near 0.
     """
     X2 = X @ X
-    s, c = _exp_coefficients(0.5 * float(np.trace(X2)))
-    return np.eye(3) + s * X + c * X2
+    s, c = _exp_coefficients(0.5 * np.trace(X2, axis1=-2, axis2=-1))
+    return np.eye(3) + s[..., None, None] * X + c[..., None, None] * X2
 
 
-def _exp_coefficients(w2: float):
+def _exp_coefficient(w2: float):
     if w2 > 0.0:
         w = math.sqrt(w2)
         return math.sinh(w) / w, 2.0 * (math.sinh(0.5 * w) / w) ** 2
@@ -86,24 +87,45 @@ def _exp_coefficients(w2: float):
     return 1.0, 0.5
 
 
+def _exp_coefficients(w2: np.ndarray):
+    """The coefficients s, c of exp(X) over an array of w², each of its shape,
+    by ``math`` element by element."""
+    coeffs = [_exp_coefficient(x) for x in np.ravel(w2).tolist()]
+    return np.moveaxis(np.array(coeffs).reshape(np.shape(w2) + (2,)), -1, 0)
+
+
 def _so12(x) -> np.ndarray:
-    """Matrix [[0, a, b], [a, 0, -c], [b, c, 0]] of so(1,2) with coordinates x = (a, b, c).
+    """Matrices [[0, a, b], [a, 0, -c], [b, c, 0]] of so(1,2), (*B,3,3), with
+    coordinates x = (a, b, c), each a float or a (*B,) array.
 
     The Frenet generator C(kappa) of F' = F C, for the frame
     F = [gamma | T | N], has coordinates (1, 0, kappa).
     """
-    a, b, c = x
-    return np.array([[0.0, a, b], [a, 0.0, -c], [b, c, 0.0]])
+    a, b, c = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in x))
+    X = np.zeros(a.shape + (3, 3))
+    X[..., 0, 1] = X[..., 1, 0] = a
+    X[..., 0, 2] = X[..., 2, 0] = b
+    X[..., 1, 2], X[..., 2, 1] = -c, c
+    return X
 
 
 def _bracket(x, y) -> np.ndarray:
-    """Coordinates of the commutator [X, Y] of the so(1,2) elements with coordinates x, y."""
+    """Coordinates of the commutator [X, Y] of the so(1,2) elements with
+    coordinates x, y, coordinate first: (3, *B)."""
     return np.array([x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
                      x[1] * y[0] - x[0] * y[1]])
 
 
+def _chained(F: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """F @ E_0, F @ E_0 @ E_1, ... for the stacked steps E_i, (len(steps), 3, 3)."""
+    out = np.empty_like(steps)
+    for i, E in enumerate(steps):
+        F = out[i] = F @ E
+    return out
+
+
 # Gauss-Legendre nodes of the sixth-order Magnus step
-_GL_NODES = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
+_GL_NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
 
 class PlaneCurve:
@@ -116,6 +138,13 @@ class PlaneCurve:
     one more step from the nearest knot toward 0, so results do not depend on
     the query history.  Each step is an exact group element, so the frame
     stays Lorentz-orthonormal without renormalization.
+
+    A batch of queries grows every knot it lacks in one pass: one ``kappa``
+    call at all the Gauss-Legendre nodes, and the brackets and exponentials
+    over the stack, before the knots are chained in order; then one Magnus
+    step over the array answers every query.  Each operation is the per-point
+    one applied elementwise, or a 3x3 product per slice, so every frame is
+    bit for bit the one-point frame.
     """
 
     # knot spacing: one sixth-order step of this length stays within about
@@ -128,8 +157,9 @@ class PlaneCurve:
         self.kappa = kappa
         F0 = np.diag([1.0, 1.0, float(normal_sign)])
         if callable(kappa):
-            self._knots = {0: F0}
-            self._kmin = self._kmax = 0
+            # knots kmin..kmax, stacked (kmax - kmin + 1, 3, 3)
+            self._knots = F0[None]
+            self._kmin = 0
             self._lock = threading.Lock()
         else:
             k = float(kappa)
@@ -137,55 +167,62 @@ class PlaneCurve:
             self._w2 = (1.0 - k) * (1.0 + k)     # w² of C, accurate near |kappa| = 1
             self._terms = (F0, F0 @ C, F0 @ C @ C)
 
-    def kappa_at(self, r: float) -> float:
-        """The curvature at arc length r, as a float."""
-        if callable(self.kappa):
-            return float(ad.value(self.kappa(r)))
-        return float(self.kappa)
+    def kappa_at(self, r):
+        """The curvature at arc length r: a float, or an array of r's shape."""
+        k = ad.value(self.kappa(r)) if callable(self.kappa) else self.kappa
+        if np.ndim(r):
+            return np.broadcast_to(np.asarray(k, dtype=float), np.shape(r))
+        return float(k)
 
-    def _magnus_step(self, F, r, h):
+    def _magnus_exp(self, r, h):
+        """exp(Omega) of the sixth-order Magnus steps of length h from r, over
+        arrays r, h of one shape B: (*B,3,3)."""
         # Blanes-Casas-Ros for Y' = A Y with every bracket reversed, since
         # the frame multiplies from the right; terms are so(1,2) coordinates
-        A1, A2, A3 = (np.array([1.0, 0.0, self.kappa_at(r + c * h)]) for c in _GL_NODES)
+        # (3, *B), and the curvature at the three nodes comes from one call
+        nodes = r + _GL_NODES.reshape((3,) + (1,) * r.ndim) * h
+        one, zero = np.ones(r.shape), np.zeros(r.shape)
+        A1, A2, A3 = (np.array([one, zero, k]) for k in self.kappa_at(nodes))
         a1 = h * A2
         a2 = (math.sqrt(15.0) * h / 3.0) * (A3 - A1)
         a3 = (10.0 * h / 3.0) * (A3 - 2.0 * A2 + A1)
         c1 = _bracket(a2, a1)
         c2 = _bracket(2.0 * a3 + c1, a1) / -60.0
         omega = a1 + a3 / 12.0 + _bracket(a2 + c2, -20.0 * a1 - a3 + c1) / 240.0
-        return F @ so12_exp(_so12(omega))
+        return so12_exp(_so12(omega))
 
-    def _knot(self, k: int):
+    def _grow(self, lo: int, hi: int):
+        """The knots, stacked, and the index of the first, once they reach
+        from lo to hi."""
         with self._lock:
-            while self._kmax < k:
-                self._knots[self._kmax + 1] = self._magnus_step(
-                    self._knots[self._kmax], self._kmax * self.STRIDE, self.STRIDE)
-                self._kmax += 1
-            while self._kmin > k:
-                self._knots[self._kmin - 1] = self._magnus_step(
-                    self._knots[self._kmin], self._kmin * self.STRIDE, -self.STRIDE)
-                self._kmin -= 1
-            return self._knots[k]
+            knots, kmin = self._knots, self._kmin
+            up, down = np.arange(kmin + len(knots) - 1, hi), np.arange(kmin, lo, -1)
+            if up.size or down.size:
+                h = np.repeat([self.STRIDE, -self.STRIDE], [up.size, down.size])
+                steps = self._magnus_exp(np.concatenate([up, down]) * self.STRIDE, h)
+                above = _chained(knots[-1], steps[:up.size])
+                below = _chained(knots[0], steps[up.size:])[::-1]
+                self._knots = knots = np.concatenate([below, knots, above])
+                self._kmin = kmin = min(kmin, lo)
+            return knots, kmin
 
     def _frame(self, r) -> np.ndarray:
-        """The 3x3 frame [gamma | T | N] at arc length r; (*B,3,3) for an array of r."""
-        if isinstance(r, np.ndarray) and r.ndim:
-            if callable(self.kappa):
-                frames = [self._frame(x) for x in r.ravel().tolist()]
-                return np.stack(frames).reshape(r.shape + (3, 3))
-            coeffs = [_exp_coefficients(x) for x in (r * r * self._w2).ravel().tolist()]
-            s, c = np.array(coeffs).T.reshape((2,) + r.shape)
-            F0, F1, F2 = self._terms
-            return F0 + (s * r)[..., None, None] * F1 + (c * r * r)[..., None, None] * F2
+        """The frame [gamma | T | N] at arc length r: (3,3) for a float,
+        (*B,3,3) for an array of r."""
+        r = np.asarray(r, dtype=float)
         if not callable(self.kappa):
             s, c = _exp_coefficients(r * r * self._w2)
             F0, F1, F2 = self._terms
-            return F0 + (s * r) * F1 + (c * r * r) * F2
-        k = int(r / self.STRIDE)     # nearest knot toward 0
-        F = self._knot(k)
-        if r != k * self.STRIDE:
-            F = self._magnus_step(F, k * self.STRIDE, r - k * self.STRIDE)
-        return F
+            return F0 + (s * r)[..., None, None] * F1 + (c * r * r)[..., None, None] * F2
+        flat = r.ravel()
+        k = np.trunc(flat / self.STRIDE)     # nearest knot toward 0
+        knots, kmin = self._grow(int(k.min(initial=0)), int(k.max(initial=0)))
+        F = knots[k.astype(int) - kmin]
+        h = flat - k * self.STRIDE
+        off = h != 0.0
+        if off.any():
+            F[off] = F[off] @ self._magnus_exp(k[off] * self.STRIDE, h[off])
+        return F.reshape(r.shape + (3, 3))
 
     def jet(self, r):
         """Curve point and normal at a scalar or jet parameter.
@@ -198,8 +235,9 @@ class PlaneCurve:
             N''' = (kappa³ - kappa - kappa'') T - 2 kappa' gamma - 3 kappa kappa' N,
 
         with kappa' and kappa'' from one jet evaluation of a curvature function.
-        A batched r gets closed-form frames over the array for constant kappa,
-        and one Magnus frame per point, stacked, for a curvature function.
+        A batched r gets closed-form frames over the array for constant kappa;
+        for a curvature function, the knots the batch needs are grown in one
+        pass and one Magnus step over the array reaches every point.
         """
         r0 = ad.value(r)
         g, t, n = _frame_columns(self._frame(r0))

@@ -140,8 +140,7 @@ def _product_surface(c: float, curve1: PlaneCurve, curve2: PlaneCurve,
 
     def lambdas(u):
         t, r, s = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
-        return product_lambdas(c, sc * t, s1c * t, ad.elementwise(curve1.kappa_at, r),
-                               ad.elementwise(curve2.kappa_at, s))
+        return product_lambdas(c, sc * t, s1c * t, curve1.kappa_at(r), curve2.kappa_at(s))
 
     surface = Hypersurface(chart=chart, domain=domain, name=name)
     oracle = Oracle(name=name, C=1.0 - 2.0 * c, lambdas=lambdas, constant_curvatures=constant)

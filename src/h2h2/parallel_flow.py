@@ -214,11 +214,12 @@ def _hyperbolic(af: AdaptedFrame, l):
     return out
 
 
-def _q_rows(af: AdaptedFrame, l) -> tuple:
+def _q_rows(af: AdaptedFrame, l, hyperbolic=None) -> tuple:
     """Entries of the pushforward matrix Q of the parallel map in the adapted
-    frame and of its l-derivative Q', as nested rows."""
+    frame and of its l-derivative Q', as nested rows.  ``hyperbolic`` is
+    ``_hyperbolic(af, l)`` when the caller has it."""
     a = af.entries
-    (chp, sp, dchp), (chm, sm, dchm) = _hyperbolic(af, l)
+    (chp, sp, dchp), (chm, sm, dchm) = hyperbolic or _hyperbolic(af, l)
     return ([[1.0 - l * a[0, 0], -a[0, 1] * sp, -a[0, 2] * sm],
              [-l * a[0, 1], chp - a[1, 1] * sp, -a[1, 2] * sm],
              [-l * a[0, 2], -a[1, 2] * sp, chm - a[2, 2] * sm]],
@@ -248,10 +249,11 @@ def _detq_terms(af: AdaptedFrame):
             (h23, -k, 1, 1))
 
 
-def detq_expansion(af: AdaptedFrame, l):
-    """Closed-form det Q in terms of the principal 2x2 minors and det A."""
+def detq_expansion(af: AdaptedFrame, l, hyperbolic=None):
+    """Closed-form det Q in terms of the principal 2x2 minors and det A.
+    ``hyperbolic`` is ``_hyperbolic(af, l)`` when the caller has it."""
     l = np.asarray(l, dtype=float)
-    fp, fm = _hyperbolic(af, l)
+    fp, fm = hyperbolic or _hyperbolic(af, l)
     return sum((alpha + beta * l) * fp[i] * fm[j] for alpha, beta, i, j in _detq_terms(af))
 
 
@@ -296,11 +298,11 @@ _RAISE = np.errstate(over="raise", invalid="raise", divide="raise")
 
 
 @_RAISE
-def _flow(af: AdaptedFrame, l) -> list:
+def _flow(af: AdaptedFrame, l, hyperbolic=None) -> list:
     """Entries s[i][j] of the parallel shape operator S(l), each over the
-    frames and l."""
+    frames and l; ``hyperbolic`` as in ``_q_rows``."""
     l = np.asarray(l, dtype=float)
-    return _shape_operator(*_q_rows(af, l), l)
+    return _shape_operator(*_q_rows(af, l, hyperbolic), l)
 
 
 def _trace(s):
@@ -324,9 +326,9 @@ def _dot(x, y):
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
-def _symmetric_spectrum(s) -> np.ndarray:
-    """Ascending eigenvalues (..., 3) of the symmetric part of the matrices
-    with entries s[i][j], in closed form.
+def _symmetric_spectrum(s) -> tuple:
+    """Ascending eigenvalues (lowest, middle, highest), each over the batch,
+    of the symmetric part of the matrices with entries s[i][j], in closed form.
 
     Eberly's robust eigensolver (D. Eberly, A Robust Eigensolver for 3x3
     Symmetric Matrices, Geometric Tools, 2014).  With m the largest |entry|
@@ -378,15 +380,14 @@ def _symmetric_spectrum(s) -> np.ndarray:
     mid = 0.5 * ((b00 + b11 + b22) - beta)
     half = np.hypot(j00 - mid, j01)
     iso, lo, hi = (m * (q + p * x) for x in (beta, mid - half, mid + half))
-    return np.stack([np.minimum(iso, lo), np.maximum(lo, np.minimum(iso, hi)),
-                     np.maximum(iso, hi)], axis=-1)
+    return np.minimum(iso, lo), np.maximum(lo, np.minimum(iso, hi)), np.maximum(iso, hi)
 
 
 @_RAISE
-def _spectrum(s) -> np.ndarray:
-    """Ascending eigenvalues of the self-adjoint shape operator with entries
-    s[i][j] (see the module docstring), refused where an entry is not finite
-    or S is not symmetric to roundoff.
+def _spectrum(s) -> tuple:
+    """Ascending eigenvalues (lowest, middle, highest) of the self-adjoint
+    shape operator with entries s[i][j] (see the module docstring), refused
+    where an entry is not finite or S is not symmetric to roundoff.
 
     The bar is judged on S / m, m the largest |entry|, against
     max((ASYMMETRY_TOL / m)², ASYMMETRY_REL² ||S / m||_F²), so no square
@@ -414,8 +415,8 @@ def mean_curvature_of_parallel(af: AdaptedFrame, l):
 
 
 def parallel_lambdas(af: AdaptedFrame, l) -> np.ndarray:
-    """Principal curvatures of the parallel hypersurface, ascending."""
-    return _spectrum(_flow(af, l))
+    """Principal curvatures of the parallel hypersurface, ascending, (..., 3)."""
+    return np.stack(_spectrum(_flow(af, l)), axis=-1)
 
 
 def find_focal_radius(af: AdaptedFrame, lo, hi):
@@ -570,41 +571,45 @@ def isoparametric_scan(pgs: PointGeometry, l_grid) -> ScanReport:
     bisected to full precision, and roots that agree within 1e-9 are
     reported once.  ``pgs`` is the bundle of the base points, a batch (n,)
     of any jet order (the scan reads no third derivative), so the caller's
-    chart pass serves it; its frames form one batch, evaluated once over the
-    whole grid.  An overflow, a division by zero or an invalid operation
-    raises FloatingPointError, as in the flow.
+    chart pass serves it; its frames form one batch, a column evaluated once
+    against the whole grid.  An overflow, a division by zero or an invalid
+    operation raises FloatingPointError, as in the flow.
     """
     l_grid = np.asarray(l_grid, dtype=float)
 
+    # every array is (base point, l)
     if np.all(np.abs(pgs.C) > DEGENERATE_C):
         mode = "curve_factor"
-        kappas = pgs.H
-        dets = np.cosh(l_grid) - kappas[:, None] * np.sinh(l_grid)
+        kappas = pgs.H[:, None]
+        dets = np.cosh(l_grid) - kappas * np.sinh(l_grid)
         flags = _focal_flags(dets)
-        roots = sorted({round(math.atanh(1.0 / k), 12) for k in kappas.tolist()
+        roots = sorted({round(math.atanh(1.0 / k), 12) for k in pgs.H.tolist()
                         if abs(k) > 1.0 and l_grid[0] < math.atanh(1.0 / k) < l_grid[-1]})
         find_roots = roots.copy
-        hs = parallel_curve_curvature(kappas, l_grid[~flags, None])   # (l, base point)
-        lams = hs[..., None]
+        hs = parallel_curve_curvature(kappas, l_grid[~flags])
+        lams = (hs,)
     else:
         mode = "adapted"
         af = adapted_frame(pgs)
-        # the frames broadcast against l as a column: arrays are (l, base point, ...)
-        dets = detq_expansion(af, l_grid[:, None]).T
+        column = af[:, None]
+        # one cosh/sinh pass over the grid serves det Q and the flow
+        hyperbolic = _hyperbolic(column, l_grid)
+        dets = detq_expansion(column, l_grid, hyperbolic)
         flags = _focal_flags(dets)
         rows, j = np.nonzero(dets[:, :-1] * dets[:, 1:] < 0)
         find_roots = functools.partial(_bisected_roots, af[rows], l_grid[j], l_grid[j + 1])
         # about 256 nodes at a time, so that the entries of Q, Q' and S stay small
         parts = []
-        for block in np.array_split(l_grid[~flags, None], len(l_grid) // 256 + 1):
-            s = _flow(af, block)
-            parts.append((_trace(s), _spectrum(s)))
-        hs, lams = (np.concatenate(x) for x in zip(*parts))
+        for nodes in np.array_split(np.flatnonzero(~flags), len(l_grid) // 256 + 1):
+            s = _flow(column, l_grid[nodes], [[x[:, nodes] for x in f] for f in hyperbolic])
+            parts.append((_trace(s), *_spectrum(s)))
+        hs, *lams = (np.concatenate(x, axis=1) for x in zip(*parts))
 
     h_mean, h_spread, lambda_spread = (np.full(len(l_grid), math.nan) for _ in range(3))
-    h_mean[~flags] = np.mean(hs, axis=1)
-    h_spread[~flags] = np.max(hs, axis=1) - np.min(hs, axis=1)
-    lambda_spread[~flags] = np.max(np.max(lams, axis=1) - np.min(lams, axis=1), axis=-1)
+    # the mean sums each node's base points in numpy's pairwise order, as a row
+    h_mean[~flags] = np.mean(np.ascontiguousarray(hs.T), axis=1)
+    h_spread[~flags] = np.max(hs, axis=0) - np.min(hs, axis=0)
+    lambda_spread[~flags] = np.max([np.max(x, axis=0) - np.min(x, axis=0) for x in lams], axis=0)
     return ScanReport(l=l_grid, h_mean=h_mean, h_spread=h_spread, lambda_spread=lambda_spread,
                       min_abs_detq=np.min(np.abs(dets), axis=0), focal=flags,
                       excluded=l_grid[flags].tolist(), mode=mode, find_roots=find_roots)

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from h2h2 import autodiff as ad
 from h2h2 import lorentz as lz
+from h2h2 import model_zoo as mz
+from h2h2 import surface_calculus as sc
 
 def frenet(curve, r):
     """Frenet data (gamma, T, N, kappa) of the curve at a float arc length r:
@@ -205,7 +208,6 @@ class TestCurves:
 
     def test_variable_curvature_frenet_closure(self):
         # N = J(T) makes the Frenet equations hold with signed curvature
-        from h2h2 import autodiff as ad
         curve = lz.PlaneCurve(ad.tanh)
         h = 1e-4
         rs = (-1.2, 0.3, 0.9)
@@ -230,7 +232,6 @@ class TestCurves:
 
     def test_curve_jet_matches_finite_differences(self):
         curve = lz.PlaneCurve(1.0)
-        from h2h2 import autodiff as ad
         r0 = 0.6
         x = ad.jet_variables([r0, 0.0, 0.0])[0]
         g, n = curve.jet(x)
@@ -247,7 +248,6 @@ class TestCurves:
     @pytest.mark.parametrize("kappa", [0.0, 1.0, 2.0])
     def test_curve_jet_derivatives_match_closed_form(self, kappa):
         # F(r) = e^{rC} gives every derivative in closed form: F^(m) = F C^m
-        from h2h2 import autodiff as ad
         C = np.array([[0.0, 1, 0], [1, 0, -kappa], [0, kappa, 0]])
         for r0 in (-1.3, 0.4, 2.1):
             g, n = lz.PlaneCurve(kappa).jet(ad.jet_variables([r0, 0.0, 0.0])[0])
@@ -262,7 +262,6 @@ class TestCurves:
 
     def test_curve_jet_third_derivatives_variable_curvature(self):
         # third derivatives against a central difference of the exact second ones
-        from h2h2 import autodiff as ad
         curve = lz.PlaneCurve(ad.tanh)
         h = 1e-4
 
@@ -275,6 +274,148 @@ class TestCurves:
             third = np.array([c.ddd[0, 0, 0] for c in (*g, *n)])
             fd = (second(r0 + h) - second(r0 - h)) / (2 * h)
             assert np.max(np.abs(third - fd)) < 1e-7
+
+
+# Gauss-Legendre nodes of the reference Magnus step
+GL = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
+
+
+def generator(x):
+    a, b, c = x
+    return np.array([[0.0, a, b], [a, 0.0, -c], [b, c, 0.0]])
+
+
+def bracket(x, y):
+    return np.array([x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
+                     x[1] * y[0] - x[0] * y[1]])
+
+
+def exp_so12(X):
+    X2 = X @ X
+    w2 = 0.5 * float(np.trace(X2))
+    w = math.sqrt(abs(w2))
+    if w2 > 0.0:
+        s, c = math.sinh(w) / w, 2.0 * (math.sinh(0.5 * w) / w) ** 2
+    elif w2 < 0.0:
+        s, c = math.sin(w) / w, 2.0 * (math.sin(0.5 * w) / w) ** 2
+    else:
+        s, c = 1.0, 0.5
+    return np.eye(3) + s * X + c * X2
+
+
+class PointMagnus:
+    """Per-point reference of a curvature-function curve: knots grown one
+    sixth-order Magnus step at a time outward from 0, and one more step from
+    the nearest knot toward 0 for a query, on 3-vectors and 3x3 matrices."""
+
+    def __init__(self, kappa, normal_sign=1):
+        self.kappa = kappa
+        self.knots = {0: np.diag([1.0, 1.0, float(normal_sign)])}
+
+    def step(self, F, r, h):
+        A1, A2, A3 = (np.array([1.0, 0.0, float(self.kappa(r + c * h))]) for c in GL)
+        a1 = h * A2
+        a2 = (math.sqrt(15.0) * h / 3.0) * (A3 - A1)
+        a3 = (10.0 * h / 3.0) * (A3 - 2.0 * A2 + A1)
+        c1 = bracket(a2, a1)
+        c2 = bracket(2.0 * a3 + c1, a1) / -60.0
+        omega = a1 + a3 / 12.0 + bracket(a2 + c2, -20.0 * a1 - a3 + c1) / 240.0
+        return F @ exp_so12(generator(omega))
+
+    def knot(self, k):
+        h = lz.PlaneCurve.STRIDE
+        j = 1 if k > 0 else -1
+        for i in range(0, k, j):
+            if i + j not in self.knots:
+                self.knots[i + j] = self.step(self.knots[i], i * h, j * h)
+        return self.knots[k]
+
+    def frame(self, r):
+        k = int(r / lz.PlaneCurve.STRIDE)
+        F = self.knot(k)
+        if r != k * lz.PlaneCurve.STRIDE:
+            F = self.step(F, k * lz.PlaneCurve.STRIDE, r - k * lz.PlaneCurve.STRIDE)
+        return F
+
+
+class TestBatchedCurve:
+    """A curvature-function curve answers a batch of queries in one pass,
+    every row bit for bit the per-point Magnus frame."""
+
+    STRIDE = lz.PlaneCurve.STRIDE
+    # r = 0 (both signs), knots on both sides, their neighbours, negative r,
+    # and points spread over the M_kk domain
+    R = np.concatenate([[0.0, -0.0, 1e-300, -1e-17, 5 * STRIDE, -7 * STRIDE, 1.0, -1.6, 1.6],
+                        np.linspace(-1.7, 1.7, 53)])
+
+    @pytest.mark.parametrize("kappa, sign", [("tanh", 1), ("tanh", -1), ("linear", 1)])
+    def test_rows_equal_the_per_point_reference(self, kappa, sign):
+        fn = ad.tanh if kappa == "tanh" else (lambda r: 0.3 - 0.8 * r)
+        ref = PointMagnus(fn, sign)
+        want = np.stack([ref.frame(float(r)) for r in self.R])
+        assert np.array_equal(lz.PlaneCurve(fn, sign)._frame(self.R), want)
+        # the float query is the batch of one, on a fresh curve and on a warm one
+        warm = lz.PlaneCurve(fn, sign)
+        warm._frame(self.R)
+        for curve in (lz.PlaneCurve(fn, sign), warm):
+            for r, F in zip(self.R.tolist(), want):
+                got = curve._frame(r)
+                assert got.shape == (3, 3) and np.array_equal(got, F)
+
+    def test_zero_and_knots_are_the_stored_frames(self):
+        curve = lz.PlaneCurve(ad.tanh, -1)
+        assert np.array_equal(curve._frame(0.0), np.diag([1.0, 1.0, -1.0]))
+        ks = np.array([-9, -1, 0, 3, 12])
+        F = curve._frame(ks * self.STRIDE)
+        assert np.array_equal(F, curve._knots[ks - curve._kmin])
+
+    def test_two_dimensional_batch(self):
+        r = self.R[:60].reshape(6, 10)
+        F = lz.PlaneCurve(ad.tanh)._frame(r)
+        assert F.shape == (6, 10, 3, 3)
+        assert np.array_equal(F.reshape(60, 3, 3), lz.PlaneCurve(ad.tanh)._frame(r.ravel()))
+        assert lz.PlaneCurve(ad.tanh)._frame(np.zeros((0, 2))).shape == (0, 2, 3, 3)
+        with pytest.raises(ValueError):
+            lz.PlaneCurve(ad.tanh)._frame(np.array([0.5, np.nan]))
+
+    def test_knots_do_not_depend_on_which_far_query_grows_them(self):
+        orders = ([1.6, -1.6], [-1.6, 1.6], [np.array([-1.6, 1.6])], [0.4, -0.9, 1.6, -1.6],
+                  [np.array([1.2, -0.3]), -1.6, 1.6])
+        curves = []
+        for order in orders:
+            curve = lz.PlaneCurve(ad.tanh)
+            for r in order:
+                curve._frame(r)
+            curves.append(curve)
+        for curve in curves[1:]:
+            assert curve._kmin == curves[0]._kmin
+            assert np.array_equal(curve._knots, curves[0]._knots)
+        assert np.array_equal(curves[0]._frame(self.R), curves[1]._frame(self.R))
+
+    def test_kappa_at_takes_an_array_through_one_call(self):
+        calls = []
+
+        def kappa(r):
+            calls.append(r)
+            return ad.tanh(r)
+
+        curve = lz.PlaneCurve(kappa)
+        got = curve.kappa_at(self.R.reshape(2, -1))
+        assert len(calls) == 1 and got.shape == (2, self.R.size // 2)
+        assert np.array_equal(got.ravel(), [math.tanh(r) for r in self.R.tolist()])
+        assert type(curve.kappa_at(0.3)) is float
+        assert np.array_equal(lz.PlaneCurve(lambda _r: 0.5).kappa_at(self.R), [0.5] * self.R.size)
+        assert np.array_equal(lz.PlaneCurve(-1.0).kappa_at(self.R[:4]), [-1.0] * 4)
+
+    def test_point_float_path_equals_the_batch(self):
+        surface, _ = mz.make_M_kk(0.5, ad.tanh, 1.0)
+        u = np.array([[0.2, -1.55, 0.4], [-0.7, 0.0, -1.2], [0.9, 3 * self.STRIDE, 1.6],
+                      [0.1, 1.234, -0.3]])
+        batch = surface.point(u)
+        jets = sc.chart_jet(surface, u).val
+        for row, b, j in zip(u, batch, jets):
+            got = surface.point(row)
+            assert np.array_equal(got, b) and np.array_equal(got, j)
 
 
 class TestHorocycleSigns:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from h2h2 import autodiff as ad
+from h2h2 import lorentz as lz
 from h2h2 import model_zoo as mz
 from h2h2 import parallel_flow as pf
 from h2h2 import product_space as ps
@@ -38,8 +40,8 @@ def entries(m):
 
 
 def real_spectrum(s):
-    """``pf._spectrum`` of the matrices s (..., 3, 3)."""
-    return pf._spectrum(entries(s))
+    """``pf._spectrum`` of the matrices s (..., 3, 3), stacked (..., 3)."""
+    return np.stack(pf._spectrum(entries(s)), axis=-1)
 
 
 def pushforward_norm(surface, u, l):
@@ -834,12 +836,20 @@ class TestDetQDerivatives:
         assert abs(closed[6] - numeric[6]) < 1e-11 * scale
         assert abs(closed[8] - numeric[8]) < 1e-11 * scale
 
+    # the frame on which LAPACK's eigvalsh (OpenBLAS 0.3.31) returns
+    # +-0.75031 for eigenvalues +-0.75: the reference must not go through it
+    T_BAND = 9.686e-162
+
     @settings(max_examples=40, deadline=None)
     @given(synthetic_frames())
+    @example(pf.AdaptedFrame(0.0, [[T_BAND, 0.75, T_BAND], [0.75, 0.0, T_BAND],
+                                   [T_BAND, T_BAND, 0.0]]))
     def test_minor_sum_identity_synthetic(self, af):
+        # sigma_2 of the eigenvalues is ((tr A)² - tr A²)/2, taken exactly
+        a = [[Fraction(x) for x in row] for row in af.A.tolist()]
+        trace = sum(a[i][i] for i in range(3))
+        e2 = float((trace * trace - sum(x * x for row in a for x in row)) / 2)
         h12, h13, h23 = af.principal_minors()
-        lam = np.linalg.eigvalsh(af.A)
-        e2 = lam[0] * lam[1] + lam[0] * lam[2] + lam[1] * lam[2]
         assert 2 * (h12 + h13 + h23) == pytest.approx(2 * e2, abs=1e-10)
         assert af.rho + 2 == pytest.approx(2 * e2, abs=1e-10)
 
@@ -1047,8 +1057,45 @@ class TestScanFromBundle:
                                                               want.focal_roots)
 
 
+def scan_by_node(pgs, grid):
+    """The scan's columns by the formula laid out (l, base point): the frames
+    broadcast as a row against l as a column, the spectra stacked, and the
+    columns reduced along the base points, as the scan computed them before
+    it kept its arrays (base point, l)."""
+    if np.all(np.abs(pgs.C) > pf.DEGENERATE_C):
+        dets = np.cosh(grid) - pgs.H[:, None] * np.sinh(grid)
+        flags = pf._focal_flags(dets)
+        hs = lz.parallel_curve_curvature(pgs.H, grid[~flags, None])
+        lams = hs[..., None]
+    else:
+        af = pf.adapted_frame(pgs)
+        dets = pf.detq_expansion(af, grid[:, None]).T
+        flags = pf._focal_flags(dets)
+        parts = []
+        for block in np.array_split(grid[~flags, None], len(grid) // 256 + 1):
+            s = pf._flow(af, block)
+            parts.append((pf._trace(s), np.stack(pf._spectrum(s), axis=-1)))
+        hs, lams = (np.concatenate(x) for x in zip(*parts))
+    columns = [np.full(len(grid), math.nan) for _ in range(3)]
+    columns[0][~flags] = np.mean(hs, axis=1)
+    columns[1][~flags] = np.max(hs, axis=1) - np.min(hs, axis=1)
+    columns[2][~flags] = np.max(np.max(lams, axis=1) - np.min(lams, axis=1), axis=-1)
+    return (*columns, np.min(np.abs(dets), axis=0), flags)
+
+
 class TestScanColumns:
     """The columnar report against the per-row code it replaced."""
+
+    @pytest.mark.parametrize("spec", mz.CATALOG + (PER_ROW_MODELS[-1],), ids=str)
+    def test_columns_equal_the_by_node_formula(self, spec):
+        surface, _ = mz.build_model(spec)
+        pgs = sc.point_geometry(surface, rp.sobol_points(surface.domain, 8, 0), order=2)
+        grid = np.arange(-2.0, 2.0 + 1e-9, 0.01)
+        rep = pf.isoparametric_scan(pgs, grid)
+        got = (rep.h_mean, rep.h_spread, rep.lambda_spread, rep.min_abs_detq, rep.focal)
+        for name, x, y in zip(("h_mean", "h_spread", "lambda_spread", "min_abs_detq", "focal"),
+                              got, scan_by_node(pgs, grid)):
+            assert np.array_equal(x, y, equal_nan=True), name
 
     def scan(self):
         surface, _ = mz.make_M_tau(-1.5)
