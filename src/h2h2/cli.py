@@ -28,32 +28,27 @@ GEOMETRIC_ERRORS = (sc.ChartRankError, sc.NormalSpaceError,
                     sc.DegenerateProductAngleError, mz.DomainError, ArithmeticError)
 
 
+def _model_parameters() -> dict:
+    """Every parameter of ``mz.FAMILIES`` -> its default, in first-use order."""
+    return {name: default for _, params in mz.FAMILIES.values()
+            for name, default in params.items()}
+
+
 def _model_from_args(args) -> mz.ModelSpec:
     kind = args.model
     if kind is None:
         raise rp.ConfigError("--model is required")
-    params = {}
-    if kind == "M_Gamma":
-        if args.kappa_gamma is None:
-            raise rp.ConfigError("M_Gamma requires --kappa-gamma")
-        params["kappa_gamma"] = args.kappa_gamma
-    elif kind in ("M_1m1", "M_11"):
-        if args.c is None:
-            raise rp.ConfigError(f"{kind} requires --c")
-        params["c"] = args.c
-    elif kind == "M_kk":
-        if args.c is None:
-            raise rp.ConfigError("M_kk requires --c")
-        params["c"] = args.c
-        params["kappa"] = args.kappa if args.kappa is not None else "one"
-        params["kappa_tilde"] = args.kappa_tilde if args.kappa_tilde is not None else "minus-one"
-    elif kind == "M_tau":
-        if args.tau is None:
-            raise rp.ConfigError("M_tau requires --tau")
-        params["tau"] = args.tau
-    else:
-        raise rp.ConfigError(f"unknown model {kind!r}")
-    return mz.ModelSpec(kind=kind, params=params)
+    params = mz.FAMILIES[kind][1]
+    given = {name: getattr(args, name) for name in _model_parameters()}
+    for name, default in params.items():
+        if default is None and given[name] is None:
+            raise rp.ConfigError(f"{kind} requires {mz.flag(name)}")
+    for name, value in given.items():
+        if name not in params and value is not None:
+            raise rp.ConfigError(f"{kind} does not take {mz.flag(name)}")
+    return mz.ModelSpec(kind=kind, params={
+        name: default if given[name] is None else given[name]
+        for name, default in params.items()})
 
 
 def _parse_tols(pairs) -> dict:
@@ -78,22 +73,21 @@ def _parse_lgrid(text) -> tuple:
 
 
 def _config_from_args(args) -> rp.SuiteConfig:
-    cfg = rp.SuiteConfig(
+    """The run's configuration; ``run_verify_suite`` and ``parallel_rows``
+    validate it."""
+    return rp.SuiteConfig(
         model=_model_from_args(args),
         samples=args.samples,
         seed=args.seed,
-        tolerances=_parse_tols(args.tol),
+        # parallel takes no --tol; its config echoes the default tolerances
+        tolerances=_parse_tols(args.tol) if "tol" in args else {},
         l_grid=_parse_lgrid(args.l_grid),
-        out=args.out,
-        fmt=args.format,
     )
-    cfg.validate()
-    return cfg
 
 
-def _write(cfg: rp.SuiteConfig, text: str):
-    if cfg.out:
-        rp.write_atomic(cfg.out, text)
+def _write(path, text: str):
+    if path:
+        rp.write_atomic(path, text)
     else:
         sys.stdout.write(text)
 
@@ -102,7 +96,7 @@ def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
     results = rp.run_verify_suite(cfg)
     payload = rp.report_payload(cfg, results)
-    _write(cfg, rp.render_json(payload) if cfg.fmt == "json" else rp.render_csv(results))
+    _write(args.out, rp.render_json(payload) if args.format == "json" else rp.render_csv(results))
     summary = payload["summary"]
     for r in results:
         status = {True: "PASS", False: "FAIL", None: "SKIP"}[r.passed]
@@ -116,7 +110,7 @@ def cmd_verify(args) -> int:
 def cmd_parallel(args) -> int:
     cfg = _config_from_args(args)
     rows = rp.parallel_rows(cfg)
-    _write(cfg, rp.render_parallel_csv(rows) if cfg.fmt == "csv"
+    _write(args.out, rp.render_parallel_csv(rows) if args.format == "csv"
            else rp.render_json({"config": cfg.as_dict(), "rows": rows}))
     return 0
 
@@ -146,11 +140,9 @@ def cmd_table(args) -> int:
     elif which == "detq-derivatives":
         rows = rp.detq_table_rows()
         cols = ["model", "k", "closed_form", "numeric", "abs_diff"]
-    elif which == "lemma-residuals":
+    else:
         rows = rp.lemma_residual_rows()
         cols = ["model", "identity", "residual", "status", "reason"]
-    else:
-        raise rp.ConfigError(f"unknown table {which!r}")
     if args.out:
         rp.write_atomic(args.out, rp.csv_text(cols, ([r[c] for c in cols] for r in rows)))
     else:
@@ -159,28 +151,19 @@ def cmd_table(args) -> int:
 
 
 def cmd_poincare_dump(args) -> int:
-    if args.out is None:
-        raise rp.ConfigError("poincare-dump requires --out")
-    spec = _model_from_args(args)
-    rp.validate_model(spec)
-    rp.poincare_dump(spec, args.out)
+    rp.poincare_dump(_model_from_args(args), args.out)
     return 0
 
 
 def _add_model_args(p):
-    p.add_argument("--model", choices=["M_Gamma", "M_kk", "M_1m1", "M_11", "M_tau"])
-    p.add_argument("--c", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--kappa-gamma", type=float, dest="kappa_gamma")
-    p.add_argument("--kappa", help="curvature function for M_kk: number, 'tanh', or const:<x>")
-    p.add_argument("--kappa-tilde", dest="kappa_tilde",
-                   help="second curvature function for M_kk")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", action="append", metavar="NAME=VALUE")
-    p.add_argument("--l-grid", default="-1.0:1.0:0.1", dest="l_grid", metavar="A:B:H")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--model", choices=list(mz.FAMILIES))
+    for name, default in _model_parameters().items():
+        if default is None:
+            p.add_argument(mz.flag(name), type=float)
+        else:
+            p.add_argument(mz.flag(name), help=f"curvature function: a number, const:<x> or "
+                                               f"one of {', '.join(mz.NAMED_KAPPAS)} "
+                                               f"(default {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,6 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("verify", cmd_verify), ("parallel", cmd_parallel)):
         p = sub.add_parser(name)
         _add_model_args(p)
+        p.add_argument("--samples", type=int, default=200)
+        p.add_argument("--seed", type=int, default=0)
+        if name == "verify":
+            p.add_argument("--tol", action="append", metavar="NAME=VALUE")
+        p.add_argument("--l-grid", default="-1.0:1.0:0.1", dest="l_grid", metavar="A:B:H")
+        p.add_argument("--out")
+        p.add_argument("--format", choices=["json", "csv"], default="json")
         p.set_defaults(fn=fn)
     p = sub.add_parser("table")
     p.add_argument("which", choices=["curvature-catalog", "detq-derivatives",
@@ -199,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_table)
     p = sub.add_parser("poincare-dump")
     _add_model_args(p)
+    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_poincare_dump)
     return ap
 

@@ -21,6 +21,7 @@ M_tau   : the level set <p,q> = tau (tau < -1), a tube over the diagonal,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -42,7 +43,7 @@ class DomainError(ValueError):
 class ModelSpec:
     """Serializable description of a model-zoo hypersurface."""
 
-    kind: str                      # M_Gamma | M_kk | M_1m1 | M_11 | M_tau
+    kind: str                      # a key of FAMILIES
     params: dict = field(default_factory=dict)
     domain: Optional[tuple] = None
 
@@ -159,25 +160,18 @@ def make_M_kk(c: float, kappa: KappaSpec, kappa_tilde: KappaSpec, domain=None):
                             domain, f"M_kk(c={c})", constant)
 
 
-# curvatures (kappa, kappa~) of the horocycle cases; the second horocycle of
-# M_1m1 carries the opposite normal, so its curvature in its own frame is -1
-HOROCYCLE_PAIRS = {"M_1m1": (1.0, -1.0), "M_11": (1.0, 1.0)}
+# the horocycle products: curvatures (kappa, kappa~) and the normal sign of
+# the second curve; the second horocycle of M_1m1 carries the opposite
+# normal, so its curvature in its own frame is -1
+HOROCYCLES = {"M_1m1": ((1.0, -1.0), -1), "M_11": ((1.0, 1.0), 1)}
 
 
-def make_M_1m1(c: float, domain=None):
-    """Horocycle curvatures (1,-1): principal curvatures {0, sqrt(1-c), sqrt(c)}."""
-    domain = domain or DEFAULT_DOMAINS["M_kk"]
-    k1, k2 = HOROCYCLE_PAIRS["M_1m1"]
-    return _product_surface(c, PlaneCurve(k1), PlaneCurve(k2, normal_sign=-1),
-                            domain, f"M_1m1(c={c})", True)
-
-
-def make_M_11(c: float, domain=None):
-    """Horocycle curvatures (1,1): principal curvatures {0, sqrt(1-c), -sqrt(c)}."""
-    domain = domain or DEFAULT_DOMAINS["M_kk"]
-    k1, k2 = HOROCYCLE_PAIRS["M_11"]
-    return _product_surface(c, PlaneCurve(k1), PlaneCurve(k2),
-                            domain, f"M_11(c={c})", True)
+def make_horocycle_product(kind: str, c: float, domain=None):
+    """M_1m1 (principal curvatures {0, sqrt(1-c), sqrt(c)}) or M_11
+    ({0, sqrt(1-c), -sqrt(c)}), the product of two horocycles."""
+    (k1, k2), sign = HOROCYCLES[kind]
+    return _product_surface(c, PlaneCurve(k1), PlaneCurve(k2, normal_sign=sign),
+                            domain or DEFAULT_DOMAINS["M_kk"], f"{kind}(c={c})", True)
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +270,20 @@ NAMED_KAPPAS: dict[str, KappaSpec] = {
 
 
 def parse_kappa(text: str) -> KappaSpec:
-    """Parse a curvature-function name: a number, 'tanh', or 'const:<x>'."""
+    """Parse a curvature-function name: a number, 'const:<x>', or one of
+    ``NAMED_KAPPAS``."""
     if text in NAMED_KAPPAS:
         return NAMED_KAPPAS[text]
-    if text.startswith("const:"):
-        return float(text.split(":", 1)[1])
     try:
-        return float(text)
+        return float(text.removeprefix("const:"))
     except ValueError:
-        raise ValueError(f"unknown curvature function {text!r}") from None
+        raise ValueError(f"unknown curvature function {text!r}: expected a number, "
+                         f"const:<x> or one of {', '.join(NAMED_KAPPAS)}") from None
+
+
+def _curvature(value) -> KappaSpec:
+    """A curvature function given by name, parsed; any other value as it is."""
+    return parse_kappa(value) if isinstance(value, str) else value
 
 
 def curvature_pair(spec: ModelSpec) -> Optional[tuple]:
@@ -293,26 +292,35 @@ def curvature_pair(spec: ModelSpec) -> Optional[tuple]:
     Curvature names in the spec are parsed here; a curvature function comes
     back as the callable.
     """
-    if spec.kind in HOROCYCLE_PAIRS:
-        return HOROCYCLE_PAIRS[spec.kind]
+    if spec.kind in HOROCYCLES:
+        return HOROCYCLES[spec.kind][0]
     if spec.kind == "M_kk":
-        return tuple(parse_kappa(k) if isinstance(k, str) else k
-                     for k in (spec.params["kappa"], spec.params["kappa_tilde"]))
+        return tuple(_curvature(spec.params[k]) for k in ("kappa", "kappa_tilde"))
     return None
 
 
+# family -> (constructor, {parameter: default}), parameters in command-line
+# order; None marks a required number, a string default a curvature function
+# given by name.  The CLI's --model choices and flags and build_model read it.
+FAMILIES = {
+    "M_Gamma": (make_M_Gamma, {"kappa_gamma": None}),
+    "M_kk": (make_M_kk, {"c": None, "kappa": "one", "kappa_tilde": "minus-one"}),
+    "M_1m1": (functools.partial(make_horocycle_product, "M_1m1"), {"c": None}),
+    "M_11": (functools.partial(make_horocycle_product, "M_11"), {"c": None}),
+    "M_tau": (make_M_tau, {"tau": None}),
+}
+
+
+def flag(name: str) -> str:
+    """The command-line flag of a model parameter: --kappa-gamma for kappa_gamma."""
+    return "--" + name.replace("_", "-")
+
+
 def build_model(spec: ModelSpec):
-    """Construct the (Hypersurface, Oracle) pair described by a ModelSpec."""
-    kind = spec.kind
-    p = spec.params
-    if kind == "M_Gamma":
-        return make_M_Gamma(float(p["kappa_gamma"]), domain=spec.domain)
-    if kind == "M_1m1":
-        return make_M_1m1(float(p["c"]), domain=spec.domain)
-    if kind == "M_11":
-        return make_M_11(float(p["c"]), domain=spec.domain)
-    if kind == "M_kk":
-        return make_M_kk(float(p["c"]), *curvature_pair(spec), domain=spec.domain)
-    if kind == "M_tau":
-        return make_M_tau(float(p["tau"]), domain=spec.domain)
-    raise ValueError(f"unknown model kind {kind!r}")
+    """Construct the (Hypersurface, Oracle) pair described by a ModelSpec:
+    numbers as floats, curvature-function names parsed."""
+    if spec.kind not in FAMILIES:
+        raise ValueError(f"unknown model kind {spec.kind!r}")
+    make, params = FAMILIES[spec.kind]
+    return make(*(float(spec.params[name]) if default is None else _curvature(spec.params[name])
+                  for name, default in params.items()), domain=spec.domain)

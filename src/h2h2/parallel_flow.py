@@ -163,7 +163,8 @@ def parallel_surface(M: Hypersurface, l) -> Hypersurface:
     jet arguments.  ``l`` is a float, or a float array of one distance per
     row of the batch the chart is evaluated on: each row is then bit for bit
     the chart at its row's float distance, which ``row_surface(i)`` gives,
-    and a batch of another shape is refused.
+    and a batch of another shape is refused.  Its name does not list the
+    distances: ``...|parallel(l per row)``.
     """
     row_surface = None
     if np.ndim(l):
@@ -197,7 +198,8 @@ def parallel_surface(M: Hypersurface, l) -> Hypersurface:
               + [chm * n2[i] + cm * shm * q[i] for i in range(3)])
         return pl, ql, nl
 
-    return Hypersurface(chart=chart, domain=M.domain, name=f"{M.name}|parallel(l={l})",
+    label = "l per row" if row_surface is not None else f"l={l}"
+    return Hypersurface(chart=chart, domain=M.domain, name=f"{M.name}|parallel({label})",
                         row_surface=row_surface)
 
 

@@ -23,7 +23,6 @@ import stat
 import tempfile
 import threading
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -75,39 +74,28 @@ MAX_SAMPLES = 25_000
 MAX_GRID_POINTS = 250_000
 
 
-# command-line flag of each numeric model parameter
-_PARAM_FLAGS = {"c": "--c", "tau": "--tau", "kappa_gamma": "--kappa-gamma",
-               "kappa": "--kappa", "kappa_tilde": "--kappa-tilde"}
-
-
 def validate_model(spec: mz.ModelSpec):
-    """Reject a non-finite model parameter, naming its flag.
-
-    A curvature given by name is parsed first, so ``const:nan`` is caught
-    too; an unknown name is left to ``build_model``.
-    """
+    """Reject a non-finite model parameter or an unknown curvature-function
+    name, naming its flag."""
     for name, value in spec.params.items():
         if isinstance(value, str):
             try:
                 value = mz.parse_kappa(value)
-            except ValueError:
-                continue
+            except ValueError as exc:
+                raise ConfigError(f"{mz.flag(name)}: {exc}") from None
         if isinstance(value, (int, float)) and not math.isfinite(value):
-            flag = _PARAM_FLAGS.get(name, name)
-            raise ConfigError(f"{flag} must be finite, got {value}")
+            raise ConfigError(f"{mz.flag(name)} must be finite, got {value}")
 
 
 @dataclass
 class SuiteConfig:
-    """Run configuration: model, sampling, tolerances, parallel grid, output."""
+    """Run configuration: model, sampling, tolerances, parallel grid."""
 
     model: mz.ModelSpec
     samples: int = 200
     seed: int = 0
     tolerances: dict = field(default_factory=dict)
     l_grid: tuple = (-1.0, 1.0, 0.1)
-    out: Optional[str] = None
-    fmt: str = "json"
 
     def validate(self):
         if self.samples < 1:
@@ -134,8 +122,6 @@ class SuiteConfig:
                 raise ConfigError(f"unknown tolerance name {name!r}")
             if tol <= 0:
                 raise ConfigError("tolerances must be positive")
-        if self.fmt not in ("json", "csv"):
-            raise ConfigError(f"unknown output format {self.fmt!r}")
 
     def tol(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
@@ -146,8 +132,6 @@ class SuiteConfig:
         return a + h * np.arange(n)
 
     def as_dict(self) -> dict:
-        # the output destination is not part of the verification run, and
-        # embedding it would break byte-identical reports across paths
         return {
             "model": self.model.as_dict(),
             "samples": self.samples,
@@ -513,18 +497,36 @@ def report_payload(cfg: SuiteConfig, results: list[CheckResult]) -> dict:
 
 
 def render_json(payload) -> str:
-    """The report text: ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``,
-    byte for byte.
+    """The report text, ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``.
 
-    json's indented output runs its pure-Python encoder value by value.  Here
-    a ``Records`` payload, such as the rows of a scan, is encoded column by
-    column instead: numbers, bools and nulls of a column in one call of the C
-    encoder, strings one by one, and the indented rows are laid out from
-    those cells, as json writes the list of records.  Everything else takes
-    json's layout, written out below.
+    json's indented output runs its pure-Python encoder value by value.  So
+    json writes a stand-in string for each ``Records`` of flat records, such
+    as a scan's rows, and the rows are spliced in at the stand-in's indent,
+    each column's cells from one call of json's C encoder.  Any other
+    ``Records`` goes to json as its list of records.  A payload string that
+    json writes as the stand-in's text raises ValueError.
     """
-    out = []
-    _encode(payload, "\n", out)
+    records = []
+
+    def columnar(o):
+        if not isinstance(o, Records):
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        n = len(o)
+        if not n or any(type(k) is not str or len(v) != n
+                        or not set(map(type, v)) <= {int, float, bool, type(None)}
+                        for k, v in o.columns.items()):
+            return list(o)
+        records.append(o.columns)
+        return _STAND_IN
+
+    pieces = json.dumps(payload, indent=2, sort_keys=True, default=columnar).split(_STAND_IN_TEXT)
+    if len(pieces) != len(records) + 1:
+        raise ValueError("a payload string is written as the stand-in of a Records")
+    out = [pieces[0]]
+    for columns, after in zip(records, pieces[1:]):
+        line = out[-1][out[-1].rfind("\n") + 1:]
+        _record_rows(columns, "\n" + " " * (len(line) - len(line.lstrip(" "))), out)
+        out.append(after)
     out.append("\n")
     return "".join(out)
 
@@ -548,112 +550,27 @@ class Records:
         return (dict(zip(keys, row)) for row in zip(*self.columns.values()))
 
 
-_RECORD_CELL_TYPES = frozenset((str, int, float, bool, type(None)))
+# the stand-in of a Records in ``render_json``, and json's text of it
+_STAND_IN = "\x00h2h2 records\x00"
+_STAND_IN_TEXT = '"\\u0000h2h2 records\\u0000"'
 
 
-def _float_text(x: float) -> str:
-    """json's text of a float: its repr, or NaN / Infinity / -Infinity."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _scalar_text(o) -> Optional[str]:
-    """json's text of a string, number, bool or None; None for anything else."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_text(o)
-    return None
-
-
-def _key_text(key) -> str:
-    """json's text of a dict key: a number, bool or None key as its string."""
-    if not isinstance(key, str):
-        text = _scalar_text(key)
-        if text is None:
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {key.__class__.__name__}")
-        key = text
-    return encode_basestring_ascii(key)
-
-
-def _encode(o, newline: str, out: list):
-    """Append json's indented text of ``o``; ``newline`` is "\\n" plus the
-    indent of the line ``o`` starts on."""
-    text = _scalar_text(o)
-    if text is not None:
-        out.append(text)
-        return
-    if isinstance(o, (list, tuple, Records)):
-        if not len(o):
-            out.append("[]")
-            return
-        inner = newline + "  "
-        rows = _record_rows(o.columns, inner) if isinstance(o, Records) else None
-        if rows is not None:
-            out += ["[", inner, rows, newline, "]"]
-            return
-        sep = "[" + inner
-        for value in o:
-            out.append(sep)
-            sep = "," + inner
-            _encode(value, inner, out)
-        out += [newline, "]"]
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in sorted(o.items()):
-            out += [sep, _key_text(key), ": "]
-            sep = "," + inner
-            _encode(value, inner, out)
-        out += [newline, "}"]
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _record_rows(columns: dict, inner: str) -> Optional[str]:
-    """The items of the flat records with columns ``columns`` at indent
-    ``inner``, or None.
-
-    Records are flat when their keys are strings, at least one, and every
-    value is exactly a str, int, float, bool or None; other records take the
-    general path.
-    """
-    if not columns or any(type(k) is not str for k in columns):
-        return None
+def _record_rows(columns: dict, newline: str, out: list):
+    """Append json's indented text of the flat records with columns
+    ``columns``; ``newline`` is "\\n" plus the indent of the line they start on."""
     keys = sorted(columns)
-    cells = []
-    for key in keys:
-        column = columns[key]
-        types = set(map(type, column))
-        if not types <= _RECORD_CELL_TYPES:
-            return None
-        if str in types:
-            cells.append(list(map(_scalar_text, column)))
-        else:
-            # one C-encoder call; number, bool and null cells hold no ", "
-            cells.append(json.dumps(column)[1:-1].split(", "))
+    # one C-encoder call a column; number, bool and null cells hold no ", "
+    cells = [json.dumps(columns[k])[1:-1].split(", ") for k in keys]
+    inner = newline + "  "
     item = inner + "  "
-    parts = ["{" + item + encode_basestring_ascii(keys[0]) + ": "]
-    parts += ["," + item + encode_basestring_ascii(k) + ": " for k in keys[1:]]
+    parts = ["," + inner + "{" + item + json.dumps(keys[0]) + ": "]
+    parts += ["," + item + json.dumps(k) + ": " for k in keys[1:]]
     template = "%s".join(p.replace("%", "%%") for p in parts + [inner + "}"])
-    return ("," + inner).join([template % row for row in zip(*cells)])
+    out.append("[")
+    first = len(out)
+    out.extend(template % row for row in zip(*cells))
+    out[first] = out[first][1:]          # the first row takes no ","
+    out += [newline, "]"]
 
 
 def csv_text(header, rows) -> str:
@@ -697,20 +614,26 @@ def write_atomic(path: str, text: str):
     The text goes to a uniquely named temporary file in the same directory,
     is flushed and fsynced, and then renamed over ``path``, so concurrent
     writers never interleave and readers see the old or the new file whole.
+    A path that cannot be written (a missing directory, a directory) is a
+    ConfigError naming it, and no temporary file is left.
     """
     directory, name = os.path.split(os.path.abspath(path))
-    mode = _new_file_mode(path)
-    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    tmp = None
     try:
+        mode = _new_file_mode(path)
+        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
         with os.fdopen(fd, "w") as f:
             f.write(text)
             f.flush()
             os.fsync(f.fileno())
             os.fchmod(f.fileno(), mode)
         os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -773,6 +696,7 @@ POINCARE_LINE_N = 80
 def poincare_dump(model: mz.ModelSpec, path: str):
     """CSV of a chart grid and of the coordinate lines through the chart
     centre, projected to the two disks; all points take one chart call."""
+    validate_model(model)
     surface, _ = mz.build_model(model)
     dom = surface.domain
     axes = [np.linspace(d[0], d[1], POINCARE_GRID_N) for d in dom]

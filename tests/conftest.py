@@ -68,22 +68,22 @@ def m_gamma_2():
 
 @pytest.fixture(scope="session")
 def m_1m1_half():
-    return mz.make_M_1m1(0.5)
+    return mz.build_model(mz.ModelSpec("M_1m1", {"c": 0.5}))
 
 
 @pytest.fixture(scope="session")
 def m_1m1_04():
-    return mz.make_M_1m1(0.4)
+    return mz.build_model(mz.ModelSpec("M_1m1", {"c": 0.4}))
 
 
 @pytest.fixture(scope="session")
 def m_11_half():
-    return mz.make_M_11(0.5)
+    return mz.build_model(mz.ModelSpec("M_11", {"c": 0.5}))
 
 
 @pytest.fixture(scope="session")
 def m_11_03():
-    return mz.make_M_11(0.3)
+    return mz.build_model(mz.ModelSpec("M_11", {"c": 0.3}))
 
 
 @pytest.fixture(scope="session")

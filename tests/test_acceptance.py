@@ -219,9 +219,8 @@ def test_criterion_08_m_tau_focal_structure():
 def test_criterion_09_homogeneity_orbits():
     dev = form = 0.0
     for c in (0.3, 0.7):
-        for maker, element in ((mz.make_M_1m1, ps.group_element_G),
-                               (mz.make_M_11, ps.group_element_B)):
-            surface, _ = maker(c)
+        for kind, element in (("M_1m1", ps.group_element_G), ("M_11", ps.group_element_B)):
+            surface, _ = mz.build_model(mz.ModelSpec(kind, {"c": c}))
             grids = [np.linspace(d[0], d[1], 5) for d in surface.domain]
             for t in grids[0]:
                 for r in grids[1]:

@@ -76,7 +76,7 @@ class TestMkk:
 
 class TestSpecializations:
     def test_m1m1_quarter(self):
-        surface, _ = mz.make_M_1m1(0.25)
+        surface, _ = mz.build_model(mz.ModelSpec("M_1m1", {"c": 0.25}))
         want = np.sort([0.0, 0.5, math.sqrt(0.75)])
         for u in domain_samples(surface, 8):
             assert np.max(np.abs(sc.point_geometry(surface, u).lambdas - want)) < 1e-8
@@ -90,13 +90,13 @@ class TestSpecializations:
             y = pg.from_coords(rng.normal(size=3))
             assert sectional(pg, x, y) == pytest.approx(-0.5, abs=1e-6)
 
-    @pytest.mark.parametrize("kind,maker,element", [
-        ("M_1m1", mz.make_M_1m1, ps.group_element_G),
-        ("M_11", mz.make_M_11, ps.group_element_B),
+    @pytest.mark.parametrize("kind,element", [
+        ("M_1m1", ps.group_element_G),
+        ("M_11", ps.group_element_B),
     ])
-    def test_orbit_of_horocycle_subgroup(self, kind, maker, element):
+    def test_orbit_of_horocycle_subgroup(self, kind, element):
         c = 0.35
-        surface, _ = maker(c)
+        surface, _ = mz.build_model(mz.ModelSpec(kind, {"c": c}))
         for t in (-0.8, 0.0, 0.9):
             for r in (-1.2, 0.4):
                 for s in (0.7, -0.2):

@@ -655,7 +655,7 @@ class TestParallelPoints:
         assert np.allclose(normal, pg.N)
 
     def test_angle_preserved_along_flow(self):
-        surface, _ = mz.make_M_1m1(0.4)
+        surface, _ = mz.build_model(mz.ModelSpec("M_1m1", {"c": 0.4}))
         u = np.array([0.2, -0.3, 0.5])
         pg = sc.point_geometry(surface, u)
         point, nl = flowed(surface, u, 0.37)

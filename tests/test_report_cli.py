@@ -397,8 +397,9 @@ class TestPoincareDump:
         assert (tmp_path / "disk.csv").read_text() == buf.getvalue()
 
     def test_dump_requires_out(self):
-        assert run_cli(["poincare-dump", "--model", "M_Gamma",
-                        "--kappa-gamma", "1"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["poincare-dump", "--model", "M_Gamma", "--kappa-gamma", "1"])
+        assert exc.value.code == 2
 
 
 class TestSobol:

@@ -702,9 +702,9 @@ class TestBatchedFrameIdentities:
         # (M_Gamma), equal curvatures (M_1m1 c=1/2), no principal J1N+J2N
         # (M_tau), all items (M_11), varying curvatures (M_kk tanh) and AV != 0
         # (the level set and the graph)
-        charts = [m_gamma_2[0], mz.make_M_1m1(0.5)[0], mz.make_M_tau(-2.0)[0],
-                  mz.make_M_11(0.3)[0], mz.make_M_kk(0.5, ad.tanh, 1.0)[0], level_set,
-                  graph_surface]
+        charts = [m_gamma_2[0], mz.build_model(mz.ModelSpec("M_1m1", {"c": 0.5}))[0],
+                  mz.make_M_tau(-2.0)[0], mz.build_model(mz.ModelSpec("M_11", {"c": 0.3}))[0],
+                  mz.make_M_kk(0.5, ad.tanh, 1.0)[0], level_set, graph_surface]
         rows = [sc.point_geometry(M, u) for M in charts for u in domain_samples(M, 2, seed=1)]
         singles = [frame_report_key(pf.frame_identity_checks(stacked([pg]))[0]) for pg in rows]
         order = np.random.default_rng(3).permutation(len(rows))
