@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -218,34 +218,6 @@ def make_M_tau(tau: float, domain=None):
     lambdas = _constant_lambdas(0.0, mtau_lambda_small(tau), mtau_lambda_big(tau))
     oracle = Oracle(name=surface.name, C=0.0, lambdas=lambdas, constant_curvatures=True)
     return surface, oracle
-
-
-# ---------------------------------------------------------------------------
-# cross-check of the tanh principal-curvature profile
-# ---------------------------------------------------------------------------
-
-def tanh_profile_check(c: float, kappa0: float, t_grid: Sequence[float]) -> float:
-    """Deviation between the two-curve curvature formula and the tanh profile.
-
-    For constant |kappa0| < 1 the nonzero first-factor principal curvature
-    equals -sqrt(1-c) tanh(sqrt(c) (t + h1)) with h1 = -arctanh(kappa0)/sqrt(c).
-    Returns the max absolute deviation of |lambda| over the grid (the sign is
-    frame-orientation dependent and is not asserted here).
-    """
-    if not 0.0 < c < 1.0:
-        raise ValueError("c out of range (0,1)")
-    if not abs(kappa0) < 1.0:
-        raise ValueError("|kappa0| must be < 1 for the tanh profile")
-    sc = math.sqrt(c)
-    s1c = math.sqrt(1.0 - c)
-    h1 = -math.atanh(kappa0) / sc
-    dev = 0.0
-    for t in t_grid:
-        lam_formula = -s1c * ((math.sinh(sc * t) - math.cosh(sc * t) * kappa0)
-                              / (math.cosh(sc * t) - math.sinh(sc * t) * kappa0))
-        lam_tanh = -s1c * math.tanh(sc * (t + h1))
-        dev = max(dev, abs(abs(lam_formula) - abs(lam_tanh)))
-    return dev
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Every check result carries the tolerance it was judged against; defaults sit
 in ``DEFAULT_TOLERANCES`` and can be overridden per run.  Every derivative
 behind a check is exact (third-order jets, no differences); the bars of the
-structural-equation and frame-identity checks are the smallest powers of ten
-at least 100x the worst residual measured over the catalog models and seeds.
+structural-equation, frame-identity and Killing-algebra checks are the
+smallest powers of ten at least 100x the worst residual measured over the
+catalog models and seeds.
 
 Reports are deterministic for a fixed (config, seed): sampling uses a seeded
 Sobol sequence over the chart box, results are ordered by check name, and
@@ -31,7 +32,8 @@ from numpy.random import default_rng
 from . import model_zoo as mz
 from . import parallel_flow as pf
 from . import surface_calculus as sc
-from .product_space import ETA3, group_element_B, group_element_G, lorentz_defect
+from .lorentz import ETA3, lorentz_cross
+from .product_space import ETA6, complex_structures
 
 
 class ConfigError(ValueError):
@@ -50,19 +52,16 @@ DEFAULT_TOLERANCES = {
     "gauss_equation": 1e-8,
     "grad_C_identity": 1e-10,
     "isoparametric_spread": 1e-8,
-    "lorentz_form_preservation": 1e-12,
+    "killing_algebra": 1e-12,
     "m_tau_constraint": 1e-10,
-    "m_tau_tube_identity": 1e-10,
     "mean_curvature_two_forms": 1e-9,
     "minor_sum_rho": 1e-10,
     "oracle_C": 1e-9,
     "oracle_lambda": 1e-7,
     "oracle_normal": 1e-9,
-    "orbit_match": 1e-10,
     "parallel_lambda_closed_form": 1e-8,
     "parallel_shape_consistency": 1e-6,
     "shape_self_adjoint": 1e-9,
-    "tanh_profile": 1e-10,
 }
 
 
@@ -120,8 +119,8 @@ class SuiteConfig:
         for name, tol in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance name {name!r}")
-            if tol <= 0:
-                raise ConfigError("tolerances must be positive")
+            if not (math.isfinite(tol) and tol > 0):
+                raise ConfigError(f"tolerance {name} must be finite and positive, got {tol}")
 
     def tol(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
@@ -232,11 +231,9 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
     n_par = min(10, cfg.samples)
     n_frame = min(3, cfg.samples)
     degenerate = abs(oracle.C) >= pf.DEGENERATE_C
-    # the orbit grid's chart pass runs before the sample bundle exists, so
-    # the peak memory of the two does not add up
-    results = _orbit_checks(cfg, surface)
 
     pg3, pgs = _sample_bundle(surface, pts, n_fd)
+    results = []
 
     # ---- chart validity --------------------------------------------------
     # deviation of both factors from their hyperboloid constraints
@@ -277,6 +274,9 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
         "minor_sum_rho", np.max(np.abs(e2 - (pgs.rho + 2.0))),
         cfg.tol("minor_sum_rho"), len(pts),
         notes="2(H12+H13+H23) = rho + 2 via the principal frame"))
+
+    # ---- homogeneity -------------------------------------------------------
+    results.append(_killing_algebra(pgs, cfg.tol("killing_algebra"), oracle.constant_curvatures))
 
     # ---- structural equations (exact third-order derivatives) -------------
     structural = sc.structural_residuals(pg3)
@@ -376,7 +376,12 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
                                cfg.tol("frame_identities"), n_frame, notes="; ".join(notes)))
 
     # ---- model-specific checks ----------------------------------------------
-    results.extend(_model_specific_checks(cfg, pgs.val))
+    tol_tau = cfg.tol("m_tau_constraint")
+    if cfg.model.kind == "M_tau":
+        dev = np.max(np.abs(sc._pairing(p, q, ETA3) - float(cfg.model.params["tau"])))
+        results.append(_judged("m_tau_constraint", dev, tol_tau, len(pts)))
+    else:
+        results.append(_skipped("m_tau_constraint", tol_tau, "skipped: not a level-set model"))
 
     results.sort(key=lambda r: r.name)
     return results
@@ -419,65 +424,51 @@ def _constant_curvature_pair(spec: mz.ModelSpec):
     return tuple(float(k) for k in pair)
 
 
-def _orbit_checks(cfg: SuiteConfig, surface) -> list[CheckResult]:
-    """orbit_match and lorentz_form_preservation of the horocycle products."""
-    kind = cfg.model.kind
-    tol_orbit = cfg.tol("orbit_match")
-    tol_form = cfg.tol("lorentz_form_preservation")
-    if kind in ("M_1m1", "M_11"):
-        c = float(cfg.model.params["c"])
-        element = group_element_G if kind == "M_1m1" else group_element_B
-        axes = [np.linspace(d[0], d[1], 5) for d in surface.domain]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        # the blocks of all grid points, stacked (125, 3, 3)
-        g1, g2 = element(c, *grid.T)
-        # the seed point is the diagonal point ((1,0,0), (1,0,0)), so its
-        # image is the first column of each block
-        images = np.concatenate([g1[..., 0], g2[..., 0]], axis=-1)
-        dev = np.max(np.abs(images - surface.point(grid)))
-        return [_judged("orbit_match", dev, tol_orbit, len(grid),
-                        notes="orbit of the horocycle subgroup through the diagonal point"),
-                _judged("lorentz_form_preservation", lorentz_defect(np.concatenate([g1, g2])),
-                        tol_form, len(grid))]
-    return [_skipped("orbit_match", tol_orbit, "skipped: no orbit construction"),
-            _skipped("lorentz_form_preservation", tol_form, "skipped: no orbit construction")]
+def _killing_algebra(pgs, tol: float, judged: bool) -> CheckResult:
+    """killing_algebra: the Killing fields of so(1,2) ⊕ so(1,2) tangent to
+    the surface at the samples ``pgs``, and whether they span its tangent
+    spaces there.
 
-
-def _model_specific_checks(cfg: SuiteConfig, vals) -> list[CheckResult]:
-    """Checks of one family; ``vals`` holds the chart points of the verify samples."""
-    out = []
-    kind = cfg.model.kind
-    tol_tau = cfg.tol("m_tau_constraint")
-    tol_tube = cfg.tol("m_tau_tube_identity")
-    tol_tanh = cfg.tol("tanh_profile")
-
-    if kind == "M_tau":
-        tau = float(cfg.model.params["tau"])
-        x = vals[:min(cfg.samples, 100)]
-        dev = np.max(np.abs(sc._pairing(x[:, :3], x[:, 3:], ETA3) - tau))
-        out.append(_judged("m_tau_constraint", dev, tol_tau, len(x)))
-        radius = mz.mtau_focal_radius(tau)
-        out.append(_judged("m_tau_tube_identity",
-                           abs(math.cosh(math.sqrt(2.0) * radius) + tau),
-                           tol_tube, 1,
-                           notes="tube radius arccosh(-tau)/sqrt(2)"))
-    else:
-        out.append(_skipped("m_tau_constraint", tol_tau, "skipped: not a level-set model"))
-        out.append(_skipped("m_tau_tube_identity", tol_tube, "skipped: not a level-set model"))
-
-    pair = mz.curvature_pair(cfg.model)
-    if pair is None:
-        out.append(_skipped("tanh_profile", tol_tanh,
-                            "skipped: not a two-curve product model"))
-    elif isinstance(pair[0], (int, float)) and abs(float(pair[0])) < 1.0:
-        c = float(cfg.model.params["c"])
-        tgrid = np.linspace(-1.0, 1.0, 41)
-        out.append(_judged("tanh_profile", mz.tanh_profile_check(c, float(pair[0]), tgrid),
-                           tol_tanh, len(tgrid)))
-    else:
-        out.append(_skipped("tanh_profile", tol_tanh,
-                            "skipped: first curvature not a constant in (-1,1)"))
-    return out
+    The rows J1 N of the samples take ETA6 w to <K_w, N> (``product_space``),
+    so the right singular vectors v of their thin SVD give the fields K_w of
+    w = ETA6 v, most tangent first, with the relative singular values as
+    their tangency.  The fields taken are every one within the bar, at
+    least three, and then the next most tangent until they span the tangent
+    space at every sample: the third singular value of their tangent parts
+    is at least ``sc.RANK_SIGMA_MIN`` there.  The residual is the largest
+    relative singular value taken.  Isometries preserve the shape operator,
+    so a homogeneous surface has constant principal curvatures; on any
+    other surface the check is informational.
+    """
+    n = len(pgs)
+    if n < 6:
+        return _skipped("killing_algebra", tol,
+                        "skipped: fewer samples than the 6 generators of so(1,2) + so(1,2)")
+    _, s, vt = np.linalg.svd(complex_structures(pgs.val.T, pgs.N.T)[0].T, full_matrices=False)
+    rel = np.abs(s[::-1]) / s[0]                       # LAPACK may return -0.0
+    kernel = int(np.count_nonzero(rel <= tol))
+    # components first: w = ETA6 v (6, 1, fields), most tangent first, and
+    # the sample points (6, n, 1); the fields at the samples (n, fields, 6)
+    # and their components in the orthonormal tangent basis principal_ambient
+    w = (vt[::-1] @ ETA6).T[:, None, :]
+    x = pgs.val.T[:, :, None]
+    fields = np.stack(lorentz_cross(w[:3], x[:3]) + lorentz_cross(w[3:], x[3:]), axis=-1)
+    tangent = fields @ (ETA6 @ pgs.principal_ambient)
+    for k in range(max(3, kernel), 7):
+        span = tangent[:, :k].swapaxes(-1, -2) @ tangent[:, :k]
+        orbit = math.sqrt(max(float(np.min(np.linalg.eigvalsh(span)[:, 0])), 0.0))
+        if orbit >= sc.RANK_SIGMA_MIN:
+            break
+    residual = float(rel[k - 1])
+    notes = (f"kernel dimension {kernel}, fields taken {k}, "
+             f"smallest orbit sigma {orbit:.3e}")
+    if judged:
+        return _judged("killing_algebra", residual, tol, n, notes=notes)
+    return CheckResult(
+        name="killing_algebra", max_residual=residual, tolerance=tol, passed=None,
+        n_samples=n, notes=notes + "; informational: the principal curvatures are not "
+                                   "constant, so the surface is not homogeneous "
+                                   f"(within tol: {residual <= tol})")
 
 
 def summarize(results: list[CheckResult]) -> dict:

@@ -13,7 +13,6 @@ import pytest
 from h2h2 import autodiff as ad
 from h2h2 import model_zoo as mz
 from h2h2 import parallel_flow as pf
-from h2h2 import product_space as ps
 from h2h2 import report as rp
 from h2h2 import surface_calculus as sc
 
@@ -217,22 +216,17 @@ def test_criterion_08_m_tau_focal_structure():
 
 
 def test_criterion_09_homogeneity_orbits():
-    dev = form = 0.0
-    for c in (0.3, 0.7):
-        for kind, element in (("M_1m1", ps.group_element_G), ("M_11", ps.group_element_B)):
-            surface, _ = mz.build_model(mz.ModelSpec(kind, {"c": c}))
-            grids = [np.linspace(d[0], d[1], 5) for d in surface.domain]
-            for t in grids[0]:
-                for r in grids[1]:
-                    for s in grids[2]:
-                        g1, g2 = element(c, t, r, s)
-                        form = max(form, ps.lorentz_defect([g1, g2]))
-                        # the image of the diagonal point ((1,0,0), (1,0,0))
-                        img = np.concatenate([g1[:, 0], g2[:, 0]])
-                        dev = max(dev, float(np.max(np.abs(img - surface.point([t, r, s])))))
-    ok = dev < 1e-10 and form < 1e-12
-    emit(9, ok, f"orbit match over 5x5x5 grids: chart dev {dev:.2e} (tol 1e-10), "
-                f"Lorentz-form defect {form:.2e} (tol 1e-12)")
+    # the Killing fields tangent at every sample span the tangent spaces:
+    # a 4-dimensional algebra on M_Gamma, 3-dimensional on the others
+    specs = [mz.ModelSpec(kind, {"c": c}) for c in (0.3, 0.7) for kind in ("M_1m1", "M_11")]
+    specs += [mz.ModelSpec("M_tau", {"tau": -2.0}), mz.ModelSpec("M_Gamma", {"kappa_gamma": 1.0})]
+    rows = [next(r for r in rp.run_verify_suite(rp.SuiteConfig(model=spec, seed=SEED))
+                 if r.name == "killing_algebra") for spec in specs]
+    worst = max(r.max_residual for r in rows)
+    kernels = [int(r.notes.split(",")[0].split()[-1]) for r in rows]
+    ok = all(r.passed for r in rows) and kernels == [3, 3, 3, 3, 3, 4]
+    emit(9, ok, f"killing_algebra on M_1m1/M_11 (c = 0.3, 0.7), M_tau(-2), M_Gamma(1): "
+                f"worst tangency {worst:.2e} (tol 1e-12), kernel dimensions {kernels}")
 
 
 def test_criterion_10_frame_identity_suite():

@@ -90,22 +90,6 @@ class TestSpecializations:
             y = pg.from_coords(rng.normal(size=3))
             assert sectional(pg, x, y) == pytest.approx(-0.5, abs=1e-6)
 
-    @pytest.mark.parametrize("kind,element", [
-        ("M_1m1", ps.group_element_G),
-        ("M_11", ps.group_element_B),
-    ])
-    def test_orbit_of_horocycle_subgroup(self, kind, element):
-        c = 0.35
-        surface, _ = mz.build_model(mz.ModelSpec(kind, {"c": c}))
-        for t in (-0.8, 0.0, 0.9):
-            for r in (-1.2, 0.4):
-                for s in (0.7, -0.2):
-                    g1, g2 = element(c, t, r, s)
-                    # the image of the diagonal point ((1,0,0), (1,0,0)): first columns
-                    img = np.concatenate([g1[:, 0], g2[:, 0]])
-                    assert np.max(np.abs(img - surface.point([t, r, s]))) < 1e-10
-                    assert ps.lorentz_defect([g1, g2]) < 1e-12
-
 
 class TestMtau:
     def test_eigenvalues(self, m_tau_m2):
@@ -216,19 +200,20 @@ class TestOracles:
                 assert np.linalg.norm(pg.shape_apply(pg.V)) < 1e-8
 
 
-class TestTanhProfile:
-    def test_zero_curvature(self):
-        assert mz.tanh_profile_check(0.5, 0.0, np.linspace(-1, 1, 21)) < 1e-12
+class TestClosedForms:
+    @pytest.mark.parametrize("c,k0", [(0.5, 0.0), (0.3, 0.6), (0.7, -0.4)])
+    def test_product_lambdas_follow_the_tanh_profile(self, c, k0):
+        # for a constant first curvature |k0| < 1 the first factor's nonzero
+        # principal curvature is -sqrt(1-c) tanh(sqrt(c) t - arctanh(k0))
+        t = np.linspace(-1.0, 1.0, 41)
+        lam = mz.product_lambdas(c, math.sqrt(c) * t, math.sqrt(1.0 - c) * t, k0, 0.3)
+        profile = -math.sqrt(1.0 - c) * np.tanh(math.sqrt(c) * t - math.atanh(k0))
+        assert np.max(np.min(np.abs(lam - profile[:, None]), axis=1)) < 1e-14
 
-    @pytest.mark.parametrize("c,k0", [(0.3, 0.6), (0.7, -0.4)])
-    def test_generic(self, c, k0):
-        assert mz.tanh_profile_check(c, k0, np.linspace(-1, 1, 41)) < 1e-10
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            mz.tanh_profile_check(0.5, 1.0, [0.0])
-        with pytest.raises(ValueError):
-            mz.tanh_profile_check(1.2, 0.5, [0.0])
+    @pytest.mark.parametrize("tau", [-1.0001, -1.5, -2.0, -5.0])
+    def test_mtau_focal_radius_is_the_tube_radius(self, tau):
+        # cosh(sqrt(2) r) = -tau at the tube radius over the diagonal
+        assert math.cosh(math.sqrt(2.0) * mz.mtau_focal_radius(tau)) == pytest.approx(-tau, rel=1e-15)
 
 
 class TestRegistry:

@@ -108,58 +108,25 @@ class TestMetricAndStructures:
             assert np.array_equal(got2[:, i], J2(base, cols[:, i]))
 
 
+def random_isometry(rng):
+    """Blocks (A1, A2) of SO+(1,2) x SO+(1,2): exponentials of random so(1,2)
+    elements."""
+    return tuple(lz.so12_exp(lz._so12(rng.normal(size=3))) for _ in range(2))
+
+
+def form_defect(blocks):
+    """max |Bᵀ η B - η| over 3x3 blocks B: how far they are from O(1,2)."""
+    return max(float(np.max(np.abs(b.T @ lz.ETA3 @ b - lz.ETA3))) for b in blocks)
+
+
 class TestIsometries:
-    def test_lorentz_defect_of_invalid_block(self):
-        bad = np.eye(3)
-        bad[0, 0] = 2.0
-        assert ps.lorentz_defect([bad, np.eye(3)]) == 3.0
-        assert ps.lorentz_defect([np.eye(3), np.eye(3)]) == 0.0
-
-    @pytest.mark.parametrize("c", [0.25, 0.3, 0.5, 0.77])
-    def test_stacked_blocks_equal_the_one_point_blocks(self, c):
-        # the orbit checks' 125 grid points as one stacked call: each block,
-        # and the defect of the stack, bit for bit the one-point code
-        axes = [np.linspace(-1.0, 1.0, 5), np.linspace(-1.5, 1.5, 5), np.linspace(-2.0, 2.0, 5)]
-        t, r, s = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3).T
-        eta = np.diag([-1.0, 1.0, 1.0])
-        for maker in (ps.group_element_G, ps.group_element_B):
-            g1, g2 = maker(c, t, r, s)
-            assert g1.shape == g2.shape == (125, 3, 3)
-            worst = 0.0
-            for i, args in enumerate(zip(t.tolist(), r.tolist(), s.tolist())):
-                h1, h2 = maker(c, *args)
-                assert np.array_equal(g1[i], h1) and np.array_equal(g2[i], h2)
-                for b in (h1, h2):
-                    worst = max(worst, float(np.max(np.abs(b.T @ eta @ b - eta))))
-            assert ps.lorentz_defect(np.concatenate([g1, g2])) == worst
-
-    def test_group_identity_elements(self):
-        for maker in (ps.group_element_G, ps.group_element_B):
-            g1, g2 = maker(0.37, 0.0, 0.0, 0.0)
-            assert np.allclose(g1, np.eye(3), atol=1e-15)
-            assert np.allclose(g2, np.eye(3), atol=1e-15)
-
-    def test_block_preserves_lorentz_form(self):
-        eta = np.diag([-1.0, 1, 1])
-        g1 = ps.group_element_G(0.4, 0.3, -1.1, 0.0)[0]
-        assert np.max(np.abs(g1.T @ eta @ g1 - eta)) < 1e-12
-
-    def test_c_out_of_range(self):
-        for bad in (0.0, 1.0, 1.5, -0.2):
-            with pytest.raises(ValueError):
-                ps.group_element_G(bad, 0.1, 0.2, 0.3)
-            with pytest.raises(ValueError):
-                ps.group_element_B(bad, 0.1, 0.2, 0.3)
-
     def test_composition_closure(self, rng):
         for _ in range(10):
-            t1, r1, s1, t2, r2, s2 = rng.normal(size=6)
-            for maker, c in ((ps.group_element_G, 0.6), (ps.group_element_B, 0.3)):
-                g, h = maker(c, t1, r1, s1), maker(c, t2, r2, s2)
-                assert ps.lorentz_defect([g[0] @ h[0], g[1] @ h[1]]) < 1e-10
+            g, h = random_isometry(rng), random_isometry(rng)
+            assert form_defect([g[0] @ h[0], g[1] @ h[1]]) < 1e-10
 
     def test_metric_preservation(self, rng):
-        g = ps.group_element_G(0.25, -0.7, 0.5, 1.2)
+        g = random_isometry(rng)
         for _ in range(10):
             base = random_product_point(rng)
             x = random_tangent(base, rng)
@@ -168,10 +135,45 @@ class TestIsometries:
                 pytest.approx(inner(x, y), abs=1e-10)
 
     def test_p_commutes_with_diagonal_isometries(self, rng):
-        g = ps.group_element_G(0.45, 0.6, -0.4, 0.9)
+        g = random_isometry(rng)
         for _ in range(10):
             base = random_product_point(rng)
             x = random_tangent(base, rng)
             lhs = ps.P6 @ act(g, x)
             rhs = act(g, ps.P6 @ x)
             assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+class TestKillingFields:
+    def test_pairing_with_a_normal_is_the_pairing_with_j1n(self, rng):
+        # <(w1 ⊠ p, w2 ⊠ q), N> = <w, J1 N>, both pairings ETA6's, for any
+        # w of R³ ⊕ R³ and any N tangent to H² × H² at (p, q)
+        for _ in range(20):
+            base = random_product_point(rng)
+            normal = random_tangent(base, rng)
+            w = rng.normal(size=6)
+            field = np.concatenate([lz.lorentz_cross(w[:3], base[:3]),
+                                    lz.lorentz_cross(w[3:], base[3:])])
+            assert inner(field, normal) == pytest.approx(inner(w, J1(base, normal)), abs=1e-12)
+
+    def test_fields_are_tangent_to_the_product(self, rng):
+        for _ in range(20):
+            base = random_product_point(rng)
+            w = rng.normal(size=6)
+            p_part = lz.lorentz_cross(w[:3], base[:3])
+            q_part = lz.lorentz_cross(w[3:], base[3:])
+            assert lz.lorentz_inner(p_part, base[:3]) == pytest.approx(0.0, abs=1e-12)
+            assert lz.lorentz_inner(q_part, base[3:]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_fields_are_velocities_of_isometries(self, rng):
+        # w ⊠ p = X p for X = η [w]x, an element of so(1,2): the field is the
+        # velocity at t = 0 of the isometries exp(t X)
+        for _ in range(10):
+            w, p = rng.normal(size=3), h2_point(rng.normal(size=2))
+            cross = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+            X = lz.ETA3 @ cross
+            assert np.array_equal(X.T @ lz.ETA3 + lz.ETA3 @ X, np.zeros((3, 3)))
+            assert np.allclose(X @ p, lz.lorentz_cross(w, p), rtol=0.0, atol=1e-14)
+            h = 1e-4
+            velocity = (lz.so12_exp(h * X) @ p - lz.so12_exp(-h * X) @ p) / (2.0 * h)
+            assert np.allclose(velocity, X @ p, rtol=0.0, atol=1e-6)

@@ -13,6 +13,7 @@ import pytest
 
 from h2h2 import autodiff as ad
 from h2h2 import cli
+from h2h2 import lorentz as lz
 from h2h2 import model_zoo as mz
 from h2h2 import parallel_flow as pf
 from h2h2 import report as rp
@@ -204,30 +205,6 @@ class TestVerifyCommand:
             assert rows[name]["pass"] is None and rows[name]["max_residual"] is None
             assert rows[name]["n_samples"] == 0
             assert rows[name]["notes"] == "skipped: degenerate product angle (C^2 = 1)"
-
-    @pytest.mark.parametrize("model, argv, note", [
-        ("M_1m1", ["--c", "0.3"], "skipped: first curvature not a constant in (-1,1)"),
-        ("M_11", ["--c", "0.3"], "skipped: first curvature not a constant in (-1,1)"),
-        ("M_kk", ["--c", "0.5", "--kappa", "tanh", "--kappa-tilde", "one"],
-         "skipped: first curvature not a constant in (-1,1)"),
-        ("M_tau", ["--tau", "-2"], "skipped: not a two-curve product model"),
-        ("M_Gamma", ["--kappa-gamma", "0.5"], "skipped: not a two-curve product model"),
-    ])
-    def test_tanh_profile_notes(self, model, argv, note, tmp_path):
-        out = tmp_path / "r.json"
-        assert run_cli(["verify", "--model", model, *argv, "--samples", "4",
-                        "--out", str(out)]) == 0
-        row = next(r for r in json.loads(out.read_text())["results"]
-                   if r["name"] == "tanh_profile")
-        assert row["pass"] is None and row["notes"] == note
-
-    def test_tanh_profile_judged_on_a_constant_first_curvature(self, tmp_path):
-        out = tmp_path / "r.json"
-        assert run_cli(["verify", "--model", "M_kk", "--c", "0.5", "--kappa", "0.4",
-                        "--kappa-tilde", "-0.6", "--samples", "4", "--out", str(out)]) == 0
-        row = next(r for r in json.loads(out.read_text())["results"]
-                   if r["name"] == "tanh_profile")
-        assert row["pass"] is True and row["n_samples"] == 41
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -546,8 +523,8 @@ def test_verify_judges_the_structural_rows_in_one_call(monkeypatch):
 
 
 def test_m_tau_constraint_reads_the_batch(monkeypatch):
-    # m_tau_constraint judges <p, q> = tau on the first 100 verify samples,
-    # whose chart points the batch already holds: no float chart evaluation
+    # m_tau_constraint judges <p, q> = tau on every verify sample, whose
+    # chart points the batch already holds: no float chart evaluation
     build = mz.build_model
     logs = []
 
@@ -563,15 +540,13 @@ def test_m_tau_constraint_reads_the_batch(monkeypatch):
     (log,) = logs
     assert all(isinstance(u[0], ad.Jet) for u in log)
     (check,) = [r for r in results if r.name == "m_tau_constraint"]
-    assert check.passed and check.n_samples == 100
+    assert check.passed and check.n_samples == 120
 
 
 def test_verify_evaluates_the_samples_in_one_chart_call(monkeypatch):
-    # orbit_match makes one value-only chart pass on the coordinate arrays of
-    # its 125 grid points, then one jet pass takes all samples; the
-    # parallel-shape check makes one over its 3 points at both distances,
-    # and the scan reads its 8 points from the sample bundle.  No point is
-    # evaluated at floats:
+    # one jet pass takes all samples, and the parallel-shape check makes one
+    # over its 3 points at both distances; killing_algebra and the scan read
+    # the sample bundle.  No point is evaluated without derivatives, and
     # chart_constraints reads the sample points from the batch.
     build = mz.build_model
     calls = []
@@ -585,10 +560,8 @@ def test_verify_evaluates_the_samples_in_one_chart_call(monkeypatch):
     monkeypatch.setattr(mz, "build_model", counted)
     rp.run_verify_suite(rp.SuiteConfig(model=mz.ModelSpec("M_1m1", {"c": 0.4}), samples=20))
     (log,) = calls
-    orbit, *jets = log
-    assert all(type(x) is np.ndarray and x.shape == (125,) for x in orbit)
-    assert all(isinstance(u[0], ad.Jet) for u in jets)
-    assert [len(u[0].val) for u in jets] == [20, 6]
+    assert all(isinstance(u[0], ad.Jet) for u in log)
+    assert [len(u[0].val) for u in log] == [20, 6]
 
 
 def test_verify_reads_third_derivatives_on_the_structural_rows_only(monkeypatch):
@@ -621,11 +594,10 @@ def test_verify_reads_third_derivatives_on_the_structural_rows_only(monkeypatch)
 @pytest.mark.parametrize("spec", [mz.ModelSpec("M_1m1", {"c": 0.3}),
                                   mz.ModelSpec("M_1m1", {"c": 0.5}),
                                   mz.ModelSpec("M_11", {"c": 0.6})])
-def test_orbit_grid_chart_values_equal_float_points(spec):
-    # orbit_match reads its 125 grid points from one value-only chart pass on
-    # coordinate arrays; the values equal the float chart evaluations and
-    # the values of the jet pass bit for bit, so its residual is the
-    # point-by-point one
+def test_batch_chart_values_equal_float_points(spec):
+    # a value-only chart pass on coordinate arrays, as poincare_dump makes
+    # over its grid, equals the float chart evaluations and the values of
+    # the jet pass bit for bit
     surface, _ = mz.build_model(spec)
     axes = [np.linspace(d[0], d[1], 5) for d in surface.domain]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -635,24 +607,97 @@ def test_orbit_grid_chart_values_equal_float_points(spec):
     assert np.array_equal(sc.chart_jet(surface, grid).val, points)
 
 
-def test_lorentz_form_defect_is_a_failed_check(monkeypatch, tmp_path, capsys):
-    # a subgroup block off O(1,2) by 1e-9 is judged by lorentz_form_preservation
-    # at its 1e-12 bar: a FAIL row in a written report and exit 1, not an
-    # exception that reads as a usage error
-    element = rp.group_element_G
+# the models whose principal curvatures are constant: every one is homogeneous
+HOMOGENEOUS = list(mz.CATALOG) + [mz.ModelSpec("M_tau", {"tau": -1.0001})] + [
+    mz.ModelSpec("M_kk", {"c": 0.5, "kappa": k, "kappa_tilde": kt})
+    for k in ("one", "minus-one") for kt in ("one", "minus-one")]
 
-    def perturbed(c, t, r, s):
-        g1, g2 = element(c, t, r, s)
-        g1 = g1.copy()
-        g1[..., 1, 2] += 1e-9
-        return g1, g2
 
-    monkeypatch.setattr(rp, "group_element_G", perturbed)
-    out = tmp_path / "report.json"
+def killing_figures(row) -> tuple:
+    """(kernel dimension, fields taken) from the notes of killing_algebra."""
+    kernel, taken = row.notes.split(";")[0].split(", ")[:2]
+    return int(kernel.split()[-1]), int(taken.split()[-1])
+
+
+def verify_rows(spec, **kwargs) -> dict:
+    return {r.name: r for r in rp.run_verify_suite(rp.SuiteConfig(model=spec, **kwargs))}
+
+
+class TestKillingAlgebra:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("spec", HOMOGENEOUS, ids=lambda s: f"{s.kind}{s.params}")
+    def test_homogeneous_models_pass(self, spec, seed):
+        # the 200-sample bundle of verify: 4 tangent Killing fields on
+        # M_Gamma (a one-parameter group along the curve, PSL(2,R) on H²),
+        # 3 elsewhere, and they span every tangent space
+        surface, oracle = mz.build_model(spec)
+        _, pgs = rp._sample_bundle(surface, rp.sobol_points(surface.domain, 200, seed), 50)
+        row = rp._killing_algebra(pgs, rp.DEFAULT_TOLERANCES["killing_algebra"],
+                                  oracle.constant_curvatures)
+        dim = 4 if spec.kind == "M_Gamma" else 3
+        assert row.passed is True and row.n_samples == 200
+        assert killing_figures(row) == (dim, dim)
+
+    @pytest.mark.parametrize("kappa, kappa_tilde, kernel", [("tanh", "one", 1), ("0.5", "-2", 2)])
+    def test_negative_controls_are_informational(self, kappa, kappa_tilde, kernel):
+        row = verify_rows(mz.ModelSpec("M_kk", {"c": 0.5, "kappa": kappa,
+                                                "kappa_tilde": kappa_tilde}))["killing_algebra"]
+        assert row.passed is None and row.max_residual > 0.1
+        assert killing_figures(row) == (kernel, 3)
+        assert "informational" in row.notes and "(within tol: False)" in row.notes
+
+    def test_a_curvature_bump_fails(self, monkeypatch):
+        # the curve of M_Gamma(1) with kappa(r) = 1 + eps sin r, eps = 1e-10,
+        # judged against the constant oracle: the tangency reads about 0.165 eps,
+        # far below what oracle_lambda's bar sees
+        build = mz.build_model
+        curve = lz.PlaneCurve(lambda r: 1.0 + 1e-10 * ad.sin(r))
+
+        def chart(u):
+            r, rho, phi = u
+            g, n = curve.jet(r)
+            return g, mz._polar(rho, phi), [*n, 0.0, 0.0, 0.0]
+
+        def bumped(spec):
+            surface, oracle = build(spec)
+            return sc.Hypersurface(chart=chart, domain=surface.domain, name="bumped"), oracle
+
+        monkeypatch.setattr(mz, "build_model", bumped)
+        rows = verify_rows(mz.ModelSpec("M_Gamma", {"kappa_gamma": 1.0}))
+        row = rows["killing_algebra"]
+        assert row.passed is False and 1e-11 < row.max_residual < 1e-10
+        assert killing_figures(row) == (3, 4)
+        assert rows["oracle_lambda"].passed is True
+
+    @pytest.mark.parametrize("kind", ["M_1m1", "M_11"])
+    def test_a_wrong_horocycle_parameter_fails_the_oracles(self, kind, monkeypatch):
+        # the chart of c = 0.5 + 1e-6 is still homogeneous; the oracles of
+        # c = 0.5 see it
+        build = mz.build_model
+
+        def wrong(spec):
+            return mz.make_horocycle_product(kind, 0.5 + 1e-6)[0], build(spec)[1]
+
+        monkeypatch.setattr(mz, "build_model", wrong)
+        rows = verify_rows(mz.ModelSpec(kind, {"c": 0.5}), samples=8)
+        assert rows["killing_algebra"].passed is True
+        assert rows["oracle_C"].passed is False and rows["oracle_lambda"].passed is False
+
+    def test_skipped_below_six_samples(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli(["verify", "--model", "M_tau", "--tau", "-2", "--samples", "5",
+                        "--out", str(out)]) == 0
+        row = next(r for r in json.loads(out.read_text())["results"]
+                   if r["name"] == "killing_algebra")
+        assert row["pass"] is None and row["max_residual"] is None
+        assert row["notes"] == "skipped: fewer samples than the 6 generators of so(1,2) + so(1,2)"
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
+def test_a_tolerance_must_be_finite_and_positive(value, capsys):
     assert run_cli(["verify", "--model", "M_1m1", "--c", "0.5", "--samples", "8",
-                    "--out", str(out)]) == 1
-    rows = {r["name"]: r for r in json.loads(out.read_text())["results"]}
-    form = rows["lorentz_form_preservation"]
-    assert form["pass"] is False and 1e-10 < form["max_residual"] < 1e-8
-    assert rows["orbit_match"]["pass"] is True
-    assert "[FAIL] lorentz_form_preservation" in capsys.readouterr().err
+                    "--tol", f"oracle_C={value}"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        f"error: tolerance oracle_C must be finite and positive, got {float(value)}"]
