@@ -122,11 +122,6 @@ class AdaptedFrame:
         return tuple(_one(a[i, i] * a[j, j] - ad.power(a[i, j], 2))
                      for i, j in ((0, 1), (0, 2), (1, 2)))
 
-    @property
-    def rho(self):
-        """Scalar curvature via 2 (H12 + H13 + H23) = rho + 2."""
-        return 2.0 * sum(self.principal_minors()) - 2.0
-
 
 def frame_vectors(pg: PointGeometry) -> np.ndarray:
     """Ambient adapted-frame vectors, rows E1, E2, E3: (3,6) for one point,
@@ -393,20 +388,28 @@ def _spectrum(s) -> tuple:
 
     The bar is judged on S / m, m the largest |entry|, against
     max((ASYMMETRY_TOL / m)², ASYMMETRY_REL² ||S / m||_F²), so no square
-    overflows whatever the size of S.
+    overflows whatever the size of S.  Each term is taken from the entries
+    s[i][j] in place, and the sums add row by row.
     """
-    x = np.stack(np.broadcast_arrays(*(s[i][j] for i in range(3) for j in range(3))))
-    m = np.max(np.abs(x), axis=0)
+    entries = [s[i][j] for i in range(3) for j in range(3)]
+    m = np.abs(entries[0])
+    for x in entries[1:]:
+        m = np.maximum(m, np.abs(x))
     if not np.all(np.isfinite(m)):
         raise ArithmeticError("parallel shape operator is not finite")
     m = np.where(m > 0.0, m, 1.0)
-    t = x / m
-    d = t[[1, 2, 5]] - t[[3, 6, 7]]        # s01 - s10, s02 - s20, s12 - s21, scaled
+    norm = asymmetry = 0.0
+    for x in entries:
+        t = x / m
+        norm = norm + t * t
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        d = s[i][j] / m - s[j][i] / m
+        asymmetry = asymmetry + d * d
     with np.errstate(over="ignore"):
         # (ASYMMETRY_TOL / m)² is inf for a tiny S, and then every S passes
         # the bar, as it would unscaled
-        bar = np.maximum((ASYMMETRY_TOL / m) ** 2, ASYMMETRY_REL ** 2 * np.sum(t * t, axis=0))
-    if np.any(2.0 * np.sum(d * d, axis=0) > bar):
+        bar = np.maximum((ASYMMETRY_TOL / m) ** 2, ASYMMETRY_REL ** 2 * norm)
+    if np.any(2.0 * asymmetry > bar):
         raise ArithmeticError("parallel shape operator is not self-adjoint")
     return _symmetric_spectrum(s)
 

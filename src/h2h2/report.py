@@ -7,6 +7,13 @@ structural-equation, frame-identity and Killing-algebra checks are the
 smallest powers of ten at least 100x the worst residual measured over the
 catalog models and seeds.
 
+Every judged row can FAIL: a wrong chart, oracle or formula crosses its bar
+(``tests/test_report_cli.py`` plants one defect per row).  What holds by
+construction is not a row: a rank-deficient chart point raises
+``ChartRankError``, the sample bundle's metric and second fundamental form
+are symmetrized, and its scalar curvature is defined from the same matrix as
+its principal curvatures.
+
 Reports are deterministic for a fixed (config, seed): sampling uses a seeded
 Sobol sequence over the chart box, results are ordered by check name, and
 JSON is emitted with sorted keys, so two runs produce byte-identical files.
@@ -44,7 +51,6 @@ DEFAULT_TOLERANCES = {
     "V_derivative_identity": 1e-10,
     "av_zero": 1e-8,
     "chart_constraints": 1e-10,
-    "chart_rank": 1.0,
     "codazzi_equation": 1e-10,
     "detq_derivatives_high": 1e-9,
     "detq_derivatives_low": 1e-10,
@@ -55,13 +61,11 @@ DEFAULT_TOLERANCES = {
     "killing_algebra": 1e-12,
     "m_tau_constraint": 1e-10,
     "mean_curvature_two_forms": 1e-9,
-    "minor_sum_rho": 1e-10,
     "oracle_C": 1e-9,
     "oracle_lambda": 1e-7,
     "oracle_normal": 1e-9,
     "parallel_lambda_closed_form": 1e-8,
     "parallel_shape_consistency": 1e-6,
-    "shape_self_adjoint": 1e-9,
 }
 
 
@@ -243,10 +247,6 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
         np.max(np.maximum(np.abs(sc._pairing(p, p, ETA3) + 1.0),
                           np.abs(sc._pairing(q, q, ETA3) + 1.0))),
         cfg.tol("chart_constraints"), len(pts)))
-    sig = float(np.min(pgs.sigma_min))
-    results.append(_judged(
-        "chart_rank", sc.RANK_SIGMA_MIN / sig, cfg.tol("chart_rank"), len(pts),
-        notes=f"residual is {sc.RANK_SIGMA_MIN:g}/sigma_min; sigma_min={sig:.3e}"))
 
     # ---- oracle agreement ------------------------------------------------
     results.append(_judged(
@@ -263,17 +263,7 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
 
     # ---- pointwise operator identities ------------------------------------
     results.append(_judged(
-        "shape_self_adjoint", np.max(pgs.frame_asymmetry),
-        cfg.tol("shape_self_adjoint"), len(pts)))
-    results.append(_judged(
         "av_zero", np.max(sc._norm(pgs.shape_apply(pgs.V))), cfg.tol("av_zero"), len(pts)))
-
-    lam = pgs.lambdas
-    e2 = 2.0 * (lam[:, 0] * lam[:, 1] + lam[:, 0] * lam[:, 2] + lam[:, 1] * lam[:, 2])
-    results.append(_judged(
-        "minor_sum_rho", np.max(np.abs(e2 - (pgs.rho + 2.0))),
-        cfg.tol("minor_sum_rho"), len(pts),
-        notes="2(H12+H13+H23) = rho + 2 via the principal frame"))
 
     # ---- homogeneity -------------------------------------------------------
     results.append(_killing_algebra(pgs, cfg.tol("killing_algebra"), oracle.constant_curvatures))

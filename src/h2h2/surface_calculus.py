@@ -167,7 +167,7 @@ def _normal_from_constraints(jet) -> np.ndarray:
     return v / np.sqrt(n2)[..., None]
 
 
-_SCALAR_FIELDS = ("sigma_min", "frame_asymmetry", "C", "H", "K", "norm_A_sq", "rho")
+_SCALAR_FIELDS = ("C", "H", "K", "norm_A_sq", "rho")
 
 
 def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -196,7 +196,10 @@ class PointGeometry:
     leading axis of length n on every field; its scalar fields are then
     arrays of shape (n,), while one point's are Python floats.  ``pgs[i]``
     is row i as a one-point bundle, ``pgs[a:b]`` a batch, and iterating a
-    batch yields its rows.  The methods broadcast over the batch.
+    batch yields its rows.  The methods broadcast over the batch.  A bundle
+    exists only where the chart has full rank (``ChartRankError`` otherwise),
+    and g and b are symmetric by construction, so it carries no rank or
+    self-adjointness residual.
 
     Attributes
     ----------
@@ -204,10 +207,9 @@ class PointGeometry:
     val, jac, hess, d3 : ambient position (6,) and the chart's first three
         derivatives (6,3), (6,3,3), (6,3,3,3); d3 is None in an order-2 bundle
     n, dn : the chart's raw closed-form normal (6,) and its Jacobian (6,3)
-    g : induced metric (3,3); sigma_min : square root of its smallest eigenvalue
+    g : induced metric (3,3)
     N, V : ambient unit normal and tangential part of PN (6,)
     b : second fundamental form; A : shape operator in the coordinate basis
-    frame_asymmetry : asymmetry of the Cholesky-reduced shape operator
     lambdas : principal curvatures, ascending, with their g-orthonormal chart
         directions ``principal_coords`` (columns) and ambient ones
         ``principal_ambient``
@@ -223,11 +225,9 @@ class PointGeometry:
     n: np.ndarray
     dn: np.ndarray
     g: np.ndarray
-    sigma_min: float
     N: np.ndarray
     b: np.ndarray
     A: np.ndarray
-    frame_asymmetry: float
     lambdas: np.ndarray
     principal_coords: np.ndarray
     principal_ambient: np.ndarray
@@ -314,7 +314,6 @@ def _geometry(jet: ChartJet) -> PointGeometry:
     L = np.linalg.cholesky(g)
     Y = np.linalg.solve(L, b)
     Z = np.linalg.solve(L, Y.swapaxes(-1, -2)).swapaxes(-1, -2)
-    asymmetry = np.max(np.abs(Z - Z.swapaxes(-1, -2)), axis=(-2, -1))
     Zs = 0.5 * (Z + Z.swapaxes(-1, -2))
     lambdas, W = np.linalg.eigh(Zs)
     principal = np.linalg.solve(L.swapaxes(-1, -2), W)   # columns, g-orthonormal
@@ -328,8 +327,7 @@ def _geometry(jet: ChartJet) -> PointGeometry:
     if (np.abs(_pairing(V, V) - (1.0 - C * C)) > 1e-9).any():
         raise NormalSpaceError("|V|^2 != 1 - C^2 beyond tolerance")
 
-    scalars = dict(sigma_min=ad.elementwise(math.sqrt, low), frame_asymmetry=asymmetry, C=C, H=H,
-                   K=K, norm_A_sq=norm_A_sq)
+    scalars = dict(C=C, H=H, K=K, norm_A_sq=norm_A_sq)
     if jet.u.ndim == 1:
         scalars = {name: float(x) for name, x in scalars.items()}
     scalars["rho"] = -2.0 + ad.power(scalars["H"], 2) - scalars["norm_A_sq"]

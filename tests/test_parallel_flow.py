@@ -109,7 +109,7 @@ class TestAdaptedFrame:
             pg = sc.point_geometry(surface, u)
             af = pf.adapted_frame(pg)
             assert af.H == pytest.approx(pg.H, abs=1e-9)
-            assert af.rho == pytest.approx(pg.rho, abs=1e-9)
+            assert minor_rho(af) == pytest.approx(pg.rho, abs=1e-9)
 
     def test_degenerate_angle_rejected(self, m_gamma_2):
         surface, _ = m_gamma_2
@@ -411,20 +411,26 @@ def stacked_bundles(pgs):
                                for f in dataclasses.fields(sc.PointGeometry)})
 
 
+def minor_rho(af):
+    """The scalar curvature of a frame by 2 (H12 + H13 + H23) = rho + 2."""
+    return 2.0 * sum(af.principal_minors()) - 2.0
+
+
 def assert_batch_rows_equal(batch, frames, ls, functions):
     """Every row of the batch at the column ls (m, 1) is its one-frame,
     one-distance call bit for bit."""
-    for name in ("cplus", "cminus", "H", "rho"):
+    for name in ("cplus", "cminus", "H"):
         assert np.array_equal(getattr(batch, name), [getattr(af, name) for af in frames])
         assert all(type(getattr(af, name)) is float for af in frames)
     assert np.array_equal(batch.principal_minors(), np.array([af.principal_minors() for af in frames]).T)
     for got, *want in zip(pf._detq_terms(batch), *(pf._detq_terms(af) for af in frames)):
         for k in (0, 1):   # alpha and beta of each term
             assert np.array_equal(np.broadcast_to(got[k], batch.C.shape), [w[k] for w in want])
-    closed = pf.detq_derivatives_at_0(batch, batch.rho)
+    closed = pf.detq_derivatives_at_0(batch, minor_rho(batch))
     numeric = pf.detq_derivatives_numeric(batch)
     for k in pf.DETQ_ORDERS:
-        assert np.array_equal(closed[k], [pf.detq_derivatives_at_0(af, af.rho)[k] for af in frames])
+        assert np.array_equal(closed[k], [pf.detq_derivatives_at_0(af, minor_rho(af))[k]
+                                          for af in frames])
         assert np.array_equal(numeric[k], [pf.detq_derivatives_numeric(af)[k] for af in frames])
     for c, factors in enumerate(pf._hyperbolic(batch, ls)):
         for q, got in enumerate(factors):
@@ -533,7 +539,7 @@ class TestScalarReference:
         a = rng.uniform(-2.0, 2.0, (3000, 3, 3))
         af = pf.AdaptedFrame(rng.uniform(-0.95, 0.95, 3000), a + a.swapaxes(-1, -2))
         minors = np.array(af.principal_minors()).T.tolist()
-        closed = pf.detq_derivatives_at_0(af, af.rho)
+        closed = pf.detq_derivatives_at_0(af, minor_rho(af))
         numeric = pf.detq_derivatives_numeric(af)
         closed, numeric = ([d[k].tolist() for k in pf.DETQ_ORDERS] for d in (closed, numeric))
         for b, (c, a) in enumerate(zip(af.C.tolist(), af.A.tolist())):
@@ -826,8 +832,7 @@ class TestDetQDerivatives:
     @settings(max_examples=25, deadline=None)
     @given(synthetic_frames())
     def test_closed_forms_match_stencils(self, af):
-        rho = af.rho
-        closed = pf.detq_derivatives_at_0(af, rho)
+        closed = pf.detq_derivatives_at_0(af, minor_rho(af))
         numeric = pf.detq_derivatives_numeric(af)
         scale = max(1.0, float(np.max(np.abs(af.A))) ** 3)
         assert abs(closed[1] - numeric[1]) < 1e-12 * scale
@@ -851,7 +856,6 @@ class TestDetQDerivatives:
         e2 = float((trace * trace - sum(x * x for row in a for x in row)) / 2)
         h12, h13, h23 = af.principal_minors()
         assert 2 * (h12 + h13 + h23) == pytest.approx(2 * e2, abs=1e-10)
-        assert af.rho + 2 == pytest.approx(2 * e2, abs=1e-10)
 
 
 class TestFocalStructure:

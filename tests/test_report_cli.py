@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -133,9 +134,16 @@ class TestVerifyCommand:
     def test_missing_model_param_exit_two(self):
         assert run_cli(["verify", "--model", "M_tau"]) == 2
 
-    def test_unknown_tolerance_exit_two(self):
-        assert run_cli(["verify", "--model", "M_1m1", "--c", "0.5",
-                        "--tol", "bogus=1"]) == 2
+    # chart_rank, shape_self_adjoint and minor_sum_rho held by construction
+    # and are deleted checks
+    @pytest.mark.parametrize("item", ["bogus=1", "chart_rank=0.5", "shape_self_adjoint=1e-9",
+                                      "minor_sum_rho=1e-10"])
+    def test_unknown_tolerance_exit_two(self, item, capsys):
+        assert run_cli(["verify", "--model", "M_1m1", "--c", "0.5", "--samples", "8",
+                        "--tol", item]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"error: unknown tolerance name {item.split('=')[0]!r}"]
 
     def test_negative_seed_exit_two(self, capsys):
         assert run_cli(["verify", "--model", "M_1m1", "--c", "0.5", "--seed", "-1"]) == 2
@@ -623,6 +631,41 @@ def verify_rows(spec, **kwargs) -> dict:
     return {r.name: r for r in rp.run_verify_suite(rp.SuiteConfig(model=spec, **kwargs))}
 
 
+def plant_chart(monkeypatch, make_chart):
+    """``build_model`` returns ``make_chart(chart)`` in place of the chart it
+    builds, on the same domain, with the oracle of the model asked for."""
+    build = mz.build_model
+
+    def planted(spec):
+        surface, oracle = build(spec)
+        return sc.Hypersurface(chart=make_chart(surface.chart), domain=surface.domain,
+                               name="planted"), oracle
+
+    monkeypatch.setattr(mz, "build_model", planted)
+
+
+def plant_values(monkeypatch, transform):
+    """Every chart evaluation returns ``transform(p, q, n)`` of its values."""
+    plant_chart(monkeypatch, lambda chart: lambda u: transform(*chart(u)))
+
+
+def plant_curvature_bump(monkeypatch, eps):
+    """The chart of M_Gamma on the curve kappa(r) = 1 + eps sin r."""
+    curve = lz.PlaneCurve(lambda r: 1.0 + eps * ad.sin(r))
+
+    def chart(u):
+        r, rho, phi = u
+        g, n = curve.jet(r)
+        return g, mz._polar(rho, phi), [*n, 0.0, 0.0, 0.0]
+
+    plant_chart(monkeypatch, lambda _: chart)
+
+
+def plant_wrong_horocycle(monkeypatch, kind):
+    """The chart of the horocycle product ``kind`` at c = 0.5 + 1e-6."""
+    plant_chart(monkeypatch, lambda _: mz.make_horocycle_product(kind, 0.5 + 1e-6)[0].chart)
+
+
 class TestKillingAlgebra:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("spec", HOMOGENEOUS, ids=lambda s: f"{s.kind}{s.params}")
@@ -647,22 +690,9 @@ class TestKillingAlgebra:
         assert "informational" in row.notes and "(within tol: False)" in row.notes
 
     def test_a_curvature_bump_fails(self, monkeypatch):
-        # the curve of M_Gamma(1) with kappa(r) = 1 + eps sin r, eps = 1e-10,
-        # judged against the constant oracle: the tangency reads about 0.165 eps,
-        # far below what oracle_lambda's bar sees
-        build = mz.build_model
-        curve = lz.PlaneCurve(lambda r: 1.0 + 1e-10 * ad.sin(r))
-
-        def chart(u):
-            r, rho, phi = u
-            g, n = curve.jet(r)
-            return g, mz._polar(rho, phi), [*n, 0.0, 0.0, 0.0]
-
-        def bumped(spec):
-            surface, oracle = build(spec)
-            return sc.Hypersurface(chart=chart, domain=surface.domain, name="bumped"), oracle
-
-        monkeypatch.setattr(mz, "build_model", bumped)
+        # eps = 1e-10: the tangency reads about 0.165 eps, far below what
+        # oracle_lambda's bar sees
+        plant_curvature_bump(monkeypatch, 1e-10)
         rows = verify_rows(mz.ModelSpec("M_Gamma", {"kappa_gamma": 1.0}))
         row = rows["killing_algebra"]
         assert row.passed is False and 1e-11 < row.max_residual < 1e-10
@@ -673,12 +703,7 @@ class TestKillingAlgebra:
     def test_a_wrong_horocycle_parameter_fails_the_oracles(self, kind, monkeypatch):
         # the chart of c = 0.5 + 1e-6 is still homogeneous; the oracles of
         # c = 0.5 see it
-        build = mz.build_model
-
-        def wrong(spec):
-            return mz.make_horocycle_product(kind, 0.5 + 1e-6)[0], build(spec)[1]
-
-        monkeypatch.setattr(mz, "build_model", wrong)
+        plant_wrong_horocycle(monkeypatch, kind)
         rows = verify_rows(mz.ModelSpec(kind, {"c": 0.5}), samples=8)
         assert rows["killing_algebra"].passed is True
         assert rows["oracle_C"].passed is False and rows["oracle_lambda"].passed is False
@@ -701,3 +726,110 @@ def test_a_tolerance_must_be_finite_and_positive(value, capsys):
     assert out.out == ""
     assert out.err.splitlines() == [
         f"error: tolerance oracle_C must be finite and positive, got {float(value)}"]
+
+
+# the models of the planted defects, as verify's flags
+M_1M1 = ("--model", "M_1m1", "--c", "0.4")
+M_1M1_HALF = ("--model", "M_1m1", "--c", "0.5")
+M_GAMMA = ("--model", "M_Gamma", "--kappa-gamma", "1")
+M_TAU = ("--model", "M_tau", "--tau", "-2")
+
+
+def plant_wrapped(monkeypatch, owner, name, wrap):
+    """``owner.name`` becomes ``wrap(original)``."""
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+
+
+def normal_off_the_product(monkeypatch):
+    # a closed-form normal with a 1e-7 (p, 0) component: still orthogonal to
+    # the chart, but not tangent to H² x H²
+    plant_values(monkeypatch, lambda p, q, n: (p, q, [n[i] + 1e-7 * p[i] for i in range(3)]
+                                               + list(n[3:])))
+
+
+def rho_off(monkeypatch):
+    # the bundle's scalar curvature off by 1e-9
+    plant_wrapped(monkeypatch, sc, "_geometry", lambda geometry: lambda jet: dataclasses.replace(
+        geometry(jet), rho=geometry(jet).rho + 1e-9))
+
+
+def derivatives_off(change):
+    """The structural equations read ``change(pg, d)`` for the exact
+    derivatives d of the bundle pg."""
+    return lambda monkeypatch: plant_wrapped(
+        monkeypatch, sc, "point_derivatives", lambda derivatives: lambda pg: change(
+            pg, derivatives(pg)))
+
+
+# one planted defect per judged row: verify with it still writes its report,
+# and the row FAILs at its default bar
+DEFECTS = {
+    # nabla V = C A - T A with the sign of the C dN term of dV flipped
+    "V_derivative_identity": (M_1M1, derivatives_off(lambda pg, d: d._replace(
+        dV=d.dV + 2.0 * np.asarray(pg.C)[..., None, None] * d.dN))),
+    "av_zero": (M_TAU, normal_off_the_product),
+    # p scaled by 1 + 1e-9; the curve factor's normal stays orthogonal to it
+    "chart_constraints": (M_GAMMA, lambda monkeypatch: plant_values(
+        monkeypatch, lambda p, q, n: ([x * (1.0 + 1e-9) for x in p], q, n))),
+    # dA = g^-1 db, without the term of dg
+    "codazzi_equation": (M_TAU, derivatives_off(lambda pg, d: d._replace(
+        dA=np.linalg.solve(pg.g[..., None, :, :], d.db)))),
+    "detq_derivatives_high": (M_TAU, rho_off),
+    "detq_derivatives_low": (M_TAU, rho_off),
+    # the frame identities read dN scaled by 1 + 1e-6
+    "frame_identities": (M_1M1, lambda monkeypatch: plant_wrapped(
+        monkeypatch, pf, "point_derivatives", lambda derivatives: lambda pg: derivatives(
+            pg)._replace(dN=derivatives(pg).dN * (1.0 + 1e-6)))),
+    # Gamma^i_lj in place of Gamma^l_ij
+    "gauss_equation": (M_1M1, lambda monkeypatch: plant_wrapped(
+        monkeypatch, sc, "christoffels", lambda christoffels: lambda pg: christoffels(
+            pg).swapaxes(-3, -2))),
+    "grad_C_identity": (M_TAU, normal_off_the_product),
+    "isoparametric_spread": (M_GAMMA, lambda monkeypatch: plant_curvature_bump(monkeypatch, 1e-8)),
+    "killing_algebra": (M_GAMMA, lambda monkeypatch: plant_curvature_bump(monkeypatch, 1e-10)),
+    # the chart of tau = -2 - 1e-9
+    "m_tau_constraint": (M_TAU, lambda monkeypatch: plant_chart(
+        monkeypatch, lambda _: mz.make_M_tau(-2.0 - 1e-9)[0].chart)),
+    # S(l) scaled by 1 + 1e-8
+    "mean_curvature_two_forms": (M_1M1, lambda monkeypatch: plant_wrapped(
+        monkeypatch, pf, "_flow", lambda flow: lambda af, l, hyperbolic=None: [
+            [x * (1.0 + 1e-8) for x in row] for row in flow(af, l, hyperbolic)])),
+    "oracle_C": (M_1M1_HALF, lambda monkeypatch: plant_wrong_horocycle(monkeypatch, "M_1m1")),
+    "oracle_lambda": (M_1M1_HALF, lambda monkeypatch: plant_wrong_horocycle(monkeypatch, "M_1m1")),
+    "oracle_normal": (M_TAU, normal_off_the_product),
+    # the closed form fed kappa + 1e-6
+    "parallel_lambda_closed_form": (M_1M1, lambda monkeypatch: plant_wrapped(
+        monkeypatch, rp, "_constant_curvature_pair", lambda pair: lambda spec: (
+            pair(spec)[0] + 1e-6, pair(spec)[1]))),
+    # the parallel chart at l (1 + 1e-5)
+    "parallel_shape_consistency": (M_TAU, lambda monkeypatch: plant_wrapped(
+        monkeypatch, pf, "parallel_surface", lambda parallel: lambda M, l: parallel(
+            M, np.asarray(l) * (1.0 + 1e-5)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(rp.DEFAULT_TOLERANCES))
+def test_every_judged_row_can_fail(name, monkeypatch, tmp_path):
+    # a row that no defect can fail holds by construction and is no check
+    assert name in DEFECTS, f"no planted defect fails {name}"
+    model, plant = DEFECTS[name]
+    plant(monkeypatch)
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", *model, "--out", str(out)]) == 1
+    (row,) = [r for r in json.loads(out.read_text())["results"] if r["name"] == name]
+    assert row["pass"] is False and row["tolerance"] == rp.DEFAULT_TOLERANCES[name]
+
+
+def test_every_planted_defect_names_a_row():
+    assert DEFECTS.keys() == rp.DEFAULT_TOLERANCES.keys()
+
+
+@pytest.mark.parametrize("model", [M_1M1_HALF, M_GAMMA, M_TAU])
+def test_report_rows_are_the_tolerance_table(model, tmp_path):
+    # M_Gamma(1) has a degenerate product angle, so its parallel rows are skips
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", *model, "--samples", "16", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert {r["name"] for r in payload["results"]} == rp.DEFAULT_TOLERANCES.keys()
+    assert payload["config"]["tolerances"].keys() == rp.DEFAULT_TOLERANCES.keys()
+

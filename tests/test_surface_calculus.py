@@ -132,7 +132,7 @@ class TestChartJet:
             x = pg.val
             assert abs(x[:3] @ lz.ETA3 @ x[:3] + 1.0) < 1e-10
             assert abs(x[3:] @ lz.ETA3 @ x[3:] + 1.0) < 1e-10
-            assert pg.sigma_min > 1e-6
+            assert np.linalg.eigvalsh(pg.g)[0] > sc.RANK_SIGMA_MIN ** 2
 
     def test_rank_deficient_chart_raises(self):
         def chart(u):
@@ -180,7 +180,6 @@ class TestPointGeometry:
         surface, _ = m_11_03
         for u in domain_samples(surface, 10):
             pg = sc.point_geometry(surface, u)
-            assert pg.frame_asymmetry < 1e-9
             for _ in range(5):
                 x = pg.from_coords(rng.normal(size=3))
                 y = pg.from_coords(rng.normal(size=3))
