@@ -44,7 +44,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -631,24 +631,6 @@ def _bisected_roots(af: AdaptedFrame, lo, hi) -> list:
 # frame identity checks (connection formulas of adapted and eigen frames)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckItem:
-    name: str
-    residual: Optional[float]
-    skipped: bool
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class FrameCheckReport:
-    items: list
-    min_gap: Optional[float] = None   # smallest eigenvalue gap an eigenvector derivative divided by
-
-    def max_residual(self) -> float:
-        vals = [it.residual for it in self.items if not it.skipped]
-        return max(vals) if vals else 0.0
-
-
 def _outer(e, w):
     return e[..., :, None] * w[..., None, :]
 
@@ -724,9 +706,28 @@ FRAME_ITEMS = ("v_direction_identity", "eigenframe_connections", "product_frame_
                "connection_antisymmetry", "codazzi_frame_relation", "diagonal_connection_formula",
                "connection_pairing")
 
+# why a frame item is skipped at a row: skip code k > 0 is FRAME_SKIPS[k], and
+# code 0, an item that is judged, has no reason
+FRAME_SKIPS = ("", "degenerate product angle (C^2 = 1)", "hypothesis AV=0 violated",
+               "hypothesis lambda_1 != lambda_2 violated",
+               "hypothesis J1N+J2N principal violated",
+               "hypothesis of three distinct principal curvatures violated",
+               "hypothesis of constant principal curvatures violated")
+_DEGENERATE, _AV, _EQUAL, _NOT_PRINCIPAL, _NOT_THREE, _VARYING = range(1, 7)
+
 # (i, j) with i != j, and (i, j, k) all distinct
 _PAIRS = np.nonzero(~np.eye(3, dtype=bool))
 _TRIPLES = tuple(np.array(list(itertools.permutations(range(3)))).T)
+
+
+class FrameChecks(NamedTuple):
+    """The frame identities at each row of a bundle (n,): a residual and a
+    skip code per ``FRAME_ITEMS`` entry, and the smallest eigenvalue gap an
+    eigenvector derivative divided by."""
+
+    residual: np.ndarray   # (n, 7), NaN where the item is skipped
+    skip: np.ndarray       # (n, 7) int8: 0 where judged, else an index into FRAME_SKIPS
+    min_gap: np.ndarray    # (n,), NaN where no eigenvector derivative divided by a gap
 
 
 def _covariant(pg: PointGeometry, jacobians, X) -> np.ndarray:
@@ -738,58 +739,47 @@ def _covariant(pg: PointGeometry, jacobians, X) -> np.ndarray:
     return pg.project(np.stack([_matvec(dF, xi) for dF in jacobians], axis=1))
 
 
-def frame_identity_checks(pg: PointGeometry):
+def frame_identity_checks(pg: PointGeometry) -> FrameChecks:
     """Residuals of the constant-curvature frame identities at each point of
-    a bundle, a batch (n,): a list of ``FrameCheckReport``, one per row.
+    a bundle, a batch (n,): three arrays with the sample axis first.
 
     Checks the V-direction derivative identity on {V}-orthogonal pairs, the
     eigenframe connection table (distinct nonzero pair of curvatures), the
     product-frame connection table (needs J1 N + J2 N principal), and the
     antisymmetry/Codazzi relations of the three-curvature eigenframe.  Any
-    item whose hypothesis fails numerically at a point is reported there as
-    skipped with the reason, not as a failure.  Covariant derivatives are the
-    tangential projections of exact field Jacobians, nabla_X F =
-    proj(dF xi(X)), built from ``point_derivatives``, so no chart is
-    evaluated; it needs an order-3 bundle.
+    item whose hypothesis fails numerically at a point is skipped there, its
+    skip code naming the hypothesis in ``FRAME_SKIPS``, not failed.
+    Covariant derivatives are the tangential projections of exact field
+    Jacobians, nabla_X F = proj(dF xi(X)), built from ``point_derivatives``,
+    so no chart is evaluated; it needs an order-3 bundle.
 
     Each hypothesis is decided row by row.  A table's covariant derivatives
     take one stacked ``coords`` and ``project`` call over the rows that need
     them, and the eigenvector derivatives, which divide by eigenvalue gaps,
     are formed only on the rows whose hypotheses admit them.  Every
-    per-vector product keeps its one-point shape, so each row's report is
-    bit for bit that of the row alone, as a batch of one.
+    per-vector product keeps its one-point shape, so each row is bit for bit
+    that of the row alone, as a batch of one.
     """
     n = len(pg)
-    # reasons[name][row] is why the item is skipped there, None where it is judged
-    reasons = {name: ["degenerate product angle (C^2 = 1)"] * n for name in FRAME_ITEMS}
-    residuals = {name: [None] * n for name in FRAME_ITEMS}
-    min_gaps = [None] * n
+    residual = np.full((n, len(FRAME_ITEMS)), np.nan)
+    skip = np.full((n, len(FRAME_ITEMS)), _DEGENERATE, dtype=np.int8)
+    min_gap = np.full(n, np.nan)
     live = np.flatnonzero(~(np.abs(pg.C) > DEGENERATE_C))
     if live.size:
-        _frame_tables(pg if live.size == n else pg[live], live, reasons, residuals, min_gaps)
-    return [FrameCheckReport([CheckItem(name, residuals[name][r], reasons[name][r] is not None,
-                                        reasons[name][r] or "") for name in FRAME_ITEMS],
-                             min_gaps[r]) for r in range(n)]
+        residual[live], skip[live], min_gap[live] = _frame_tables(
+            pg if live.size == n else pg[live])
+    return FrameChecks(residual, skip, min_gap)
 
 
-def _frame_tables(pg: PointGeometry, rows, reasons: dict, residuals: dict, min_gaps: list):
-    """The frame identities at the rows of a bundle whose product angle is
-    not degenerate; ``rows`` are their indices in the reports, which the
-    tables fill in."""
+def _frame_tables(pg: PointGeometry) -> tuple:
+    """(residual, skip, min_gap) of ``frame_identity_checks`` on a bundle
+    whose product angle is not degenerate at any row."""
     d = point_derivatives(pg)
     E = frame_vectors(pg)
     dE = _adapted_frame_jacobians(pg, d)
     vhat, C = E[:, 0], pg.C
     c2 = ad.power(C, 2)
     s = np.sqrt(1.0 - c2)
-
-    def record(name, where, values, why):
-        """Item ``name`` judged with values[i] where where[i], else skipped for why(i)."""
-        for i, r in enumerate(rows.tolist()):
-            if where[i]:
-                residuals[name][r], reasons[name][r] = float(values[i]), None
-            else:
-                reasons[name][r] = why(i)
 
     # ---- V-direction derivative identity on {V}-orthogonal pairs --------
     X, dX = E[:, 1:].swapaxes(0, 1), dE[:, 1:].swapaxes(0, 1)    # e2, e3: (2, n, 6), (2, n, 6, 3)
@@ -806,8 +796,7 @@ def _frame_tables(pg: PointGeometry, rows, reasons: dict, residuals: dict, min_g
     lhs = -C * pairs(a2x) + pairs(atax) - pairs(nab_ax) + pairs(a_nab)
     rhs = 0.5 * (1.0 - c2) * pairs(pg.T_apply(X))
     av_zero = ~(av_norm > 1e-6)
-    record("v_direction_identity", av_zero, np.max(np.abs(lhs - rhs), axis=(0, 1)),
-           lambda i: f"hypothesis AV=0 violated (|AV|={float(av_norm[i]):.2e})")
+    v_res = np.max(np.abs(lhs - rhs), axis=(0, 1))
 
     # ---- eigenframe bookkeeping ----------------------------------------
     lam = pg.lambdas
@@ -820,9 +809,6 @@ def _frame_tables(pg: PointGeometry, rows, reasons: dict, residuals: dict, min_g
     eigen = (av_norm <= 1e-6) & (np.abs(lam_v) <= 1e-6) & (np.abs(lam1 - lam2) > 1e-6)
     three = min_gap > 1e-6
     need = np.flatnonzero(eigen | three)
-    for i in need.tolist():
-        # every eigenvector derivative divides by the gaps to both other eigenvalues
-        min_gaps[rows[i]] = float(min_gap[i])
 
     # ---- connection table for the eigenframe ----------------------------
     eigen_res = np.zeros(len(pg))
@@ -831,10 +817,6 @@ def _frame_tables(pg: PointGeometry, rows, reasons: dict, residuals: dict, min_g
         dlam, dP = _principal_jacobians(sub, PointDerivatives(*(x[need] for x in d)))
         eigen_res[need] = _eigen_table(sub, dP, vhat[need], dE[need, 0], order[need],
                                        lam1[need], lam2[need], s[need])
-    record("eigenframe_connections", eigen, eigen_res,
-           lambda i: ("hypothesis AV=0 violated" if not av_zero[i] or abs(lam_v[i]) > 1e-6
-                      else f"hypothesis lambda_1 != lambda_2 violated "
-                           f"({lam1[i]:.6f} vs {lam2[i]:.6f})"))
 
     # ---- connection table in the product-frame ordering -----------------
     lam_a, lam_b = _pairing(sa, X)
@@ -847,11 +829,7 @@ def _frame_tables(pg: PointGeometry, rows, reasons: dict, residuals: dict, min_g
     expected[0, 2] = -lam_a[:, None] * rm * e2
     expected[1, 1] = -lam_b[:, None] * rp * vhat
     expected[1, 2] = lam_b[:, None] * rp * e3
-    record("product_frame_connections", av_zero & ~(defect > 1e-6),
-           np.max(np.abs(nab - expected), axis=(0, 1, 3)),
-           lambda i: ("hypothesis AV=0 violated" if not av_zero[i]
-                      else f"hypothesis J1N+J2N principal violated "
-                           f"(defect {float(defect[i]):.2e})"))
+    product_res = np.max(np.abs(nab - expected), axis=(0, 1, 3))
 
     # ---- three-curvature eigenframe relations ---------------------------
     out = np.zeros((4, len(pg)))
@@ -862,14 +840,20 @@ def _frame_tables(pg: PointGeometry, rows, reasons: dict, residuals: dict, min_g
         sub3 = sub if at.size == need.size else sub[at]
         lam_grad[need[at]] = np.max(np.abs(dlam[at]), axis=(-2, -1))
         out[:, need[at]] = _three_curvature_table(sub3, dP[at])
-    record("connection_antisymmetry", three, out[0],
-           lambda i: "hypothesis of three distinct principal curvatures violated")
-    for name, values in zip(FRAME_ITEMS[4:], out[1:]):
-        record(name, three & ~(lam_grad > 1e-6), values,
-               lambda i: ("hypothesis of three distinct principal curvatures violated"
-                          if not three[i] else
-                          f"hypothesis of constant principal curvatures violated "
-                          f"(|grad lambda| ~ {float(lam_grad[i]):.2e})"))
+
+    # the skip codes in FRAME_ITEMS order; the last three relations also
+    # need constant curvatures
+    constant = np.select([~three, lam_grad > 1e-6], [_NOT_THREE, _VARYING], 0)
+    skip = np.stack([
+        np.where(av_zero, 0, _AV),
+        np.select([eigen, ~av_zero | (np.abs(lam_v) > 1e-6)], [0, _AV], _EQUAL),
+        np.select([~av_zero, defect > 1e-6], [_AV, _NOT_PRINCIPAL], 0),
+        np.where(three, 0, _NOT_THREE),
+        constant, constant, constant,
+    ], axis=-1).astype(np.int8)
+    residual = np.stack([v_res, eigen_res, product_res, *out], axis=-1)
+    # every eigenvector derivative divides by the gaps to both other eigenvalues
+    return np.where(skip == 0, residual, np.nan), skip, np.where(eigen | three, min_gap, np.nan)
 
 
 def _eigen_table(pg: PointGeometry, dP, vhat, dE1, order, lam1, lam2, s) -> np.ndarray:

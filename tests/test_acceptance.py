@@ -232,23 +232,22 @@ def test_criterion_09_homogeneity_orbits():
 def test_criterion_10_frame_identity_suite():
     worst = 0.0
     surface, _ = build("M_11", {"c": 0.3})
-    for rep in pf.frame_identity_checks(sc.point_geometry(surface, sample(surface, 3))):
-        assert not any(it.skipped for it in rep.items)
-        worst = max(worst, rep.max_residual())
+    checks = pf.frame_identity_checks(sc.point_geometry(surface, sample(surface, 3)))
+    assert not checks.skip.any()
+    worst = max(worst, np.max(checks.residual))
 
     surface, _ = build("M_tau", {"tau": -2.0})
-    tau_skips = set()
-    for rep in pf.frame_identity_checks(sc.point_geometry(surface, sample(surface, 3))):
-        tau_skips |= {it.name for it in rep.items if it.skipped}
-        worst = max(worst, rep.max_residual())
+    checks = pf.frame_identity_checks(sc.point_geometry(surface, sample(surface, 3)))
+    tau_skips = {name for name, skipped in zip(pf.FRAME_ITEMS, checks.skip.any(axis=0)) if skipped}
+    worst = max(worst, np.max(checks.residual, initial=0.0, where=checks.skip == 0))
     # the product-frame table requires J1N+J2N principal, which fails on the
     # tube family; the guard must skip it rather than fail it
     guard_ok = tau_skips == {"product_frame_connections"}
 
     surface, _ = build("M_1m1", {"c": 0.5})
-    rep, = pf.frame_identity_checks(sc.point_geometry(surface, sample(surface, 1)))
-    skip, = (it for it in rep.items if it.name == "eigenframe_connections")
-    guard_ok = guard_ok and skip.skipped and "lambda_1 != lambda_2" in skip.reason
+    checks = pf.frame_identity_checks(sc.point_geometry(surface, sample(surface, 1)))
+    reason = pf.FRAME_SKIPS[checks.skip[0, pf.FRAME_ITEMS.index("eigenframe_connections")]]
+    guard_ok = guard_ok and "lambda_1 != lambda_2" in reason
 
     ok = worst < 1e-7 and guard_ok
     emit(10, ok, f"frame identities on minimal/tube models: max residual "

@@ -761,6 +761,14 @@ def derivatives_off(change):
             pg, derivatives(pg)))
 
 
+def frame_derivatives_off(name, eps):
+    """The frame identities read the derivative ``name`` of the bundle scaled
+    by 1 + eps."""
+    return lambda monkeypatch: plant_wrapped(
+        monkeypatch, pf, "point_derivatives", lambda derivatives: lambda pg: derivatives(
+            pg)._replace(**{name: getattr(derivatives(pg), name) * (1.0 + eps)}))
+
+
 # one planted defect per judged row: verify with it still writes its report,
 # and the row FAILs at its default bar
 DEFECTS = {
@@ -776,10 +784,7 @@ DEFECTS = {
         dA=np.linalg.solve(pg.g[..., None, :, :], d.db)))),
     "detq_derivatives_high": (M_TAU, rho_off),
     "detq_derivatives_low": (M_TAU, rho_off),
-    # the frame identities read dN scaled by 1 + 1e-6
-    "frame_identities": (M_1M1, lambda monkeypatch: plant_wrapped(
-        monkeypatch, pf, "point_derivatives", lambda derivatives: lambda pg: derivatives(
-            pg)._replace(dN=derivatives(pg).dN * (1.0 + 1e-6)))),
+    "frame_identities": (M_1M1, frame_derivatives_off("dN", 1e-6)),
     # Gamma^i_lj in place of Gamma^l_ij
     "gauss_equation": (M_1M1, lambda monkeypatch: plant_wrapped(
         monkeypatch, sc, "christoffels", lambda christoffels: lambda pg: christoffels(
@@ -833,3 +838,66 @@ def test_report_rows_are_the_tolerance_table(model, tmp_path):
     assert {r["name"] for r in payload["results"]} == rp.DEFAULT_TOLERANCES.keys()
     assert payload["config"]["tolerances"].keys() == rp.DEFAULT_TOLERANCES.keys()
 
+
+M_KK_TANH = mz.ModelSpec("M_kk", {"c": 0.5, "kappa": "tanh", "kappa_tilde": "one"})
+M_1M1_SPEC = mz.ModelSpec("M_1m1", {"c": 0.4})
+M_TAU_15 = mz.ModelSpec("M_tau", {"tau": -1.5})
+
+# one planted defect per frame item, on a model whose frame rows in verify
+# judge the item; each scales one exact derivative by 1 + 1e-6.  On the
+# horocycle products db, dA and dC vanish, so the three-curvature relations
+# are reached on M_tau, at tau = -1.5: at tau = -2 the scaled db moves
+# |grad lambda| past the constant-curvature guard at one of the three rows.
+FRAME_DEFECTS = {
+    "v_direction_identity": (M_KK_TANH, frame_derivatives_off("dA", 1e-6)),
+    "eigenframe_connections": (M_1M1_SPEC, frame_derivatives_off("dV", 1e-6)),
+    "product_frame_connections": (M_1M1_SPEC, frame_derivatives_off("dN", 1e-6)),
+    "connection_antisymmetry": (M_1M1_SPEC, frame_derivatives_off("dg", 1e-6)),
+    "codazzi_frame_relation": (M_TAU_15, frame_derivatives_off("db", 1e-6)),
+    "diagonal_connection_formula": (M_TAU_15, frame_derivatives_off("db", 1e-6)),
+    "connection_pairing": (M_TAU_15, frame_derivatives_off("db", 1e-6)),
+}
+
+
+def verify_frame_rows(spec):
+    """The bundle of the rows verify judges the frame identities on, at 200
+    samples and seed 0."""
+    surface, _ = mz.build_model(spec)
+    pg3, _ = rp._sample_bundle(surface, rp.sobol_points(surface.domain, 200, 0), 50)
+    return pg3[:3]
+
+
+@pytest.mark.parametrize("item", pf.FRAME_ITEMS)
+def test_every_frame_item_can_fail(item, monkeypatch):
+    # an item no defect can move is folded into the row's max unseen
+    model, plant = FRAME_DEFECTS[item]
+    column = pf.FRAME_ITEMS.index(item)
+    bar = rp.DEFAULT_TOLERANCES["frame_identities"]
+    pg = verify_frame_rows(model)
+    clean = pf.frame_identity_checks(pg)
+    plant(monkeypatch)
+    planted = pf.frame_identity_checks(pg)
+    assert not clean.skip[:, column].any() and not planted.skip[:, column].any()
+    assert np.max(clean.residual[:, column]) <= bar < np.max(planted.residual[:, column])
+
+
+def test_every_frame_item_has_a_planted_defect():
+    assert FRAME_DEFECTS.keys() == set(pf.FRAME_ITEMS)
+
+
+@pytest.mark.parametrize("spec, notes", [
+    (mz.ModelSpec("M_tau", {"tau": -2.0}),
+     "hypothesis-guarded skips: product_frame_connections; "
+     "smallest eigenvalue gap divided by: 4.082e-01"),
+    (mz.ModelSpec("M_1m1", {"c": 0.5}),
+     "hypothesis-guarded skips: codazzi_frame_relation, connection_antisymmetry, "
+     "connection_pairing, diagonal_connection_formula, eigenframe_connections"),
+])
+def test_frame_row_reads_the_arrays(spec, notes):
+    row = verify_rows(spec, samples=200, seed=0)["frame_identities"]
+    checks = pf.frame_identity_checks(verify_frame_rows(spec))
+    skipped = sorted(name for name, codes in zip(pf.FRAME_ITEMS, checks.skip.T) if codes.any())
+    assert row.notes.split("; ")[0] == "hypothesis-guarded skips: " + ", ".join(skipped)
+    assert row.notes == notes
+    judged = checks.residual[checks.skip == 0]
+    assert row.max_residual == float(np.max(judged)) and row.passed is True

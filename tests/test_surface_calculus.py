@@ -671,11 +671,9 @@ class TestSampleBundle:
 FRAME_SURFACES = CATALOG_NAMES + ["M_kk tanh/one", "M_tau(-1.0001)", "level_set", "graph"]
 
 
-def frame_report_key(rep):
-    """Everything a frame-identity report holds, with floats as their bits."""
-    return ([(it.name, None if it.residual is None else float(it.residual).hex(), it.skipped,
-              it.reason) for it in rep.items],
-            None if rep.min_gap is None else float(rep.min_gap).hex())
+def frame_report_key(checks, rows=slice(None)):
+    """Everything the frame identities hold at the rows ``rows``, as bytes."""
+    return tuple(np.ascontiguousarray(column[rows]).tobytes() for column in checks)
 
 
 def stacked(rows):
@@ -688,13 +686,17 @@ class TestBatchedFrameIdentities:
     @pytest.mark.parametrize("batch_surface", FRAME_SURFACES, indirect=True)
     def test_rows_equal_single_points_bitwise(self, batch_surface):
         U = domain_samples(batch_surface, 16, seed=6)
-        reports = pf.frame_identity_checks(sc.point_geometry(batch_surface, U))
-        assert type(reports) is list and len(reports) == len(U)
-        for rep, u in zip(reports, U):
-            one, = pf.frame_identity_checks(sc.point_geometry(batch_surface, u[None]))
-            assert isinstance(one, pf.FrameCheckReport)
-            assert frame_report_key(rep) == frame_report_key(one)
-            assert all(type(it.residual) in (float, type(None)) for it in rep.items)
+        checks = pf.frame_identity_checks(sc.point_geometry(batch_surface, U))
+        assert type(checks) is pf.FrameChecks
+        assert checks.residual.shape == checks.skip.shape == (len(U), len(pf.FRAME_ITEMS))
+        assert checks.min_gap.shape == (len(U),)
+        assert checks.residual.dtype == checks.min_gap.dtype == np.float64
+        assert checks.skip.dtype == np.int8
+        # a residual is NaN exactly where its item is skipped
+        assert np.array_equal(np.isnan(checks.residual), checks.skip != 0)
+        for i, u in enumerate(U):
+            one = pf.frame_identity_checks(sc.point_geometry(batch_surface, u[None]))
+            assert frame_report_key(checks, [i]) == frame_report_key(one)
 
     def test_rows_of_every_branch_in_one_batch(self, level_set, graph_surface, m_gamma_2):
         # the rows take different hypothesis branches: a degenerate angle
@@ -705,13 +707,14 @@ class TestBatchedFrameIdentities:
                   mz.make_M_tau(-2.0)[0], mz.build_model(mz.ModelSpec("M_11", {"c": 0.3}))[0],
                   mz.make_M_kk(0.5, ad.tanh, 1.0)[0], level_set, graph_surface]
         rows = [sc.point_geometry(M, u) for M in charts for u in domain_samples(M, 2, seed=1)]
-        singles = [frame_report_key(pf.frame_identity_checks(stacked([pg]))[0]) for pg in rows]
+        singles = [frame_report_key(pf.frame_identity_checks(stacked([pg]))) for pg in rows]
         order = np.random.default_rng(3).permutation(len(rows))
         batch = pf.frame_identity_checks(stacked([rows[i] for i in order]))
-        assert [frame_report_key(rep) for rep in batch] == [singles[i] for i in order]
-        branches = {tuple((it.skipped, it.reason.split(" (")[0]) for it in rep.items)
-                    for rep in batch}
-        assert len(branches) >= 6
+        assert [frame_report_key(batch, [r]) for r in range(len(rows))] == [
+            singles[i] for i in order]
+        assert len({tuple(codes) for codes in batch.skip.tolist()}) >= 6
+        # every skip reason, and judged items, are seen in the one batch
+        assert set(np.unique(batch.skip).tolist()) == set(range(len(pf.FRAME_SKIPS)))
 
     def test_takes_a_batch_only(self, m_tau_m2):
         # one return shape: a single point is a batch of one
