@@ -19,16 +19,15 @@ A jet has a leading batch shape B: ``val`` is (*B,), ``d`` (*B,k), ``dd``
 (*B,k,k) and ``ddd`` (*B,k,k,k), and the arithmetic broadcasts over B, so one
 pass over ``jet_variables(U)`` with U of shape (n, 3) evaluates a chart at n
 points (the chunked dual numbers of ForwardDiff.jl, Revels, Lubin &
-Papamarkou, arXiv:1607.07892).  B = () is the one-point jet, whose ``val`` is
-a plain float.  Every row of a batch is bit for bit the one-point jet of its
-point: the arithmetic is elementwise, and the elementary functions and powers
-take their values from ``math.*`` and Python's ``**`` element by element,
-because numpy's vectorized ``cosh``, ``power`` and the like differ from them
-in the last bit on part of their arguments.
+Papamarkou, arXiv:1607.07892).  One point is a batch of one, U[None].  Every
+row of a batch is bit for bit its batch of one: the arithmetic is
+elementwise, and the elementary functions and powers are numpy's ufuncs,
+which give an element the same bits whatever batch it sits in
+(``tests/test_autodiff.py`` pins that on the installed numpy).
 
 Plain floats, and arrays of them, pass through every function here without
-derivatives, so chart code can be written once and evaluated at scalar, array
-or jet arguments.  In the arithmetic of a batch, a float array of the batch
+derivatives, so chart code can be written once and evaluated at coordinate
+arrays or at jets.  In the arithmetic of a batch, a float array of the batch
 shape stands wherever a float may, as one constant per row, and each row is
 bit for bit the jet with that row's float (a power's exponent stays a
 number).  ``Jet.__array_ufunc__`` is None, so ``array * jet`` and the other
@@ -37,7 +36,6 @@ reflected operations defer to the jet.
 
 from __future__ import annotations
 
-import math
 from typing import Union
 
 import numpy as np
@@ -60,27 +58,13 @@ def _rows(c, k: int):
     return c.reshape(c.shape + (1,) * k) if isinstance(c, np.ndarray) else c
 
 
-def elementwise(fn, v):
-    """fn(v) for a float, or fn of every element of an array (0-d too) by
-    calls on Python floats."""
-    if isinstance(v, np.ndarray):
-        return np.fromiter(map(fn, v.ravel().tolist()), float, v.size).reshape(v.shape)
-    return fn(v)
-
-
-def power(v, m):
-    """v ** m for a float, or for every element of an array, by Python's float
-    power: numpy's power and square differ from it in the last bit."""
-    return elementwise(lambda x: x ** m, v)
-
-
 def _third(fn, *ddd):
     """fn of the third-order tensors, or None unless every one is carried."""
     return None if any(t is None for t in ddd) else fn(*ddd)
 
 
 class Jet:
-    """Forward-mode scalar, or batch of them: value, gradient, Hessian and,
+    """A batch of forward-mode scalars: value, gradient, Hessian and,
     at order 3, third derivatives (``ddd`` is None at order 2)."""
 
     __slots__ = ("val", "d", "dd", "ddd")
@@ -88,8 +72,7 @@ class Jet:
     __array_ufunc__ = None
 
     def __init__(self, val, d, dd, ddd=None):
-        batched = isinstance(val, np.ndarray) and val.ndim
-        self.val = np.asarray(val, dtype=float) if batched else float(val)
+        self.val = np.asarray(val, dtype=float)
         self.d = np.asarray(d, dtype=float)
         self.dd = np.asarray(dd, dtype=float)
         self.ddd = None if ddd is None else np.asarray(ddd, dtype=float)
@@ -164,8 +147,9 @@ class Jet:
         if not isinstance(n, _NUMBER):
             return NotImplemented
         v = self.val
-        return _lift(self, power(v, n), n * power(v, n - 1), n * (n - 1) * power(v, n - 2),
-                     None if self.ddd is None else n * (n - 1) * (n - 2) * power(v, n - 3))
+        return _lift(self, np.power(v, n), n * np.power(v, n - 1),
+                     n * (n - 1) * np.power(v, n - 2),
+                     None if self.ddd is None else n * (n - 1) * (n - 2) * np.power(v, n - 3))
 
 
 def _lift(x: Jet, f0, f1, f2, f3) -> Jet:
@@ -179,23 +163,18 @@ def _lift(x: Jet, f0, f1, f2, f3) -> Jet:
 
 
 def value(x: Scalar):
-    """Value of a scalar or jet: a float, or a (*B,) array for a batch of jets
-    or an array argument, which passes through."""
-    if isinstance(x, Jet):
-        return x.val
-    if isinstance(x, np.ndarray) and x.ndim:
-        return x
-    return float(x)
+    """Value of a jet, (*B,); a float or an array argument passes through."""
+    return x.val if isinstance(x, Jet) else x
 
 
 def compose_jet(f0, f1, f2, f3, x: Scalar) -> Scalar:
     """Chain rule through a scalar argument for a function known by its jet.
 
     Given f(x0)=f0, f'(x0)=f1, f''(x0)=f2, f'''(x0)=f3 at x0=value(x), returns
-    f(x) as a jet when x is one, else f0.  For a batch the f's are (*B,)
-    arrays.  Used to push chart coordinates through quantities (such as
-    integrated curves) whose derivatives are known from structure rather than
-    from elementary arithmetic.
+    f(x) as a jet when x is one, else f0.  The f's are (*B,) arrays.  Used to
+    push chart coordinates through quantities (such as integrated curves)
+    whose derivatives are known from structure rather than from elementary
+    arithmetic.
     """
     if isinstance(x, Jet):
         return _lift(x, f0, f1, f2, f3)
@@ -204,36 +183,36 @@ def compose_jet(f0, f1, f2, f3, x: Scalar) -> Scalar:
 
 def sqrt(x: Scalar) -> Scalar:
     v = value(x)
-    s = elementwise(math.sqrt, v)
+    s = np.sqrt(v)
     return compose_jet(s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v), x)
 
 
 def sin(x: Scalar) -> Scalar:
     v = value(x)
-    s, c = elementwise(math.sin, v), elementwise(math.cos, v)
+    s, c = np.sin(v), np.cos(v)
     return compose_jet(s, c, -s, -c, x)
 
 
 def cos(x: Scalar) -> Scalar:
     v = value(x)
-    s, c = elementwise(math.sin, v), elementwise(math.cos, v)
+    s, c = np.sin(v), np.cos(v)
     return compose_jet(c, -s, -c, s, x)
 
 
 def sinh(x: Scalar) -> Scalar:
     v = value(x)
-    s, c = elementwise(math.sinh, v), elementwise(math.cosh, v)
+    s, c = np.sinh(v), np.cosh(v)
     return compose_jet(s, c, s, c, x)
 
 
 def cosh(x: Scalar) -> Scalar:
     v = value(x)
-    s, c = elementwise(math.sinh, v), elementwise(math.cosh, v)
+    s, c = np.sinh(v), np.cosh(v)
     return compose_jet(c, s, c, s, x)
 
 
 def tanh(x: Scalar) -> Scalar:
-    t = elementwise(math.tanh, value(x))
+    t = np.tanh(value(x))
     sech2 = 1.0 - t * t
     return compose_jet(t, sech2, -2.0 * t * sech2, 2.0 * sech2 * (3.0 * t * t - 1.0), x)
 
@@ -241,8 +220,8 @@ def tanh(x: Scalar) -> Scalar:
 def jet_variables(u, order: int = 3) -> list[Jet]:
     """Seed one Jet per coordinate: gradients the standard basis, higher orders zero.
 
-    u of shape (k,) gives one-point jets; u of shape (*B, k) gives jets of
-    batch shape B, one row per point.  ``order`` is 3, or 2 for jets that
+    u of shape (*B, k) gives jets of batch shape B, one row per point; one
+    point is the batch of one, u (1, k).  ``order`` is 3, or 2 for jets that
     carry no third derivatives.
     """
     if order not in (2, 3):
@@ -252,6 +231,4 @@ def jet_variables(u, order: int = 3) -> list[Jet]:
     eye = np.eye(k)
     dd = np.zeros(batch + (k, k))
     ddd = np.zeros(batch + (k, k, k)) if order == 3 else None
-    if not batch:
-        return [Jet(float(u[i]), eye[i], dd, ddd) for i in range(k)]
     return [Jet(u[..., i], np.broadcast_to(eye[i], batch + (k,)), dd, ddd) for i in range(k)]

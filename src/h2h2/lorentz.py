@@ -41,8 +41,6 @@ def lorentz_cross(a, b):
     x = a[2] * b[1] - a[1] * b[2]
     y = a[2] * b[0] - a[0] * b[2]
     z = a[0] * b[1] - a[1] * b[0]
-    if isinstance(x, (int, float, np.floating)):
-        return np.array([x, y, z], dtype=float)
     return [x, y, z]
 
 
@@ -55,10 +53,10 @@ def frame_residual(g, t, n):
 
 
 def _frame_columns(F: np.ndarray):
-    """The columns gamma, T, N of a frame (3,3) or of stacked frames (*B,3,3),
-    component first: (3, *B) each.  A frame that is not Lorentz-orthonormal,
-    judged relative to the squared size of gamma, raises ValueError."""
-    g, t, n = F.T if F.ndim <= 3 else np.moveaxis(F, (-1, -2), (0, 1))
+    """The columns gamma, T, N of stacked frames (*B,3,3), component first:
+    (3, *B) each.  A frame that is not Lorentz-orthonormal, judged relative
+    to the squared size of gamma, raises ValueError."""
+    g, t, n = np.moveaxis(F, (-1, -2), (0, 1))
     scale = np.maximum(1.0, g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
     if (frame_residual(g, t, n) > FRAME_TOL * scale).any():
         raise ValueError("curve frame is not Lorentz-orthonormal")
@@ -69,29 +67,29 @@ def so12_exp(X: np.ndarray) -> np.ndarray:
     """Matrix exponential of X in so(1,2), or of each of stacked X (*B,3,3),
     from the cubic identity X³ = w² X.
 
-    exp(X) = I + s X + c X² with w² = tr(X²)/2; c is written with the
-    half-angle sinh² (sin²) so nothing cancels for w² near 0.
+    exp(X) = I + s X + c X² with w² = tr(X²)/2, by ``_exp_coefficients``.
     """
     X2 = X @ X
     s, c = _exp_coefficients(0.5 * np.trace(X2, axis1=-2, axis2=-1))
     return np.eye(3) + s[..., None, None] * X + c[..., None, None] * X2
 
 
-def _exp_coefficient(w2: float):
-    if w2 > 0.0:
-        w = math.sqrt(w2)
-        return math.sinh(w) / w, 2.0 * (math.sinh(0.5 * w) / w) ** 2
-    if w2 < 0.0:
-        w = math.sqrt(-w2)
-        return math.sin(w) / w, 2.0 * (math.sin(0.5 * w) / w) ** 2
-    return 1.0, 0.5
-
-
 def _exp_coefficients(w2: np.ndarray):
-    """The coefficients s, c of exp(X) over an array of w², each of its shape,
-    by ``math`` element by element."""
-    coeffs = [_exp_coefficient(x) for x in np.ravel(w2).tolist()]
-    return np.moveaxis(np.array(coeffs).reshape(np.shape(w2) + (2,)), -1, 0)
+    """The coefficients s, c of exp(X) over an array of w², each of its shape.
+
+    With w = sqrt(|w²|), s = sinh(w)/w and c = 2 (sinh(w/2)/w)² where w² > 0,
+    sin in place of sinh where w² < 0, and the limits s = 1, c = 1/2 where
+    w² = 0.  c is written with the half angle so nothing cancels for w² near
+    0.  Each branch evaluates numpy's ufuncs on its own elements only, so no
+    other branch's value can overflow.
+    """
+    w2 = np.asarray(w2, dtype=float)
+    s, c = np.ones(w2.shape), np.full(w2.shape, 0.5)
+    for fn, rows in ((np.sinh, w2 > 0.0), (np.sin, w2 < 0.0)):
+        w = np.sqrt(np.abs(w2[rows]))
+        half = fn(0.5 * w) / w
+        s[rows], c[rows] = fn(w) / w, 2.0 * (half * half)
+    return s, c
 
 
 def _so12(x) -> np.ndarray:
@@ -142,9 +140,9 @@ class PlaneCurve:
     A batch of queries grows every knot it lacks in one pass: one ``kappa``
     call at all the Gauss-Legendre nodes, and the brackets and exponentials
     over the stack, before the knots are chained in order; then one Magnus
-    step over the array answers every query.  Each operation is the per-point
-    one applied elementwise, or a 3x3 product per slice, so every frame is
-    bit for bit the one-point frame.
+    step over the array answers every query.  Each operation is elementwise,
+    or a 3x3 product per slice, so every frame is bit for bit its batch of
+    one.
     """
 
     # knot spacing: one sixth-order step of this length stays within about
@@ -168,11 +166,9 @@ class PlaneCurve:
             self._terms = (F0, F0 @ C, F0 @ C @ C)
 
     def kappa_at(self, r):
-        """The curvature at arc length r: a float, or an array of r's shape."""
+        """The curvature at arc lengths r, an array of r's shape."""
         k = ad.value(self.kappa(r)) if callable(self.kappa) else self.kappa
-        if np.ndim(r):
-            return np.broadcast_to(np.asarray(k, dtype=float), np.shape(r))
-        return float(k)
+        return np.broadcast_to(np.asarray(k, dtype=float), np.shape(r))
 
     def _magnus_exp(self, r, h):
         """exp(Omega) of the sixth-order Magnus steps of length h from r, over
@@ -207,8 +203,7 @@ class PlaneCurve:
             return knots, kmin
 
     def _frame(self, r) -> np.ndarray:
-        """The frame [gamma | T | N] at arc length r: (3,3) for a float,
-        (*B,3,3) for an array of r."""
+        """The frames [gamma | T | N] at arc lengths r of shape B: (*B,3,3)."""
         r = np.asarray(r, dtype=float)
         if not callable(self.kappa):
             s, c = _exp_coefficients(r * r * self._w2)
@@ -225,7 +220,7 @@ class PlaneCurve:
         return F.reshape(r.shape + (3, 3))
 
     def jet(self, r):
-        """Curve point and normal at a scalar or jet parameter.
+        """Curve point and normal at an array or jet parameter.
 
         Derivatives come from the Frenet relations, so no differentiation of
         the underlying integrator is needed:
@@ -254,7 +249,7 @@ class PlaneCurve:
         gddd = (1.0 - k * k) * t + kp * n
         nd = -k * t
         ndd = -kp * t - k * gdd
-        nddd = (ad.power(k, 3) - k - kpp) * t - 2.0 * kp * g - 3.0 * k * kp * n
+        nddd = (np.power(k, 3) - k - kpp) * t - 2.0 * kp * g - 3.0 * k * kp * n
         return ([ad.compose_jet(g[i], t[i], gdd[i], gddd[i], r) for i in range(3)],
                 [ad.compose_jet(n[i], nd[i], ndd[i], nddd[i], r) for i in range(3)])
 

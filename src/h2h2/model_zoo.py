@@ -58,7 +58,7 @@ class Oracle:
 
     name: str
     C: float
-    lambdas: Callable                 # u (3,) or (n, 3) -> ascending principal curvatures (..., 3)
+    lambdas: Callable                 # u (n, 3) -> ascending principal curvatures (n, 3)
     constant_curvatures: bool
 
 
@@ -105,10 +105,10 @@ def make_M_Gamma(kappa_gamma: float, domain=None):
 def product_lambdas(c: float, a1, a2, k1, k2) -> np.ndarray:
     """Ascending principal curvatures {0, lambda2, lambda3} (..., 3) of a
     two-curve product with factor curvatures k1, k2 at the arguments a1
-    (sqrt(c) t on the surface) and a2 (sqrt(1-c) t), by ``math`` element by
-    element; the first row (and factor) whose denominator vanishes raises."""
-    (ch1, sh1), (ch2, sh2) = ((ad.elementwise(math.cosh, a), ad.elementwise(math.sinh, a))
-                              for a in (a1, a2))
+    (sqrt(c) t on the surface) and a2 (sqrt(1-c) t), arrays that broadcast
+    against each other; the first row (and factor) whose denominator
+    vanishes raises."""
+    (ch1, sh1), (ch2, sh2) = ((np.cosh(a), np.sinh(a)) for a in (a1, a2))
     d1, d2 = ch1 - sh1 * k1, ch2 - sh2 * k2
     vanishing = np.stack(np.broadcast_arrays(np.abs(d1) <= 1e-6, np.abs(d2) <= 1e-6), axis=-1)
     if vanishing.any():

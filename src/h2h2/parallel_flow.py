@@ -31,10 +31,9 @@ gives S and ``_spectrum`` its eigenvalues, and no 3x3 matrix is stacked.  An
 overflow, a division by zero or an invalid operation in the flow raises
 FloatingPointError.
 
-An ``AdaptedFrame`` is one frame or a batch with the batch axes of its
+An ``AdaptedFrame`` is a batch of frames with the batch axes of its
 ``PointGeometry``, and every function of a frame and l broadcasts over the
-frames and l by numpy's rules, each row bit for bit its one-frame,
-one-distance call.
+frames and l by numpy's rules, each row bit for bit its batch of one.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -74,24 +73,19 @@ class FocalPointError(ArithmeticError):
 # adapted frame
 # ---------------------------------------------------------------------------
 
-def _one(x):
-    """A value of one frame as a Python float; a batch's values pass through."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
 @dataclass(frozen=True)
 class AdaptedFrame:
     """Shape-operator components in the adapted frame (E1 along V).
 
-    ``A`` (*B,3,3) is symmetric and ``C`` (*B,) is a float for one frame,
-    B = ().  ``af[index]`` selects frames of a batch.
+    ``A`` (*B,3,3) is symmetric and ``C`` is (*B,).  ``af[index]`` selects
+    frames of the batch.
     """
 
-    C: Union[float, np.ndarray]
+    C: np.ndarray
     A: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "C", _one(self.C))
+        object.__setattr__(self, "C", np.asarray(self.C, dtype=float))
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
         if np.any(np.abs(self.C) >= 1.0):
             raise DegenerateProductAngleError("adapted frame requires |C| < 1")
@@ -101,15 +95,15 @@ class AdaptedFrame:
 
     @property
     def cplus(self):
-        return ad.elementwise(math.sqrt, (1.0 + self.C) / 2.0)
+        return np.sqrt((1.0 + self.C) / 2.0)
 
     @property
     def cminus(self):
-        return ad.elementwise(math.sqrt, (1.0 - self.C) / 2.0)
+        return np.sqrt((1.0 - self.C) / 2.0)
 
     @property
     def H(self):
-        return _one(np.trace(self.A, axis1=-2, axis2=-1))
+        return np.trace(self.A, axis1=-2, axis2=-1)
 
     @property
     def entries(self) -> np.ndarray:
@@ -119,19 +113,18 @@ class AdaptedFrame:
     def principal_minors(self) -> tuple:
         """(H12, H13, H23) with H_ij = A_ii A_jj - A_ij²."""
         a = self.entries
-        return tuple(_one(a[i, i] * a[j, j] - ad.power(a[i, j], 2))
-                     for i, j in ((0, 1), (0, 2), (1, 2)))
+        return tuple(a[i, i] * a[j, j] - a[i, j] * a[i, j] for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
 def frame_vectors(pg: PointGeometry) -> np.ndarray:
-    """Ambient adapted-frame vectors, rows E1, E2, E3: (3,6) for one point,
-    (*B,3,6) for a batch.  The first point with |C| too close to 1 raises."""
-    C = np.asarray(pg.C)
+    """Ambient adapted-frame vectors, rows E1, E2, E3: (*B,3,6).  The first
+    point with |C| too close to 1 raises."""
+    C = pg.C
     bad = np.flatnonzero(np.abs(C) > DEGENERATE_C)
     if bad.size:
         raise DegenerateProductAngleError(f"|C|={abs(C.flat[bad[0]]):.12f} too close to 1")
     j1n, j2n = (w.T for w in complex_structures(pg.val.T, pg.N.T))
-    e1 = pg.V / np.sqrt(1.0 - ad.power(C, 2))[..., None]
+    e1 = pg.V / np.sqrt(1.0 - C * C)[..., None]
     e2 = (j1n + j2n) / np.sqrt(2.0 * (1.0 + C))[..., None]
     e3 = (j1n - j2n) / np.sqrt(2.0 * (1.0 - C))[..., None]
     return np.stack([e1, e2, e3], axis=-2)
@@ -155,21 +148,19 @@ def parallel_surface(M: Hypersurface, l) -> Hypersurface:
 
     Each evaluation calls ``M.chart`` once and flows its point along its
     closed-form normal, so the flowed chart and its normal stay evaluable at
-    jet arguments.  ``l`` is a float, or a float array of one distance per
-    row of the batch the chart is evaluated on: each row is then bit for bit
-    the chart at its row's float distance, which ``row_surface(i)`` gives,
-    and a batch of another shape is refused.  Its name does not list the
-    distances: ``...|parallel(l per row)``.
+    jet arguments.  ``l`` is an array of one distance per row of the batch
+    the chart is evaluated on, and a batch of another shape is refused.  Each
+    row is bit for bit the chart at its row's distance alone, the batch of
+    one that ``row_surface(i)`` gives.  Its name does not list the distances:
+    ``...|parallel(l per row)``.
     """
-    row_surface = None
-    if np.ndim(l):
-        l = np.asarray(l, dtype=float)
+    l = np.asarray(l, dtype=float)
 
-        def row_surface(i):
-            return parallel_surface(M, float(l[i]))
+    def row_surface(i):
+        return parallel_surface(M, l[i:i + 1])
 
     def chart(u):
-        if row_surface is not None and np.shape(ad.value(u[0])) != l.shape:
+        if np.shape(ad.value(u[0])) != l.shape:
             raise ValueError(f"{l.size} distances, one per row, for a batch of shape "
                              f"{np.shape(ad.value(u[0]))}")
         p, q, raw = M.chart(u)
@@ -193,8 +184,7 @@ def parallel_surface(M: Hypersurface, l) -> Hypersurface:
               + [chm * n2[i] + cm * shm * q[i] for i in range(3)])
         return pl, ql, nl
 
-    label = "l per row" if row_surface is not None else f"l={l}"
-    return Hypersurface(chart=chart, domain=M.domain, name=f"{M.name}|parallel({label})",
+    return Hypersurface(chart=chart, domain=M.domain, name=f"{M.name}|parallel(l per row)",
                         row_surface=row_surface)
 
 
@@ -440,7 +430,7 @@ def find_focal_radius(af: AdaptedFrame, lo, hi):
         hi = np.where(wide & left, mid, hi)
         lo, flo = np.where(wide & ~left, mid, lo), np.where(wide & ~left, fm, flo)
         wide = hi - lo > 1e-10
-    return _one(0.5 * (lo + hi))
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +443,7 @@ DETQ_ORDERS = (1, 2, 4, 6, 8)
 def detq_derivatives_at_0(af: AdaptedFrame, rho) -> dict:
     """Closed-form d^k(det Q)/dl^k at l = 0 for k = 1, 2, 4, 6, 8."""
     c = af.C
-    c2, c3, c4 = (ad.power(c, m) for m in (2, 3, 4))
+    c2, c3, c4 = (np.power(c, m) for m in (2, 3, 4))
     h12, h13, _ = af.principal_minors()
     return {
         1: -af.H,
@@ -470,7 +460,7 @@ def detq_derivatives_at_0(af: AdaptedFrame, rho) -> dict:
 def _factor_series(c, i: int) -> np.ndarray:
     """Taylor coefficients to l^8 of cosh(c l) (i = 0) or sinh(c l)/c (i = 1)."""
     zero = np.zeros(np.shape(c))
-    return np.stack([ad.power(c, m - i) / math.factorial(m) if m % 2 == i else zero
+    return np.stack([np.power(c, m - i) / math.factorial(m) if m % 2 == i else zero
                      for m in range(DETQ_ORDERS[-1] + 1)], axis=-1)
 
 
@@ -481,18 +471,20 @@ def detq_derivatives_numeric(af: AdaptedFrame) -> dict:
     multiplied out as a power series truncated at l^8, which is exact up to
     that order; the k-th derivative is k! times the l^k coefficient.  Nothing
     is differenced, and nothing is shared with the closed forms of
-    ``detq_derivatives_at_0`` but the expansion itself.  ``np.convolve`` runs
-    frame by frame: a batched product sums in another order.
+    ``detq_derivatives_at_0`` but the expansion itself.  The series product
+    adds p_a m_(k-a) to coefficient k in increasing a, elementwise over the
+    frames, so each frame is bit for bit its batch of one.
     """
     n = DETQ_ORDERS[-1] + 1
-    plus, minus = ([_factor_series(c, i).reshape(-1, n) for i in (0, 1)]
-                   for c in (af.cplus, af.cminus))
+    plus, minus = ([_factor_series(c, i) for i in (0, 1)] for c in (af.cplus, af.cminus))
     series = np.zeros(np.shape(af.C) + (n,))
     for alpha, beta, i, j in _detq_terms(af):
-        pm = np.reshape([np.convolve(p, m)[:n] for p, m in zip(plus[i], minus[j])], series.shape)
+        pm = np.zeros(series.shape)
+        for a in range(n):
+            pm[..., a:] += plus[i][..., a, None] * minus[j][..., :n - a]
         series += np.asarray(alpha)[..., None] * pm
         series[..., 1:] += np.asarray(beta)[..., None] * pm[..., :-1]
-    return {k: _one(math.factorial(k) * series[..., k]) for k in DETQ_ORDERS}
+    return {k: math.factorial(k) * series[..., k] for k in DETQ_ORDERS}
 
 
 # ---------------------------------------------------------------------------
@@ -637,19 +629,19 @@ def _outer(e, w):
 
 def _adapted_frame_jacobians(pg: PointGeometry, d: PointDerivatives) -> np.ndarray:
     """Ambient Jacobians of the adapted frame fields E1 = V-hat, E2, E3 at pg:
-    (3,6,3) for one point, (*B,3,6,3) for a batch.
+    (*B,3,6,3).
 
     E1 = V / sqrt(1 - C²) follows from dV and dC.  E2 and E3 are
     (J1 N ± J2 N) / sqrt(2 (1 ± C)), and J_i N, bilinear in the point and
     N, is differentiated by the product rule.
     """
-    E, C = frame_vectors(pg), np.asarray(pg.C)
+    E, C = frame_vectors(pg), pg.C
     # complex_structures takes the 6 ambient components on the first axis
     dj1, dj2 = (np.moveaxis(a + b, 0, -2) for a, b in
                 zip(complex_structures(np.moveaxis(pg.jac, -2, 0), pg.N.T[..., None]),
                     complex_structures(pg.val.T[..., None], np.moveaxis(d.dN, -2, 0))))
     dw2, dw3 = dj1 + dj2, dj1 - dj2
-    c2 = ad.power(C, 2)
+    c2 = C * C
     return np.stack([
         d.dV / np.sqrt(1.0 - c2)[..., None, None]
         + _outer(E[..., 0, :], C[..., None] * d.dC / (1.0 - c2)[..., None]),
@@ -778,7 +770,7 @@ def _frame_tables(pg: PointGeometry) -> tuple:
     E = frame_vectors(pg)
     dE = _adapted_frame_jacobians(pg, d)
     vhat, C = E[:, 0], pg.C
-    c2 = ad.power(C, 2)
+    c2 = C * C
     s = np.sqrt(1.0 - c2)
 
     # ---- V-direction derivative identity on {V}-orthogonal pairs --------

@@ -712,12 +712,13 @@ def curvature_catalog_rows() -> list[dict]:
     rows = []
     for spec in mz.CATALOG:
         surface, oracle = mz.build_model(spec)
-        pg = sc.point_geometry(surface, _center(surface), order=2)
+        pg = sc.point_geometry(surface, _center(surface)[None], order=2)
+        lam1, lam2, lam3 = pg.lambdas[0].tolist()
         rows.append({
             "model": surface.name,
-            "C": pg.C,
-            "lambda1": pg.lambdas[0], "lambda2": pg.lambdas[1], "lambda3": pg.lambdas[2],
-            "H": pg.H, "rho": pg.rho, "K": pg.K,
+            "C": pg.C[0].item(),
+            "lambda1": lam1, "lambda2": lam2, "lambda3": lam3,
+            "H": pg.H[0].item(), "rho": pg.rho[0].item(), "K": pg.K[0].item(),
         })
     return rows
 
@@ -726,13 +727,14 @@ def detq_table_rows() -> list[dict]:
     rows = []
     for spec in TABLE_MODELS:
         surface, _ = mz.build_model(spec)
-        pg = sc.point_geometry(surface, _center(surface), order=2)
+        pg = sc.point_geometry(surface, _center(surface)[None], order=2)
         af = pf.adapted_frame(pg)
         closed = pf.detq_derivatives_at_0(af, pg.rho)
         numeric = pf.detq_derivatives_numeric(af)
         for k in pf.DETQ_ORDERS:
-            rows.append({"model": surface.name, "k": k, "closed_form": closed[k],
-                         "numeric": numeric[k], "abs_diff": abs(closed[k] - numeric[k])})
+            rows.append({"model": surface.name, "k": k, "closed_form": closed[k][0].item(),
+                         "numeric": numeric[k][0].item(),
+                         "abs_diff": abs(closed[k] - numeric[k])[0].item()})
     return rows
 
 

@@ -2,24 +2,24 @@
 
 A hypersurface is a chart map (u¹,u²,u³) -> (p, q, n): a point of the
 product of hyperboloids together with the surface's closed-form normal n,
-evaluable at scalar and jet arguments.  One third-order jet pass gives the
+evaluable at coordinate arrays and at jets.  One third-order jet pass gives the
 exact 6x3 Jacobian, 6x3x3 Hessian and 6x3x3x3 third derivatives of the chart
 and the value and 6x3 Jacobian of n, from which the induced metric, unit
 normal, second fundamental form, shape operator, and principal curvatures
 follow.
 
-The pass runs on batches: ``chart_jet`` and ``point_geometry`` take one
-point (3,) or n points (n, 3), and for n points evaluate the chart once on
-jets of batch shape (n,) and do the linear algebra on stacked (n,3,3)
-arrays.  The batch runs on through the checks: a ``PointGeometry`` carries
-the batch axis on every field, and ``point_derivatives``, ``christoffels``,
+The pass runs on batches: ``chart_jet`` and ``point_geometry`` take n
+points (n, 3), evaluate the chart once on jets of batch shape (n,) and do
+the linear algebra on stacked (n,3,3) arrays; one point is the batch of one.
+The batch runs on through the checks: a ``PointGeometry`` carries the batch
+axis on every field, and ``point_derivatives``, ``christoffels``,
 ``structural_residuals``, the nullspace normal and the bundle's vector
-methods broadcast over it, so one point is the batch shape () of the same
-code.  Each row equals the single-point call bit for bit, because every
-per-vector operation keeps its one-point shape: matrix-vector products as
-(..., m, k) @ (..., k, 1), pairings through ``_pairing`` and ``solve`` with
-(..., 3, 1) right-hand sides.  ``join`` lays batches end to end, so rows
-evaluated by separate passes (at separate jet orders) form one bundle.
+methods broadcast over it.  Each row equals its batch of one bit for bit,
+because every per-vector operation keeps its one-point shape: matrix-vector
+products as (..., m, k) @ (..., k, 1), pairings through ``_pairing`` and
+``solve`` with (..., 3, 1) right-hand sides.  ``join`` lays batches end to
+end, so rows evaluated by separate passes (at separate jet orders) form one
+bundle.
 
 Second derivatives of the chart are enough for Christoffel symbols; the
 third-order quantities (intrinsic curvature, covariant derivatives of the
@@ -71,9 +71,10 @@ class DegenerateProductAngleError(ValueError):
 class Hypersurface:
     """Chart map of an immersed hypersurface with its closed-form normal.
 
-    ``chart`` takes a 3-sequence of scalars (float or ``Jet``) and returns
+    ``chart`` takes a 3-sequence of coordinates (arrays or ``Jet``s of one
+    batch shape) and returns
     ``(p, q, n)``: the two hyperboloid factors as 3-sequences and the 6
-    ambient components of a normal field, all of the same scalar type.  n
+    ambient components of a normal field, all of the same type.  n
     need not be unit length; it fixes the orientation used everywhere
     downstream.  A chart whose constants differ by batch row (a parallel
     chart at one distance per row) gives ``row_surface(i)``, the
@@ -87,13 +88,10 @@ class Hypersurface:
     row_surface: Optional[Callable[[int], "Hypersurface"]] = None
 
     def point(self, u) -> np.ndarray:
-        """The chart point (6,) of u (3,), or the points (n, 6) of a batch u
-        (n, 3) from one chart call on coordinate arrays.  No derivative is
-        carried, and each row equals ``chart_jet(M, u).val`` bit for bit."""
+        """The chart points (n, 6) of a batch u (n, 3) from one chart call on
+        coordinate arrays.  No derivative is carried, and each row equals
+        ``chart_jet(M, u).val`` bit for bit."""
         u = np.asarray(u, dtype=float)
-        if u.ndim == 1:
-            p, q, _ = self.chart([float(x) for x in u])
-            return np.array([ad.value(x) for x in (*p, *q)], dtype=float)
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             p, q, _ = self.chart(list(u.T))
         return np.stack(np.broadcast_arrays(*(ad.value(x) for x in (*p, *q))), axis=-1)
@@ -102,8 +100,8 @@ class Hypersurface:
 @dataclass(frozen=True)
 class ChartJet:
     """Value and first three derivatives of a chart, with the value and
-    Jacobian of its closed-form normal, at one parameter point (the shapes
-    below) or at a batch of n points (one more leading axis on each).  An
+    Jacobian of its closed-form normal, at a batch of n points: the shapes
+    below are those of one row, behind a leading axis of length n.  An
     order-2 jet has ``d3`` None."""
 
     u: np.ndarray     # (3,)
@@ -118,12 +116,12 @@ class ChartJet:
 def chart_jet(M: Hypersurface, u, order: int = 3) -> ChartJet:
     """One jet pass over the 12 components of the chart and its normal.
 
-    u of shape (3,) is one point; u of shape (n, 3) is n points, evaluated by
-    one chart call on jets of batch shape (n,).  ``order`` 2 carries no third
-    derivatives (``d3`` is None) and leaves the other fields bit for bit as
-    order 3 gives them.  A division by zero, an invalid operation or an
-    overflow in the arithmetic raises FloatingPointError rather than leaving
-    inf or NaN in a row.
+    u of shape (n, 3) is n points, evaluated by one chart call on jets of
+    batch shape (n,); one point is the batch of one, u (1, 3).  ``order`` 2
+    carries no third derivatives (``d3`` is None) and leaves the other fields
+    bit for bit as order 3 gives them.  A division by zero, an invalid
+    operation or an overflow in the arithmetic raises FloatingPointError
+    rather than leaving inf or NaN in a row.
     """
     u = np.asarray(u, dtype=float)
     with np.errstate(divide="raise", invalid="raise", over="raise"):
@@ -146,8 +144,8 @@ def _normal_from_constraints(jet) -> np.ndarray:
     """Unit spacelike normal from the nullspace of the constraint rows.
 
     ``jet`` is anything with the chart value ``val`` and Jacobian ``jac`` of
-    one point or of a batch: a ``ChartJet`` or a ``PointGeometry``.  A batch
-    takes one stacked SVD; a failing row raises the error of the first
+    a batch: a ``ChartJet`` or a ``PointGeometry``.  The batch takes one
+    stacked SVD; a failing row raises the error of the first
     failing row in batch order.
     """
     val, jac = jet.val, jet.jac
@@ -167,12 +165,9 @@ def _normal_from_constraints(jet) -> np.ndarray:
     return v / np.sqrt(n2)[..., None]
 
 
-_SCALAR_FIELDS = ("C", "H", "K", "norm_A_sq", "rho")
-
-
 def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """m x row by row: (..., m, k) times (..., k), as (..., m, k) @ (..., k, 1),
-    so every row is the one-point product bit for bit."""
+    so every row is the product of its batch of one bit for bit."""
     return (m @ x[..., None])[..., 0]
 
 
@@ -192,10 +187,10 @@ def _norm(v: np.ndarray) -> np.ndarray:
 class PointGeometry:
     """Per-point bundle: tangent basis, metric, normal, shape operator.
 
-    The shapes below are those of one point.  A batch of n points puts one
-    leading axis of length n on every field; its scalar fields are then
-    arrays of shape (n,), while one point's are Python floats.  ``pgs[i]``
-    is row i as a one-point bundle, ``pgs[a:b]`` a batch, and iterating a
+    The shapes below are those of one point, behind the leading batch axis
+    of length n that every field carries; the scalar fields are arrays (n,).
+    One point is the batch of one.  ``pgs[a:b]`` is a batch, and ``pgs[i]``
+    reads row i's fields (numpy scalars for the scalar fields); iterating a
     batch yields its rows.  The methods broadcast over the batch.  A bundle
     exists only where the chart has full rank (``ChartRankError`` otherwise),
     and g and b are symmetric by construction, so it carries no rank or
@@ -231,12 +226,12 @@ class PointGeometry:
     lambdas: np.ndarray
     principal_coords: np.ndarray
     principal_ambient: np.ndarray
-    C: float
+    C: np.ndarray
     V: np.ndarray
-    H: float
-    K: float
-    norm_A_sq: float
-    rho: float
+    H: np.ndarray
+    K: np.ndarray
+    norm_A_sq: np.ndarray
+    rho: np.ndarray
 
     # -- the batch axis ---------------------------------------------------
     @property
@@ -244,18 +239,11 @@ class PointGeometry:
         return self.u.shape[:-1]
 
     def __len__(self) -> int:
-        if not self.batch_shape:
-            raise TypeError("a one-point PointGeometry has no length")
         return self.batch_shape[0]
 
     def __getitem__(self, index) -> "PointGeometry":
-        if not self.batch_shape:
-            raise TypeError("a one-point PointGeometry cannot be indexed")
         fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        fields = {name: x if x is None else x[index] for name, x in fields.items()}
-        if fields["u"].ndim == 1:
-            fields.update((name, float(fields[name])) for name in _SCALAR_FIELDS)
-        return PointGeometry(**fields)
+        return PointGeometry(**{name: x if x is None else x[index] for name, x in fields.items()})
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -288,9 +276,9 @@ def _geometry(jet: ChartJet) -> PointGeometry:
     """``PointGeometry`` of a chart jet, with the jet's batch shape.
 
     The linear algebra runs on the stacked (n,3,3) arrays in one call each;
-    every row equals the single-point call on its matrix bit for bit.  A
-    check that fails at some row raises; ``point_geometry`` then redoes the
-    batch point by point, so the error is that of the first failing point.
+    every row equals its batch of one bit for bit.  A check that fails at
+    some row raises; ``point_geometry`` then redoes the batch point by point,
+    so the error is that of the first failing point.
     """
     jac = jet.jac
     g = jac.swapaxes(-1, -2) @ ETA6 @ jac
@@ -300,7 +288,7 @@ def _geometry(jet: ChartJet) -> PointGeometry:
         raise ChartRankError("chart differential is rank-deficient "
                              f"(sigma_min={math.sqrt(max(float(np.min(low)), 0.0)):.3e})")
 
-    N = jet.n / np.asarray(ad.elementwise(math.sqrt, _pairing(jet.n, jet.n)))[..., None]
+    N = jet.n / np.sqrt(_pairing(jet.n, jet.n))[..., None]
     if (np.abs(_pairing(N, N) - 1.0) > NORMAL_TOL).any():
         raise NormalSpaceError("normal is not unit")
     if np.max(np.abs(jac.swapaxes(-1, -2) @ ETA6 @ N[..., None])) > NORMAL_TOL:
@@ -319,7 +307,9 @@ def _geometry(jet: ChartJet) -> PointGeometry:
     principal = np.linalg.solve(L.swapaxes(-1, -2), W)   # columns, g-orthonormal
 
     PN = N @ P6
-    C = _pairing(PN, N)
+    # [()]: a bare point u (3,), batch shape (), gets a numpy scalar C, as
+    # it gets H and K; bench/child.py reads such a point's C into JSON
+    C = _pairing(PN, N)[()]
     V = PN - C[..., None] * N
     H = np.trace(Zs, axis1=-2, axis2=-1)
     K = np.linalg.det(Zs)
@@ -327,39 +317,35 @@ def _geometry(jet: ChartJet) -> PointGeometry:
     if (np.abs(_pairing(V, V) - (1.0 - C * C)) > 1e-9).any():
         raise NormalSpaceError("|V|^2 != 1 - C^2 beyond tolerance")
 
-    scalars = dict(C=C, H=H, K=K, norm_A_sq=norm_A_sq)
-    if jet.u.ndim == 1:
-        scalars = {name: float(x) for name, x in scalars.items()}
-    scalars["rho"] = -2.0 + ad.power(scalars["H"], 2) - scalars["norm_A_sq"]
     return PointGeometry(u=jet.u, val=jet.val, jac=jac, hess=jet.hess, d3=jet.d3, n=jet.n,
                          dn=jet.dn, g=g, N=N, b=b, A=A, lambdas=lambdas,
                          principal_coords=principal, principal_ambient=jac @ principal, V=V,
-                         **scalars)
+                         C=C, H=H, K=K, norm_A_sq=norm_A_sq,
+                         rho=-2.0 + np.power(H, 2) - norm_A_sq)
 
 
 def point_geometry(M: Hypersurface, u, order: int = 3) -> PointGeometry:
     """Full per-point geometry bundle of a hypersurface chart.
 
     One chart jet gives everything; the unit normal is the chart's normal
-    normalized, so the chart fixes the orientation.  u of shape (3,) gives
-    one point's ``PointGeometry``; u of shape (n, 3) gives the bundle of the
-    n points with a leading batch axis, from one batched chart pass and
-    stacked linear algebra, each row equal bit for bit to its single-point
-    call.  If any point fails, the batch raises what the single-point calls
-    (on ``M.row_surface(i)`` where M has one) raise for the first failing
-    point in sample order.  An ``order`` 2
-    bundle has no ``d3``, so it cannot give ``point_derivatives``; every
-    other field is bit for bit that of order 3.
+    normalized, so the chart fixes the orientation.  u of shape (n, 3) gives
+    the bundle of the n points with a leading batch axis, from one batched
+    chart pass and stacked linear algebra, each row equal bit for bit to its
+    batch of one, u[i:i+1].  If any point fails, the batch raises what the
+    batches of one (on ``M.row_surface(i)`` where M has one) raise for the
+    first failing point in sample order.  An ``order`` 2 bundle has no
+    ``d3``, so it cannot give ``point_derivatives``; every other field is
+    bit for bit that of order 3.
     """
     u = np.asarray(u, dtype=float)
     try:
         return _geometry(chart_jet(M, u, order))
     except (ArithmeticError, ValueError):
-        if u.ndim == 1:
+        if len(u) == 1:
             raise
-        # some point fails: the single-point calls, in order, raise its error
-        for i, x in enumerate(u):
-            point_geometry(M if M.row_surface is None else M.row_surface(i), x, order)
+        # some point fails: the batches of one, in order, raise its error
+        for i in range(len(u)):
+            point_geometry(M if M.row_surface is None else M.row_surface(i), u[i:i + 1], order)
         raise
 
 
@@ -431,13 +417,13 @@ def christoffels(pg: PointGeometry) -> np.ndarray:
 
 
 class StructuralResiduals(NamedTuple):
-    """Max-norm residuals of the four structural equations at one point
-    (floats), or at each row of a batch (arrays)."""
+    """Max-norm residuals of the four structural equations at each row of a
+    batch, (n,) each."""
 
-    grad_C: float        # grad C = -2AV
-    V_derivative: float  # nabla_X V = C A X - T A X
-    gauss: float
-    codazzi: float
+    grad_C: np.ndarray        # grad C = -2AV
+    V_derivative: np.ndarray  # nabla_X V = C A X - T A X
+    gauss: np.ndarray
+    codazzi: np.ndarray
 
 
 def structural_residuals(pg: PointGeometry) -> StructuralResiduals:
@@ -450,9 +436,8 @@ def structural_residuals(pg: PointGeometry) -> StructuralResiduals:
     ambient vectors, against their algebraic right-hand sides built from the
     tangential operator T and the shape operator; grad C is the chart
     gradient of C lifted through the inverse metric, and nabla_X V the
-    tangential projection of the ambient derivative of V.  A batch ``pg``
-    is judged in one pass, each row equal bit for bit to its single-point
-    call.
+    tangential projection of the ambient derivative of V.  The batch ``pg``
+    is judged in one pass, each row equal bit for bit to its batch of one.
     """
     d = point_derivatives(pg)
     gam = christoffels(pg)
@@ -506,7 +491,5 @@ def structural_residuals(pg: PointGeometry) -> StructuralResiduals:
                           - _pairing(jac[..., :, j], pg.V)[..., None] * Tb[..., i, :])
             res_codazzi.append(max_abs(lhs - rhs))
 
-    out = (res_grad_c, *(np.max(r, axis=0) for r in (res_v, res_gauss, res_codazzi)))
-    if not pg.batch_shape:
-        out = tuple(float(x) for x in out)
-    return StructuralResiduals(*out)
+    return StructuralResiduals(res_grad_c,
+                               *(np.max(r, axis=0) for r in (res_v, res_gauss, res_codazzi)))

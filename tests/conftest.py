@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,54 @@ def inner(w1, w2) -> float:
 
 def domain_samples(surface, n, seed=0):
     return sobol_points(surface.domain, n, seed)
+
+
+def one(u) -> np.ndarray:
+    """The chart point u (3,) as its batch of one, (1, 3)."""
+    return np.asarray(u, dtype=float)[None]
+
+
+def geometry_at(surface, u, order=3):
+    """The fields of the chart point u (3,): row 0 of its batch of one."""
+    return sc.point_geometry(surface, one(u), order)[0]
+
+
+def sub_batches(n):
+    """Slices of a batch of n rows that a row must match bit for bit: each
+    row alone, as its batch of one, and runs of several lengths at several
+    offsets."""
+    runs = {(0, n), (1, n), (n // 3, n), (0, 2 * n // 3), (n // 2, n // 2 + 2)}
+    return ([slice(i, i + 1) for i in range(n)]
+            + [slice(a, min(b, n)) for a, b in sorted(runs) if min(b, n) - a > 1])
+
+
+def assert_rows_equal(part, whole, rows):
+    """``part`` is bit for bit the rows ``rows`` of ``whole``: arrays by their
+    bytes, and jets, dataclasses, dicts and sequences part by part."""
+    if isinstance(part, ad.Jet):
+        part, whole = ([x.val, x.d, x.dd, x.ddd] for x in (part, whole))
+    elif dataclasses.is_dataclass(part):
+        part, whole = dataclasses.asdict(part), dataclasses.asdict(whole)
+    if isinstance(part, dict):
+        assert part.keys() == whole.keys()
+        part, whole = list(part.values()), list(whole.values())
+    if isinstance(part, (list, tuple)):
+        assert len(part) == len(whole)
+        for x, y in zip(part, whole):
+            assert_rows_equal(x, y, rows)
+    elif part is None or whole is None:
+        assert part is None and whole is None
+    else:
+        part, want = np.asarray(part), np.asarray(whole)[rows]
+        assert part.shape == want.shape and part.tobytes() == want.tobytes()
+
+
+def assert_rows_are_their_sub_batches(fn, U):
+    """Every row of ``fn(U)`` is bit for bit that of ``fn`` on each of the
+    ``sub_batches`` of U that holds it; fn takes and returns batches."""
+    whole = fn(U)
+    for rows in sub_batches(len(U)):
+        assert_rows_equal(fn(U[rows]), whole, rows)
 
 
 def as_matrices(entries) -> np.ndarray:

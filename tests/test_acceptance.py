@@ -39,11 +39,10 @@ def test_criterion_01_model_zoo_oracle_match():
     for spec in mz.CATALOG:
         surface, oracle = mz.build_model(spec)
         pts = sample(surface, 200)
-        # one batched call; each row is bit for bit the one-point call
+        # one batched call; each row is bit for bit its batch of one
         pgs = sc.point_geometry(surface, pts)
-        for u, lam, C in zip(pts, pgs.lambdas, pgs.C.tolist()):
-            lam_dev = max(lam_dev, float(np.max(np.abs(lam - oracle.lambdas(u)))))
-            c_dev = max(c_dev, abs(C - oracle.C))
+        lam_dev = max(lam_dev, float(np.max(np.abs(pgs.lambdas - oracle.lambdas(pts)))))
+        c_dev = max(c_dev, float(np.max(np.abs(pgs.C - oracle.C))))
     ok = lam_dev < 1e-7 and c_dev < 1e-9
     emit(1, ok, f"model-zoo oracle match over {len(mz.CATALOG)} families x 200 points: "
                 f"max lambda dev {lam_dev:.2e} (tol 1e-7), max C dev {c_dev:.2e} (tol 1e-9)")
@@ -55,7 +54,7 @@ def test_criterion_02_angle_derivative_residuals():
         if spec.kind == "M_Gamma":
             continue   # |C| = 1 there
         surface, _ = mz.build_model(spec)
-        # one batched call; each row is bit for bit the one-point call
+        # one batched call; each row is bit for bit its batch of one
         r = sc.structural_residuals(sc.point_geometry(surface, sample(surface, 5)))
         worst = max(worst, float(np.max(r.grad_C)), float(np.max(r.V_derivative)))
     ok = worst < 1e-10
@@ -82,8 +81,7 @@ def test_criterion_04_minimal_and_two_curvature_models():
     surface, _ = build("M_11", {"c": 0.5})
     rng = np.random.default_rng(SEED)
     h_dev = sec_dev = 0.0
-    for u in sample(surface, 25):
-        pg = sc.point_geometry(surface, u)
+    for pg in sc.point_geometry(surface, sample(surface, 25)):
         h_dev = max(h_dev, abs(pg.H))
         for _ in range(4):
             x = pg.from_coords(rng.normal(size=3))
@@ -91,8 +89,8 @@ def test_criterion_04_minimal_and_two_curvature_models():
             sec_dev = max(sec_dev, abs(sectional(pg, x, y) + 0.5))
     surface2, _ = build("M_1m1", {"c": 0.5})
     want = np.sort([0.0, 1 / math.sqrt(2), 1 / math.sqrt(2)])
-    lam_dev = max(float(np.max(np.abs(sc.point_geometry(surface2, u).lambdas - want)))
-                  for u in sample(surface2, 25))
+    lam_dev = float(np.max(np.abs(sc.point_geometry(surface2, sample(surface2, 25)).lambdas
+                                  - want)))
     ok = h_dev < 1e-9 and sec_dev < 1e-6 and lam_dev < 1e-8
     emit(4, ok, f"minimal model: |H| {h_dev:.2e} (tol 1e-9), "
                 f"|sectional+1/2| {sec_dev:.2e} (tol 1e-6); "
@@ -104,28 +102,29 @@ def test_criterion_05_parallel_flow_consistency():
     for kind, params in (("M_1m1", {"c": 0.4}), ("M_11", {"c": 0.3}),
                          ("M_tau", {"tau": -2.0})):
         surface, _ = build(kind, params)
-        for u in sample(surface, 4):
-            pg = sc.point_geometry(surface, u)
-            af = pf.adapted_frame(pg)
+        frames = pf.adapted_frame(sc.point_geometry(surface, sample(surface, 4)))
+        for i in range(4):
+            af = frames[i:i + 1]
             for l in (-0.6, 0.3, 0.7):
-                det = pf.detq_expansion(af, l)
+                det = pf.detq_expansion(af, l)[0]
                 if abs(det) < 1e-3:
                     continue
-                q, qp = map(as_matrices, pf._q_rows(af, l))
+                q, qp = (m[0] for m in map(as_matrices, pf._q_rows(af, l)))
                 h_tr = -float(np.trace(np.linalg.solve(q, qp)))
-                h_det = -pf.detq_expansion_prime(af, l) / det
+                h_det = -pf.detq_expansion_prime(af, l)[0] / det
                 dev_htwo = max(dev_htwo, abs(h_tr - h_det))
-        u = sample(surface, 1)[0]
-        pg = sc.point_geometry(surface, u)
-        af = pf.adapted_frame(pg)
+        u = sample(surface, 1)
+        af = pf.adapted_frame(sc.point_geometry(surface, u))
         for l in (0.3, -0.45):
-            pgl = sc.point_geometry(pf.parallel_surface(surface, l), u)
+            pgl = sc.point_geometry(pf.parallel_surface(surface, [l]), u)
             dev_pshape = max(dev_pshape, float(np.max(np.abs(pgl.lambdas - pf.parallel_lambdas(af, l)))),
-                        abs(pgl.H - pf.mean_curvature_of_parallel(af, l)))
+                             float(np.max(np.abs(pgl.H - pf.mean_curvature_of_parallel(af, l)))))
     c = 0.4
     surface, _ = build("M_1m1", {"c": c})
-    for u in sample(surface, 5):
-        af = pf.adapted_frame(sc.point_geometry(surface, u))
+    U = sample(surface, 5)
+    frames = pf.adapted_frame(sc.point_geometry(surface, U))
+    for i, u in enumerate(U):
+        af = frames[i:i + 1]
         t = float(u[0])
         for l in (0.3, -0.45, 0.8):
             a1 = math.sqrt(c) * t + math.sqrt(1 - c) * l
@@ -147,15 +146,14 @@ def test_criterion_06_detq_derivative_identities():
     for kind, params in (("M_11", {"c": 0.3}), ("M_1m1", {"c": 0.6}),
                          ("M_tau", {"tau": -2.0})):
         surface, _ = build(kind, params)
-        for u in sample(surface, 4):
-            pg = sc.point_geometry(surface, u)
-            af = pf.adapted_frame(pg)
-            closed = pf.detq_derivatives_at_0(af, pg.rho)
-            numeric = pf.detq_derivatives_numeric(af)
-            assert closed[1] == pytest.approx(-pg.H, abs=1e-12)
-            assert closed[2] == pytest.approx(pg.rho + 3.0, abs=1e-12)
-            lo = max(lo, abs(closed[1] - numeric[1]), abs(closed[2] - numeric[2]))
-            hi = max(hi, *(abs(closed[k] - numeric[k]) for k in (4, 6, 8)))
+        pgs = sc.point_geometry(surface, sample(surface, 4))
+        af = pf.adapted_frame(pgs)
+        closed = pf.detq_derivatives_at_0(af, pgs.rho)
+        numeric = pf.detq_derivatives_numeric(af)
+        assert closed[1] == pytest.approx(-pgs.H, abs=1e-12)
+        assert closed[2] == pytest.approx(pgs.rho + 3.0, abs=1e-12)
+        lo = max(lo, *(float(np.max(np.abs(closed[k] - numeric[k]))) for k in (1, 2)))
+        hi = max(hi, *(float(np.max(np.abs(closed[k] - numeric[k]))) for k in (4, 6, 8)))
     ok = lo < 1e-10 and hi < 1e-9
     emit(6, ok, f"det Q derivatives at 0: k=1,2 dev {lo:.2e} (tol 1e-10), "
                 f"k=4,6,8 dev {hi:.2e} (tol 1e-9)")
@@ -185,13 +183,12 @@ def test_criterion_07_isoparametric_discrimination():
 def test_criterion_08_m_tau_focal_structure():
     surface, _ = build("M_tau", {"tau": -2.0})
     l_star = math.acosh(2.0) / math.sqrt(2.0)
-    u = sample(surface, 1)[0]
-    af = pf.adapted_frame(sc.point_geometry(surface, u))
-    root_det = pf.find_focal_radius(af, 0.5, 1.2)
+    af = pf.adapted_frame(sc.point_geometry(surface, sample(surface, 1)))
+    root_det = pf.find_focal_radius(af, 0.5, 1.2)[0]
 
     def pushforward(l):
         """Q(l)^T (0, C+, C-): J1 N = C+ E2 + C- E3 pushed along the flow."""
-        return as_matrices(pf._q_rows(af, l)[0]).T @ np.array([0.0, af.cplus, af.cminus])
+        return as_matrices(pf._q_rows(af, l)[0])[0].T @ np.array([0.0, af.cplus[0], af.cminus[0]])
 
     def signed_bracket(l):
         return float(pushforward(l)[1])

@@ -11,11 +11,15 @@ from h2h2 import lorentz as lz
 from h2h2 import model_zoo as mz
 from h2h2 import surface_calculus as sc
 
+from conftest import assert_rows_are_their_sub_batches
+
+
 def frenet(curve, r):
-    """Frenet data (gamma, T, N, kappa) of the curve at a float arc length r:
-    the columns of its frame, which must be Lorentz-orthonormal."""
-    g, t, n = lz._frame_columns(curve._frame(r).copy())
-    return g, t, n, curve.kappa_at(r)
+    """Frenet data (gamma, T, N, kappa) of the curve at the arc length r, read
+    from its batch of one: the columns of its frame, which must be
+    Lorentz-orthonormal."""
+    g, t, n = lz._frame_columns(curve._frame(np.array([r])).copy())
+    return g[:, 0], t[:, 0], n[:, 0], curve.kappa_at(np.array([r]))[0]
 
 
 vec = st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False),
@@ -41,7 +45,7 @@ class TestInnerAndCross:
         scale = max(1.0, np.max(np.abs(a)) * np.max(np.abs(b)))
         assert abs(lz.lorentz_inner(c, a)) <= 1e-12 * scale
         assert abs(lz.lorentz_inner(c, b)) <= 1e-12 * scale
-        assert np.allclose(c, -lz.lorentz_cross(b, a))
+        assert np.allclose(c, -np.array(lz.lorentz_cross(b, a)))
 
     @settings(max_examples=40, deadline=None)
     @given(vec, vec)
@@ -119,11 +123,11 @@ class TestExponentialMap:
 
 
 def test_frame_check_rejects_a_non_orthonormal_frame():
-    # the frame check of PlaneCurve.jet, on one frame and on a batch with
-    # one bad frame
+    # the frame check of PlaneCurve.jet, on the batch of one bad frame and
+    # on a batch with one bad frame
     bad = np.diag([1.0, 1.0 + 1e-8, 1.0])
     with pytest.raises(ValueError, match="not Lorentz-orthonormal"):
-        lz._frame_columns(bad)
+        lz._frame_columns(bad[None])
     with pytest.raises(ValueError, match="not Lorentz-orthonormal"):
         lz._frame_columns(np.stack([np.eye(3), bad, np.eye(3)]))
     g, t, n = lz._frame_columns(np.stack([np.eye(3)] * 2))
@@ -143,7 +147,7 @@ def rk4_reference(kappa, r_target, h):
     t = np.array([0.0, 1, 0])
 
     def rhs(r, g, t):
-        return t, g + kappa(r) * lz.lorentz_cross(g, t)
+        return t, g + kappa(r) * np.array(lz.lorentz_cross(g, t))
 
     n = int(round(r_target / h))
     for i in range(n):
@@ -233,24 +237,24 @@ class TestCurves:
     def test_curve_jet_matches_finite_differences(self):
         curve = lz.PlaneCurve(1.0)
         r0 = 0.6
-        x = ad.jet_variables([r0, 0.0, 0.0])[0]
+        x = ad.jet_variables([[r0, 0.0, 0.0]])[0]
         g, n = curve.jet(x)
         h = 1e-5
         gp, _, n_plus, _ = frenet(curve, r0 + h)
         gm, _, n_minus, _ = frenet(curve, r0 - h)
         g0 = frenet(curve, r0)[0]
         for i in range(3):
-            assert g[i].d[0] == pytest.approx((gp[i] - gm[i]) / (2 * h), abs=1e-8)
-            assert n[i].d[0] == pytest.approx((n_plus[i] - n_minus[i]) / (2 * h), abs=1e-8)
+            assert g[i].d[0, 0] == pytest.approx((gp[i] - gm[i]) / (2 * h), abs=1e-8)
+            assert n[i].d[0, 0] == pytest.approx((n_plus[i] - n_minus[i]) / (2 * h), abs=1e-8)
             d2 = (gp[i] - 2 * g0[i] + gm[i]) / h ** 2
-            assert g[i].dd[0, 0] == pytest.approx(d2, abs=1e-4)
+            assert g[i].dd[0, 0, 0] == pytest.approx(d2, abs=1e-4)
 
     @pytest.mark.parametrize("kappa", [0.0, 1.0, 2.0])
     def test_curve_jet_derivatives_match_closed_form(self, kappa):
         # F(r) = e^{rC} gives every derivative in closed form: F^(m) = F C^m
         C = np.array([[0.0, 1, 0], [1, 0, -kappa], [0, kappa, 0]])
         for r0 in (-1.3, 0.4, 2.1):
-            g, n = lz.PlaneCurve(kappa).jet(ad.jet_variables([r0, 0.0, 0.0])[0])
+            g, n = lz.PlaneCurve(kappa).jet(ad.jet_variables([[r0, 0.0, 0.0]])[0])
             F = expm(r0 * C)
             for m, order in enumerate(("val", "d", "dd", "ddd")):
                 want = F @ np.linalg.matrix_power(C, m)
@@ -266,12 +270,12 @@ class TestCurves:
         h = 1e-4
 
         def second(r):
-            g, n = curve.jet(ad.jet_variables([r, 0.0, 0.0])[0])
-            return np.array([c.dd[0, 0] for c in (*g, *n)])
+            g, n = curve.jet(ad.jet_variables([[r, 0.0, 0.0]])[0])
+            return np.array([c.dd[0, 0, 0] for c in (*g, *n)])
 
         for r0 in (-1.2, 0.3, 0.9):   # each r0 +- h stays inside one knot interval
-            g, n = curve.jet(ad.jet_variables([r0, 0.0, 0.0])[0])
-            third = np.array([c.ddd[0, 0, 0] for c in (*g, *n)])
+            g, n = curve.jet(ad.jet_variables([[r0, 0.0, 0.0]])[0])
+            third = np.array([c.ddd[0, 0, 0, 0] for c in (*g, *n)])
             fd = (second(r0 + h) - second(r0 - h)) / (2 * h)
             assert np.max(np.abs(third - fd)) < 1e-7
 
@@ -293,14 +297,12 @@ def bracket(x, y):
 def exp_so12(X):
     X2 = X @ X
     w2 = 0.5 * float(np.trace(X2))
+    if w2 == 0.0:
+        return np.eye(3) + X + 0.5 * X2
     w = math.sqrt(abs(w2))
-    if w2 > 0.0:
-        s, c = math.sinh(w) / w, 2.0 * (math.sinh(0.5 * w) / w) ** 2
-    elif w2 < 0.0:
-        s, c = math.sin(w) / w, 2.0 * (math.sin(0.5 * w) / w) ** 2
-    else:
-        s, c = 1.0, 0.5
-    return np.eye(3) + s * X + c * X2
+    fn = np.sinh if w2 > 0.0 else np.sin
+    half = fn(0.5 * w) / w
+    return np.eye(3) + (fn(w) / w) * X + (2.0 * (half * half)) * X2
 
 
 class PointMagnus:
@@ -340,7 +342,7 @@ class PointMagnus:
 
 class TestBatchedCurve:
     """A curvature-function curve answers a batch of queries in one pass,
-    every row bit for bit the per-point Magnus frame."""
+    every row bit for bit the per-point Magnus frame and its batch of one."""
 
     STRIDE = lz.PlaneCurve.STRIDE
     # r = 0 (both signs), knots on both sides, their neighbours, negative r,
@@ -354,17 +356,15 @@ class TestBatchedCurve:
         ref = PointMagnus(fn, sign)
         want = np.stack([ref.frame(float(r)) for r in self.R])
         assert np.array_equal(lz.PlaneCurve(fn, sign)._frame(self.R), want)
-        # the float query is the batch of one, on a fresh curve and on a warm one
+        # each query alone is a batch of one, on a fresh curve and on a warm one
         warm = lz.PlaneCurve(fn, sign)
         warm._frame(self.R)
         for curve in (lz.PlaneCurve(fn, sign), warm):
-            for r, F in zip(self.R.tolist(), want):
-                got = curve._frame(r)
-                assert got.shape == (3, 3) and np.array_equal(got, F)
+            assert_rows_are_their_sub_batches(curve._frame, self.R)
 
     def test_zero_and_knots_are_the_stored_frames(self):
         curve = lz.PlaneCurve(ad.tanh, -1)
-        assert np.array_equal(curve._frame(0.0), np.diag([1.0, 1.0, -1.0]))
+        assert np.array_equal(curve._frame(np.zeros(1)), [np.diag([1.0, 1.0, -1.0])])
         ks = np.array([-9, -1, 0, 3, 12])
         F = curve._frame(ks * self.STRIDE)
         assert np.array_equal(F, curve._knots[ks - curve._kmin])
@@ -379,13 +379,13 @@ class TestBatchedCurve:
             lz.PlaneCurve(ad.tanh)._frame(np.array([0.5, np.nan]))
 
     def test_knots_do_not_depend_on_which_far_query_grows_them(self):
-        orders = ([1.6, -1.6], [-1.6, 1.6], [np.array([-1.6, 1.6])], [0.4, -0.9, 1.6, -1.6],
-                  [np.array([1.2, -0.3]), -1.6, 1.6])
+        orders = ([[1.6], [-1.6]], [[-1.6], [1.6]], [[-1.6, 1.6]], [[0.4], [-0.9], [1.6], [-1.6]],
+                  [[1.2, -0.3], [-1.6], [1.6]])
         curves = []
         for order in orders:
             curve = lz.PlaneCurve(ad.tanh)
             for r in order:
-                curve._frame(r)
+                curve._frame(np.array(r))
             curves.append(curve)
         for curve in curves[1:]:
             assert curve._kmin == curves[0]._kmin
@@ -402,20 +402,16 @@ class TestBatchedCurve:
         curve = lz.PlaneCurve(kappa)
         got = curve.kappa_at(self.R.reshape(2, -1))
         assert len(calls) == 1 and got.shape == (2, self.R.size // 2)
-        assert np.array_equal(got.ravel(), [math.tanh(r) for r in self.R.tolist()])
-        assert type(curve.kappa_at(0.3)) is float
+        assert np.array_equal(got.ravel(), [np.tanh(r) for r in self.R.tolist()])
         assert np.array_equal(lz.PlaneCurve(lambda _r: 0.5).kappa_at(self.R), [0.5] * self.R.size)
         assert np.array_equal(lz.PlaneCurve(-1.0).kappa_at(self.R[:4]), [-1.0] * 4)
 
-    def test_point_float_path_equals_the_batch(self):
+    def test_point_rows_equal_their_batches_of_one(self):
         surface, _ = mz.make_M_kk(0.5, ad.tanh, 1.0)
         u = np.array([[0.2, -1.55, 0.4], [-0.7, 0.0, -1.2], [0.9, 3 * self.STRIDE, 1.6],
                       [0.1, 1.234, -0.3]])
-        batch = surface.point(u)
-        jets = sc.chart_jet(surface, u).val
-        for row, b, j in zip(u, batch, jets):
-            got = surface.point(row)
-            assert np.array_equal(got, b) and np.array_equal(got, j)
+        assert np.array_equal(surface.point(u), sc.chart_jet(surface, u).val)
+        assert_rows_are_their_sub_batches(surface.point, u)
 
 
 class TestHorocycleSigns:

@@ -17,7 +17,9 @@ from h2h2 import product_space as ps
 from h2h2 import report as rp
 from h2h2 import surface_calculus as sc
 
-from conftest import as_matrices, counted_chart, domain_samples, inner, scan_of
+from conftest import (as_matrices, assert_rows_are_their_sub_batches, assert_rows_equal,
+                      counted_chart, domain_samples, geometry_at, inner, one, scan_of)
+
 
 def q_matrix(af, l):
     """Q(l) of the frames ``af`` as matrices (..., 3, 3)."""
@@ -47,8 +49,8 @@ def real_spectrum(s):
 def pushforward_norm(surface, u, l):
     """|Q(l)^T (0, C+, C-)|: J1 N = C+ E2 + C- E3 pushed along the flow,
     whose norm vanishes exactly at the focal points of a tube."""
-    af = pf.adapted_frame(sc.point_geometry(surface, u))
-    return float(np.linalg.norm(q_matrix(af, l).T @ np.array([0.0, af.cplus, af.cminus])))
+    af = pf.adapted_frame(sc.point_geometry(surface, one(u)))
+    return float(np.linalg.norm(q_matrix(af, l)[0].T @ np.array([0.0, af.cplus[0], af.cminus[0]])))
 
 
 def isoparametric_within(scan, tol):
@@ -60,32 +62,31 @@ sym_entries = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 @st.composite
 def synthetic_frames(draw):
+    """A batch of one random frame."""
     vals = [draw(sym_entries) for _ in range(6)]
     a = np.array([[vals[0], vals[1], vals[2]],
                   [vals[1], vals[3], vals[4]],
                   [vals[2], vals[4], vals[5]]])
     c = draw(st.floats(min_value=-0.95, max_value=0.95, allow_nan=False))
-    return pf.AdaptedFrame(c, a)
+    return pf.AdaptedFrame(np.array([c]), a[None])
 
 
 class TestAdaptedFrame:
     def test_orthonormal_on_models(self, m_1m1_04, m_tau_m2, m_kk_tanh):
         for surface, _ in (m_1m1_04, m_tau_m2, m_kk_tanh):
-            for u in domain_samples(surface, 8):
-                pg = sc.point_geometry(surface, u)
-                e = pf.frame_vectors(pg)
-                assert np.max(np.abs(e @ ps.ETA6 @ e.T - np.eye(3))) < 1e-10
-                af = pf.adapted_frame(pg)
-                assert np.max(np.abs(af.A - af.A.T)) < 1e-12
+            pgs = sc.point_geometry(surface, domain_samples(surface, 8))
+            e = pf.frame_vectors(pgs)
+            assert np.max(np.abs(e @ ps.ETA6 @ e.swapaxes(-1, -2) - np.eye(3))) < 1e-10
+            af = pf.adapted_frame(pgs)
+            assert np.max(np.abs(af.A - af.A.swapaxes(-1, -2))) < 1e-12
 
     def test_m11_frame_is_diagonal(self, m_11_03):
         surface, _ = m_11_03
-        u = np.array([0.3, 0.4, -0.6])
-        af = pf.adapted_frame(sc.point_geometry(surface, u))
-        off = af.A - np.diag(np.diag(af.A))
+        A = pf.adapted_frame(sc.point_geometry(surface, one([0.3, 0.4, -0.6]))).A[0]
+        off = A - np.diag(np.diag(A))
         assert np.max(np.abs(off)) < 1e-10
         want = {0.0, math.sqrt(0.7), -math.sqrt(0.3)}
-        got = sorted(np.diag(af.A))
+        got = sorted(np.diag(A))
         assert np.max(np.abs(np.array(got) - np.array(sorted(want)))) < 1e-10
 
     def test_m_tau_frame_components(self, m_tau_m2):
@@ -93,34 +94,33 @@ class TestAdaptedFrame:
         # 2x2 block mixes the two complex-structure directions, which are at
         # 45 degrees to the adapted frame when C = 0
         surface, oracle = m_tau_m2
-        u = np.array([0.7, 1.1, 2.0])
-        af = pf.adapted_frame(sc.point_geometry(surface, u))
-        assert np.max(np.abs(af.A[0])) < 1e-10
+        u = one([0.7, 1.1, 2.0])
+        A = pf.adapted_frame(sc.point_geometry(surface, u)).A[0]
+        assert np.max(np.abs(A[0])) < 1e-10
         lam_b = mz.mtau_lambda_big(-2.0)
         lam_s = mz.mtau_lambda_small(-2.0)
-        assert af.A[1, 1] == pytest.approx((lam_b + lam_s) / 2, abs=1e-10)
-        assert af.A[1, 2] == pytest.approx((lam_b - lam_s) / 2, abs=1e-10)
-        assert np.max(np.abs(np.sort(np.linalg.eigvalsh(af.A))
-                             - oracle.lambdas(u))) < 1e-10
+        assert A[1, 1] == pytest.approx((lam_b + lam_s) / 2, abs=1e-10)
+        assert A[1, 2] == pytest.approx((lam_b - lam_s) / 2, abs=1e-10)
+        assert np.max(np.abs(np.sort(np.linalg.eigvalsh(A))
+                             - oracle.lambdas(u)[0])) < 1e-10
 
     def test_h_matches_point_geometry(self, m_kk_tanh):
         surface, _ = m_kk_tanh
-        for u in domain_samples(surface, 6):
-            pg = sc.point_geometry(surface, u)
-            af = pf.adapted_frame(pg)
-            assert af.H == pytest.approx(pg.H, abs=1e-9)
-            assert minor_rho(af) == pytest.approx(pg.rho, abs=1e-9)
+        pgs = sc.point_geometry(surface, domain_samples(surface, 6))
+        af = pf.adapted_frame(pgs)
+        assert np.max(np.abs(af.H - pgs.H)) < 1e-9
+        assert np.max(np.abs(minor_rho(af) - pgs.rho)) < 1e-9
 
     def test_degenerate_angle_rejected(self, m_gamma_2):
         surface, _ = m_gamma_2
         with pytest.raises(sc.DegenerateProductAngleError):
-            pf.adapted_frame(sc.point_geometry(surface, np.array([0.3, 0.8, 1.0])))
+            pf.adapted_frame(sc.point_geometry(surface, one([0.3, 0.8, 1.0])))
 
 
 class TestQMatrix:
     def test_identity_at_zero(self, m_11_03):
         surface, _ = m_11_03
-        af = pf.adapted_frame(sc.point_geometry(surface, np.array([0.2, 0.1, 0.3])))
+        af = pf.adapted_frame(sc.point_geometry(surface, one([0.2, 0.1, 0.3])))
         assert np.allclose(q_matrix(af, 0.0), np.eye(3))
 
     @settings(max_examples=30, deadline=None)
@@ -138,48 +138,45 @@ class TestQMatrix:
     @settings(max_examples=40, deadline=None)
     @given(synthetic_frames(), st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
     def test_detq_expansion_is_determinant(self, af, l):
-        det = float(np.linalg.det(q_matrix(af, l)))
-        assert pf.detq_expansion(af, l) == pytest.approx(det, abs=1e-10 * max(1, abs(det)))
+        det = float(np.linalg.det(q_matrix(af, l))[0])
+        assert pf.detq_expansion(af, l)[0] == pytest.approx(det, abs=1e-10 * max(1, abs(det)))
 
     def test_detq_at_zero(self, m_11_03):
         surface, _ = m_11_03
-        af = pf.adapted_frame(sc.point_geometry(surface, np.array([0.2, 0.1, 0.3])))
-        assert pf.detq_expansion(af, 0.0) == 1.0
+        af = pf.adapted_frame(sc.point_geometry(surface, one([0.2, 0.1, 0.3])))
+        assert pf.detq_expansion(af, 0.0)[0] == 1.0
 
     @settings(max_examples=25, deadline=None)
     @given(synthetic_frames(), st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
     def test_detq_prime_analytic(self, af, l):
         h = 1e-6
         fd = (pf.detq_expansion(af, l + h) - pf.detq_expansion(af, l - h)) / (2 * h)
-        assert pf.detq_expansion_prime(af, l) == pytest.approx(fd, abs=1e-7)
+        assert pf.detq_expansion_prime(af, l)[0] == pytest.approx(fd[0], abs=1e-7)
 
 
 class TestArrayCalls:
-    """One call over an array of l gives the scalar calls' values bit for bit."""
+    """One call over an array of l gives each distance's batch of one, and
+    each run of distances, bit for bit."""
 
     @settings(max_examples=25, deadline=None)
     @given(synthetic_frames(),
            st.lists(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
                     min_size=1, max_size=12))
     def test_q_and_detq(self, af, ls):
-        ls = np.array(ls)
         for f in (q_matrix, q_prime, pf.detq_expansion):
-            got = f(af, ls)
-            want = np.array([f(af, l) for l in ls])
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
+            assert_rows_are_their_sub_batches(lambda x: f(af, x), np.array(ls))
 
     def test_parallel_curvatures(self, m_kk_tanh, m_tau_m2):
         ls = np.linspace(-0.9, 0.9, 37)   # M_tau(-2) is focal only at 0.931
         for surface, _ in (m_kk_tanh, m_tau_m2):
-            for u in domain_samples(surface, 3):
-                af = pf.adapted_frame(sc.point_geometry(surface, u))
+            frames = pf.adapted_frame(sc.point_geometry(surface, domain_samples(surface, 3)))
+            for i in range(3):
                 for f in (pf.parallel_lambdas, pf.mean_curvature_of_parallel):
-                    assert np.array_equal(f(af, ls), np.array([f(af, l) for l in ls]))
+                    assert_rows_are_their_sub_batches(lambda x: f(frames[i:i + 1], x), ls)
 
     def test_focal_value_in_array_raises(self, m_tau_m2):
         surface, _ = m_tau_m2
-        af = pf.adapted_frame(sc.point_geometry(surface, np.array([0.7, 1.1, 2.0])))
+        af = pf.adapted_frame(sc.point_geometry(surface, one([0.7, 1.1, 2.0])))
         ls = np.array([0.0, 0.3, mz.mtau_focal_radius(-2.0), 0.5])
         for f in (shape_operator, pf.mean_curvature_of_parallel,
                   pf.parallel_lambdas):
@@ -379,12 +376,12 @@ class TestClosedFormSpectrum:
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(rotated_spectra(), min_size=1, max_size=6))
-    def test_batch_rows_are_the_one_matrix_calls(self, matrices):
+    def test_batch_rows_are_their_batches_of_one(self, matrices):
         batch = np.stack(matrices)
-        want = np.array([real_spectrum(s) for s in matrices])
-        assert np.array_equal(real_spectrum(batch), want)
+        assert_rows_are_their_sub_batches(real_spectrum, batch)
         # the same matrices as a (3, 3, n) transpose: strided entries
-        assert np.array_equal(real_spectrum(np.moveaxis(batch.T, -1, 0).swapaxes(-1, -2)), want)
+        assert np.array_equal(real_spectrum(np.moveaxis(batch.T, -1, 0).swapaxes(-1, -2)),
+                              real_spectrum(batch))
 
     def test_double_eigenvalue_scan(self):
         # M_1m1 c = 1/2 has the principal curvatures {0, 1/sqrt 2, 1/sqrt 2}:
@@ -402,11 +399,13 @@ FLOW_FUNCTIONS = (shape_operator, pf.mean_curvature_of_parallel, pf.parallel_lam
 
 
 def frame_batch(frames):
-    return pf.AdaptedFrame(np.array([af.C for af in frames]), np.stack([af.A for af in frames]))
+    """Batches of frames laid end to end as one batch."""
+    return pf.AdaptedFrame(np.concatenate([af.C for af in frames]),
+                           np.concatenate([af.A for af in frames]))
 
 
 def stacked_bundles(pgs):
-    """One-point bundles stacked into a batch bundle, field by field."""
+    """Rows of bundles stacked into a batch bundle, field by field."""
     return sc.PointGeometry(**{f.name: np.stack([getattr(pg, f.name) for pg in pgs])
                                for f in dataclasses.fields(sc.PointGeometry)})
 
@@ -416,64 +415,60 @@ def minor_rho(af):
     return 2.0 * sum(af.principal_minors()) - 2.0
 
 
-def assert_batch_rows_equal(batch, frames, ls, functions):
-    """Every row of the batch at the column ls (m, 1) is its one-frame,
-    one-distance call bit for bit."""
-    for name in ("cplus", "cminus", "H"):
-        assert np.array_equal(getattr(batch, name), [getattr(af, name) for af in frames])
-        assert all(type(getattr(af, name)) is float for af in frames)
-    assert np.array_equal(batch.principal_minors(), np.array([af.principal_minors() for af in frames]).T)
-    for got, *want in zip(pf._detq_terms(batch), *(pf._detq_terms(af) for af in frames)):
-        for k in (0, 1):   # alpha and beta of each term
-            assert np.array_equal(np.broadcast_to(got[k], batch.C.shape), [w[k] for w in want])
-    closed = pf.detq_derivatives_at_0(batch, minor_rho(batch))
-    numeric = pf.detq_derivatives_numeric(batch)
-    for k in pf.DETQ_ORDERS:
-        assert np.array_equal(closed[k], [pf.detq_derivatives_at_0(af, minor_rho(af))[k]
-                                          for af in frames])
-        assert np.array_equal(numeric[k], [pf.detq_derivatives_numeric(af)[k] for af in frames])
-    for c, factors in enumerate(pf._hyperbolic(batch, ls)):
-        for q, got in enumerate(factors):
-            want = [[pf._hyperbolic(af, float(l))[c][q] for af in frames] for l in ls[:, 0]]
-            assert np.array_equal(got, want)
-    for f in functions:
-        got = f(batch, ls)
-        want = np.array([[f(af, float(l)) for af in frames] for l in ls[:, 0]])
-        assert got.shape == want.shape
-        assert np.array_equal(got, want), f.__name__
+def hyperbolic(af, l):
+    """The six factors of ``pf._hyperbolic``, stacked on a last axis."""
+    return np.stack([x for factors in pf._hyperbolic(af, l) for x in factors], axis=-1)
+
+
+def frame_values(af):
+    """Everything the frames ``af`` give without a distance."""
+    terms = [np.broadcast_to(x, af.C.shape) for term in pf._detq_terms(af) for x in term[:2]]
+    return [af.cplus, af.cminus, af.H, *af.principal_minors(), *terms,
+            pf.detq_derivatives_at_0(af, minor_rho(af)), pf.detq_derivatives_numeric(af)]
+
+
+def assert_batch_rows_equal(batch, ls, functions):
+    """Every row of the batch of frames, and every row of the batch at the
+    column ls (m, 1), is bit for bit its batch of one, and each run of
+    frames, at each distance alone."""
+    frames = np.arange(len(batch.C))
+    assert_rows_are_their_sub_batches(lambda i: frame_values(batch[i]), frames)
+    for f in (hyperbolic, *functions):
+        whole = f(batch, ls)
+        for j in range(len(ls)):
+            assert np.array_equal(whole[j], f(batch, ls[j])), f.__name__
+            assert_rows_are_their_sub_batches(lambda i: f(batch[i], ls[j]), frames)
 
 
 class TestFrameBatch:
-    """A batch of frames at a column of distances gives the one-frame calls bit for bit."""
+    """A batch of frames at a column of distances gives each frame's batch of
+    one bit for bit."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(synthetic_frames(), min_size=1, max_size=5),
            st.lists(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
                     min_size=1, max_size=6))
     def test_synthetic_frames(self, frames, ls):
-        batch = frame_batch(frames)
-        assert_batch_rows_equal(batch, frames, np.array(ls)[:, None], L_FUNCTIONS)
+        assert_batch_rows_equal(frame_batch(frames), np.array(ls)[:, None], L_FUNCTIONS)
 
     @pytest.mark.parametrize("model", ["m_kk_tanh", "m_tau_m2"])
     def test_model_frames(self, model, request):
         surface, _ = request.getfixturevalue(model)
         pgs = sc.point_geometry(surface, domain_samples(surface, 5))
         batch = pf.adapted_frame(pgs)
-        frames = [pf.adapted_frame(pg) for pg in pgs]
-        assert np.array_equal(pf.frame_vectors(pgs), [pf.frame_vectors(pg) for pg in pgs])
-        assert np.array_equal(batch.C, [af.C for af in frames])
-        assert np.array_equal(batch.A, [af.A for af in frames])
-        row = batch[2]
-        assert type(row.C) is float and np.array_equal(row.A, frames[2].A)
+        assert_rows_are_their_sub_batches(
+            lambda i: (pf.frame_vectors(pgs[i]), pf.adapted_frame(pgs[i])), np.arange(5))
+        row = batch[2:3]
+        assert row.C == batch.C[2] and np.array_equal(row.A, batch.A[2:3])
         ls = np.linspace(-0.9, 0.9, 7)[:, None]   # M_tau(-2) is focal only at 0.931
-        assert_batch_rows_equal(batch, frames, ls, L_FUNCTIONS + FLOW_FUNCTIONS)
+        assert_batch_rows_equal(batch, ls, L_FUNCTIONS + FLOW_FUNCTIONS)
 
     def test_degenerate_row_raises_the_first_rows_error(self, m_tau_m2):
         surface, _ = m_tau_m2
-        good = sc.point_geometry(surface, np.array([0.7, 1.1, 2.0]))
+        good = geometry_at(surface, [0.7, 1.1, 2.0])
         rows = [good, dataclasses.replace(good, C=-0.9999999999), dataclasses.replace(good, C=1.0)]
         with pytest.raises(sc.DegenerateProductAngleError) as one:
-            pf.adapted_frame(rows[1])
+            pf.adapted_frame(stacked_bundles(rows[1:2]))
         with pytest.raises(sc.DegenerateProductAngleError) as batch:
             pf.adapted_frame(stacked_bundles(rows))
         assert str(batch.value) == str(one.value) == "|C|=0.999999999900 too close to 1"
@@ -488,9 +483,9 @@ class TestFrameBatch:
             with pytest.raises(pf.FocalPointError, match="at l = 0.93"):
                 f(batch, ls)
         # one focal frame among regular ones: only the pair (frame 1, l) is focal
-        focal_frame = pf.AdaptedFrame(0.0, np.diag([0.0, 2.0, 0.5]))
-        mixed = frame_batch([pf.adapted_frame(sc.point_geometry(surface, domain_samples(surface, 1)[0])),
-                             focal_frame])
+        focal_frame = pf.AdaptedFrame([0.0], np.diag([0.0, 2.0, 0.5])[None])
+        regular = pf.adapted_frame(sc.point_geometry(surface, domain_samples(surface, 1)))
+        mixed = frame_batch([regular, focal_frame])
         c = math.sqrt(0.5)
         l_star = math.atanh(c / 2.0) / c     # cosh(c l) = (2 / c) sinh(c l)
         with pytest.raises(pf.FocalPointError):
@@ -499,40 +494,46 @@ class TestFrameBatch:
 
 def reference_minors(a):
     """Principal minors of one frame's nested A in Python floats."""
-    return [a[0][0] * a[1][1] - a[0][1] ** 2, a[0][0] * a[2][2] - a[0][2] ** 2,
-            a[1][1] * a[2][2] - a[1][2] ** 2]
+    return [a[0][0] * a[1][1] - a[0][1] * a[0][1], a[0][0] * a[2][2] - a[0][2] * a[0][2],
+            a[1][1] * a[2][2] - a[1][2] * a[1][2]]
 
 
 def reference_detq_derivatives(c, a):
     """Closed-form and Taylor-series det Q derivatives at l = 0 of one frame,
-    float by float, with one 1-D np.convolve per series product."""
+    float by float: each power one np.power call on one float, and each
+    series product sum_a p_a m_(k-a) added in increasing a."""
     h12, h13, h23 = reference_minors(a)
     rho = 2.0 * (h12 + h13 + h23) - 2.0
+    c2, c3, c4 = (float(np.power(c, m)) for m in (2, 3, 4))
     closed = [-float(np.trace(np.array(a))), rho + 3.0,
-              6.0 - c ** 2 + (4.0 - 4.0 * c) * h12 + (4.0 + 4.0 * c) * h13 + 2.0 * rho,
-              (12.0 - 5.0 * c ** 2 + (16.0 - 12.0 * c - 4.0 * c ** 2) * h12
-               + (16.0 + 12.0 * c - 4.0 * c ** 2) * h13 + (4.0 - c ** 2) * rho),
-              (24.0 - 16.0 * c ** 2 + c ** 4 + (8.0 - 4.0 * c ** 2) * rho
-               + (48.0 - 32.0 * c - 24.0 * c ** 2 + 8.0 * c ** 3) * h12
-               + (48.0 + 32.0 * c - 24.0 * c ** 2 - 8.0 * c ** 3) * h13)]
+              6.0 - c2 + (4.0 - 4.0 * c) * h12 + (4.0 + 4.0 * c) * h13 + 2.0 * rho,
+              (12.0 - 5.0 * c2 + (16.0 - 12.0 * c - 4.0 * c2) * h12
+               + (16.0 + 12.0 * c - 4.0 * c2) * h13 + (4.0 - c2) * rho),
+              (24.0 - 16.0 * c2 + c4 + (8.0 - 4.0 * c2) * rho
+               + (48.0 - 32.0 * c - 24.0 * c2 + 8.0 * c3) * h12
+               + (48.0 + 32.0 * c - 24.0 * c2 - 8.0 * c3) * h13)]
     k = (a[0][0] * h23 - a[0][1] * (a[0][1] * a[2][2] - a[0][2] * a[1][2])
          + a[0][2] * (a[0][1] * a[1][2] - a[0][2] * a[1][1]))
-    factors = [[np.array([x ** (m - i) / math.factorial(m) if m % 2 == i else 0.0
-                          for m in range(9)]) for i in (0, 1)]
+    factors = [[[float(np.power(x, m - i)) / math.factorial(m) if m % 2 == i else 0.0
+                 for m in range(9)] for i in (0, 1)]
                for x in (math.sqrt((1.0 + c) / 2.0), math.sqrt((1.0 - c) / 2.0))]
-    series = np.zeros(9)
+    series = [0.0] * 9
     for alpha, beta, i, j in ((1.0, -a[0][0], 0, 0), (-a[1][1], h12, 1, 0),
                               (-a[2][2], h13, 0, 1), (h23, -k, 1, 1)):
-        pm = np.convolve(factors[0][i], factors[1][j])[:9]
-        series += alpha * pm
-        series[1:] += beta * pm[:-1]
-    return closed, [math.factorial(k) * float(series[k]) for k in pf.DETQ_ORDERS]
+        p, m = factors[0][i], factors[1][j]
+        pm = [0.0] * 9
+        for first in range(9):
+            for order in range(first, 9):
+                pm[order] += p[first] * m[order - first]
+        series = [x + alpha * y for x, y in zip(series, pm)]
+        series = series[:1] + [x + beta * y for x, y in zip(series[1:], pm)]
+    return closed, [math.factorial(k) * series[k] for k in pf.DETQ_ORDERS]
 
 
-class TestScalarReference:
-    """Batched frame values against references written float by float, on
-    enough rows that a numpy power, square or batched product in place of
-    Python's ``**`` or ``np.convolve`` would show in the last bit."""
+class TestPerFrameReference:
+    """Batched frame values against references written frame by frame in
+    Python floats, on enough rows that a product or sum taken in another
+    order would show in the last bit."""
 
     def test_minors_and_detq_derivatives(self):
         rng = np.random.default_rng(7)
@@ -547,6 +548,7 @@ class TestScalarReference:
             want_closed, want_numeric = reference_detq_derivatives(c, a)
             assert [x[b] for x in closed] == want_closed
             assert [x[b] for x in numeric] == want_numeric
+        assert_rows_are_their_sub_batches(lambda i: frame_values(af[i]), np.arange(200))
 
     def test_frame_vectors(self):
         # frame_vectors reads C, V, the point and N of a bundle; random rows
@@ -557,17 +559,18 @@ class TestScalarReference:
         E = pf.frame_vectors(rows)
         for b, (c, v, x, n) in enumerate(zip(rows.C.tolist(), rows.V, rows.val, rows.N)):
             j1n, j2n = ps.complex_structures(x, n)
-            want = [v / math.sqrt(1.0 - c ** 2), (j1n + j2n) / math.sqrt(2.0 * (1.0 + c)),
+            want = [v / math.sqrt(1.0 - c * c), (j1n + j2n) / math.sqrt(2.0 * (1.0 + c)),
                     (j1n - j2n) / math.sqrt(2.0 * (1.0 - c))]
             assert np.array_equal(E[b], want)
 
 
 def scalar_bisection(af, lo, hi):
-    """The one-bracket bisection of det Q, float by float."""
-    flo = float(pf.detq_expansion(af, lo))
+    """The one-bracket bisection of det Q of a batch of one frame, float by
+    float."""
+    flo = float(pf.detq_expansion(af, lo)[0])
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        fm = float(pf.detq_expansion(af, mid))
+        fm = float(pf.detq_expansion(af, mid)[0])
         if flo * fm <= 0.0:
             hi = mid
         else:
@@ -586,12 +589,12 @@ class TestVectorBisection:
         rows, j = np.nonzero(det[:, :-1] * det[:, 1:] < 0)
         assert len(rows) == 8
         roots = pf.find_focal_radius(batch[rows], grid[j], grid[j + 1])
-        singles = [pf.find_focal_radius(batch[r], float(grid[i]), float(grid[i + 1]))
-                   for r, i in zip(rows.tolist(), j.tolist())]
-        assert all(type(x) is float for x in singles)
-        assert np.array_equal(roots, singles)
-        assert singles == [scalar_bisection(batch[r], float(grid[i]), float(grid[i + 1]))
-                           for r, i in zip(rows.tolist(), j.tolist())]
+        assert_rows_are_their_sub_batches(
+            lambda k: pf.find_focal_radius(batch[rows[k]], grid[j[k]], grid[j[k] + 1]),
+            np.arange(len(rows)))
+        assert roots.tolist() == [
+            scalar_bisection(batch[r:r + 1], float(grid[i]), float(grid[i + 1]))
+            for r, i in zip(rows.tolist(), j.tolist())]
         assert np.max(np.abs(pf.detq_expansion(batch[rows], roots))) < 1e-9
 
     def test_bracket_without_sign_change_raises(self, m_tau_m2):
@@ -604,58 +607,57 @@ class TestVectorBisection:
 class TestMeanCurvature:
     def test_h_at_zero_is_trace(self, m_kk_tanh):
         surface, _ = m_kk_tanh
-        for u in domain_samples(surface, 5):
-            pg = sc.point_geometry(surface, u)
-            af = pf.adapted_frame(pg)
-            assert pf.mean_curvature_of_parallel(af, 0.0) == pytest.approx(pg.H, abs=1e-11)
+        pgs = sc.point_geometry(surface, domain_samples(surface, 5))
+        af = pf.adapted_frame(pgs)
+        assert np.max(np.abs(pf.mean_curvature_of_parallel(af, 0.0) - pgs.H)) < 1e-11
 
     def test_constant_along_flow_for_horocycle_products(self, m_1m1_04):
         surface, _ = m_1m1_04
-        af = pf.adapted_frame(sc.point_geometry(surface, np.array([0.2, -0.3, 0.5])))
+        af = pf.adapted_frame(sc.point_geometry(surface, one([0.2, -0.3, 0.5])))
         h0 = pf.mean_curvature_of_parallel(af, 0.0)
-        for l in np.linspace(-1, 1, 21):
-            assert pf.mean_curvature_of_parallel(af, l) == pytest.approx(h0, abs=1e-9)
+        assert np.max(np.abs(pf.mean_curvature_of_parallel(af, np.linspace(-1, 1, 21)) - h0)) < 1e-9
 
     @settings(max_examples=20, deadline=None)
     @given(synthetic_frames(), st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
     def test_two_expressions_agree(self, af, l):
-        det = pf.detq_expansion(af, l)
+        det = pf.detq_expansion(af, l)[0]
         if abs(det) < 1e-6:
             return
-        q = q_matrix(af, l)
-        h_tr = -float(np.trace(np.linalg.solve(q, q_prime(af, l))))
-        h_det = -pf.detq_expansion_prime(af, l) / det
+        q = q_matrix(af, l)[0]
+        h_tr = -float(np.trace(np.linalg.solve(q, q_prime(af, l)[0])))
+        h_det = -pf.detq_expansion_prime(af, l)[0] / det
         assert abs(h_tr - h_det) < 1e-9 * max(1.0, abs(h_tr))
 
     def test_direct_recomputation_on_parallel_chart(self, m_tau_m2):
         surface, _ = m_tau_m2
-        u = np.array([0.7, 1.1, 2.0])
-        pg = sc.point_geometry(surface, u)
-        af = pf.adapted_frame(pg)
+        u = one([0.7, 1.1, 2.0])
+        af = pf.adapted_frame(sc.point_geometry(surface, u))
         for l in (0.3, -0.5):
-            pgl = sc.point_geometry(pf.parallel_surface(surface, l), u)
-            assert pgl.H == pytest.approx(pf.mean_curvature_of_parallel(af, l), abs=1e-6)
+            pgl = sc.point_geometry(pf.parallel_surface(surface, [l]), u)
+            assert pgl.H[0] == pytest.approx(pf.mean_curvature_of_parallel(af, l)[0], abs=1e-6)
             assert np.max(np.abs(pgl.lambdas - pf.parallel_lambdas(af, l))) < 1e-6
 
     def test_focal_point_raises(self, m_tau_m2):
         surface, _ = m_tau_m2
-        af = pf.adapted_frame(sc.point_geometry(surface, np.array([0.7, 1.1, 2.0])))
+        af = pf.adapted_frame(sc.point_geometry(surface, one([0.7, 1.1, 2.0])))
         l_star = mz.mtau_focal_radius(-2.0)
         with pytest.raises(pf.FocalPointError):
             pf.mean_curvature_of_parallel(af, l_star)
 
 
 def flowed(surface, u, l):
-    """Point and unit normal of the parallel chart at distance l, as ambient 6-vectors."""
-    p, q, n = pf.parallel_surface(surface, l).chart([float(x) for x in u])
-    return np.array([*p, *q], dtype=float), np.array(n, dtype=float)
+    """Point and unit normal of the parallel chart at distance l, as ambient
+    6-vectors, read from the batch of one of the chart point u."""
+    p, q, n = pf.parallel_surface(surface, [l]).chart(list(one(u).T))
+    return (np.stack(np.broadcast_arrays(*p, *q), axis=-1)[0],
+            np.stack(np.broadcast_arrays(*n), axis=-1)[0])
 
 
 class TestParallelPoints:
     def test_zero_distance(self, m_1m1_04):
         surface, _ = m_1m1_04
         u = np.array([0.2, -0.3, 0.5])
-        pg = sc.point_geometry(surface, u)
+        pg = geometry_at(surface, u)
         point, normal = flowed(surface, u, 0.0)
         assert np.allclose(point, pg.val)
         assert np.allclose(normal, pg.N)
@@ -663,7 +665,7 @@ class TestParallelPoints:
     def test_angle_preserved_along_flow(self):
         surface, _ = mz.build_model(mz.ModelSpec("M_1m1", {"c": 0.4}))
         u = np.array([0.2, -0.3, 0.5])
-        pg = sc.point_geometry(surface, u)
+        pg = geometry_at(surface, u)
         point, nl = flowed(surface, u, 0.37)
         assert inner(ps.P6 @ nl, nl) == pytest.approx(pg.C, abs=1e-10)
         # J1 N is untouched by the flow
@@ -678,8 +680,8 @@ class TestParallelPoints:
         l = 0.37
         point, _ = flowed(surface, [t, r, s], l)
         from h2h2.lorentz import PlaneCurve
-        g1, n1 = map(np.array, PlaneCurve(1.0).jet(r))
-        g2, n2 = map(np.array, PlaneCurve(-1.0, normal_sign=-1).jet(s))
+        g1, n1 = (np.array(x)[:, 0] for x in PlaneCurve(1.0).jet(np.array([r])))
+        g2, n2 = (np.array(x)[:, 0] for x in PlaneCurve(-1.0, normal_sign=-1).jet(np.array([s])))
         a1 = math.sqrt(c) * t + math.sqrt(1 - c) * l
         a2 = math.sqrt(1 - c) * t - math.sqrt(c) * l
         want = np.concatenate([
@@ -697,7 +699,7 @@ class TestParallelPoints:
 
         surface, _ = m_11_03
         u = np.array([0.3, -0.6, 0.8])
-        pg = sc.point_geometry(surface, u)
+        pg = geometry_at(surface, u)
         for l in (0.45, -0.7):
             point, _ = flowed(surface, u, l)
             p_l = h2_exp(pg.val[:3], pg.N[:3], l)
@@ -709,15 +711,15 @@ class TestParallelPoints:
         u = np.array([0.1, 0.4, -0.2])
         l = 0.45
         _, nl = flowed(surface, u, l)
-        pgl = sc.point_geometry(pf.parallel_surface(surface, l), u)
+        pgl = geometry_at(pf.parallel_surface(surface, [l]), u)
         assert abs(inner(nl, nl) - 1.0) < 1e-10
         assert np.max(np.abs(pgl.N - nl)) < 1e-10
         assert np.max(np.abs(pgl.jac.T @ sc.ETA6 @ nl)) < 1e-9
 
     def test_parallel_chart_calls_the_base_chart_once(self, m_kk_tanh):
         base, calls = counted_chart(m_kk_tanh[0])
-        u = np.array([0.1, 0.4, -0.2])
-        parallel = pf.parallel_surface(base, 0.45)
+        u = one([0.1, 0.4, -0.2])
+        parallel = pf.parallel_surface(base, [0.45])
         parallel.chart(ad.jet_variables(u))
         assert len(calls) == 1
         sc.point_geometry(parallel, u)
@@ -731,55 +733,51 @@ PER_ROW_MODELS = [mz.ModelSpec("M_tau", {"tau": -2.0}), mz.ModelSpec("M_tau", {"
 
 class TestPerRowDistances:
     """One parallel-chart pass with one distance per row, as verify's
-    parallel_shape_consistency makes it, against the float-distance calls."""
+    parallel_shape_consistency makes it, against each row's batch of one."""
 
     @pytest.mark.parametrize("spec", PER_ROW_MODELS, ids=str)
-    def test_rows_equal_the_float_distance_calls(self, spec):
+    def test_rows_equal_their_batches_of_one(self, spec):
         surface, _ = mz.build_model(spec)
         U = domain_samples(surface, 3, seed=1)
         rows, ls = np.tile(np.arange(3), 2), np.repeat([0.25, -0.4], 3)
-        merged = pf.parallel_surface(surface, ls)
-        jets = sc.chart_jet(merged, U[rows])
-        pgls = sc.point_geometry(merged, U[rows], order=2)
         af = pf.adapted_frame(sc.point_geometry(surface, U, order=2))
-        lams = pf.parallel_lambdas(af[rows], ls)
-        hs = pf.mean_curvature_of_parallel(af[rows], ls)
-        for l, part in ((0.25, slice(0, 3)), (-0.4, slice(3, 6))):
-            batch = sc.point_geometry(pf.parallel_surface(surface, l), U, order=2)
-            for f in dataclasses.fields(sc.PointGeometry):
-                if f.name != "d3":
-                    assert np.array_equal(getattr(pgls[part], f.name), getattr(batch, f.name))
-            assert np.array_equal(lams[part], pf.parallel_lambdas(af, l))
-            assert np.array_equal(hs[part], pf.mean_curvature_of_parallel(af, l))
-        for i, (row, l) in enumerate(zip(rows, ls.tolist())):
-            one = sc.chart_jet(pf.parallel_surface(surface, l), U[row])
-            for name in ("val", "jac", "hess", "d3", "n", "dn"):
-                assert np.array_equal(getattr(jets, name)[i], getattr(one, name)), (i, name)
-            assert np.array_equal(lams[i], pf.parallel_lambdas(af[row], l))
-            assert hs[i] == pf.mean_curvature_of_parallel(af[row], l)
 
-    def test_a_failing_row_raises_its_float_distance_error(self, m_tau_m2):
+        def parallel(i):
+            # the rows i of the pass: chart jets, bundle and flow values
+            merged = pf.parallel_surface(surface, ls[i])
+            return (sc.chart_jet(merged, U[rows[i]]),
+                    sc.point_geometry(merged, U[rows[i]], order=2),
+                    pf.parallel_lambdas(af[rows[i]], ls[i]),
+                    pf.mean_curvature_of_parallel(af[rows[i]], ls[i]))
+
+        assert_rows_are_their_sub_batches(parallel, np.arange(6))
+        # each distance's rows are a pass at that one distance over U
+        for part in (slice(0, 3), slice(3, 6)):
+            assert_rows_equal(parallel(part), parallel(np.arange(6)), part)
+
+    def test_a_failing_row_raises_its_batch_of_one_error(self, m_tau_m2):
         # the parallel chart of M_tau(-2) degenerates at the focal radius:
-        # the batch raises the one-point error of that row, not an error of
-        # a chart evaluated at one point against all the distances
+        # the batch raises the error of that row's batch of one, not an
+        # error of a chart evaluated at one point against all the distances
         surface, _ = m_tau_m2
         U = domain_samples(surface, 2)
         l_star = mz.mtau_focal_radius(-2.0)
         with pytest.raises(sc.ChartRankError) as one:
-            sc.point_geometry(pf.parallel_surface(surface, l_star), U[1], order=2)
+            sc.point_geometry(pf.parallel_surface(surface, [l_star]), U[1:2], order=2)
         ls = np.array([0.25, 0.25, -0.4, l_star])
         merged = pf.parallel_surface(surface, ls)
-        assert merged.row_surface(3).name == pf.parallel_surface(surface, l_star).name
+        with pytest.raises(sc.ChartRankError) as row:
+            sc.point_geometry(merged.row_surface(3), U[1:2], order=2)
         with pytest.raises(sc.ChartRankError) as batch:
             sc.point_geometry(merged, U[[0, 1, 0, 1]], order=2)
-        assert str(batch.value) == str(one.value)
+        assert str(batch.value) == str(row.value) == str(one.value)
 
     def test_distances_must_match_the_batch(self, m_tau_m2):
         surface, _ = m_tau_m2
         U = domain_samples(surface, 3)
         merged = pf.parallel_surface(surface, np.array([0.25, -0.4]))
-        for call in (lambda: merged.point(U[0]), lambda: merged.point(U),
-                     lambda: sc.chart_jet(merged, U[:1]), lambda: sc.chart_jet(merged, U[0])):
+        for call in (lambda: merged.point(U[:1]), lambda: merged.point(U),
+                     lambda: sc.chart_jet(merged, U[:1]), lambda: sc.chart_jet(merged, U)):
             with pytest.raises(ValueError, match="2 distances, one per row"):
                 call()
 
@@ -788,8 +786,10 @@ class TestEq35:
     def test_closed_form_parallel_curvatures(self):
         c = 0.4
         surface, _ = mz.make_M_kk(c, 1.0, -1.0)
-        for u in domain_samples(surface, 5):
-            af = pf.adapted_frame(sc.point_geometry(surface, u))
+        U = domain_samples(surface, 5)
+        frames = pf.adapted_frame(sc.point_geometry(surface, U))
+        for i, u in enumerate(U):
+            af = frames[i:i + 1]
             t = float(u[0])
             for l in (0.3, -0.45, 0.8):
                 a1 = math.sqrt(c) * t + math.sqrt(1 - c) * l
@@ -799,20 +799,20 @@ class TestEq35:
                 lam3 = math.sqrt(c) * (math.sinh(a2) + math.cosh(a2)) / (
                     math.cosh(a2) + math.sinh(a2))
                 want = np.sort([0.0, lam2, lam3])
-                assert np.max(np.abs(pf.parallel_lambdas(af, l) - want)) < 1e-8
+                assert np.max(np.abs(pf.parallel_lambdas(af, l)[0] - want)) < 1e-8
 
 
 class TestDetQDerivatives:
     def test_order_one_is_minus_h(self, m_11_03):
         surface, _ = m_11_03
-        pg = sc.point_geometry(surface, np.array([0.2, 0.1, 0.3]))
+        pg = sc.point_geometry(surface, one([0.2, 0.1, 0.3]))
         af = pf.adapted_frame(pg)
         der = pf.detq_derivatives_at_0(af, pg.rho)
         assert der[1] == pytest.approx(-pg.H, abs=1e-12)
 
     def test_order_two_is_rho_plus_three(self, m_1m1_04):
         surface, _ = m_1m1_04
-        pg = sc.point_geometry(surface, np.array([0.2, 0.1, 0.3]))
+        pg = sc.point_geometry(surface, one([0.2, 0.1, 0.3]))
         af = pf.adapted_frame(pg)
         der = pf.detq_derivatives_at_0(af, pg.rho)
         assert der[2] == pytest.approx(pg.rho + 3.0, abs=1e-12)
@@ -822,7 +822,7 @@ class TestDetQDerivatives:
     def test_m_tau_order_four_value(self, m_tau_m2):
         # C = 0, H12 = H13 = 0, rho = -1 gives 6 - 0 + 0 + 0 - 2 = 4
         surface, _ = m_tau_m2
-        pg = sc.point_geometry(surface, np.array([0.7, 1.1, 2.0]))
+        pg = sc.point_geometry(surface, one([0.7, 1.1, 2.0]))
         af = pf.adapted_frame(pg)
         der = pf.detq_derivatives_at_0(af, pg.rho)
         assert der[4] == pytest.approx(4.0, abs=1e-9)
@@ -847,22 +847,22 @@ class TestDetQDerivatives:
 
     @settings(max_examples=40, deadline=None)
     @given(synthetic_frames())
-    @example(pf.AdaptedFrame(0.0, [[T_BAND, 0.75, T_BAND], [0.75, 0.0, T_BAND],
-                                   [T_BAND, T_BAND, 0.0]]))
+    @example(pf.AdaptedFrame([0.0], [[[T_BAND, 0.75, T_BAND], [0.75, 0.0, T_BAND],
+                                     [T_BAND, T_BAND, 0.0]]]))
     def test_minor_sum_identity_synthetic(self, af):
         # sigma_2 of the eigenvalues is ((tr A)² - tr A²)/2, taken exactly
-        a = [[Fraction(x) for x in row] for row in af.A.tolist()]
+        a = [[Fraction(x) for x in row] for row in af.A[0].tolist()]
         trace = sum(a[i][i] for i in range(3))
         e2 = float((trace * trace - sum(x * x for row in a for x in row)) / 2)
         h12, h13, h23 = af.principal_minors()
-        assert 2 * (h12 + h13 + h23) == pytest.approx(2 * e2, abs=1e-10)
+        assert 2 * (h12 + h13 + h23)[0] == pytest.approx(2 * e2, abs=1e-10)
 
 
 class TestFocalStructure:
     def test_root_location(self, m_tau_m2):
         surface, _ = m_tau_m2
-        af = pf.adapted_frame(sc.point_geometry(surface, np.array([0.7, 1.1, 2.0])))
-        root = pf.find_focal_radius(af, 0.5, 1.2)
+        af = pf.adapted_frame(sc.point_geometry(surface, one([0.7, 1.1, 2.0])))
+        root = pf.find_focal_radius(af, 0.5, 1.2)[0]
         assert abs(root - mz.mtau_focal_radius(-2.0)) < 1e-6
 
     def test_pushforward_norm(self, m_tau_m2):
@@ -893,14 +893,14 @@ class TestFocalStructure:
 class TestFlowInvariants:
     def test_q_and_det_along_the_flow(self, m_tau_m2):
         surface, _ = m_tau_m2
-        af = pf.adapted_frame(sc.point_geometry(surface, np.array([0.7, 1.1, 2.0])))
-        q0 = q_matrix(af, 0.0)
+        af = pf.adapted_frame(sc.point_geometry(surface, one([0.7, 1.1, 2.0])))
+        q0 = q_matrix(af, 0.0)[0]
         assert np.allclose(q0, np.eye(3))
         assert float(np.linalg.det(q0)) == pytest.approx(1.0)
         # det Q stays positive on the component of l = 0 before the focal value
         l_star = mz.mtau_focal_radius(-2.0)
         for l in np.linspace(-0.5, l_star - 0.05, 15):
-            assert float(np.linalg.det(q_matrix(af, l))) > 0
+            assert float(np.linalg.det(q_matrix(af, l)[0])) > 0
 
 
 def focal_flags_reference(values):
@@ -1130,15 +1130,16 @@ class TestScanColumns:
 
     def test_columns_equal_a_per_node_recomputation(self):
         surface, pts, grid, rep = self.scan()
-        frames = [pf.adapted_frame(pg) for pg in sc.point_geometry(surface, pts)]
+        batch = pf.adapted_frame(sc.point_geometry(surface, pts))
+        frames = [batch[i:i + 1] for i in range(len(pts))]
         for j in range(0, len(grid), 97):
             l = float(grid[j])
-            dets = [float(pf.detq_expansion(af, l)) for af in frames]
+            dets = [float(pf.detq_expansion(af, l)[0]) for af in frames]
             assert rep.min_abs_detq[j] == min(map(abs, dets))
             if rep.focal[j]:
                 continue
-            hs = [float(pf.mean_curvature_of_parallel(af, l)) for af in frames]
-            lams = np.array([pf.parallel_lambdas(af, l) for af in frames])
+            hs = [float(pf.mean_curvature_of_parallel(af, l)[0]) for af in frames]
+            lams = np.array([pf.parallel_lambdas(af, l)[0] for af in frames])
             spread = float(np.max(lams.max(axis=0) - lams.min(axis=0)))
             assert rep.h_mean[j] == pytest.approx(np.mean(hs), rel=1e-13, abs=1e-13)
             assert rep.h_spread[j] == pytest.approx(max(hs) - min(hs), abs=1e-13)
@@ -1177,29 +1178,29 @@ class TestFrameFieldJacobians:
         surface = request.getfixturevalue(model)
         surface = surface[0] if isinstance(surface, tuple) else surface
         for u in domain_samples(surface, 3):
-            pg = sc.point_geometry(surface, u)
+            pg = sc.point_geometry(surface, one(u))
             d = sc.point_derivatives(pg)
             dE = pf._adapted_frame_jacobians(pg, d)
-            self.check(np.moveaxis(dE, 0, 1),
-                       lambda x: pf.frame_vectors(sc.point_geometry(surface, x)).T, u)
+            self.check(np.moveaxis(dE[0], 0, 1),
+                       lambda x: pf.frame_vectors(sc.point_geometry(surface, one(x)))[0].T, u)
             for i in (1, 2):
-                self.check(pf._shape_apply_jacobian(pg, d, pf.frame_vectors(pg)[i], dE[i]),
-                           lambda x, i=i: (lambda q: q.shape_apply(pf.frame_vectors(q)[i]))(
-                               sc.point_geometry(surface, x)), u)
+                self.check(pf._shape_apply_jacobian(pg, d, pf.frame_vectors(pg)[:, i], dE[:, i])[0],
+                           lambda x, i=i: (lambda q: q.shape_apply(pf.frame_vectors(q)[:, i]))(
+                               sc.point_geometry(surface, one(x)))[0], u)
 
     @pytest.mark.parametrize("model", ["m_kk_tanh", "m_tau_m2"])
     def test_principal_fields(self, model, request):
         # both models have three distinct principal curvatures
         surface, _ = request.getfixturevalue(model)
         for u in domain_samples(surface, 3):
-            pg = sc.point_geometry(surface, u)
+            pg = sc.point_geometry(surface, one(u))
             dlam, dP = pf._principal_jacobians(pg, sc.point_derivatives(pg))
-            self.check(dlam, lambda x: sc.point_geometry(surface, x).lambdas, u)
+            self.check(dlam[0], lambda x: geometry_at(surface, x).lambdas, u)
 
             def principal(x):
                 # eigenvector signs follow the centre point's
-                cols = sc.point_geometry(surface, x).principal_ambient
-                signs = np.sign(np.einsum("ai,ab,bi->i", cols, sc.ETA6, pg.principal_ambient))
+                cols = geometry_at(surface, x).principal_ambient
+                signs = np.sign(np.einsum("ai,ab,bi->i", cols, sc.ETA6, pg.principal_ambient[0]))
                 return cols * signs
 
-            self.check(np.moveaxis(dP, 0, 1), principal, u)
+            self.check(np.moveaxis(dP[0], 0, 1), principal, u)

@@ -20,7 +20,7 @@ from h2h2 import parallel_flow as pf
 from h2h2 import report as rp
 from h2h2 import surface_calculus as sc
 
-from conftest import counted_chart, scan_of
+from conftest import assert_rows_are_their_sub_batches, counted_chart, scan_of
 
 
 def run_cli(argv):
@@ -361,7 +361,7 @@ class TestPoincareDump:
         mz.ModelSpec("M_kk", {"c": 0.5, "kappa": "tanh", "kappa_tilde": "one"})], ids=str)
     def test_dump_equals_per_point_reference(self, spec, tmp_path):
         # the grid, then the coordinate lines through the centre, each point
-        # by its own chart call and projected factor by factor
+        # by the chart call of its batch of one and projected factor by factor
         surface, _ = mz.build_model(spec)
         dom = surface.domain
         axes = [np.linspace(d[0], d[1], rp.POINCARE_GRID_N) for d in dom]
@@ -374,7 +374,7 @@ class TestPoincareDump:
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["factor", "u1", "u2", "u3", "disk_x", "disk_y"])
         for u in points:
-            x = surface.point(np.array(u, dtype=float))
+            x = surface.point(np.array([u], dtype=float))[0]
             for factor, part in ((1, x[:3]), (2, x[3:])):
                 w.writerow([factor, *(repr(float(v)) for v in u),
                             *(repr(float(d)) for d in rp.poincare_project(part))])
@@ -602,16 +602,16 @@ def test_verify_reads_third_derivatives_on_the_structural_rows_only(monkeypatch)
 @pytest.mark.parametrize("spec", [mz.ModelSpec("M_1m1", {"c": 0.3}),
                                   mz.ModelSpec("M_1m1", {"c": 0.5}),
                                   mz.ModelSpec("M_11", {"c": 0.6})])
-def test_batch_chart_values_equal_float_points(spec):
+def test_batch_chart_values_equal_batches_of_one(spec):
     # a value-only chart pass on coordinate arrays, as poincare_dump makes
-    # over its grid, equals the float chart evaluations and the values of
-    # the jet pass bit for bit
+    # over its grid, equals each point's batch of one and the values of the
+    # jet pass bit for bit
     surface, _ = mz.build_model(spec)
     axes = [np.linspace(d[0], d[1], 5) for d in surface.domain]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     points = surface.point(grid)
     assert points.shape == (125, 6)
-    assert np.array_equal(points, np.array([surface.point(u) for u in grid]))
+    assert_rows_are_their_sub_batches(surface.point, grid)
     assert np.array_equal(sc.chart_jet(surface, grid).val, points)
 
 
