@@ -27,7 +27,9 @@ which give an element the same bits whatever batch it sits in
 
 Plain floats, and arrays of them, pass through every function here without
 derivatives, so chart code can be written once and evaluated at coordinate
-arrays or at jets.  In the arithmetic of a batch, a float array of the batch
+arrays or at jets; a jet's value is bit for bit what the same code gives on
+the array of its values (a quotient's value is a / b, its derivatives come
+from the reciprocal).  In the arithmetic of a batch, a float array of the batch
 shape stands wherever a float may, as one constant per row, and each row is
 bit for bit the jet with that row's float (a power's exponent stays a
 number).  ``Jet.__array_ufunc__`` is None, so ``array * jet`` and the other
@@ -127,7 +129,9 @@ class Jet:
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            return self * other._reciprocal()
+            # the value is a / b, as the float passthrough gives it
+            q = self * other._reciprocal()
+            return Jet(self.val / other.val, q.d, q.dd, q.ddd)
         if isinstance(other, _CONSTANT):
             return Jet(self.val / other, self.d / _rows(other, 1), self.dd / _rows(other, 2),
                        _third(lambda t: t / _rows(other, 3), self.ddd))
@@ -135,7 +139,8 @@ class Jet:
 
     def __rtruediv__(self, other):
         if isinstance(other, _CONSTANT):
-            return self._reciprocal() * other
+            q = self._reciprocal() * other
+            return Jet(other / self.val, q.d, q.dd, q.ddd)
         return NotImplemented
 
     def _reciprocal(self):

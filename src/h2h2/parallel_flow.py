@@ -580,8 +580,8 @@ def isoparametric_scan(pgs: PointGeometry, l_grid) -> ScanReport:
         kappas = pgs.H[:, None]
         dets = np.cosh(l_grid) - kappas * np.sinh(l_grid)
         flags = _focal_flags(dets)
-        roots = sorted({round(math.atanh(1.0 / k), 12) for k in pgs.H.tolist()
-                        if abs(k) > 1.0 and l_grid[0] < math.atanh(1.0 / k) < l_grid[-1]})
+        at = np.arctanh(1.0 / pgs.H[np.abs(pgs.H) > 1.0])
+        roots = sorted({round(r, 12) for r in at[(l_grid[0] < at) & (at < l_grid[-1])].tolist()})
         find_roots = roots.copy
         hs = parallel_curve_curvature(kappas, l_grid[~flags])
         lams = (hs,)

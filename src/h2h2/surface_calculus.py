@@ -234,12 +234,9 @@ class PointGeometry:
     rho: np.ndarray
 
     # -- the batch axis ---------------------------------------------------
-    @property
-    def batch_shape(self) -> tuple:
-        return self.u.shape[:-1]
-
     def __len__(self) -> int:
-        return self.batch_shape[0]
+        # a bare point's C is a scalar, which has no length
+        return len(self.C)
 
     def __getitem__(self, index) -> "PointGeometry":
         fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -341,7 +338,7 @@ def point_geometry(M: Hypersurface, u, order: int = 3) -> PointGeometry:
     try:
         return _geometry(chart_jet(M, u, order))
     except (ArithmeticError, ValueError):
-        if len(u) == 1:
+        if u.shape[:-1] in ((), (1,)):
             raise
         # some point fails: the batches of one, in order, raise its error
         for i in range(len(u)):

@@ -601,18 +601,26 @@ def test_verify_reads_third_derivatives_on_the_structural_rows_only(monkeypatch)
 
 @pytest.mark.parametrize("spec", [mz.ModelSpec("M_1m1", {"c": 0.3}),
                                   mz.ModelSpec("M_1m1", {"c": 0.5}),
-                                  mz.ModelSpec("M_11", {"c": 0.6})])
-def test_batch_chart_values_equal_batches_of_one(spec):
+                                  mz.ModelSpec("M_11", {"c": 0.6}),
+                                  mz.ModelSpec("M_tau", {"tau": -2.0}),
+                                  mz.ModelSpec("M_kk", {"c": 0.5, "kappa": "tanh",
+                                                        "kappa_tilde": "one"})])
+@pytest.mark.parametrize("l", [None, 0.3])
+def test_batch_chart_values_equal_batches_of_one(spec, l):
     # a value-only chart pass on coordinate arrays, as poincare_dump makes
     # over its grid, equals each point's batch of one and the values of the
-    # jet pass bit for bit
-    surface, _ = mz.build_model(spec)
-    axes = [np.linspace(d[0], d[1], 5) for d in surface.domain]
+    # jet pass bit for bit; the parallel charts divide by jets
+    model, _ = mz.build_model(spec)
+
+    def surface(n):
+        return model if l is None else pf.parallel_surface(model, np.full(n, l))
+
+    axes = [np.linspace(d[0], d[1], 5) for d in model.domain]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    points = surface.point(grid)
+    points = surface(len(grid)).point(grid)
     assert points.shape == (125, 6)
-    assert_rows_are_their_sub_batches(surface.point, grid)
-    assert np.array_equal(sc.chart_jet(surface, grid).val, points)
+    assert_rows_are_their_sub_batches(lambda U: surface(len(U)).point(U), grid)
+    assert np.array_equal(sc.chart_jet(surface(len(grid)), grid).val, points)
 
 
 # the models whose principal curvatures are constant: every one is homogeneous

@@ -496,10 +496,10 @@ class TestBatchedJets:
         surface, _ = m_tau_m2
         U = domain_samples(surface, 5)
         pgs = sc.point_geometry(surface, U)
-        assert pgs.batch_shape == (5,) and len(pgs) == 5
+        assert pgs.u.shape == (5, 3) and len(pgs) == 5
         assert pgs.C.shape == (5,) and pgs.jac.shape == (5, 6, 3)
         row = pgs[3]
-        assert row.batch_shape == () and row.C == pgs.C[3] and row.rho == pgs.rho[3]
+        assert row.u.shape == (3,) and row.C == pgs.C[3] and row.rho == pgs.rho[3]
         assert np.array_equal(row.u, U[3])
         part = pgs[1:4]
         assert len(part) == 3 and np.array_equal(part.lambdas, pgs.lambdas[1:4])
@@ -541,7 +541,8 @@ class TestBatchedJets:
         surface = sc.Hypersurface(chart=chart, domain=base.domain, name="pole")
         U = np.array([[0.1, 0.5, 0.3], [0.2, 0.9, 0.4], [0.3, 1.1, 0.5]])
         sc.point_geometry(surface, U[[0, 2]])
-        for rows in (U, U[1:2]):
+        # a bare point, batch shape (), raises its own error too
+        for rows in (U, U[1:2], U[1]):
             with pytest.raises(FloatingPointError):
                 sc.chart_jet(surface, rows)
             with pytest.raises(FloatingPointError):
@@ -675,6 +676,13 @@ class TestBatchedFrameIdentities:
         assert len({tuple(codes) for codes in batch.skip.tolist()}) >= 6
         # every skip reason, and judged items, are seen in the one batch
         assert set(np.unique(batch.skip).tolist()) == set(range(len(pf.FRAME_SKIPS)))
+
+    def test_takes_a_batch_only(self, m_tau_m2):
+        # one return shape: a single point is a batch of one, and a bare
+        # point's bundle has no rows to check
+        surface, _ = m_tau_m2
+        with pytest.raises(TypeError, match="has no len"):
+            pf.frame_identity_checks(sc.point_geometry(surface, domain_samples(surface, 1)[0]))
 
     def test_needs_an_order_three_bundle(self, m_tau_m2):
         surface, _ = m_tau_m2
