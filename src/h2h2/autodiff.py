@@ -26,14 +26,15 @@ which give an element the same bits whatever batch it sits in
 (``tests/test_autodiff.py`` pins that on the installed numpy).
 
 Plain floats, and arrays of them, pass through every function here without
-derivatives, so chart code can be written once and evaluated at coordinate
-arrays or at jets; a jet's value is bit for bit what the same code gives on
-the array of its values (a quotient's value is a / b, its derivatives come
-from the reciprocal).  In the arithmetic of a batch, a float array of the batch
-shape stands wherever a float may, as one constant per row, and each row is
-bit for bit the jet with that row's float (a power's exponent stays a
-number).  ``Jet.__array_ufunc__`` is None, so ``array * jet`` and the other
-reflected operations defer to the jet.
+derivatives, so code written for jets also evaluates at coordinate arrays
+(``PlaneCurve.kappa_at`` reads a curvature function's values so); a jet's
+value is bit for bit what the same code gives on the array of its values (a
+quotient's value is a / b, its derivatives come from the reciprocal).  In
+the arithmetic of a batch, a float array of the batch shape stands wherever
+a float may, as one constant per row, and each row is bit for bit the jet
+with that row's float (a power's exponent stays a number).
+``Jet.__array_ufunc__`` is None, so ``array * jet`` and the other reflected
+operations defer to the jet.
 """
 
 from __future__ import annotations

@@ -236,8 +236,6 @@ class PlaneCurve:
         """
         r0 = ad.value(r)
         g, t, n = _frame_columns(self._frame(r0))
-        if not isinstance(r, ad.Jet):
-            return list(g), list(n)
         if callable(self.kappa):
             kj = self.kappa(ad.jet_variables(np.asarray(r0)[..., None], order=2)[0])
             k, kp, kpp = ad.value(kj), 0.0, 0.0

@@ -150,14 +150,11 @@ def parallel_surface(M: Hypersurface, l) -> Hypersurface:
     closed-form normal, so the flowed chart and its normal stay evaluable at
     jet arguments.  ``l`` is an array of one distance per row of the batch
     the chart is evaluated on, and a batch of another shape is refused.  Each
-    row is bit for bit the chart at its row's distance alone, the batch of
-    one that ``row_surface(i)`` gives.  Its name does not list the distances:
+    row is bit for bit the chart at its row's distance alone, as a batch of
+    one, and fails as that does.  Its name does not list the distances:
     ``...|parallel(l per row)``.
     """
     l = np.asarray(l, dtype=float)
-
-    def row_surface(i):
-        return parallel_surface(M, l[i:i + 1])
 
     def chart(u):
         if np.shape(ad.value(u[0])) != l.shape:
@@ -184,8 +181,7 @@ def parallel_surface(M: Hypersurface, l) -> Hypersurface:
               + [chm * n2[i] + cm * shm * q[i] for i in range(3)])
         return pl, ql, nl
 
-    return Hypersurface(chart=chart, domain=M.domain, name=f"{M.name}|parallel(l per row)",
-                        row_surface=row_surface)
+    return Hypersurface(chart=chart, domain=M.domain, name=f"{M.name}|parallel(l per row)")
 
 
 # ---------------------------------------------------------------------------
@@ -667,19 +663,17 @@ def _shape_apply_jacobian(pg: PointGeometry, d: PointDerivatives, X, dX) -> np.n
             + pg.jac @ (np.einsum("...kij,...j->...ik", d.dA, xi) + pg.A @ dxi))
 
 
-def _principal_jacobians(pg: PointGeometry, d: PointDerivatives):
-    """Exact derivatives of the principal curvatures and directions at pg.
+def _principal_jacobians(pg: PointGeometry, d: PointDerivatives) -> np.ndarray:
+    """Exact derivatives of the principal directions at pg.
 
     For b x = lambda g x with g-orthonormal eigenvectors x_i, a simple
     eigenpair has (Magnus & Neudecker, Matrix Differential Calculus, ch. 8)
 
-        d lambda_i = x_i^T (db - lambda_i dg) x_i,
         d x_i = sum_{j != i} x_j^T (db - lambda_i dg) x_i / (lambda_i - lambda_j) x_j
                 - 1/2 (x_i^T dg x_i) x_i.
 
-    Returns dlam[i, k] = d_k lambda_i and the ambient Jacobians dP[i] (6x3)
-    of the principal direction fields Phi_* x_i, with the batch axes of pg
-    in front.
+    Returns the ambient Jacobians dP[i] (6x3) of the principal direction
+    fields Phi_* x_i, with the batch axes of pg in front.
     """
     X, lam = pg.principal_coords, pg.lambdas
     Xt, Xk = X.swapaxes(-1, -2)[..., None, :, :], X[..., None, :, :]
@@ -689,9 +683,8 @@ def _principal_jacobians(pg: PointGeometry, d: PointDerivatives):
     off = ~np.eye(3, dtype=bool)
     coef = np.where(off, Mx / np.where(off, gap, 1.0)[..., None, :, :], -0.5 * Gx)
     dX = np.einsum("...cj,...kji->...cik", X, coef)     # [coordinate, eigenvector, direction]
-    dP = (np.einsum("...akc,...ci->...iak", pg.hess, X)
-          + np.einsum("...ac,...cik->...iak", pg.jac, dX))
-    return np.diagonal(Mx, axis1=-2, axis2=-1).swapaxes(-1, -2), dP
+    return (np.einsum("...akc,...ci->...iak", pg.hess, X)
+            + np.einsum("...ac,...cik->...iak", pg.jac, dX))
 
 
 FRAME_ITEMS = ("v_direction_identity", "eigenframe_connections", "product_frame_connections",
@@ -731,9 +724,11 @@ def _covariant(pg: PointGeometry, jacobians, X) -> np.ndarray:
     return pg.project(np.stack([_matvec(dF, xi) for dF in jacobians], axis=1))
 
 
-def frame_identity_checks(pg: PointGeometry) -> FrameChecks:
+def frame_identity_checks(pg: PointGeometry, constant) -> FrameChecks:
     """Residuals of the constant-curvature frame identities at each point of
     a bundle, a batch (n,): three arrays with the sample axis first.
+    ``constant``, the oracle's ``constant_curvatures`` (one flag, or one per
+    row), is the hypothesis of the last three items.
 
     Checks the V-direction derivative identity on {V}-orthogonal pairs, the
     eigenframe connection table (distinct nonzero pair of curvatures), the
@@ -759,13 +754,14 @@ def frame_identity_checks(pg: PointGeometry) -> FrameChecks:
     live = np.flatnonzero(~(np.abs(pg.C) > DEGENERATE_C))
     if live.size:
         residual[live], skip[live], min_gap[live] = _frame_tables(
-            pg if live.size == n else pg[live])
+            pg if live.size == n else pg[live], np.broadcast_to(constant, n)[live])
     return FrameChecks(residual, skip, min_gap)
 
 
-def _frame_tables(pg: PointGeometry) -> tuple:
+def _frame_tables(pg: PointGeometry, constant: np.ndarray) -> tuple:
     """(residual, skip, min_gap) of ``frame_identity_checks`` on a bundle
-    whose product angle is not degenerate at any row."""
+    whose product angle is not degenerate at any row, with its rows'
+    constant-curvature flags."""
     d = point_derivatives(pg)
     E = frame_vectors(pg)
     dE = _adapted_frame_jacobians(pg, d)
@@ -806,7 +802,7 @@ def _frame_tables(pg: PointGeometry) -> tuple:
     eigen_res = np.zeros(len(pg))
     if need.size:
         sub = pg if need.size == len(pg) else pg[need]
-        dlam, dP = _principal_jacobians(sub, PointDerivatives(*(x[need] for x in d)))
+        dP = _principal_jacobians(sub, PointDerivatives(*(x[need] for x in d)))
         eigen_res[need] = _eigen_table(sub, dP, vhat[need], dE[need, 0], order[need],
                                        lam1[need], lam2[need], s[need])
 
@@ -825,23 +821,21 @@ def _frame_tables(pg: PointGeometry) -> tuple:
 
     # ---- three-curvature eigenframe relations ---------------------------
     out = np.zeros((4, len(pg)))
-    lam_grad = np.zeros(len(pg))
     if three.any():
         # the rows of three distinct curvatures are rows of ``need``
         at = np.flatnonzero(three[need])
         sub3 = sub if at.size == need.size else sub[at]
-        lam_grad[need[at]] = np.max(np.abs(dlam[at]), axis=(-2, -1))
         out[:, need[at]] = _three_curvature_table(sub3, dP[at])
 
     # the skip codes in FRAME_ITEMS order; the last three relations also
     # need constant curvatures
-    constant = np.select([~three, lam_grad > 1e-6], [_NOT_THREE, _VARYING], 0)
+    curvatures = np.select([~three, ~constant], [_NOT_THREE, _VARYING], 0)
     skip = np.stack([
         np.where(av_zero, 0, _AV),
         np.select([eigen, ~av_zero | (np.abs(lam_v) > 1e-6)], [0, _AV], _EQUAL),
         np.select([~av_zero, defect > 1e-6], [_AV, _NOT_PRINCIPAL], 0),
         np.where(three, 0, _NOT_THREE),
-        constant, constant, constant,
+        curvatures, curvatures, curvatures,
     ], axis=-1).astype(np.int8)
     residual = np.stack([v_res, eigen_res, product_res, *out], axis=-1)
     # every eigenvector derivative divides by the gaps to both other eigenvalues

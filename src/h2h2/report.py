@@ -360,7 +360,7 @@ def run_verify_suite(cfg: SuiteConfig) -> list[CheckResult]:
         results.append(_skipped("frame_identities", cfg.tol("frame_identities"),
                                 "skipped: degenerate product angle (C^2 = 1)"))
     else:
-        frame = pf.frame_identity_checks(pg3[:n_frame])
+        frame = pf.frame_identity_checks(pg3[:n_frame], oracle.constant_curvatures)
         skipped_items = sorted(np.compress(frame.skip.any(axis=0), pf.FRAME_ITEMS).tolist())
         gaps = frame.min_gap[~np.isnan(frame.min_gap)]
         notes = [f"hypothesis-guarded skips: {', '.join(skipped_items)}"] if skipped_items else []
@@ -685,7 +685,7 @@ def poincare_dump(model: mz.ModelSpec, path: str):
         line[:, axis] = np.linspace(dom[axis][0], dom[axis][1], POINCARE_LINE_N)
         blocks.append(line)
     u = np.concatenate(blocks)
-    x = surface.point(u)
+    x = sc.chart_jet(surface, u, order=2).val
     disks = [(factor, np.stack(poincare_project(part), axis=-1).tolist())
              for factor, part in ((1, x[:, :3]), (2, x[:, 3:]))]
     write_atomic(path, csv_text(["factor", "u1", "u2", "u3", "disk_x", "disk_y"],
@@ -742,8 +742,9 @@ def lemma_residual_rows() -> list[dict]:
     rows = []
     specs = TABLE_MODELS + [mz.ModelSpec("M_1m1", {"c": 0.5})]
     for spec in specs:
-        surface, _ = mz.build_model(spec)
-        frame = pf.frame_identity_checks(sc.point_geometry(surface, _center(surface)[None]))
+        surface, oracle = mz.build_model(spec)
+        frame = pf.frame_identity_checks(sc.point_geometry(surface, _center(surface)[None]),
+                                         oracle.constant_curvatures)
         for name, residual, code in zip(pf.FRAME_ITEMS, frame.residual[0].tolist(),
                                         frame.skip[0].tolist()):
             rows.append({"model": surface.name, "identity": name,

@@ -2,11 +2,10 @@
 
 A hypersurface is a chart map (u¹,u²,u³) -> (p, q, n): a point of the
 product of hyperboloids together with the surface's closed-form normal n,
-evaluable at coordinate arrays and at jets.  One third-order jet pass gives the
-exact 6x3 Jacobian, 6x3x3 Hessian and 6x3x3x3 third derivatives of the chart
-and the value and 6x3 Jacobian of n, from which the induced metric, unit
-normal, second fundamental form, shape operator, and principal curvatures
-follow.
+evaluated at jets.  One third-order jet pass gives the exact 6x3 Jacobian,
+6x3x3 Hessian and 6x3x3x3 third derivatives of the chart and the value and
+6x3 Jacobian of n, from which the induced metric, unit normal, second
+fundamental form, shape operator, and principal curvatures follow.
 
 The pass runs on batches: ``chart_jet`` and ``point_geometry`` take n
 points (n, 3), evaluate the chart once on jets of batch shape (n,) and do
@@ -19,7 +18,8 @@ because every per-vector operation keeps its one-point shape: matrix-vector
 products as (..., m, k) @ (..., k, 1), pairings through ``_pairing`` and
 ``solve`` with (..., 3, 1) right-hand sides.  ``join`` lays batches end to
 end, so rows evaluated by separate passes (at separate jet orders) form one
-bundle.
+bundle.  A batch raises its first failing row's error from its one pass,
+as that row's batch of one does; an error in the chart's jet pass, as is.
 
 Second derivatives of the chart are enough for Christoffel symbols; the
 third-order quantities (intrinsic curvature, covariant derivatives of the
@@ -71,30 +71,17 @@ class DegenerateProductAngleError(ValueError):
 class Hypersurface:
     """Chart map of an immersed hypersurface with its closed-form normal.
 
-    ``chart`` takes a 3-sequence of coordinates (arrays or ``Jet``s of one
-    batch shape) and returns
-    ``(p, q, n)``: the two hyperboloid factors as 3-sequences and the 6
-    ambient components of a normal field, all of the same type.  n
+    ``chart`` takes a 3-sequence of coordinates (``Jet``s of one batch shape)
+    and returns ``(p, q, n)``: the two hyperboloid factors as 3-sequences and
+    the 6 ambient components of a normal field, all of the same type.  n
     need not be unit length; it fixes the orientation used everywhere
-    downstream.  A chart whose constants differ by batch row (a parallel
-    chart at one distance per row) gives ``row_surface(i)``, the
-    hypersurface that row i evaluates; it is None when every row evaluates
-    this one.
+    downstream.  ``chart_jet(M, u, order=2).val`` gives the chart points of
+    a batch u.
     """
 
     chart: Callable
     domain: tuple
     name: str = ""
-    row_surface: Optional[Callable[[int], "Hypersurface"]] = None
-
-    def point(self, u) -> np.ndarray:
-        """The chart points (n, 6) of a batch u (n, 3) from one chart call on
-        coordinate arrays.  No derivative is carried, and each row equals
-        ``chart_jet(M, u).val`` bit for bit."""
-        u = np.asarray(u, dtype=float)
-        with np.errstate(divide="raise", invalid="raise", over="raise"):
-            p, q, _ = self.chart(list(u.T))
-        return np.stack(np.broadcast_arrays(*(ad.value(x) for x in (*p, *q))), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -273,23 +260,42 @@ def _geometry(jet: ChartJet) -> PointGeometry:
     """``PointGeometry`` of a chart jet, with the jet's batch shape.
 
     The linear algebra runs on the stacked (n,3,3) arrays in one call each;
-    every row equals its batch of one bit for bit.  A check that fails at
-    some row raises; ``point_geometry`` then redoes the batch point by point,
-    so the error is that of the first failing point.
+    every row equals its batch of one bit for bit.  Five conditions are
+    judged row by row, in order (full rank, a spacelike raw normal, a unit N,
+    N orthogonal to the tangent basis, |V|² = 1 - C²), so that NaN fails
+    them; the first failing one of the first failing row raises with that
+    row's numbers, the error of its batch of one.
     """
     jac = jet.jac
     g = jac.swapaxes(-1, -2) @ ETA6 @ jac
     g = 0.5 * (g + g.swapaxes(-1, -2))
     low = np.linalg.eigvalsh(g)[..., 0]
-    if (low <= RANK_SIGMA_MIN ** 2).any():
-        raise ChartRankError("chart differential is rank-deficient "
-                             f"(sigma_min={math.sqrt(max(float(np.min(low)), 0.0)):.3e})")
 
-    N = jet.n / np.sqrt(_pairing(jet.n, jet.n))[..., None]
-    if (np.abs(_pairing(N, N) - 1.0) > NORMAL_TOL).any():
-        raise NormalSpaceError("normal is not unit")
-    if np.max(np.abs(jac.swapaxes(-1, -2) @ ETA6 @ N[..., None])) > NORMAL_TOL:
-        raise NormalSpaceError("normal is not orthogonal to the tangent basis")
+    nn = _pairing(jet.n, jet.n)
+    # a raw normal that is not spacelike gives a non-finite N, which fails
+    with np.errstate(divide="ignore", invalid="ignore"):
+        N = jet.n / np.sqrt(nn)[..., None]
+        PN = N @ P6
+        # [()]: a bare point u (3,), batch shape (), gets a numpy scalar C, as
+        # it gets H and K; bench/child.py reads such a point's C into JSON
+        C = _pairing(PN, N)[()]
+        V = PN - C[..., None] * N
+        failed = np.stack([
+            ~(low > RANK_SIGMA_MIN ** 2),
+            ~(nn > 0.0),
+            ~(np.abs(_pairing(N, N) - 1.0) <= NORMAL_TOL),
+            ~(np.max(np.abs(jac.swapaxes(-1, -2) @ ETA6 @ N[..., None]), axis=(-2, -1))
+              <= NORMAL_TOL),
+            ~(np.abs(_pairing(V, V) - (1.0 - C * C)) <= 1e-9),
+        ], axis=-1).reshape(-1, 5)
+    if failed.any():
+        row, check = np.argwhere(failed)[0]
+        if check == 0:
+            raise ChartRankError("chart differential is rank-deficient (sigma_min="
+                                 f"{math.sqrt(max(float(low.reshape(-1)[row]), 0.0)):.3e})")
+        raise NormalSpaceError(("normal direction is not spacelike", "normal is not unit",
+                                "normal is not orthogonal to the tangent basis",
+                                "|V|^2 != 1 - C^2 beyond tolerance")[check - 1])
 
     b = np.einsum("...aij,...a->...ij", jet.hess, N @ ETA6)
     b = 0.5 * (b + b.swapaxes(-1, -2))
@@ -303,17 +309,9 @@ def _geometry(jet: ChartJet) -> PointGeometry:
     lambdas, W = np.linalg.eigh(Zs)
     principal = np.linalg.solve(L.swapaxes(-1, -2), W)   # columns, g-orthonormal
 
-    PN = N @ P6
-    # [()]: a bare point u (3,), batch shape (), gets a numpy scalar C, as
-    # it gets H and K; bench/child.py reads such a point's C into JSON
-    C = _pairing(PN, N)[()]
-    V = PN - C[..., None] * N
     H = np.trace(Zs, axis1=-2, axis2=-1)
     K = np.linalg.det(Zs)
     norm_A_sq = np.trace(Zs @ Zs, axis1=-2, axis2=-1)
-    if (np.abs(_pairing(V, V) - (1.0 - C * C)) > 1e-9).any():
-        raise NormalSpaceError("|V|^2 != 1 - C^2 beyond tolerance")
-
     return PointGeometry(u=jet.u, val=jet.val, jac=jac, hess=jet.hess, d3=jet.d3, n=jet.n,
                          dn=jet.dn, g=g, N=N, b=b, A=A, lambdas=lambdas,
                          principal_coords=principal, principal_ambient=jac @ principal, V=V,
@@ -328,22 +326,14 @@ def point_geometry(M: Hypersurface, u, order: int = 3) -> PointGeometry:
     normalized, so the chart fixes the orientation.  u of shape (n, 3) gives
     the bundle of the n points with a leading batch axis, from one batched
     chart pass and stacked linear algebra, each row equal bit for bit to its
-    batch of one, u[i:i+1].  If any point fails, the batch raises what the
-    batches of one (on ``M.row_surface(i)`` where M has one) raise for the
-    first failing point in sample order.  An ``order`` 2 bundle has no
-    ``d3``, so it cannot give ``point_derivatives``; every other field is
-    bit for bit that of order 3.
+    batch of one, u[i:i+1].  If a row fails a geometric condition, the batch
+    raises the error of the first failing row, the one its batch of one
+    raises; an error inside the chart's jet pass (a FloatingPointError from
+    ``chart_jet``) is raised by the whole batch as it is.  An ``order`` 2
+    bundle has no ``d3``, so it cannot give ``point_derivatives``; every
+    other field is bit for bit that of order 3.
     """
-    u = np.asarray(u, dtype=float)
-    try:
-        return _geometry(chart_jet(M, u, order))
-    except (ArithmeticError, ValueError):
-        if u.shape[:-1] in ((), (1,)):
-            raise
-        # some point fails: the batches of one, in order, raise its error
-        for i in range(len(u)):
-            point_geometry(M if M.row_surface is None else M.row_surface(i), u[i:i + 1], order)
-        raise
+    return _geometry(chart_jet(M, u, order))
 
 
 def join(*bundles: PointGeometry) -> PointGeometry:

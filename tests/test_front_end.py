@@ -214,4 +214,3 @@ def test_array_distance_chart_is_named_without_its_distances(m_tau_m2):
     ls = np.linspace(-0.5, 0.5, 400)
     merged = pf.parallel_surface(surface, ls)
     assert merged.name == f"{surface.name}|parallel(l per row)"
-    assert merged.row_surface(7).name == f"{surface.name}|parallel(l per row)"

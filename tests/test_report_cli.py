@@ -374,7 +374,7 @@ class TestPoincareDump:
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["factor", "u1", "u2", "u3", "disk_x", "disk_y"])
         for u in points:
-            x = surface.point(np.array([u], dtype=float))[0]
+            x = sc.chart_jet(surface, np.array([u], dtype=float), order=2).val[0]
             for factor, part in ((1, x[:3]), (2, x[3:])):
                 w.writerow([factor, *(repr(float(v)) for v in u),
                             *(repr(float(d)) for d in rp.poincare_project(part))])
@@ -607,9 +607,9 @@ def test_verify_reads_third_derivatives_on_the_structural_rows_only(monkeypatch)
                                                         "kappa_tilde": "one"})])
 @pytest.mark.parametrize("l", [None, 0.3])
 def test_batch_chart_values_equal_batches_of_one(spec, l):
-    # a value-only chart pass on coordinate arrays, as poincare_dump makes
-    # over its grid, equals each point's batch of one and the values of the
-    # jet pass bit for bit; the parallel charts divide by jets
+    # the chart points of a grid from one jet pass, as poincare_dump takes
+    # them, equal each point's batch of one bit for bit; the parallel charts
+    # divide by jets
     model, _ = mz.build_model(spec)
 
     def surface(n):
@@ -617,10 +617,9 @@ def test_batch_chart_values_equal_batches_of_one(spec, l):
 
     axes = [np.linspace(d[0], d[1], 5) for d in model.domain]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    points = surface(len(grid)).point(grid)
-    assert points.shape == (125, 6)
-    assert_rows_are_their_sub_batches(lambda U: surface(len(U)).point(U), grid)
-    assert np.array_equal(sc.chart_jet(surface(len(grid)), grid).val, points)
+    assert sc.chart_jet(surface(len(grid)), grid, order=2).val.shape == (125, 6)
+    assert_rows_are_their_sub_batches(lambda U: sc.chart_jet(surface(len(U)), U, order=2).val,
+                                      grid)
 
 
 # the models whose principal curvatures are constant: every one is homogeneous
@@ -655,6 +654,15 @@ def plant_chart(monkeypatch, make_chart):
 def plant_values(monkeypatch, transform):
     """Every chart evaluation returns ``transform(p, q, n)`` of its values."""
     plant_chart(monkeypatch, lambda chart: lambda u: transform(*chart(u)))
+
+
+def test_a_timelike_normal_is_a_failed_run(monkeypatch, tmp_path, capsys):
+    # a geometric failure (exit 1, one error line), not a usage error from
+    # the eigensolver
+    plant_values(monkeypatch, lambda p, q, n: (p, q, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+    argv = ["verify", "--model", "M_Gamma", "--kappa-gamma", "1", "--samples", "8"]
+    assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == "error: normal direction is not spacelike\n"
 
 
 def plant_curvature_bump(monkeypatch, eps):
@@ -869,10 +877,10 @@ FRAME_DEFECTS = {
 
 def verify_frame_rows(spec):
     """The bundle of the rows verify judges the frame identities on, at 200
-    samples and seed 0."""
-    surface, _ = mz.build_model(spec)
+    samples and seed 0, and the oracle's constant-curvature flag."""
+    surface, oracle = mz.build_model(spec)
     pg3, _ = rp._sample_bundle(surface, rp.sobol_points(surface.domain, 200, 0), 50)
-    return pg3[:3]
+    return pg3[:3], oracle.constant_curvatures
 
 
 @pytest.mark.parametrize("item", pf.FRAME_ITEMS)
@@ -881,16 +889,33 @@ def test_every_frame_item_can_fail(item, monkeypatch):
     model, plant = FRAME_DEFECTS[item]
     column = pf.FRAME_ITEMS.index(item)
     bar = rp.DEFAULT_TOLERANCES["frame_identities"]
-    pg = verify_frame_rows(model)
-    clean = pf.frame_identity_checks(pg)
+    pg, constant = verify_frame_rows(model)
+    clean = pf.frame_identity_checks(pg, constant)
     plant(monkeypatch)
-    planted = pf.frame_identity_checks(pg)
+    planted = pf.frame_identity_checks(pg, constant)
     assert not clean.skip[:, column].any() and not planted.skip[:, column].any()
     assert np.max(clean.residual[:, column]) <= bar < np.max(planted.residual[:, column])
 
 
 def test_every_frame_item_has_a_planted_defect():
     assert FRAME_DEFECTS.keys() == set(pf.FRAME_ITEMS)
+
+
+@pytest.mark.parametrize("tau", [-2.0, -5.0])
+def test_constant_curvature_hypothesis_comes_from_the_oracle(tau, monkeypatch):
+    # a defect in db moves the bundle's own grad lambda; the oracle's flag
+    # keeps the three constant-curvature relations judged, and they FAIL
+    spec = mz.ModelSpec("M_tau", {"tau": tau})
+    pg, constant = verify_frame_rows(spec)
+    frame_derivatives_off("db", 1e-5)(monkeypatch)
+    checks = pf.frame_identity_checks(pg, constant)
+    columns = [pf.FRAME_ITEMS.index(name) for name in (
+        "codazzi_frame_relation", "diagonal_connection_formula", "connection_pairing")]
+    assert constant and not checks.skip[:, columns].any()
+    assert np.min(checks.residual[:, columns]) > rp.DEFAULT_TOLERANCES["frame_identities"]
+    row = verify_rows(spec, samples=200, seed=0)["frame_identities"]
+    assert row.notes.startswith("hypothesis-guarded skips: product_frame_connections;")
+    assert row.passed is False
 
 
 @pytest.mark.parametrize("spec, notes", [
@@ -903,7 +928,7 @@ def test_every_frame_item_has_a_planted_defect():
 ])
 def test_frame_row_reads_the_arrays(spec, notes):
     row = verify_rows(spec, samples=200, seed=0)["frame_identities"]
-    checks = pf.frame_identity_checks(verify_frame_rows(spec))
+    checks = pf.frame_identity_checks(*verify_frame_rows(spec))
     skipped = sorted(name for name, codes in zip(pf.FRAME_ITEMS, checks.skip.T) if codes.any())
     assert row.notes.split("; ")[0] == "hypothesis-guarded skips: " + ", ".join(skipped)
     assert row.notes == notes

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,12 +47,16 @@ class TestChartJet:
         u = np.array([0.3, -0.5, 0.8])
         jet = sc.chart_jet(surface, one(u))
         h = 1e-5
+
+        def point(x):
+            return sc.chart_jet(surface, one(x), order=2).val
+
         for m in range(3):
             e = np.zeros(3)
             e[m] = h
-            fd = (surface.point(one(u + e)) - surface.point(one(u - e))) / (2 * h)
+            fd = (point(u + e) - point(u - e)) / (2 * h)
             assert np.max(np.abs(jet.jac[:, :, m] - fd)) < 1e-8
-            fdd = (surface.point(one(u + e)) - 2 * jet.val + surface.point(one(u - e))) / h ** 2
+            fdd = (point(u + e) - 2 * jet.val + point(u - e)) / h ** 2
             assert np.max(np.abs(jet.hess[:, :, m, m] - fdd)) < 1e-4
 
     def test_chart_evaluates_at_all_orders(self, m_11_03):
@@ -472,6 +477,17 @@ def _shifted_normal(base, shift):
     return sc.Hypersurface(chart=chart, domain=base.domain, name="shifted normal")
 
 
+def _timelike_normal(base, where):
+    """base with the timelike raw normal (1, 0, 0, 0, 0, 0) at the rows where
+    ``where`` holds of the coordinate values."""
+    def chart(u):
+        p, q, n = base.chart(u)
+        t = np.asarray(where([ad.value(x) for x in u]), dtype=float)
+        return p, q, [x * (1.0 - t) + e * t for x, e in zip(n, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0))]
+
+    return sc.Hypersurface(chart=chart, domain=base.domain, name="timelike normal")
+
+
 class TestBatchedJets:
     @pytest.mark.parametrize("batch_surface", BATCH_SURFACES, indirect=True)
     def test_batch_rows_equal_their_batches_of_one(self, batch_surface):
@@ -547,6 +563,47 @@ class TestBatchedJets:
                 sc.chart_jet(surface, rows)
             with pytest.raises(FloatingPointError):
                 sc.point_geometry(surface, rows)
+
+    def test_a_failing_batch_takes_one_chart_call(self, m_gamma_geodesic):
+        # the rows of test_first_failing_point_raises_its_own_error: the batch
+        # names its first failing row from its own pass, with no re-run
+        surface, calls = counted_chart(_shifted_normal(m_gamma_geodesic[0], lambda u: u[0] - 1.0))
+        U = np.array([[1.0, 0.8, 0.5], [1.0, 1.2, 1.0], [1.0, 1e-7, 0.7], [1.5, 0.9, 0.2]])
+        with pytest.raises(sc.ChartRankError, match="sigma_min=1.000e-07"):
+            sc.point_geometry(surface, U)
+        assert len(calls) == 1
+        with pytest.raises(sc.NormalSpaceError, match="orthogonal"):
+            sc.point_geometry(surface, U[[0, 3, 2]])
+        assert len(calls) == 2
+
+    def test_a_bare_point_is_its_batch_of_one(self, m_gamma_geodesic):
+        surface = _shifted_normal(m_gamma_geodesic[0], lambda u: u[0] - 1.0)
+        U = np.array([[1.0, 0.8, 0.5], [1.0, 1e-7, 0.7], [1.5, 0.9, 0.2]])
+        bare, one_row = sc.point_geometry(surface, U[0]), sc.point_geometry(surface, U[:1])
+        for f in dataclasses.fields(sc.PointGeometry):
+            assert np.array_equal(getattr(bare, f.name), getattr(one_row, f.name)[0])
+        # a failing bare point raises the error of its batch of one
+        for u in U[1:]:
+            with pytest.raises(ValueError) as one:
+                sc.point_geometry(surface, u[None])
+            with pytest.raises(type(one.value)) as point:
+                sc.point_geometry(surface, u)
+            assert str(point.value) == str(one.value)
+
+    def test_a_timelike_normal_is_not_spacelike(self, m_gamma_geodesic):
+        # rows with r > 1.2 have a timelike raw normal: its NaN unit normal
+        # fails the row without a warning, before the eigensolver sees it
+        surface = _timelike_normal(m_gamma_geodesic[0], lambda u: u[0] > 1.2)
+        U = np.array([[1.0, 0.8, 0.5], [1.5, 0.9, 0.2], [1.0, 1e-7, 0.7], [1.4, 1.0, 0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sc.point_geometry(surface, U[:1])
+            for rows in (U[1:2], U[1], U, U[[0, 3, 2]]):
+                with pytest.raises(sc.NormalSpaceError) as err:
+                    sc.point_geometry(surface, rows)
+                assert str(err.value) == "normal direction is not spacelike"
+            with pytest.raises(sc.ChartRankError, match="sigma_min=1.000e-07"):
+                sc.point_geometry(surface, U[[0, 2, 1]])
 
 
 ORDER_SURFACES = CATALOG_NAMES + ["M_kk tanh/one", "M_tau(-1.0001)", "level_set"]
@@ -644,11 +701,21 @@ def stacked(rows):
                                for f in dataclasses.fields(sc.PointGeometry)})
 
 
+def constant_curvatures(name) -> bool:
+    """The oracle's ``constant_curvatures`` of the ``batch_surface`` ``name``;
+    the level set and the graph have varying curvatures."""
+    for spec in mz.CATALOG:
+        if name == spec.kind + str(sorted(spec.params.items())):
+            return mz.build_model(spec)[1].constant_curvatures
+    return name == "M_tau(-1.0001)"
+
+
 class TestBatchedFrameIdentities:
     @pytest.mark.parametrize("batch_surface", FRAME_SURFACES, indirect=True)
-    def test_rows_equal_their_batches_of_one(self, batch_surface):
+    def test_rows_equal_their_batches_of_one(self, batch_surface, request):
+        constant = constant_curvatures(request.node.callspec.params["batch_surface"])
         U = domain_samples(batch_surface, 16, seed=6)
-        checks = pf.frame_identity_checks(sc.point_geometry(batch_surface, U))
+        checks = pf.frame_identity_checks(sc.point_geometry(batch_surface, U), constant)
         assert type(checks) is pf.FrameChecks
         assert checks.residual.shape == checks.skip.shape == (len(U), len(pf.FRAME_ITEMS))
         assert checks.min_gap.shape == (len(U),)
@@ -657,20 +724,25 @@ class TestBatchedFrameIdentities:
         # a residual is NaN exactly where its item is skipped
         assert np.array_equal(np.isnan(checks.residual), checks.skip != 0)
         assert_rows_are_their_sub_batches(
-            lambda V: pf.frame_identity_checks(sc.point_geometry(batch_surface, V)), U)
+            lambda V: pf.frame_identity_checks(sc.point_geometry(batch_surface, V), constant), U)
 
     def test_rows_of_every_branch_in_one_batch(self, level_set, graph_surface, m_gamma_2):
         # the rows take different hypothesis branches: a degenerate angle
         # (M_Gamma), equal curvatures (M_1m1 c=1/2), no principal J1N+J2N
         # (M_tau), all items (M_11), varying curvatures (M_kk tanh) and AV != 0
-        # (the level set and the graph)
-        charts = [m_gamma_2[0], mz.build_model(mz.ModelSpec("M_1m1", {"c": 0.5}))[0],
-                  mz.make_M_tau(-2.0)[0], mz.build_model(mz.ModelSpec("M_11", {"c": 0.3}))[0],
-                  mz.make_M_kk(0.5, ad.tanh, 1.0)[0], level_set, graph_surface]
-        rows = [pg for M in charts for pg in sc.point_geometry(M, domain_samples(M, 2, seed=1))]
-        singles = [frame_report_key(pf.frame_identity_checks(stacked([pg]))) for pg in rows]
+        # (the level set and the graph), each row with its chart's flag
+        charts = [(m_gamma_2[0], True), (mz.build_model(mz.ModelSpec("M_1m1", {"c": 0.5}))[0], True),
+                  (mz.make_M_tau(-2.0)[0], True),
+                  (mz.build_model(mz.ModelSpec("M_11", {"c": 0.3}))[0], True),
+                  (mz.make_M_kk(0.5, ad.tanh, 1.0)[0], False), (level_set, False),
+                  (graph_surface, False)]
+        rows, flags = zip(*((pg, constant) for M, constant in charts
+                            for pg in sc.point_geometry(M, domain_samples(M, 2, seed=1))))
+        singles = [frame_report_key(pf.frame_identity_checks(stacked([pg]), constant))
+                   for pg, constant in zip(rows, flags)]
         order = np.random.default_rng(3).permutation(len(rows))
-        batch = pf.frame_identity_checks(stacked([rows[i] for i in order]))
+        batch = pf.frame_identity_checks(stacked([rows[i] for i in order]),
+                                         np.array(flags)[order])
         assert [frame_report_key(batch, [r]) for r in range(len(rows))] == [
             singles[i] for i in order]
         assert len({tuple(codes) for codes in batch.skip.tolist()}) >= 6
@@ -682,9 +754,11 @@ class TestBatchedFrameIdentities:
         # point's bundle has no rows to check
         surface, _ = m_tau_m2
         with pytest.raises(TypeError, match="has no len"):
-            pf.frame_identity_checks(sc.point_geometry(surface, domain_samples(surface, 1)[0]))
+            pf.frame_identity_checks(sc.point_geometry(surface, domain_samples(surface, 1)[0]),
+                                     True)
 
     def test_needs_an_order_three_bundle(self, m_tau_m2):
         surface, _ = m_tau_m2
         with pytest.raises(ValueError, match="order 2"):
-            pf.frame_identity_checks(sc.point_geometry(surface, domain_samples(surface, 3), 2))
+            pf.frame_identity_checks(sc.point_geometry(surface, domain_samples(surface, 3), 2),
+                                     True)
